@@ -36,11 +36,12 @@ use macaw_check::{
 };
 use macaw_mac::{Addr, Csma, CsmaConfig, MacConfig, WMac};
 
-/// Oracle baseline cutoff, in applied transitions. Calibrated to ≈60 s of
-/// unreduced exploration at the matrix's measured oracle throughput
-/// (~50–130k states/s in release builds); rows that exceed it are
-/// reported as infeasible for the oracle rather than timed. A state
-/// count, not a wall clock, so the classification is deterministic.
+/// Oracle baseline cutoff, in applied transitions: ≈12–41 s of unreduced
+/// exploration at the matrix's measured oracle throughput (~73–240k
+/// states/s in release builds over the rows with at least 10k oracle
+/// states, `BENCH_check.json`); rows that exceed it are reported as
+/// infeasible for the oracle rather than timed. A state count, not a wall
+/// clock, so the classification is deterministic.
 const ORACLE_STATE_BUDGET: u64 = 3_000_000;
 
 /// Fixed frontier split depth for the reduced runs. Constant across

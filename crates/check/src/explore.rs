@@ -16,7 +16,10 @@
 //! reach anything new and is pruned ([`CheckStats::dedup_hits`]). Cycle
 //! detection is on-path: because the canonical state embeds monotone
 //! progress counters, revisiting a state on the current path means a
-//! progress-free control-frame cycle — a livelock.
+//! progress-free control-frame cycle — a livelock. Memo and path hold each
+//! state as a flat byte key, encoded and hashed once per visit; keys are
+//! equal exactly when the canonical states are, so the encoding never
+//! changes what the search finds.
 //!
 //! # Reductions
 //!
@@ -61,14 +64,16 @@
 //! for every worker count.
 
 use std::fmt;
+use std::sync::Arc;
 
 use macaw_mac::context::MacFeedback;
 use macaw_mac::harness::Action;
 use macaw_mac::{MacInvariantViolation, MacProtocol, MacSnapshot};
-use macaw_sim::{FastHashMap, FastHashSet, SimDuration, SimTime, TieBand};
+use macaw_sim::{SimDuration, SimTime, TieBand};
 
+use crate::key::{KeyMap, StateKey};
 use crate::topology::Topology;
-use crate::world::{CanonState, FaultClass, World, WorldEvent};
+use crate::world::{FaultClass, World, WorldEvent};
 
 /// What the terminal states must satisfy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -186,7 +191,7 @@ pub struct Violation {
 }
 
 /// Exploration statistics, accumulated over all deepening passes.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CheckStats {
     /// Transitions applied.
     pub states_explored: u64,
@@ -303,6 +308,7 @@ where
     let mut violation = None;
     let mut complete = false;
     let mut exhausted = false;
+    let topo = Arc::new(topo.clone());
 
     let mut depth = cfg.depth_step.max(1);
     loop {
@@ -311,20 +317,8 @@ where
         let split_at = (cfg.split_depth > 0 && depth > cfg.split_depth)
             .then_some(cfg.split_depth);
 
-        let mut root = World::new(topo.clone(), cfg.fault, band, cfg.seed, &make);
-        let mut dfs = Dfs {
-            memo: FastHashMap::default(),
-            path: FastHashSet::default(),
-            trace: Vec::new(),
-            stats: &mut stats,
-            expectation: cfg.expectation,
-            reduce: cfg.reduce,
-            bound_hits_this_pass: 0,
-            split_at,
-            jobs: Vec::new(),
-            state_budget: cfg.state_budget,
-            exhausted: false,
-        };
+        let mut root = World::new(Arc::clone(&topo), cfg.fault, band, cfg.seed, &make);
+        let mut dfs = Dfs::new(&mut stats, cfg, split_at);
         let outcome = match root.inject() {
             Err(v) => Err(dfs.violation(ViolationKind::Invariant(v))),
             Ok(()) => dfs.visit(&root, depth, Vec::new()),
@@ -409,19 +403,7 @@ where
     P: MacProtocol + MacSnapshot + Clone,
 {
     let mut stats = CheckStats::default();
-    let mut dfs = Dfs {
-        memo: FastHashMap::default(),
-        path: FastHashSet::default(),
-        trace: Vec::new(),
-        stats: &mut stats,
-        expectation: cfg.expectation,
-        reduce: cfg.reduce,
-        bound_hits_this_pass: 0,
-        split_at: None,
-        jobs: Vec::new(),
-        state_budget: cfg.state_budget,
-        exhausted: false,
-    };
+    let mut dfs = Dfs::new(&mut stats, cfg, None);
     let outcome = dfs.visit(&job.world, job.depth_left, job.sleep.clone());
     let pass_bound_hits = dfs.bound_hits_this_pass;
     let exhausted = dfs.exhausted;
@@ -445,8 +427,12 @@ struct MemoEntry {
 }
 
 struct Dfs<'a, P: MacProtocol + MacSnapshot> {
-    memo: FastHashMap<CanonState<P::Snap>, MemoEntry>,
-    path: FastHashSet<CanonState<P::Snap>>,
+    memo: KeyMap<MemoEntry>,
+    /// Keys of the states on the current path, root first. At most one
+    /// per level of the depth bound; a scan compares stored hashes first.
+    path: Vec<StateKey>,
+    /// Encoding buffer reused by every [`StateKey::new`].
+    scratch: Vec<u8>,
     trace: Vec<TraceStep>,
     stats: &'a mut CheckStats,
     expectation: Expectation,
@@ -492,10 +478,27 @@ fn intersect(a: &[WorldEvent], b: &[WorldEvent]) -> Vec<WorldEvent> {
     out
 }
 
-impl<P> Dfs<'_, P>
+impl<'a, P> Dfs<'a, P>
 where
     P: MacProtocol + MacSnapshot + Clone,
 {
+    fn new(stats: &'a mut CheckStats, cfg: &CheckConfig, split_at: Option<u32>) -> Self {
+        Dfs {
+            memo: KeyMap::default(),
+            path: Vec::new(),
+            scratch: Vec::new(),
+            trace: Vec::new(),
+            stats,
+            expectation: cfg.expectation,
+            reduce: cfg.reduce,
+            bound_hits_this_pass: 0,
+            split_at,
+            jobs: Vec::new(),
+            state_budget: cfg.state_budget,
+            exhausted: false,
+        }
+    }
+
     /// Explore `w` with `depth_left` remaining depth. `sleep` is the
     /// sleep set in the world's own station labels: events already covered
     /// below an independent sibling of the path that led here.
@@ -549,7 +552,9 @@ where
         } else {
             (w.canon(), 0)
         };
-        if self.path.contains(&canon) {
+        let key = StateKey::new(&canon, &mut self.scratch);
+        drop(canon);
+        if self.path.contains(&key) {
             return Err(self.violation(ViolationKind::Livelock));
         }
 
@@ -565,7 +570,7 @@ where
         let mut effective_sleep = sleep;
         // In canonical labels, what the memo will claim was skipped.
         let mut store_sleep = sleep_key;
-        match self.memo.get(&canon) {
+        match self.memo.get(&key) {
             Some(entry) if entry.depth >= depth_left => {
                 if subset(&entry.sleep, &store_sleep) {
                     // The stored visit skipped at most what we would skip:
@@ -596,7 +601,7 @@ where
         if let Some(split) = self.split_at {
             if self.trace.len() as u32 == split {
                 self.memo.insert(
-                    canon,
+                    key,
                     MemoEntry {
                         depth: depth_left,
                         sleep: store_sleep,
@@ -612,7 +617,7 @@ where
             }
         }
 
-        self.path.insert(canon.clone());
+        self.path.push(key);
 
         let mut result = Ok(());
         let mut done: Vec<WorldEvent> = Vec::new();
@@ -671,10 +676,10 @@ where
             }
         }
 
-        self.path.remove(&canon);
+        let key = self.path.pop().expect("this visit's key tops the path");
         if result.is_ok() && !self.exhausted {
             self.memo.insert(
-                canon,
+                key,
                 MemoEntry {
                     depth: depth_left,
                     sleep: store_sleep,

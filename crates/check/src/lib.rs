@@ -4,7 +4,7 @@
 //! answers "can MACAW wedge?". It explores *every* interleaving of radio
 //! nondeterminism — near-simultaneous timer firings, frame reception
 //! orders, and a budgeted fault adversary (loss, noise, carrier-sense
-//! blindness) — over 2–4 station topologies, and proves four properties
+//! blindness) — over 2–12 station topologies, and proves four properties
 //! per protocol and topology family:
 //!
 //! * **no deadlock** — a quiescent world (no timers armed, nothing on the
@@ -22,7 +22,8 @@
 //!   silent collisions).
 //!
 //! Exploration is iterative-deepening DFS over [`World`] states with a
-//! hashed canonical-state memo ([`World::canon`]): each deepening pass
+//! canonical-state memo ([`World::canon`], each state encoded once per
+//! visit into a flat key that carries its hash): each deepening pass
 //! re-explores with a fresh depth-aware memo, so the first violation found
 //! is at minimal depth and its [`Violation::trace`] is a shortest
 //! counterexample — the exact [`WorldEvent`] sequence, with per-station
@@ -42,6 +43,7 @@
 //! is kept bit-for-bit intact as the validation oracle.
 
 pub mod explore;
+mod key;
 pub mod topology;
 pub mod world;
 

@@ -31,6 +31,8 @@
 //! transmission overlaps it and the receiver itself never keys up while it
 //! is on the air; carrier sense reports any audible foreign transmission.
 
+use std::sync::Arc;
+
 use macaw_mac::context::MacFeedback;
 use macaw_mac::harness::Action;
 use macaw_mac::{
@@ -133,9 +135,18 @@ struct Flight {
     src: usize,
     frame: Frame,
     ends: SimTime,
-    /// Per-station garbage marker: overlap or half-duplex ruined the
-    /// reception at that station.
-    dirty: Vec<bool>,
+    /// Stations where overlap or half-duplex ruined the reception, as a
+    /// [`rx_bit`] mask.
+    dirty: u64,
+}
+
+/// Station `r`'s bit in a flight's dirty mask over `n` stations, packed
+/// MSB-first: station 0 takes the highest used bit, so comparing two masks
+/// as integers orders them like the per-station `bool` vectors they
+/// encode, which keeps [`CanonState`]'s derived order (and with it
+/// [`World::canon_min`]'s choice of minimiser) independent of the packing.
+fn rx_bit(n: usize, r: usize) -> u64 {
+    1 << (n - 1 - r)
 }
 
 /// Canonical world state: station snapshots with now-relative timer
@@ -149,7 +160,7 @@ struct Flight {
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CanonState<S> {
     stations: Vec<(S, Option<SimDuration>, u64)>,
-    flights: Vec<(usize, Frame, SimDuration, Vec<bool>)>,
+    flights: Vec<(usize, Frame, SimDuration, u64)>,
     budget: u8,
     delivered: u32,
     resolved: u32,
@@ -160,7 +171,9 @@ pub struct CanonState<S> {
 pub struct World<P: MacProtocol + MacSnapshot> {
     clock: SimTime,
     stations: Vec<Oracle<P>>,
-    topo: Topology,
+    /// Shared by every world of one check: children clone the pointer,
+    /// not the hearing matrix and symmetry group.
+    topo: Arc<Topology>,
     timing: Timing,
     band: TieBand,
     fault: FaultClass,
@@ -170,7 +183,8 @@ pub struct World<P: MacProtocol + MacSnapshot> {
     /// hears `s` and everyone `s` hears. Any interaction between two
     /// events passes through a station in both closures, so events with
     /// disjoint closure footprints commute (see [`World::independent`]).
-    closure: Vec<u64>,
+    /// Derived from the topology once per [`World::new`] and shared.
+    closure: Arc<[u64]>,
     /// Packets handed to senders at injection.
     pub offered: u32,
     /// `deliver_up` calls observed at receivers.
@@ -188,7 +202,25 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// are what make the declared permutations true automorphisms. With no
     /// declared symmetry the classes are the station indices and the
     /// seeding is the historical per-station scheme, bit for bit.
-    pub fn new(topo: Topology, fault: FaultClass, band: TieBand, seed: u64, make: impl Fn(usize) -> P) -> Self {
+    ///
+    /// # Panics
+    /// Panics on more than 64 stations: closure footprints and flight
+    /// dirty sets are `u64` masks, and a silently truncated mask would
+    /// make [`World::independent`] unsound.
+    pub fn new(
+        topo: impl Into<Arc<Topology>>,
+        fault: FaultClass,
+        band: TieBand,
+        seed: u64,
+        make: impl Fn(usize) -> P,
+    ) -> Self {
+        let topo: Arc<Topology> = topo.into();
+        assert!(
+            topo.n <= 64,
+            "{}: {} stations, but the checker's station masks hold at most 64",
+            topo.name,
+            topo.n
+        );
         let stations = (0..topo.n)
             .map(|i| {
                 Oracle::new(
@@ -197,8 +229,7 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                 )
             })
             .collect();
-        debug_assert!(topo.n <= 64, "closure footprints are u64 bitmasks");
-        let closure: Vec<u64> = (0..topo.n)
+        let closure = (0..topo.n)
             .map(|s| {
                 let mut m = 1u64 << s;
                 for r in 0..topo.n {
@@ -302,21 +333,21 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
             self.flights.iter().all(|f| f.src != src),
             "station {src} keyed up while already transmitting"
         );
-        let mut dirty = vec![false; self.topo.n];
-        dirty[src] = true; // own transmission is never a reception
+        let n = self.topo.n;
+        let mut dirty = rx_bit(n, src); // own transmission is never a reception
         for g in &mut self.flights {
-            for (r, d) in dirty.iter_mut().enumerate() {
+            for r in 0..n {
                 // Overlap: a station hearing both transmitters decodes
                 // neither.
                 if self.topo.hears[src][r] && self.topo.hears[g.src][r] {
-                    *d = true;
-                    g.dirty[r] = true;
+                    dirty |= rx_bit(n, r);
+                    g.dirty |= rx_bit(n, r);
                 }
             }
             // Half-duplex: a keyed-up station hears nothing, and keying up
             // mid-reception ruins the reception.
-            dirty[g.src] = true;
-            g.dirty[src] = true;
+            dirty |= rx_bit(n, g.src);
+            g.dirty |= rx_bit(n, src);
         }
         let ends = self.clock + self.timing.frame_duration(&frame);
         self.flights.push(Flight {
@@ -387,7 +418,7 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                         .filter(|&r| {
                             r != f.src
                                 && self.topo.hears[f.src][r]
-                                && !f.dirty[r]
+                                && f.dirty & rx_bit(self.topo.n, r) == 0
                                 && self.flights.iter().all(|g| g.src != r)
                         })
                         .collect();
@@ -530,17 +561,10 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// flight *sets* are equal but were keyed up in different orders — the
     /// residue of commuted event orders — canonicalize equal.
     pub fn canon(&self) -> CanonState<P::Snap> {
-        let mut flights: Vec<(usize, Frame, SimDuration, Vec<bool>)> = self
+        let mut flights: Vec<(usize, Frame, SimDuration, u64)> = self
             .flights
             .iter()
-            .map(|f| {
-                (
-                    f.src,
-                    f.frame,
-                    f.ends.saturating_since(self.clock),
-                    f.dirty.clone(),
-                )
-            })
+            .map(|f| (f.src, f.frame, f.ends.saturating_since(self.clock), f.dirty))
             .collect();
         flights.sort_by_key(|(src, ..)| *src);
         CanonState {
@@ -585,7 +609,7 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
 
     /// Rewrite a canonical state through one symmetry: station tuples move
     /// to their images (snapshots internally relabeled — peer tables
-    /// re-sorted by the MAC's own `relabel`), flight dirty vectors are
+    /// re-sorted by the MAC's own `relabel`), flight dirty masks are
     /// permuted, and flights re-sorted by their new transmitter. Applied
     /// to every orbit candidate, identity included, so the per-snapshot
     /// normalizations compare consistently.
@@ -602,14 +626,14 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
             .map(|(i, (s, t, d))| (p.station[i], (P::relabel(s, &map), *t, *d)))
             .collect();
         stations.sort_by_key(|(i, _)| *i);
-        let mut flights: Vec<(usize, Frame, SimDuration, Vec<bool>)> = c
+        let n = self.topo.n;
+        let mut flights: Vec<(usize, Frame, SimDuration, u64)> = c
             .flights
             .iter()
             .map(|(src, frame, ends, dirty)| {
-                let mut nd = vec![false; dirty.len()];
-                for (r, d) in dirty.iter().enumerate() {
-                    nd[p.station[r]] = *d;
-                }
+                let nd = (0..n)
+                    .filter(|&r| dirty & rx_bit(n, r) != 0)
+                    .fold(0, |m, r| m | rx_bit(n, p.station[r]));
                 (p.station[*src], map.frame(frame), *ends, nd)
             })
             .collect();
@@ -686,7 +710,17 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
 
 /// All subsets of `v` with at most `k` elements, smallest masks first
 /// (deterministic enumeration order). `k = 0` yields just the empty set.
+///
+/// # Panics
+/// Panics if `v` has 32 or more elements: the enumeration walks `u32`
+/// masks, and a wrapped shift would silently yield only the empty subset,
+/// dropping every `Loss` choice.
 fn subsets_up_to(v: &[usize], k: usize) -> Vec<Vec<usize>> {
+    assert!(
+        v.len() < 32,
+        "{} clean receivers: loss subsets are enumerated as u32 masks (at most 31)",
+        v.len()
+    );
     let mut out = Vec::new();
     for mask in 0u32..(1 << v.len()) {
         if (mask.count_ones() as usize) <= k {
@@ -702,8 +736,9 @@ fn subsets_up_to(v: &[usize], k: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// All permutations of `v` in lexicographic index order (|v| is at most 3
-/// in any 2–4 station topology, so this never exceeds 6).
+/// All permutations of `v` in lexicographic index order. `v` holds one
+/// flight's clean receivers, at most `n - 1` of them: four in the
+/// five-station cell and star families, so at most 24 orders.
 fn permutations(v: &[usize]) -> Vec<Vec<usize>> {
     if v.len() <= 1 {
         return vec![v.to_vec()];
@@ -766,7 +801,7 @@ mod tests {
         }
         if w.flights.len() == 2 {
             // Both RTS flights overlap at the shared receiver: dirty there.
-            assert!(w.flights.iter().all(|f| f.dirty[1]));
+            assert!(w.flights.iter().all(|f| f.dirty & rx_bit(3, 1) != 0));
             // The flight-end choices offer no receivers.
             let evs = w.choices();
             assert!(evs.iter().all(|e| match e {
@@ -795,5 +830,18 @@ mod tests {
             "3 receivers explore all 6 delivery orders"
         );
         assert_eq!(permutations(&[]), vec![Vec::<usize>::new()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "station masks hold at most 64")]
+    fn worlds_beyond_64_stations_are_rejected() {
+        let _ = wmac_world(Topology::from_links("wide", 65, &[], &[], &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "loss subsets are enumerated as u32 masks")]
+    fn loss_subsets_beyond_31_receivers_are_rejected() {
+        let receivers: Vec<usize> = (0..32).collect();
+        let _ = subsets_up_to(&receivers, 1);
     }
 }

@@ -9,7 +9,7 @@
 //! the shrunk configurations still run the full RTS-CTS-DS-DATA-ACK
 //! machinery with contention, deferral and recovery.
 
-use macaw_check::{check, CheckConfig, CheckReport, Expectation, FaultClass, Topology};
+use macaw_check::{check, CheckConfig, CheckReport, CheckStats, Expectation, FaultClass, Topology};
 use macaw_mac::{Addr, Csma, CsmaConfig, MacConfig, WMac};
 
 /// MACAW with a checker-sized retry budget.
@@ -61,6 +61,14 @@ fn assert_proved(report: &CheckReport) {
     );
 }
 
+/// Pin a row's exact exploration statistics. The counts are a pure
+/// function of the canonical-state semantics (memo equality, the
+/// symmetry minimiser, sleep sets), so any drift means the explorer's
+/// behaviour changed, not just its speed.
+fn assert_stats(report: &CheckReport, expected: CheckStats) {
+    assert_eq!(report.stats, expected, "{report}");
+}
+
 #[test]
 fn macaw_delivers_on_a_two_station_cell() {
     let cfg = CheckConfig::new(FaultClass::None, Expectation::DeliverAll);
@@ -93,6 +101,19 @@ fn macaw_never_wedges_among_hidden_terminals_and_can_deliver_everything() {
     assert_eq!(
         report.stats.best_delivered, 2,
         "no interleaving delivers both packets: {report}"
+    );
+    assert_stats(
+        &report,
+        CheckStats {
+            states_explored: 194,
+            dedup_hits: 31,
+            terminals: 2,
+            best_delivered: 2,
+            bound_hits: 7,
+            max_depth_reached: 26,
+            iterations: 4,
+            sleep_skips: 0,
+        },
     );
 }
 
@@ -217,6 +238,19 @@ fn macaw_delivers_on_mirrored_chains_despite_any_single_loss() {
     cfg.max_depth = 96;
     let report = check_macaw(Topology::mirrored_chain(), cfg.reduced());
     assert_proved(&report);
+    assert_stats(
+        &report,
+        CheckStats {
+            states_explored: 219,
+            dedup_hits: 38,
+            terminals: 14,
+            best_delivered: 2,
+            bound_hits: 9,
+            max_depth_reached: 20,
+            iterations: 3,
+            sleep_skips: 6,
+        },
+    );
 }
 
 #[test]
@@ -227,6 +261,19 @@ fn macaw_resolves_a_five_station_contended_cell() {
     cfg.max_depth = 96;
     let report = check_macaw(Topology::contended_cell(), cfg.reduced());
     assert_proved(&report);
+    assert_stats(
+        &report,
+        CheckStats {
+            states_explored: 290,
+            dedup_hits: 174,
+            terminals: 1,
+            best_delivered: 0,
+            bound_hits: 4,
+            max_depth_reached: 36,
+            iterations: 5,
+            sleep_skips: 0,
+        },
+    );
 }
 
 #[test]
@@ -237,6 +284,19 @@ fn macaw_resolves_a_ring_of_contenders() {
     cfg.max_depth = 96;
     let report = check_macaw(Topology::ring(), cfg.reduced());
     assert_proved(&report);
+    assert_stats(
+        &report,
+        CheckStats {
+            states_explored: 668,
+            dedup_hits: 423,
+            terminals: 1,
+            best_delivered: 0,
+            bound_hits: 20,
+            max_depth_reached: 45,
+            iterations: 6,
+            sleep_skips: 0,
+        },
+    );
 }
 
 #[test]
@@ -248,6 +308,19 @@ fn macaw_resolves_parallel_cells_under_a_double_fault() {
     cfg.max_depth = 96;
     let report = check_macaw(Topology::triple_cells(), cfg.reduced());
     assert_proved(&report);
+    assert_stats(
+        &report,
+        CheckStats {
+            states_explored: 10795,
+            dedup_hits: 2066,
+            terminals: 190,
+            best_delivered: 6,
+            bound_hits: 320,
+            max_depth_reached: 50,
+            iterations: 7,
+            sleep_skips: 1909,
+        },
+    );
 }
 
 #[test]

@@ -33,6 +33,15 @@ echo "== reduction soundness (reduced explorer vs oracle + parallel split determ
 cargo test -q --release -p macaw-check --test reduction
 cargo test -q --release -p macaw-bench --test check_par
 
+echo "== benchmark (transparency suite + one-second proof_matrix output check) =="
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+bench_line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload proof_matrix --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$bench_line" in
+  *'"correct": true'*) echo "$bench_line" ;;
+  *) echo "perfbench proof_matrix output check failed: $bench_line" >&2; exit 1 ;;
+esac
+
 echo "== faults smoke =="
 cargo run --release -p macaw-bench --bin faults -- --smoke
 
