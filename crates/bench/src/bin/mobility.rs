@@ -29,7 +29,7 @@
 //!   terms per move. Pure op counts: immune to machine load. A regression
 //!   to O(N)-per-move (the pre-pipeline full rebuild) fails the ratio.
 //! * **Moving runs stay bit-identical** — the same moving campus on the
-//!   sparse and dense media must produce equal reports.
+//!   sparse medium and the reference oracle must produce equal reports.
 //! * **The run cache sees motion** — a moving campus round-trips through
 //!   [`RunCache`] (cold executes, warm hits bitwise), and the cache key
 //!   changes when only the motion plan (speed, share) changes: the
@@ -43,7 +43,7 @@ use macaw_bench::stopwatch::time_once;
 use macaw_core::mobility::CampusConfig;
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
-use macaw_phy::{DenseMedium, Medium as PhyMedium, Propagation, SparseMedium, StationId};
+use macaw_phy::{Medium as PhyMedium, Propagation, ReferenceMedium, SparseMedium, StationId};
 use macaw_sim::SimRng;
 
 fn die(e: &dyn std::fmt::Display) -> ! {
@@ -213,17 +213,21 @@ fn smoke(seed: u64) {
          — an O(N) rebuild is back in the move path"
     );
 
-    // 2. Moving campus: sparse == dense bitwise, end to end.
+    // 2. Moving campus: sparse == reference bitwise, end to end.
     let dur = SimDuration::from_secs(2);
     let warm = SimDuration::from_millis(500);
     let (sparse, _, _, med) =
         run_campus::<SparseMedium>(64, 0.25, 8.0, MacKind::Macaw, seed, dur, warm);
-    let (dense, _, _, _) = run_campus::<DenseMedium>(64, 0.25, 8.0, MacKind::Macaw, seed, dur, warm);
-    assert_eq!(sparse, dense, "moving sparse and dense runs must agree exactly");
+    let (reference, _, _, _) =
+        run_campus::<ReferenceMedium>(64, 0.25, 8.0, MacKind::Macaw, seed, dur, warm);
+    assert_eq!(
+        sparse, reference,
+        "moving sparse and reference runs must agree exactly"
+    );
     assert_eq!(
         format!("{sparse:?}"),
-        format!("{dense:?}"),
-        "moving sparse and dense runs must agree in f64 bit patterns"
+        format!("{reference:?}"),
+        "moving sparse and reference runs must agree in f64 bit patterns"
     );
     assert!(med.set_position_ops > 0, "the campus must actually move");
 
@@ -264,7 +268,7 @@ fn smoke(seed: u64) {
     );
     let _ = std::fs::remove_dir_all(&scratch);
     println!(
-        "mobility --smoke: sparse == dense on a moving campus, cache cold/warm round-trip OK, \
+        "mobility --smoke: sparse == reference on a moving campus, cache cold/warm round-trip OK, \
          key sees the motion plan"
     );
 }

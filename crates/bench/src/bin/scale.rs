@@ -9,23 +9,23 @@
 //!   scale [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N] [--shards N]
 //!
 //! `--jobs N` (or `MACAW_JOBS`) sizes the executor used by the quick
-//! smoke's sparse/dense pair; the timed sweep always runs serially so
+//! smoke's sparse/reference pair; the timed sweep always runs serially so
 //! its wall-clock numbers measure one simulation at a time. `--shards N`
 //! (or `MACAW_SHARDS`) sets the shard count of the quick smoke's
 //! serial-vs-sharded assertion and of the large sharded sweep (which
-//! defaults to 8 shards when unset).
+//! defaults to the host's available parallelism, at least 2, when unset).
 //!
 //! Four measurements:
 //!
 //! 1. **Sweep** — every (N, protocol) cell runs the same randomized floor
 //!    on the cube-grid [`SparseMedium`], reporting processed events per
 //!    wall-clock second, throughput and Jain fairness.
-//! 2. **Dense vs sparse** — the N = 256 MACAW cell runs on both the cube
-//!    grid and the dense-matrix oracle medium, best wall time of three
-//!    runs each, on a fresh heap before the sweep. The [`RunReport`]s
-//!    must be *equal* (the media are bit-identical by construction; this
-//!    is the end-to-end check) and the sparse run is expected to be
-//!    ≥ 5x faster.
+//! 2. **Reference vs sparse** — the N = 256 MACAW cell runs on both the
+//!    cube grid and the naive [`ReferenceMedium`] oracle, best wall time
+//!    of three runs each, on a fresh heap before the sweep. The
+//!    [`RunReport`]s must be *equal* (the media are bit-identical by
+//!    construction; this is the end-to-end check) and the sparse run must
+//!    be ≥ 5x faster.
 //! 3. **Memory** — [`Medium::memory_footprint`] of the built sparse medium
 //!    at each N. A 16x station growth (64 → 1024) must cost well under
 //!    256x the bytes (sub-quadratic; the cube grid is O(N·k)). Each sweep
@@ -40,7 +40,7 @@
 //!    island counts, per-shard event totals and the barrier-wait share.
 //!
 //! `--quick` is a smoke mode for CI (`scripts/verify.sh`): one short
-//! N = 64 run plus a miniature dense-equivalence check and a
+//! N = 64 run plus a miniature reference-equivalence check and a
 //! serial-vs-sharded bitwise assertion, no JSON output. `--smoke` is the
 //! per-event-cost guard: events/s and fold-terms-per-end_tx at N = 4096
 //! must stay within a fixed factor of the N = 256 rates, so an O(active)
@@ -48,6 +48,7 @@
 //! of quietly re-bending the scaling curve.
 //!
 //! [`SparseMedium`]: macaw_phy::SparseMedium
+//! [`ReferenceMedium`]: macaw_phy::ReferenceMedium
 //! [`Medium::memory_footprint`]: macaw_phy::Medium::memory_footprint
 //! [`RunReport`]: macaw_core::stats::RunReport
 
@@ -57,7 +58,7 @@ use macaw_bench::sharding::{effective_shards, parse_shards_arg, set_shards_overr
 use macaw_bench::stopwatch::time_once;
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
-use macaw_phy::{DenseMedium, Medium as PhyMedium, SparseMedium};
+use macaw_phy::{Medium as PhyMedium, ReferenceMedium, SparseMedium};
 
 fn die(e: &dyn std::fmt::Display) -> ! {
     eprintln!("simulation failed: {e}");
@@ -74,7 +75,7 @@ fn usage_and_exit(msg: &str) -> ! {
 /// (`VmHWM` from `/proc/self/status`; 0 where procfs is unavailable).
 /// **Process-wide and monotone** over the process lifetime, so per-cell
 /// readings record the high-water mark *up to and including* that cell —
-/// the dense-vs-sparse N = 256 check runs first and sets the floor every
+/// the reference-vs-sparse N = 256 check runs first and sets the floor every
 /// smaller cell then repeats. Per-cell peaks come from
 /// [`alloc_stats`] when the feature is on.
 fn peak_rss_kb() -> u64 {
@@ -345,12 +346,15 @@ fn main() {
             if i == 0 {
                 run_cell::<SparseMedium>(64, MacKind::Macaw, seed, dur, warm)
             } else {
-                run_cell::<DenseMedium>(64, MacKind::Macaw, seed, dur, warm)
+                run_cell::<ReferenceMedium>(64, MacKind::Macaw, seed, dur, warm)
             }
         });
-        let (dense, _, _, _, _) = pair.pop().expect("two cells");
+        let (reference, _, _, _, _) = pair.pop().expect("two cells");
         let (sparse, secs, footprint, streams, _) = pair.pop().expect("two cells");
-        assert_eq!(sparse, dense, "sparse and dense runs must agree exactly");
+        assert_eq!(
+            sparse, reference,
+            "sparse and reference runs must agree exactly"
+        );
         assert!(
             sparse.total_throughput().is_finite() && sparse.total_throughput() > 0.0,
             "non-finite or zero total throughput"
@@ -369,7 +373,7 @@ fn main() {
         );
         println!(
             "scale --quick: N=64 MACAW, {streams} streams, {} events in {:.1} ms, \
-             {:.1} KiB medium, sparse == dense, serial == {shards}-shard",
+             {:.1} KiB medium, sparse == reference, serial == {shards}-shard",
             sparse.events_processed,
             secs * 1e3,
             footprint as f64 / 1024.0
@@ -381,11 +385,11 @@ fn main() {
     let warm = SimDuration::from_secs(1);
     let sizes = [16usize, 64, 256, 1024];
 
-    // Dense oracle vs sparse at N = 256: identical report, much slower
+    // Reference oracle vs sparse at N = 256: identical report, much slower
     // medium. Measured before the sweep, on a fresh heap, taking the best
     // of three runs per medium — the runs are deterministic, so repeats
     // must agree exactly and differ only in wall time.
-    println!("dense vs sparse, N=256 MACAW (best of 3):");
+    println!("reference vs sparse, N=256 MACAW (best of 3):");
     let best_of_3 = |run: &dyn Fn() -> (RunReport, f64, usize, usize, MediumStats)| {
         let (report, mut secs, bytes, streams, _) = run();
         for _ in 0..2 {
@@ -397,19 +401,23 @@ fn main() {
     };
     let (sp_report, sp_secs, sp_bytes, _) =
         best_of_3(&|| run_cell::<SparseMedium>(256, MacKind::Macaw, seed, dur, warm));
-    let (de_report, de_secs, de_bytes, _) =
-        best_of_3(&|| run_cell::<DenseMedium>(256, MacKind::Macaw, seed, dur, warm));
+    let (ref_report, ref_secs, ref_bytes, _) =
+        best_of_3(&|| run_cell::<ReferenceMedium>(256, MacKind::Macaw, seed, dur, warm));
     assert_eq!(
-        sp_report, de_report,
-        "sparse and dense N=256 runs must produce identical reports"
+        sp_report, ref_report,
+        "sparse and reference N=256 runs must produce identical reports"
     );
-    let speedup = de_secs / sp_secs;
+    let speedup = ref_secs / sp_secs;
     println!(
-        "  sparse {:>8.1} ms ({:>8.1} KiB)   dense {:>8.1} ms ({:>8.1} KiB)   speedup {speedup:.2}x, reports identical",
+        "  sparse {:>8.1} ms ({:>8.1} KiB)   reference {:>8.1} ms ({:>8.1} KiB)   speedup {speedup:.2}x, reports identical",
         sp_secs * 1e3,
         sp_bytes as f64 / 1024.0,
-        de_secs * 1e3,
-        de_bytes as f64 / 1024.0
+        ref_secs * 1e3,
+        ref_bytes as f64 / 1024.0
+    );
+    assert!(
+        speedup >= 5.0,
+        "sparse N=256 run must be >= 5x faster than the reference oracle, got {speedup:.2}x"
     );
 
     println!("\nscale sweep: office floor, {sizes:?} stations x {{CSMA, MACA, MACAW}}, 5 s runs");
@@ -494,7 +502,7 @@ fn main() {
     // it cannot parallelize; the cellular variant is the decomposable
     // regime. Reports are asserted bitwise identical inside each cell.
     let shards = match effective_shards() {
-        1 => 8,
+        1 => std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
         n => n,
     };
     println!("\nsharded sweep: cellular floor, MACAW, serial vs {shards} shards");
@@ -612,19 +620,27 @@ fn main() {
     // Recorded so readers can tell parallel speedup from working-set
     // reduction: with fewer cores than shards the threads time-slice.
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Build features that change what the walls measure (the counting
+    // allocator wraps every allocation).
+    let features = if alloc_stats::enabled() {
+        "[\"alloc-stats\"]"
+    } else {
+        "[]"
+    };
 
     let json = format!(
         "{{\n  \"workload\": \"random office floor (topology::scale_topology), seed {seed}, 5 s sim with 1 s warm-up\",\n  \
+           \"features\": {features},\n  \
            \"peak_rss_note\": \"peak_rss_kb is the process-wide VmHWM high-water mark up to and including that cell — monotone, so cells smaller than whatever ran first repeat its value; alloc_peak_live_bytes is the true per-cell live-bytes peak from the counting allocator (null without --features alloc-stats)\",\n  \
            \"sweep\": [\n{sweep_json}  ],\n  \
            \"macaw_events_per_sec_trajectory_note\": \"MACAW events/s across the full size range, normalized to the N=1024 rate — flat-ish is the stamp-ordered slab working; the pre-slab build fell to ~0.04x by N=16384\",\n  \
            \"macaw_events_per_sec_trajectory\": [\n{trajectory_json}  ],\n  \
-           \"dense_vs_sparse_n256_macaw\": {{\n    \
+           \"reference_vs_sparse_n256_macaw\": {{\n    \
              \"sparse_wall_secs\": {sp_secs:.6},\n    \
-             \"dense_wall_secs\": {de_secs:.6},\n    \
+             \"reference_wall_secs\": {ref_secs:.6},\n    \
              \"speedup\": {speedup:.2},\n    \
              \"sparse_medium_bytes\": {sp_bytes},\n    \
-             \"dense_medium_bytes\": {de_bytes},\n    \
+             \"reference_medium_bytes\": {ref_bytes},\n    \
              \"reports_identical\": true\n  }},\n  \
            \"memory_growth_64_to_1024\": {{\n    \
              \"bytes_n64\": {m64},\n    \

@@ -95,12 +95,12 @@ fn parallel_faults_match_serial() {
 }
 
 /// Same-seed runs of the scale-topology floor are bitwise stable, and the
-/// cube-grid medium retraces the dense oracle exactly end to end — the
+/// cube-grid medium retraces the reference oracle exactly end to end — the
 /// `RunReport`s (every f64 included) must be equal, not merely close.
 #[test]
-fn scale_topology_sparse_matches_dense_bitwise() {
+fn scale_topology_sparse_matches_reference_bitwise() {
     use macaw_core::prelude::{scale_topology, ScaleConfig};
-    use macaw_phy::{DenseMedium, SparseMedium};
+    use macaw_phy::{ReferenceMedium, SparseMedium};
     let dur = SimDuration::from_secs(3);
     let warm = SimDuration::from_millis(500);
     for seed in [1, 13] {
@@ -116,17 +116,20 @@ fn scale_topology_sparse_matches_dense_bitwise() {
         assert_eq!(a, b, "scale seed {seed}: sparse runs differ");
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
 
-        let mut dense = scale_topology(&cfg, MacKind::Macaw, seed)
-            .build_with::<DenseMedium>()
+        let mut reference = scale_topology(&cfg, MacKind::Macaw, seed)
+            .build_with::<ReferenceMedium>()
             .unwrap();
-        dense.set_warmup(SimTime::ZERO + warm);
-        dense.run_until(SimTime::ZERO + dur).unwrap();
-        let d = dense.report(SimTime::ZERO + dur);
-        assert_eq!(a, d, "scale seed {seed}: sparse and dense reports differ");
+        reference.set_warmup(SimTime::ZERO + warm);
+        reference.run_until(SimTime::ZERO + dur).unwrap();
+        let r = reference.report(SimTime::ZERO + dur);
+        assert_eq!(
+            a, r,
+            "scale seed {seed}: sparse and reference reports differ"
+        );
         assert_eq!(
             format!("{a:?}"),
-            format!("{d:?}"),
-            "scale seed {seed}: sparse and dense differ in f64 bit patterns"
+            format!("{r:?}"),
+            "scale seed {seed}: sparse and reference differ in f64 bit patterns"
         );
     }
 }

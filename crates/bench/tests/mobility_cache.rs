@@ -1,5 +1,5 @@
 //! Run-cache round-trip for a *moving* scenario — the third leg of the
-//! mobility identity suite (sparse==dense and serial==sharded live in
+//! mobility identity suite (sparse==reference and serial==sharded live in
 //! `macaw-core`). The scenario fingerprint must cover the motion plan:
 //! a warm cache hit returns the cold run bitwise, and changing nothing
 //! but the walk (speed, or motion vs none) changes the key.

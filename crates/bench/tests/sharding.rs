@@ -2,10 +2,10 @@
 //!
 //! `Scenario::run_with_shards` decomposes a scenario into coupling islands
 //! and runs whole islands on parallel event loops (see `macaw_core::partition`
-//! and DESIGN.md "Parallel DES"). Exactly like the dense-vs-sparse media and
-//! the heap-vs-ladder FELs before it, the serial engine is the oracle: every
-//! shard count must reproduce the serial `RunReport` down to the f64 bit
-//! patterns — every paper-table family, the scale-floor topology, and a
+//! and DESIGN.md "Parallel DES"). Exactly like the reference-vs-sparse media
+//! and the heap-vs-ladder FELs before it, the serial engine is the oracle:
+//! every shard count must reproduce the serial `RunReport` down to the f64
+//! bit patterns — every paper-table family, the scale-floor topology, and a
 //! hand-built boundary-straddling stress case.
 
 use macaw_core::figures;

@@ -367,11 +367,12 @@ struct StreamState {
 /// [`crate::scenario::Scenario`].
 ///
 /// Generic over the [`Medium`] implementation so the same event loop can
-/// run on the cube-grid [`SparseMedium`] (the default) or the dense-matrix
-/// oracle — the `scale` bench and the oracle tests exercise both. Likewise
-/// generic over the future-event-list family ([`FelChoice`]): the ladder
-/// queue by default, the plain 4-ary heap as the oracle the equivalence
-/// tests compare against.
+/// run on the cube-grid [`SparseMedium`] (the default) or its naive oracle
+/// [`ReferenceMedium`](macaw_phy::ReferenceMedium) — the `scale` bench and
+/// the oracle tests exercise both. Likewise generic over the
+/// future-event-list family ([`FelChoice`]): the ladder queue by default,
+/// the plain 4-ary heap as the oracle the equivalence tests compare
+/// against.
 pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     pub(crate) medium: ChaosMedium<M>,
     queue: EventQueue<Event, Q::Fel<Event>>,

@@ -11,7 +11,7 @@ use macaw_mac::csma::{Csma, CsmaConfig};
 use macaw_mac::frames::{Addr, StreamId, Timing};
 use macaw_mac::wmac::WMac;
 use macaw_phy::{
-    DenseMedium, LinkWindow, Medium, MediumStats, Point, Propagation, PropagationConfig, StationId,
+    LinkWindow, Medium, MediumStats, Point, Propagation, PropagationConfig, StationId,
 };
 use macaw_sim::{SimDuration, SimRng, SimTime};
 use macaw_traffic::{Cbr, Poisson, TrafficSource};
@@ -568,14 +568,6 @@ impl Scenario {
         self.build_with()
     }
 
-    /// Assemble the network on the dense-matrix oracle medium. Same
-    /// scenario, same seed derivation, same event stream — only the
-    /// medium's internal bookkeeping differs. Used by the `scale` bench
-    /// baseline and the sparse-vs-dense equivalence tests.
-    pub fn build_dense(self) -> Result<Network<DenseMedium>, SimError> {
-        self.build_with()
-    }
-
     /// Assemble the network on any [`Medium`] implementation (with the
     /// default ladder-queue future-event list).
     pub fn build_with<M: Medium>(self) -> Result<Network<M>, SimError> {
@@ -725,18 +717,10 @@ impl Scenario {
         self.run_with::<macaw_phy::SparseMedium>(duration, warmup)
     }
 
-    /// [`Scenario::run`] on the dense-matrix oracle medium. Produces a
-    /// bitwise-identical [`RunReport`] for the same scenario and seed.
-    pub fn run_dense(
-        self,
-        duration: SimDuration,
-        warmup: SimDuration,
-    ) -> Result<RunReport, SimError> {
-        self.run_with::<DenseMedium>(duration, warmup)
-    }
-
     /// Build on any [`Medium`] implementation and run for `duration`,
-    /// measuring after `warmup`.
+    /// measuring after `warmup`. On the reference oracle
+    /// ([`macaw_phy::ReferenceMedium`]) the [`RunReport`] is bitwise
+    /// identical to [`Scenario::run`]'s for the same scenario and seed.
     pub fn run_with<M: Medium>(
         self,
         duration: SimDuration,
@@ -769,7 +753,7 @@ impl Scenario {
     /// [`Scenario::run_with`] that also returns the medium's side-channel
     /// operation counters ([`MediumStats`]). The report is byte-for-byte
     /// what `run_with` produces — the counters ride outside it so the
-    /// bitwise-identity contracts (dense vs sparse, serial vs sharded,
+    /// bitwise-identity contracts (reference vs sparse, serial vs sharded,
     /// cache fingerprints) are untouched by instrumentation.
     pub fn run_with_medium_stats<M: Medium>(
         self,
@@ -795,7 +779,7 @@ impl Scenario {
     /// threads, run each shard as an independent event loop, and merge the
     /// per-shard results into a [`RunReport`] that is bitwise identical to
     /// [`Scenario::run`]'s — the serial engine stays the oracle, exactly as
-    /// for the dense-vs-sparse media and heap-vs-ladder FELs.
+    /// for the reference-vs-sparse media and heap-vs-ladder FELs.
     ///
     /// The model's zero propagation delay leaves zero conservative
     /// lookahead *within* an island and unbounded lookahead *between*

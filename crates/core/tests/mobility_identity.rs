@@ -3,16 +3,17 @@
 //!
 //! The mover pipeline in `SparseMedium` (same-cube early-outs, delta-based
 //! neighbor reconciliation, coalesced batch re-folds) is pure bookkeeping:
-//! the dense-matrix oracle rebuilt from scratch on every move must produce
-//! the identical `RunReport` down to the f64 bit patterns. Likewise the
-//! sharded engine: move batches are island-local events, so a two-campus
-//! scenario with independent mover populations merges back bitwise. And a
-//! batch is semantically the *sequence* of its entries — declaring the same
-//! motion as singleton `Move` actions or as one `MoveBatch` per tick yields
-//! the same run.
+//! the naive `ReferenceMedium`, which recomputes every signal from positions
+//! on every query, must produce the identical `RunReport` down to the f64
+//! bit patterns. Likewise the sharded engine: move batches are island-local
+//! events, so a two-campus scenario with independent mover populations
+//! merges back bitwise. And a batch is semantically the *sequence* of its
+//! entries — declaring the same motion as singleton `Move` actions or as
+//! one `MoveBatch` per tick yields the same run.
 
 use macaw_core::mobility::{self, CampusConfig, WaypointConfig};
 use macaw_core::prelude::*;
+use macaw_phy::ReferenceMedium;
 use macaw_sim::SimRng;
 
 const RUN: SimDuration = SimDuration::from_secs(10);
@@ -26,14 +27,19 @@ fn moving_campus(seed: u64) -> Scenario {
 }
 
 #[test]
-fn moving_campus_sparse_matches_dense_bitwise() {
+fn moving_campus_sparse_matches_reference_bitwise() {
     let sparse = moving_campus(3).run(RUN, WARM).unwrap();
-    let dense = moving_campus(3).run_dense(RUN, WARM).unwrap();
-    assert_eq!(sparse, dense, "sparse and dense reports differ structurally");
+    let reference = moving_campus(3)
+        .run_with::<ReferenceMedium>(RUN, WARM)
+        .unwrap();
+    assert_eq!(
+        sparse, reference,
+        "sparse and reference reports differ structurally"
+    );
     assert_eq!(
         format!("{sparse:?}"),
-        format!("{dense:?}"),
-        "sparse and dense reports differ in f64 bit patterns"
+        format!("{reference:?}"),
+        "sparse and reference reports differ in f64 bit patterns"
     );
     assert!(sparse.events_processed > 0, "vacuous comparison");
 }

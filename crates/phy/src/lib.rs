@@ -21,24 +21,22 @@
 //! delivery verdicts back. It owns no event queue of its own, which keeps it
 //! trivially unit-testable.
 //!
-//! [`Medium`] is a trait with three interchangeable, bit-identical
+//! [`Medium`] is a trait with two interchangeable, bit-identical
 //! implementations: [`SparseMedium`] (cube-grid spatial index, O(N·k), the
-//! default), [`DenseMedium`] (N×N cached matrices, the oracle for the sparse
-//! index and the baseline for the `scale` bench), and the `#[doc(hidden)]`
-//! naive reference both are checked against.
+//! default) and [`ReferenceMedium`] (naive, uncached, O(N) per query), the
+//! oracle the sparse index is checked against and the baseline the `scale`
+//! bench measures it over.
 
 pub mod chaos;
-pub mod dense;
 pub mod geometry;
 pub mod medium;
 pub mod propagation;
-#[doc(hidden)]
 pub mod reference;
 pub mod sparse;
 
 pub use chaos::{corrupt_deliveries, ChaosMedium, LinkWindow};
-pub use dense::DenseMedium;
 pub use geometry::{cube_center, Point};
 pub use medium::{Delivery, Medium, MediumStats, StationId, TxId};
 pub use propagation::{CutoffMode, Propagation, PropagationConfig};
+pub use reference::ReferenceMedium;
 pub use sparse::SparseMedium;

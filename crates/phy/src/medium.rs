@@ -28,7 +28,7 @@
 //!
 //! # Implementations
 //!
-//! Three implementations share this trait and must produce *bit-identical*
+//! Two implementations share this trait and must produce *bit-identical*
 //! results — every [`Delivery`] (including the f64 signal), every
 //! `carrier_busy` / `hears` / `in_range` answer, and the same RNG draw
 //! sequence — on any schedule of operations:
@@ -37,11 +37,10 @@
 //!   cube-grid spatial hash keeps per-station neighbor sets so every
 //!   steady-state operation is O(k) in the local neighborhood size rather
 //!   than O(N) in the station count.
-//! * [`DenseMedium`](crate::dense::DenseMedium) — dense `N×N` cached
-//!   matrices, kept as the oracle the sparse medium is checked against and
-//!   as the baseline the `scale` bench measures speedups over.
 //! * [`ReferenceMedium`](crate::reference::ReferenceMedium) — the naive
-//!   uncached statement of the semantics, oracle for both of the above.
+//!   uncached statement of the semantics: the oracle the sparse medium is
+//!   checked against and the baseline the `scale` bench measures its
+//!   speedup over.
 
 use macaw_sim::{SimRng, SimTime};
 
@@ -273,7 +272,7 @@ pub trait Medium {
 
     /// Approximate heap bytes held by the medium's station-dependent state
     /// (geometry caches, neighbor tables, running sums). The `scale` bench
-    /// reports this to show O(N·k) sparse growth against O(N²) dense.
+    /// reports this to show the sparse medium's O(N·k) growth.
     fn memory_footprint(&self) -> usize;
 
     /// Side-channel operation counters (see [`MediumStats`]). The default
@@ -286,11 +285,11 @@ pub trait Medium {
 
 /// The medium contract test suite, instantiated per implementation.
 ///
-/// Every behavioral unit test runs against both [`DenseMedium`] and
-/// [`SparseMedium`](crate::sparse::SparseMedium) — the contract is the
-/// semantics, not one implementation's internals.
-///
-/// [`DenseMedium`]: crate::dense::DenseMedium
+/// Every behavioral unit test runs against both
+/// [`SparseMedium`](crate::sparse::SparseMedium) and its oracle
+/// [`ReferenceMedium`](crate::reference::ReferenceMedium) — the contract is
+/// the semantics, not one implementation's internals, and it pins the
+/// oracle itself.
 #[cfg(test)]
 macro_rules! medium_contract_tests {
     ($M:ty) => {
@@ -682,7 +681,7 @@ macro_rules! medium_contract_tests {
         /// every operation, so this schedule stresses admission-order
         /// preservation through arbitrary removal patterns (the slab's
         /// free-list recycling in the sparse medium, the ordered removal in
-        /// the dense one).
+        /// the reference).
         #[test]
         fn interleaved_churn_keeps_folds_consistent() {
             let mut m = mk(14);

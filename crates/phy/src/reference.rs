@@ -3,15 +3,14 @@
 //! [`ReferenceMedium`] is the original, direct implementation of the medium:
 //! every query recomputes distances and `r^-γ` powers from station positions,
 //! and every interference sum is a fresh fold over the active-transmission
-//! list. It is retained verbatim as the *behavioral oracle* for the cached
-//! [`Medium`](crate::medium::Medium): the two must produce bit-identical
-//! results — every [`Delivery`] verdict and signal value, every
+//! list. It is retained verbatim as the *behavioral oracle* for the fast
+//! [`SparseMedium`](crate::sparse::SparseMedium): the two must produce
+//! bit-identical results — every [`Delivery`] verdict and signal value, every
 //! `carrier_busy` / `hears` / `in_range` answer, and the same RNG draw
-//! sequence — on any schedule of operations. The oracle property tests in
-//! `tests/oracle_medium.rs` drive both side by side.
-//!
-//! This module is `#[doc(hidden)]`: it is public only so integration tests
-//! and the perf harness can reach it, and is not part of the supported API.
+//! sequence — on any schedule of operations. `medium_contract_tests!` runs
+//! on both; `tests/oracle_medium.rs` and `tests/churn_medium.rs` drive them
+//! side by side, and `macaw-core`'s `Scenario::run_with::<ReferenceMedium>`
+//! holds whole runs bit-identical end to end.
 //!
 //! Do not "optimize" or otherwise clean this file up; its value is precisely
 //! that it stays the simplest possible statement of the medium's semantics.
@@ -19,7 +18,7 @@
 use macaw_sim::{SimRng, SimTime};
 
 use crate::geometry::{cube_center, Point};
-use crate::medium::{Delivery, StationId, TxId};
+use crate::medium::{Delivery, Medium, StationId, TxId};
 use crate::propagation::Propagation;
 
 struct StationEntry {
@@ -48,8 +47,8 @@ struct NoiseSource {
     active: bool,
 }
 
-/// The naive reference implementation of the shared radio medium. Same
-/// public surface as [`Medium`](crate::medium::Medium), no caches.
+/// The naive reference implementation of the shared radio medium: the
+/// [`Medium`] contract with no caches.
 pub struct ReferenceMedium {
     prop: Propagation,
     stations: Vec<StationEntry>,
@@ -64,9 +63,8 @@ pub struct ReferenceMedium {
     link: Vec<Vec<f64>>,
 }
 
-impl ReferenceMedium {
-    /// Create a medium with the given propagation model and RNG stream.
-    pub fn new(prop: Propagation, rng: SimRng) -> Self {
+impl Medium for ReferenceMedium {
+    fn new(prop: Propagation, rng: SimRng) -> Self {
         ReferenceMedium {
             prop,
             stations: Vec::new(),
@@ -79,13 +77,11 @@ impl ReferenceMedium {
         }
     }
 
-    /// The propagation model in use.
-    pub fn propagation(&self) -> &Propagation {
+    fn propagation(&self) -> &Propagation {
         &self.prop
     }
 
-    /// Register a station at the nearest cube center.
-    pub fn add_station(&mut self, pos: Point) -> StationId {
+    fn add_station(&mut self, pos: Point) -> StationId {
         let id = StationId(self.stations.len());
         self.stations.push(StationEntry {
             pos: cube_center(pos),
@@ -100,24 +96,20 @@ impl ReferenceMedium {
         id
     }
 
-    /// Number of registered stations.
-    pub fn station_count(&self) -> usize {
+    fn station_count(&self) -> usize {
         self.stations.len()
     }
 
-    /// Current (cube-snapped) position of a station.
-    pub fn position(&self, id: StationId) -> Point {
+    fn position(&self, id: StationId) -> Point {
         self.stations[id.0].pos
     }
 
-    /// Set the per-packet noise corruption probability at `id`.
-    pub fn set_rx_error_rate(&mut self, id: StationId, p: f64) {
+    fn set_rx_error_rate(&mut self, id: StationId, p: f64) {
         assert!((0.0..=1.0).contains(&p), "error rate must be in [0,1]");
         self.stations[id.0].rx_error_rate = p;
     }
 
-    /// Set a station's transmit power multiplier (default 1.0).
-    pub fn set_tx_power(&mut self, id: StationId, power: f64) {
+    fn set_tx_power(&mut self, id: StationId, power: f64) {
         assert!(power > 0.0 && power.is_finite(), "power must be positive");
         self.stations[id.0].tx_power = power;
         if let Some(tx) = self.stations[id.0].transmitting {
@@ -134,15 +126,13 @@ impl ReferenceMedium {
         }
     }
 
-    /// `true` iff a transmission by `from` is receivable at `to`.
-    pub fn hears(&self, to: StationId, from: StationId) -> bool {
+    fn hears(&self, to: StationId, from: StationId) -> bool {
         let d = self.stations[from.0].pos.distance(self.stations[to.0].pos);
         self.stations[from.0].tx_power * self.link[from.0][to.0] * self.prop.power_at_distance(d)
             >= self.prop.threshold_power()
     }
 
-    /// Scale the directional gain of the `src -> dst` link (default 1.0).
-    pub fn set_link_gain(&mut self, src: StationId, dst: StationId, factor: f64) {
+    fn set_link_gain(&mut self, src: StationId, dst: StationId, factor: f64) {
         assert!(
             factor >= 0.0 && factor.is_finite(),
             "link gain must be finite and non-negative"
@@ -159,13 +149,11 @@ impl ReferenceMedium {
         self.recheck_all_receptions();
     }
 
-    /// Current directional gain factor of the `src -> dst` link.
-    pub fn link_gain(&self, src: StationId, dst: StationId) -> f64 {
+    fn link_gain(&self, src: StationId, dst: StationId) -> f64 {
         self.link[src.0][dst.0]
     }
 
-    /// Add a continuous spatial noise emitter.
-    pub fn add_noise_source(&mut self, pos: Point, power: f64) -> usize {
+    fn add_noise_source(&mut self, pos: Point, power: f64) -> usize {
         self.noise.push(NoiseSource {
             pos: cube_center(pos),
             power,
@@ -176,16 +164,14 @@ impl ReferenceMedium {
         self.noise.len() - 1
     }
 
-    /// Enable or disable a spatial noise emitter.
-    pub fn set_noise_active(&mut self, index: usize, active: bool) {
+    fn set_noise_active(&mut self, index: usize, active: bool) {
         self.noise[index].active = active;
         if active {
             self.recheck_all_receptions();
         }
     }
 
-    /// Move a station (mobility).
-    pub fn set_position(&mut self, id: StationId, pos: Point) {
+    fn set_position(&mut self, id: StationId, pos: Point) {
         self.stations[id.0].pos = cube_center(pos);
         let moving_tx = self.stations[id.0].transmitting;
         for r in &mut self.receptions {
@@ -196,19 +182,16 @@ impl ReferenceMedium {
         self.recheck_all_receptions();
     }
 
-    /// `true` iff stations `a` and `b` are within reception range.
-    pub fn in_range(&self, a: StationId, b: StationId) -> bool {
+    fn in_range(&self, a: StationId, b: StationId) -> bool {
         let d = self.stations[a.0].pos.distance(self.stations[b.0].pos);
         self.prop.in_range(d)
     }
 
-    /// `true` iff station `id` is currently transmitting.
-    pub fn is_transmitting(&self, id: StationId) -> bool {
+    fn is_transmitting(&self, id: StationId) -> bool {
         self.stations[id.0].transmitting.is_some()
     }
 
-    /// Carrier sense at station `id`.
-    pub fn carrier_busy(&self, id: StationId) -> bool {
+    fn carrier_busy(&self, id: StationId) -> bool {
         let here = self.stations[id.0].pos;
         let mut power = self.ambient_noise_at(here);
         for tx in &self.active {
@@ -224,13 +207,11 @@ impl ReferenceMedium {
         power >= self.prop.threshold_power()
     }
 
-    /// Number of transmissions currently in flight.
-    pub fn active_count(&self) -> usize {
+    fn active_count(&self) -> usize {
         self.active.len()
     }
 
-    /// Key station `source` up at time `now`.
-    pub fn start_tx(&mut self, source: StationId, now: SimTime) -> TxId {
+    fn start_tx(&mut self, source: StationId, now: SimTime) -> TxId {
         assert!(
             self.stations[source.0].transmitting.is_none(),
             "station {source:?} is already transmitting"
@@ -298,8 +279,7 @@ impl ReferenceMedium {
         id
     }
 
-    /// Finish transmission `tx` at time `now`.
-    pub fn end_tx(&mut self, tx: TxId, _now: SimTime) -> Vec<Delivery> {
+    fn end_tx(&mut self, tx: TxId, _now: SimTime) -> Vec<Delivery> {
         let idx = self
             .active
             .iter()
@@ -341,16 +321,25 @@ impl ReferenceMedium {
         deliveries
     }
 
-    /// Time at which transmission `tx` started, if still in flight.
-    pub fn tx_start(&self, tx: TxId) -> Option<SimTime> {
+    fn end_tx_into(&mut self, tx: TxId, now: SimTime, out: &mut Vec<Delivery>) {
+        *out = ReferenceMedium::end_tx(self, tx, now);
+    }
+
+    fn tx_start(&self, tx: TxId) -> Option<SimTime> {
         self.active.iter().find(|t| t.id == tx).map(|t| t.start)
     }
 
-    /// Source station of transmission `tx`, if still in flight.
-    pub fn tx_source(&self, tx: TxId) -> Option<StationId> {
+    fn tx_source(&self, tx: TxId) -> Option<StationId> {
         self.active.iter().find(|t| t.id == tx).map(|t| t.source)
     }
 
+    fn memory_footprint(&self) -> usize {
+        self.link.iter().map(|r| r.capacity() * 8).sum::<usize>()
+            + self.stations.capacity() * std::mem::size_of::<StationEntry>()
+    }
+}
+
+impl ReferenceMedium {
     fn interference_at(&self, rx: StationId, except: TxId) -> f64 {
         let here = self.stations[rx.0].pos;
         let mut power = self.ambient_noise_at(here);
@@ -398,99 +387,7 @@ impl ReferenceMedium {
     }
 }
 
-// The trait impl below is pure delegation so trait-generic harnesses can
-// drive the reference directly; it adds no caching and changes no behavior.
-impl crate::medium::Medium for ReferenceMedium {
-    fn new(prop: Propagation, rng: SimRng) -> Self {
-        ReferenceMedium::new(prop, rng)
-    }
-
-    fn propagation(&self) -> &Propagation {
-        ReferenceMedium::propagation(self)
-    }
-
-    fn add_station(&mut self, pos: Point) -> StationId {
-        ReferenceMedium::add_station(self, pos)
-    }
-
-    fn station_count(&self) -> usize {
-        ReferenceMedium::station_count(self)
-    }
-
-    fn position(&self, id: StationId) -> Point {
-        ReferenceMedium::position(self, id)
-    }
-
-    fn set_rx_error_rate(&mut self, id: StationId, p: f64) {
-        ReferenceMedium::set_rx_error_rate(self, id, p)
-    }
-
-    fn set_tx_power(&mut self, id: StationId, power: f64) {
-        ReferenceMedium::set_tx_power(self, id, power)
-    }
-
-    fn hears(&self, to: StationId, from: StationId) -> bool {
-        ReferenceMedium::hears(self, to, from)
-    }
-
-    fn set_link_gain(&mut self, src: StationId, dst: StationId, factor: f64) {
-        ReferenceMedium::set_link_gain(self, src, dst, factor)
-    }
-
-    fn link_gain(&self, src: StationId, dst: StationId) -> f64 {
-        ReferenceMedium::link_gain(self, src, dst)
-    }
-
-    fn add_noise_source(&mut self, pos: Point, power: f64) -> usize {
-        ReferenceMedium::add_noise_source(self, pos, power)
-    }
-
-    fn set_noise_active(&mut self, index: usize, active: bool) {
-        ReferenceMedium::set_noise_active(self, index, active)
-    }
-
-    fn set_position(&mut self, id: StationId, pos: Point) {
-        ReferenceMedium::set_position(self, id, pos)
-    }
-
-    fn in_range(&self, a: StationId, b: StationId) -> bool {
-        ReferenceMedium::in_range(self, a, b)
-    }
-
-    fn is_transmitting(&self, id: StationId) -> bool {
-        ReferenceMedium::is_transmitting(self, id)
-    }
-
-    fn carrier_busy(&self, id: StationId) -> bool {
-        ReferenceMedium::carrier_busy(self, id)
-    }
-
-    fn active_count(&self) -> usize {
-        ReferenceMedium::active_count(self)
-    }
-
-    fn start_tx(&mut self, source: StationId, now: SimTime) -> TxId {
-        ReferenceMedium::start_tx(self, source, now)
-    }
-
-    fn end_tx(&mut self, tx: TxId, now: SimTime) -> Vec<Delivery> {
-        ReferenceMedium::end_tx(self, tx, now)
-    }
-
-    fn end_tx_into(&mut self, tx: TxId, now: SimTime, out: &mut Vec<Delivery>) {
-        *out = ReferenceMedium::end_tx(self, tx, now);
-    }
-
-    fn tx_start(&self, tx: TxId) -> Option<SimTime> {
-        ReferenceMedium::tx_start(self, tx)
-    }
-
-    fn tx_source(&self, tx: TxId) -> Option<StationId> {
-        ReferenceMedium::tx_source(self, tx)
-    }
-
-    fn memory_footprint(&self) -> usize {
-        self.link.iter().map(|r| r.capacity() * 8).sum::<usize>()
-            + self.stations.capacity() * std::mem::size_of::<StationEntry>()
-    }
+#[cfg(test)]
+mod contract {
+    crate::medium::medium_contract_tests!(crate::reference::ReferenceMedium);
 }

@@ -1,12 +1,13 @@
 //! The sparse cube-grid medium: O(N·k) scaling for large station counts.
 //!
 //! [`SparseMedium`] implements [`Medium`] with the same bit-exact semantics
-//! as [`DenseMedium`](crate::dense::DenseMedium) but without any `N×N`
-//! state. The paper's near-field radio makes that possible: under the hard
-//! interference cutoff ([`CutoffMode::Hard`]), a transmission contributes
-//! *exactly zero* interference beyond the reception range (10 ft), so only
-//! a small geometric neighborhood of each station can ever carry or corrupt
-//! a packet. The medium exploits that with three structures:
+//! as its oracle [`ReferenceMedium`](crate::reference::ReferenceMedium) but
+//! without any `N×N` state or O(N) scans. The paper's near-field radio
+//! makes that possible: under the hard interference cutoff
+//! ([`CutoffMode::Hard`]), a transmission contributes *exactly zero*
+//! interference beyond the reception range (10 ft), so only a small
+//! geometric neighborhood of each station can ever carry or corrupt a
+//! packet. The medium exploits that with three structures:
 //!
 //! * A [`BucketGrid`] spatial hash over the paper's own 1 ft³ cube grid,
 //!   coarsened to the reception radius (10 ft cells): every station lives
@@ -19,15 +20,17 @@
 //!   *exactly* the set with nonzero interference gain at `b`, independent
 //!   of transmit powers and link factors (the cutoff tests the raw
 //!   geometric power before either multiplier is applied).
-//! * Sparse per-station link-override lists replacing the dense `N×N` link
-//!   matrix (absent entry ⇒ factor 1.0, a multiplicative identity).
+//! * Sparse per-station link-override lists replacing the reference's
+//!   `N×N` link matrix (absent entry ⇒ factor 1.0, a multiplicative
+//!   identity).
 //!
 //! # Bit-exactness
 //!
-//! The dense medium folds interference sums left-to-right over its active
-//! transmission list; IEEE-754 addition is not associative, so the sparse
-//! medium replays the *same* fold — it walks the same global active list in
-//! the same order and looks each source up in the receiver's neighbor list.
+//! The reference medium folds interference sums left-to-right over its
+//! active transmission list; IEEE-754 addition is not associative, so the
+//! sparse medium replays the *same* fold — it walks the same global active
+//! list in the same order and looks each source up in the receiver's
+//! neighbor list.
 //! A source absent from the list would contribute `tx_power · link · 0.0 =
 //! +0.0`, and adding `+0.0` to a non-negative partial sum is a bit-exact
 //! identity, so skipping absent sources changes nothing. The same identity
@@ -75,7 +78,7 @@
 //!
 //! Under [`CutoffMode::Physical`] every station interferes everywhere; the
 //! neighbor lists then simply hold all stations and the medium degrades to
-//! the dense medium's complexity while staying bit-exact. The paper's
+//! the reference's O(N)-per-query complexity while staying bit-exact. The paper's
 //! experiments all use the hard cutoff.
 //!
 //! [`CutoffMode::Hard`]: crate::propagation::CutoffMode::Hard
@@ -876,8 +879,8 @@ impl SparseMedium {
 
     /// Path gain `power_at_distance(d(a, b))` — cached when `b` is in `a`'s
     /// cutoff ball, recomputed (same function, same inputs, same bits)
-    /// otherwise. `a == b` takes the recompute path (distance 0.0), like
-    /// the reference's dense-matrix diagonal.
+    /// otherwise. `a == b` takes the recompute path (distance 0.0), exactly
+    /// as the reference computes it.
     fn gain_of(&self, a: usize, b: usize) -> f64 {
         match self.nbrs[a].binary_search_by_key(&b, |n| n.idx) {
             Ok(at) => self.nbrs[a][at].gain,

@@ -1,6 +1,6 @@
 //! End_tx-heavy churn schedules: the stamp-ordered slab must stay
-//! bit-identical to the dense and reference oracles through arbitrary
-//! start/end interleavings — including the free-list regime the randomized
+//! bit-identical to the reference oracle through arbitrary start/end
+//! interleavings — including the free-list regime the randomized
 //! oracle suite rarely reaches, where most `end_tx` calls vacate a slot in
 //! the *middle* of the admission order and a later `start_tx` recycles it
 //! while older transmissions fly on.
@@ -8,10 +8,11 @@
 //! The schedules are driven by a fixed LCG (not proptest) so the big
 //! variants stay deterministic and cheap to rerun; sizes scale up in
 //! release builds (`scripts/verify.sh` runs this suite with `--release`)
-//! where the dense oracle can afford thousands of concurrent flights.
+//! where the reference oracle can afford thousands of concurrent flights.
 
-use macaw_phy::reference::ReferenceMedium;
-use macaw_phy::{DenseMedium, Medium, Point, Propagation, PropagationConfig, SparseMedium, StationId, TxId};
+use macaw_phy::{
+    Medium, Point, Propagation, PropagationConfig, ReferenceMedium, SparseMedium, StationId, TxId,
+};
 use macaw_sim::{SimDuration, SimRng, SimTime};
 
 /// Deterministic schedule driver (splitmix-style LCG).
@@ -172,28 +173,26 @@ fn churn_pair<A: Medium, B: Medium>(seed: u64, clusters: usize, per: usize, chur
     assert_eq!(slow.active_count(), 0);
 }
 
-/// Three-way bitwise agreement on a small, dense-enough floor where the
-/// naive reference is affordable: sparse == reference and dense ==
-/// reference on the same schedule.
+/// Bitwise agreement on a small, dense-enough floor: sparse == reference
+/// on the same schedule.
 #[test]
-fn churn_small_three_way() {
+fn churn_small_sparse_vs_reference() {
     churn_pair::<SparseMedium, ReferenceMedium>(0xA5A5, 8, 6, 900);
-    churn_pair::<DenseMedium, ReferenceMedium>(0xA5A5, 8, 6, 900);
 }
 
 /// The slab's reason to exist: a floor with a large global active count
 /// and small neighborhoods. Debug builds run a few hundred concurrent
-/// flights (the dense oracle's O(N·active) end_tx is the budget);
-/// `verify.sh` reruns this suite in release where the schedule holds
-/// thousands of flights concurrently in the air.
+/// flights so the unoptimized suite stays within seconds; `verify.sh`
+/// reruns this suite in release where the schedule holds thousands of
+/// flights concurrently in the air.
 #[test]
-fn churn_thousands_concurrent_sparse_vs_dense() {
+fn churn_thousands_concurrent_sparse_vs_reference() {
     let (clusters, ops) = if cfg!(debug_assertions) {
         (64, 1200) // 384 stations, ~320 concurrent
     } else {
         (256, 4000) // 1536 stations, ~1280 concurrent; thousands of flights
     };
-    churn_pair::<SparseMedium, DenseMedium>(0xBEEF, clusters, 6, ops);
+    churn_pair::<SparseMedium, ReferenceMedium>(0xBEEF, clusters, 6, ops);
 }
 
 /// Waypoint motion through live traffic: one walker per cluster follows
@@ -327,27 +326,25 @@ fn waypoint_pair<A: Medium, B: Medium>(seed: u64, clusters: usize, per: usize, t
     assert_eq!(slow.active_count(), 0);
 }
 
-/// Three-way bitwise agreement for waypoint motion on a reference-sized
-/// floor: sparse == reference and dense == reference on the same walks.
+/// Bitwise agreement for waypoint motion on a small floor: sparse ==
+/// reference on the same walks.
 #[test]
-fn waypoint_walkers_small_three_way() {
+fn waypoint_walkers_small_sparse_vs_reference() {
     waypoint_pair::<SparseMedium, ReferenceMedium>(0x11E7, 8, 6, 60);
-    waypoint_pair::<DenseMedium, ReferenceMedium>(0x11E7, 8, 6, 60);
 }
 
 /// Waypoint motion at scale: many walkers crossing reach bounds per tick
 /// with hundreds-to-thousands of flights in the air.
 #[test]
-fn waypoint_walkers_sparse_vs_dense() {
-    // The dense oracle pays O(N·active) per *move*, so the release size is
-    // bounded by walkers × ticks, not flights: 96 walkers × 80 ticks keeps
-    // ~480 flights airborne through ~7700 reach-bound crossings.
+fn waypoint_walkers_sparse_vs_reference() {
+    // Release: 96 walkers × 80 ticks keeps ~480 flights airborne through
+    // ~7700 reach-bound crossings.
     let (clusters, ticks) = if cfg!(debug_assertions) {
         (48, 50)
     } else {
         (96, 80)
     };
-    waypoint_pair::<SparseMedium, DenseMedium>(0x77A1, clusters, 6, ticks);
+    waypoint_pair::<SparseMedium, ReferenceMedium>(0x77A1, clusters, 6, ticks);
 }
 
 /// A batch is the sequence of its entries, on the *same* medium type: the

@@ -9,7 +9,7 @@
 //! # Future-event-list backends
 //!
 //! The queue's storage is pluggable through the [`Fel`] trait, mirroring
-//! the dense/sparse medium split in the phy crate: [`HeapQueue`] is the
+//! the reference/sparse medium split in the phy crate: [`HeapQueue`] is the
 //! straightforward 4-ary heap kept as a correctness oracle, and
 //! [`LadderQueue`] — the default — is a two-tier calendar/ladder structure
 //! tuned for the short event horizons of a MAC simulation, where almost

@@ -33,14 +33,20 @@ echo "== reduction soundness (reduced explorer vs oracle + parallel split determ
 cargo test -q --release -p macaw-check --test reduction
 cargo test -q --release -p macaw-bench --test check_par
 
-echo "== benchmark (transparency suite + one-second proof_matrix output check) =="
+echo "== benchmark (transparency suite + one-second output check of every workload) =="
+# Each workload's outputs are checked against perfbench/expected.txt: the
+# 30 paper-table reports, the office-floor and campus reports, and the 12
+# proof rows. Four JSON lines, each correct with no failed run.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
-bench_line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-  --workload proof_matrix --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-case "$bench_line" in
-  *'"correct": true'*) echo "$bench_line" ;;
-  *) echo "perfbench proof_matrix output check failed: $bench_line" >&2; exit 1 ;;
-esac
+bench_json="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seed 1 --seconds 1 --trace 0 | grep '^{' || true)"
+echo "$bench_json"
+bench_lines="$(printf '%s\n' "$bench_json" | grep -c '^{' || true)"
+bench_ok="$(printf '%s\n' "$bench_json" | grep '"correct": true' | grep -c '"failed": 0,' || true)"
+if [ "$bench_lines" -ne 4 ] || [ "$bench_ok" -ne 4 ]; then
+  echo "perfbench output check failed: $bench_ok of $bench_lines workloads correct (want 4 of 4)" >&2
+  exit 1
+fi
 
 echo "== faults smoke =="
 cargo run --release -p macaw-bench --bin faults -- --smoke
@@ -54,7 +60,7 @@ cargo run --release -p macaw-bench --bin scale -- --smoke
 echo "== per-move-cost guard (flat mover cost across N + moving-run cache round-trip) =="
 cargo run --release -p macaw-bench --bin mobility -- --smoke
 
-echo "== medium churn suite (slab vs oracles under end_tx-heavy schedules) =="
+echo "== medium churn suite (slab vs reference oracle under end_tx-heavy schedules) =="
 cargo test -q --release -p macaw-phy --test churn_medium
 
 echo "== sharded-engine invariance suite =="
