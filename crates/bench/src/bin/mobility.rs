@@ -8,8 +8,10 @@
 //! 1. **Sweep** — N ∈ {256, 4096, 16384} × mobile share ∈ {0%, 10%, 50%}
 //!    × walking speed ∈ {4, 16} ft/s, MACAW on the [`SparseMedium`],
 //!    reporting events/s, moves applied, moves/s, the same-cube no-op
-//!    share, grid-cell hops, fold-term counters, and the per-move
-//!    amortized cost against each N's own static (0%) baseline cell.
+//!    share, grid-cell hops, fold-term counters, and the coupling
+//!    partition's time on the cell's scenario (minimum of three timed
+//!    [`Scenario::partition`] calls). Costs come from op counts and timed
+//!    calls, never from differences of two run walls.
 //!    The 10%-mobile cells must hold ≥ 0.5x the static floor's events/s —
 //!    the "motion is a fast path, not a rebuild" acceptance bar.
 //! 2. **Ablation** — BEB (MACA) vs MILD + per-destination backoff (MACAW)
@@ -36,6 +38,7 @@
 //!   fingerprint covers the move table.
 //!
 //! [`SparseMedium`]: macaw_phy::SparseMedium
+//! [`Scenario::partition`]: macaw_core::scenario::Scenario::partition
 //! [`RunCache`]: macaw_bench::cache::RunCache
 
 use macaw_bench::cache::RunCache;
@@ -98,6 +101,25 @@ fn campus_config(n: usize, share: f64, speed: f64) -> CampusConfig {
     cfg
 }
 
+/// Minimum wall time of three [`Scenario::partition`] calls on one sweep
+/// cell's campus: the coupling partition every build computes over every
+/// move target.
+fn partition_secs(n: usize, share: f64, speed: f64, seed: u64, dur: SimDuration) -> f64 {
+    let sc = macaw_core::mobility::campus_topology(
+        &campus_config(n, share, speed),
+        MacKind::Macaw,
+        dur,
+        seed,
+    );
+    (0..3)
+        .map(|_| {
+            let (part, secs) = time_once(|| sc.partition());
+            part.unwrap_or_else(|e| die(&e));
+            secs
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Build the campus and run it on medium `M`: report, run-loop wall time
 /// (excluding build), stream count and medium op counters.
 fn run_campus<M: PhyMedium>(
@@ -127,6 +149,7 @@ struct Cell {
     streams: usize,
     report: RunReport,
     wall_secs: f64,
+    partition_secs: f64,
     rss_kb: u64,
     medium: MediumStats,
 }
@@ -335,6 +358,8 @@ fn main() {
             report.total_throughput().is_finite() && report.total_throughput() > 0.0,
             "N={n} share={share}: non-finite or zero throughput"
         );
+        // Read the peak before the partition timing builds its own campus.
+        let rss_kb = peak_rss_kb();
         cells.push(Cell {
             stations: n,
             share,
@@ -342,7 +367,8 @@ fn main() {
             streams,
             report,
             wall_secs,
-            rss_kb: peak_rss_kb(),
+            partition_secs: partition_secs(n, share, speed, seed, dur),
+            rss_kb,
             medium,
         });
     };
@@ -429,40 +455,22 @@ fn main() {
     let mut sweep_json = String::new();
     for c in &cells {
         let floor = static_evps(c.stations);
-        let static_cell = cells
-            .iter()
-            .find(|s| s.stations == c.stations && s.share == 0.0)
-            .expect("static cell exists");
         let moves = c.medium.set_position_ops;
-        let (us_per_move, dterms_per_move) = if moves > 0 {
-            (
-                format!(
-                    "{:.3}",
-                    (c.wall_secs - static_cell.wall_secs) * 1e6 / moves as f64
-                ),
-                format!(
-                    "{:.2}",
-                    (c.medium.fold_terms as i64 - static_cell.medium.fold_terms as i64) as f64
-                        / moves as f64
-                ),
-            )
-        } else {
-            ("null".to_string(), "null".to_string())
-        };
         sweep_json.push_str(&format!(
             "    {{ \"stations\": {}, \"mobile_share\": {}, \"speed_fps\": {}, \"streams\": {}, \
-             \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.0}, \
-             \"events_per_sec_vs_static\": {:.4}, \"total_throughput_pps\": {:.3}, \
-             \"jain_fairness\": {:.4}, \"moves\": {}, \"moves_per_sec\": {:.0}, \
-             \"move_noop_ops\": {}, \"move_cell_hops\": {}, \"amortized_us_per_move\": {}, \
-             \"amortized_fold_terms_per_move\": {}, \"medium_fold_terms\": {}, \
-             \"fold_terms_per_end_tx\": {:.2}, \"peak_rss_kb\": {} }},\n",
+             \"events\": {}, \"wall_secs\": {:.6}, \"partition_secs\": {:.6}, \
+             \"events_per_sec\": {:.0}, \"events_per_sec_vs_static\": {:.4}, \
+             \"total_throughput_pps\": {:.3}, \"jain_fairness\": {:.4}, \"moves\": {}, \
+             \"moves_per_sec\": {:.0}, \"move_noop_ops\": {}, \"move_cell_hops\": {}, \
+             \"medium_fold_terms\": {}, \"fold_terms_per_end_tx\": {:.2}, \
+             \"peak_rss_kb\": {} }},\n",
             c.stations,
             c.share,
             c.speed,
             c.streams,
             c.report.events_processed,
             c.wall_secs,
+            c.partition_secs,
             c.events_per_sec(),
             c.events_per_sec() / floor,
             c.report.total_throughput(),
@@ -471,8 +479,6 @@ fn main() {
             moves as f64 / c.wall_secs,
             c.medium.move_noop_ops,
             c.medium.move_cell_hops,
-            us_per_move,
-            dterms_per_move,
             c.medium.fold_terms,
             if c.medium.end_tx_ops == 0 {
                 0.0
@@ -503,7 +509,7 @@ fn main() {
            \"host_cores\": {host_cores},\n  \
            \"workers\": 1,\n  \
            \"shards\": 1,\n  \
-           \"sweep_note\": \"static (0%) cells share the scale bench's pps taper, so they are comparable to BENCH_scale.json's MACAW floor rows; amortized_us_per_move and amortized_fold_terms_per_move are deltas against the same-N static cell divided by moves applied (wall-based, so the us figure is noisy; the fold-terms figure is a pure op count); move_noop_ops counts same-cube early-outs (paused movers)\",\n  \
+           \"sweep_note\": \"static (0%) cells share the scale bench's pps taper, so they are comparable to BENCH_scale.json's MACAW floor rows; partition_secs is the minimum of 3 timed Scenario::partition() calls on the cell's scenario (the coupling partition every build computes over every move target); move_noop_ops counts same-cube early-outs (paused movers); costs come from op counts and timed calls, never from differences of two run walls\",\n  \
            \"sweep\": [\n{sweep_json}  ],\n  \
            \"ablation_note\": \"BEB (MACA) vs MILD+per-destination backoff (MACAW) on a 25%-mobile N=256 campus across walking speeds; speed 0 is the static control (cf. arXiv:1007.0410)\",\n  \
            \"ablation\": [\n{ablation_json}  ]\n}}\n"

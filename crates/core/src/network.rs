@@ -384,7 +384,8 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     /// instead of scanning `streams` — O(1) per delivered SDU rather than
     /// O(streams).
     stream_index: FastHashMap<u32, usize>,
-    /// MAC timer slot per station (dense, scanned every event).
+    /// MAC timer slot per station (dense). `timer_index` orders the
+    /// pending ones; only the debug oracle `scan_timers` scans them all.
     mac_timers: Vec<PendingTimer>,
     /// Transport timer slots, two per stream (`2*stream + side`, sender
     /// first). Multicast streams' receiver slots simply stay idle.

@@ -43,11 +43,19 @@
 //! at any distance, so the whole scenario is one island and a sharded run
 //! degenerates (correctly) to the serial engine.
 //!
+//! The geometric rule is evaluated on a grid of cells one coupling radius
+//! on a side. The position instances are sorted by (cell, union-find root,
+//! index), so each cell is one contiguous run and the instances of
+//! stations that are already connected form one group in it. Two groups
+//! are compared only while they are in different components, and only up
+//! to the first edge between them; each pair of adjacent cells is visited
+//! once.
+//!
 //! [`CutoffMode::Physical`]: macaw_phy::CutoffMode::Physical
 
-use std::collections::HashMap;
+use std::ops::Range;
 
-use macaw_phy::{CutoffMode, MediumStats, Point};
+use macaw_phy::{CutoffMode, MediumStats, Point, StationId};
 
 use crate::network::ActionKind;
 use crate::scenario::Scenario;
@@ -210,42 +218,192 @@ impl Dsu {
     }
 }
 
+/// Grid cell coordinates are clamped to ±2^62, so adding a neighbour
+/// offset never overflows. Clamping is monotone: two points at most one
+/// cell edge apart still land in the same or adjacent cells.
+const CELL_LIMIT: i64 = 1 << 62;
+
+/// The 13 neighbour offsets that come after a cell in key order. With the
+/// cell itself they visit every pair of adjacent cells exactly once.
+const FORWARD: [[i64; 3]; 13] = [
+    [0, 0, 1],
+    [0, 1, -1],
+    [0, 1, 0],
+    [0, 1, 1],
+    [1, -1, -1],
+    [1, -1, 0],
+    [1, -1, 1],
+    [1, 0, -1],
+    [1, 0, 0],
+    [1, 0, 1],
+    [1, 1, -1],
+    [1, 1, 0],
+    [1, 1, 1],
+];
+
+/// The grid cell of `p` for cells `edge` feet on a side.
+fn cell_of(p: Point, edge: f64) -> [i64; 3] {
+    let axis = |v: f64| ((v / edge).floor() as i64).clamp(-CELL_LIMIT, CELL_LIMIT);
+    [axis(p.x), axis(p.y), axis(p.z)]
+}
+
+/// Every position a station can ever occupy, in declaration order: the
+/// initial placements, then each `Move` and `MoveBatch` target.
+fn position_instances(sc: &Scenario) -> impl Iterator<Item = (u32, Point)> + '_ {
+    let initial = sc
+        .stations
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (i as u32, s.pos));
+    let targets = sc.actions.iter().flat_map(move |a| {
+        let (single, batch) = match a.kind {
+            ActionKind::Move { station, to } => (Some((StationId(station), to)), &[][..]),
+            ActionKind::MoveBatch { start, len } => {
+                (None, &sc.moves[start as usize..(start + len) as usize])
+            }
+            _ => (None, &[][..]),
+        };
+        single
+            .into_iter()
+            .chain(batch.iter().copied())
+            .map(|(id, to)| (id.0 as u32, to))
+    });
+    initial.chain(targets)
+}
+
+/// One position instance, keyed for the grid.
+struct Instance {
+    cell: [i64; 3],
+    /// The station's union-find root when the grid was built.
+    root: u32,
+    /// Declaration order; makes the sort key unique.
+    index: u32,
+    station: u32,
+    pos: Point,
+}
+
+/// Position instances sorted by (cell, root, index). Each occupied cell is
+/// one contiguous run, and within it the instances of stations that were
+/// already connected when the grid was built form one contiguous group.
+struct Grid {
+    inst: Vec<Instance>,
+    /// Each group's first instance and root, then an `inst.len()` sentinel.
+    groups: Vec<(u32, u32)>,
+    /// Each occupied cell in key order with its first group, then a
+    /// `[i64::MAX; 3]` sentinel that sorts after every real cell.
+    cells: Vec<([i64; 3], u32)>,
+}
+
+impl Grid {
+    fn new(sc: &Scenario, dsu: &mut Dsu, edge: f64) -> Grid {
+        // Room for every initial position and batch target; single
+        // `Move`s are rare.
+        let mut inst = Vec::with_capacity(sc.stations.len() + sc.moves.len());
+        inst.extend(
+            position_instances(sc)
+                .enumerate()
+                .map(|(index, (station, pos))| Instance {
+                    cell: cell_of(pos, edge),
+                    root: dsu.find(station),
+                    index: index as u32,
+                    station,
+                    pos,
+                }),
+        );
+        inst.sort_unstable_by_key(|i| (i.cell, i.root, i.index));
+        let (mut groups, mut cells) = (Vec::new(), Vec::new());
+        for (k, i) in inst.iter().enumerate() {
+            let new_cell = k == 0 || inst[k - 1].cell != i.cell;
+            if new_cell {
+                cells.push((i.cell, groups.len() as u32));
+            }
+            if new_cell || inst[k - 1].root != i.root {
+                groups.push((k as u32, i.root));
+            }
+        }
+        cells.push(([i64::MAX; 3], groups.len() as u32));
+        groups.push((inst.len() as u32, u32::MAX));
+        Grid {
+            inst,
+            groups,
+            cells,
+        }
+    }
+
+    /// The instances of group `g`.
+    fn group(&self, g: usize) -> &[Instance] {
+        &self.inst[self.groups[g].0 as usize..self.groups[g + 1].0 as usize]
+    }
+
+    /// The groups of occupied cell `c`.
+    fn groups_in(&self, c: usize) -> Range<usize> {
+        self.cells[c].1 as usize..self.cells[c + 1].1 as usize
+    }
+
+    /// Union every two stations that have instances within coupling range
+    /// of each other, counting distance evaluations in `evals`.
+    fn couple(&self, reach: &[f64], dsu: &mut Dsu, evals: &mut u64) {
+        let mut cursor = [0usize; FORWARD.len()];
+        for c in 0..self.cells.len() - 1 {
+            self.couple_cells(c, c, reach, dsu, evals);
+            let key = self.cells[c].0;
+            for (off, p) in FORWARD.iter().zip(&mut cursor) {
+                let target = [key[0] + off[0], key[1] + off[1], key[2] + off[2]];
+                // Targets ascend with `c`, so each cursor only moves forward.
+                while self.cells[*p].0 < target {
+                    *p += 1;
+                }
+                if self.cells[*p].0 == target {
+                    self.couple_cells(c, *p, reach, dsu, evals);
+                }
+            }
+        }
+    }
+
+    /// Compare the groups of cell `a` with those of cell `b` (each pair once
+    /// when they are the same cell). A pair of groups is compared only
+    /// while their stations are in different components, and only up to
+    /// the first edge between them: all of a group's stations are already
+    /// in one component, so that edge merges the same two components as
+    /// any other edge between the groups would.
+    fn couple_cells(&self, a: usize, b: usize, reach: &[f64], dsu: &mut Dsu, evals: &mut u64) {
+        let theirs = self.groups_in(b);
+        for g in self.groups_in(a) {
+            let from = if a == b { g + 1 } else { theirs.start };
+            for h in from..theirs.end {
+                if dsu.find(self.groups[g].1) == dsu.find(self.groups[h].1) {
+                    continue;
+                }
+                'scan: for x in self.group(g) {
+                    for y in self.group(h) {
+                        *evals += 1;
+                        let r = reach[x.station as usize].max(reach[y.station as usize])
+                            + COUPLING_PAD_FT;
+                        if x.pos.distance(y.pos) <= r {
+                            dsu.union(x.station, y.station);
+                            break 'scan;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Compute the island partition of a (defect-free) scenario. See the
 /// module docs for the coupling rules; [`Scenario::partition`] is the
 /// validated public entry point.
 pub(crate) fn compute(sc: &Scenario) -> Partition {
+    compute_counted(sc).0
+}
+
+/// [`compute`], also returning the number of position-instance pairs whose
+/// distance the geometric pass evaluated: a deterministic op count the
+/// complexity tests hold it to.
+fn compute_counted(sc: &Scenario) -> (Partition, u64) {
     let n = sc.stations.len();
     let cfg = sc.prop;
-    let physical = matches!(cfg.cutoff, CutoffMode::Physical);
     let mut dsu = Dsu::new(n);
-
-    // Largest link-gain factor any action ever sets (monotone bound, as in
-    // the sparse medium's ring-search sizing).
-    let mut max_link = 1.0f64;
-    for a in &sc.actions {
-        if let ActionKind::SetLinkGain { factor, .. } = a.kind {
-            max_link = max_link.max(factor);
-        }
-    }
-
-    // Every position a station can ever occupy: initial plus Move targets.
-    let mut instances: Vec<(u32, Point)> = sc
-        .stations
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (i as u32, s.pos))
-        .collect();
-    for a in &sc.actions {
-        match a.kind {
-            ActionKind::Move { station, to } => instances.push((station as u32, to)),
-            ActionKind::MoveBatch { start, len } => {
-                for &(id, to) in &sc.moves[start as usize..(start + len) as usize] {
-                    instances.push((id.0 as u32, to));
-                }
-            }
-            _ => {}
-        }
-    }
 
     // A move batch is a single event that touches the medium state of
     // every station it names, so all of them must share an island.
@@ -254,65 +412,6 @@ pub(crate) fn compute(sc: &Scenario) -> Partition {
             let batch = &sc.moves[start as usize..(start + len) as usize];
             for w in batch.windows(2) {
                 dsu.union(w[0].0 .0 as u32, w[1].0 .0 as u32);
-            }
-        }
-    }
-
-    if physical {
-        for i in 1..n as u32 {
-            dsu.union(0, i);
-        }
-    } else if n > 1 {
-        // Stretched reception radius per station; the interference ball
-        // (exactly `threshold_distance_ft`, power-independent) is always
-        // covered because the effective multiplier is clamped at ≥ 1.
-        let reach: Vec<f64> = sc
-            .stations
-            .iter()
-            .map(|s| {
-                let eff = (s.tx_power * max_link).max(1.0);
-                cfg.threshold_distance_ft * eff.powf(1.0 / cfg.gamma)
-            })
-            .collect();
-        let max_radius = reach.iter().cloned().fold(0.0f64, f64::max) + COUPLING_PAD_FT;
-        let edge = max_radius.ceil().max(1.0);
-        let cell = |p: Point| {
-            [
-                (p.x / edge).floor() as i64,
-                (p.y / edge).floor() as i64,
-                (p.z / edge).floor() as i64,
-            ]
-        };
-        // Spatial hash over position instances; the map is only ever
-        // queried (never iterated), so HashMap order cannot leak into the
-        // result.
-        let mut grid: HashMap<[i64; 3], Vec<u32>> = HashMap::new();
-        for (k, &(_, p)) in instances.iter().enumerate() {
-            grid.entry(cell(p)).or_default().push(k as u32);
-        }
-        for (k, &(a, pa)) in instances.iter().enumerate() {
-            let c = cell(pa);
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    for dz in -1..=1 {
-                        let Some(bucket) = grid.get(&[c[0] + dx, c[1] + dy, c[2] + dz]) else {
-                            continue;
-                        };
-                        for &j in bucket {
-                            if (j as usize) <= k {
-                                continue; // each unordered pair once
-                            }
-                            let (b, pb) = instances[j as usize];
-                            if a == b {
-                                continue;
-                            }
-                            let r = reach[a as usize].max(reach[b as usize]) + COUPLING_PAD_FT;
-                            if pa.distance(pb) <= r {
-                                dsu.union(a, b);
-                            }
-                        }
-                    }
-                }
             }
         }
     }
@@ -328,28 +427,60 @@ pub(crate) fn compute(sc: &Scenario) -> Partition {
         }
     }
 
-    // Noise emitters: chain every station that can ever enter the 10 ft
-    // ball (any position instance; the ball is power-independent because
-    // the cutoff tests the raw geometric gain).
-    let noise_reach = cfg.threshold_distance_ft + COUPLING_PAD_FT;
     let mut first_hearer: Vec<Option<u32>> = vec![None; sc.noise.len()];
-    if !physical {
-        for (e, &(pos, _, _)) in sc.noise.iter().enumerate() {
-            for &(s, p) in &instances {
-                if p.distance(pos) <= noise_reach {
-                    match first_hearer[e] {
-                        None => first_hearer[e] = Some(s),
-                        Some(h) => dsu.union(h, s),
-                    }
-                }
-            }
+    let mut evals = 0u64;
+    if matches!(cfg.cutoff, CutoffMode::Physical) {
+        for i in 1..n as u32 {
+            dsu.union(0, i);
+        }
+        if n > 0 {
+            first_hearer.fill(Some(0));
         }
     } else {
-        for h in first_hearer.iter_mut() {
-            *h = if n > 0 { Some(0) } else { None };
+        // Largest link-gain factor any action ever sets (monotone bound, as
+        // in the sparse medium's ring-search sizing).
+        let mut max_link = 1.0f64;
+        for a in &sc.actions {
+            if let ActionKind::SetLinkGain { factor, .. } = a.kind {
+                max_link = max_link.max(factor);
+            }
+        }
+        // Stretched reception radius per station; the interference ball
+        // (exactly `threshold_distance_ft`, power-independent) is always
+        // covered because the effective multiplier is clamped at ≥ 1.
+        let reach: Vec<f64> = sc
+            .stations
+            .iter()
+            .map(|s| {
+                let eff = (s.tx_power * max_link).max(1.0);
+                cfg.threshold_distance_ft * eff.powf(1.0 / cfg.gamma)
+            })
+            .collect();
+        // Every coupling radius fits in one cell edge, so two instances
+        // that can couple lie in the same or adjacent cells.
+        let max_radius = reach.iter().cloned().fold(0.0f64, f64::max) + COUPLING_PAD_FT;
+        let grid = Grid::new(sc, &mut dsu, max_radius.ceil().max(1.0));
+        grid.couple(&reach, &mut dsu, &mut evals);
+
+        // Noise emitters: chain every station that can ever enter the 10 ft
+        // ball (any position instance; the ball is power-independent because
+        // the cutoff tests the raw geometric gain).
+        let noise_reach = cfg.threshold_distance_ft + COUPLING_PAD_FT;
+        for (&(pos, _, _), h) in sc.noise.iter().zip(&mut first_hearer) {
+            for i in grid.inst.iter().filter(|i| i.pos.distance(pos) <= noise_reach) {
+                let first = *h.get_or_insert(i.station);
+                dsu.union(first, i.station);
+            }
         }
     }
+    (label(sc, &mut dsu, &first_hearer), evals)
+}
 
+/// Number the components of `dsu` densely by smallest member station
+/// (synthetic islands for unheard emitters last) and give every stream,
+/// action, corruption window and emitter its island.
+fn label(sc: &Scenario, dsu: &mut Dsu, first_hearer: &[Option<u32>]) -> Partition {
+    let n = sc.stations.len();
     // Dense renumbering by smallest member station index.
     let mut label = vec![u32::MAX; n];
     let mut next = 0u32;
@@ -419,9 +550,11 @@ pub(crate) fn compute(sc: &Scenario) -> Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mobility::{campus_topology, CampusConfig};
     use crate::scenario::MacKind;
+    use crate::topology::{scale_topology, ScaleConfig};
     use macaw_phy::PropagationConfig;
-    use macaw_sim::{SimDuration, SimTime};
+    use macaw_sim::{SimDuration, SimRng, SimTime};
 
     fn at(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
@@ -534,5 +667,238 @@ mod tests {
         assert_eq!(counts, [2, 2, 2, 2], "equal islands spread evenly");
         // One shard: everything lands in shard 0.
         assert!(p.assign_shards(1).iter().all(|&s| s == 0));
+    }
+
+    /// The coupling rules stated directly: every pair of position
+    /// instances and every instance against every emitter, no grid.
+    fn all_pairs(sc: &Scenario) -> Partition {
+        let n = sc.stations.len();
+        let cfg = sc.prop;
+        let mut dsu = Dsu::new(n);
+        let mut hearer = vec![None; sc.noise.len()];
+        for a in &sc.actions {
+            if let ActionKind::MoveBatch { start, len } = a.kind {
+                let batch = &sc.moves[start as usize..(start + len) as usize];
+                for &(id, _) in batch {
+                    dsu.union(batch[0].0 .0 as u32, id.0 as u32);
+                }
+            }
+        }
+        let noisy: Vec<u32> = (0..n as u32)
+            .filter(|&i| sc.stations[i as usize].rx_error_rate > 0.0)
+            .collect();
+        for &i in &noisy {
+            dsu.union(noisy[0], i);
+        }
+        if matches!(cfg.cutoff, CutoffMode::Physical) {
+            for i in 0..n as u32 {
+                dsu.union(0, i);
+            }
+            hearer.fill((n > 0).then_some(0));
+        } else {
+            let max_link = sc
+                .actions
+                .iter()
+                .filter_map(|a| match a.kind {
+                    ActionKind::SetLinkGain { factor, .. } => Some(factor),
+                    _ => None,
+                })
+                .fold(1.0, f64::max);
+            let reach = |s: u32| {
+                let eff = (sc.stations[s as usize].tx_power * max_link).max(1.0);
+                cfg.threshold_distance_ft * eff.powf(1.0 / cfg.gamma)
+            };
+            let inst: Vec<(u32, Point)> = position_instances(sc).collect();
+            for (k, &(a, pa)) in inst.iter().enumerate() {
+                for &(b, pb) in &inst[k + 1..] {
+                    if a != b && pa.distance(pb) <= reach(a).max(reach(b)) + COUPLING_PAD_FT {
+                        dsu.union(a, b);
+                    }
+                }
+            }
+            let noise_reach = cfg.threshold_distance_ft + COUPLING_PAD_FT;
+            for (&(pos, _, _), h) in sc.noise.iter().zip(&mut hearer) {
+                for &(s, p) in &inst {
+                    if p.distance(pos) <= noise_reach {
+                        let first = *h.get_or_insert(s);
+                        dsu.union(first, s);
+                    }
+                }
+            }
+        }
+        label(sc, &mut dsu, &hearer)
+    }
+
+    /// A random scenario touching every coupling rule: 2–40 stations around
+    /// the origin (negative coordinates, five levels), stretched tx powers
+    /// and link gains, single moves and batches (some naming a station
+    /// twice), heard and orphan emitters, an rx-error clique, streams,
+    /// corruption windows and per-station actions. Case 0 runs under the
+    /// physical cutoff.
+    fn random_scenario(case: u64) -> Scenario {
+        let mut rng = SimRng::new(0xC0_0C1E ^ case);
+        let mut sc = Scenario::new(case);
+        if case == 0 {
+            sc.propagation(PropagationConfig {
+                cutoff: CutoffMode::Physical,
+                ..PropagationConfig::default()
+            });
+        }
+        let n = rng.uniform_inclusive(2, 40) as usize;
+        // From one crowded room to stations scattered far beyond reach.
+        let span = [16.0, 48.0, 120.0, 400.0][rng.uniform_inclusive(0, 3) as usize];
+        let point = |rng: &mut SimRng| {
+            let axis = |rng: &mut SimRng| {
+                let v = (rng.uniform_f64() - 0.5) * span;
+                // Whole feet put some instances exactly on cell borders.
+                if rng.chance(0.3) {
+                    v.round()
+                } else {
+                    v
+                }
+            };
+            let z = [-6.0, 0.0, 0.0, 6.0, 18.0][rng.uniform_inclusive(0, 4) as usize];
+            Point::new(axis(rng), axis(rng), z)
+        };
+        for i in 0..n {
+            sc.add_station(&format!("S{i}"), point(&mut rng), MacKind::Macaw);
+            if rng.chance(0.2) {
+                sc.set_tx_power(
+                    i,
+                    [0.5, 2.0, 64.0, 1000.0][rng.uniform_inclusive(0, 3) as usize],
+                );
+            }
+            if rng.chance(0.15) {
+                sc.set_rx_error_rate(i, 0.01);
+            }
+        }
+        let pick = |rng: &mut SimRng| rng.uniform_inclusive(0, n as u64 - 1) as usize;
+        let pair = |rng: &mut SimRng| {
+            let a = pick(rng);
+            (
+                a,
+                (a + 1 + rng.uniform_inclusive(0, n as u64 - 2) as usize) % n,
+            )
+        };
+        for k in 0..rng.uniform_inclusive(0, 3) {
+            let (src, dst) = pair(&mut rng);
+            let factor = [0.0, 0.5, 4.0, 40.0][rng.uniform_inclusive(0, 3) as usize];
+            sc.set_link_gain_at(at(1 + k), src, dst, factor);
+        }
+        for k in 0..rng.uniform_inclusive(0, 4) {
+            let (s, to) = (pick(&mut rng), point(&mut rng));
+            sc.move_station_at(at(2 + k), s, to);
+        }
+        for k in 0..rng.uniform_inclusive(0, 3) {
+            let mut batch: Vec<(usize, Point)> = (0..rng.uniform_inclusive(1, 5))
+                .map(|_| (pick(&mut rng), point(&mut rng)))
+                .collect();
+            if rng.chance(0.5) {
+                // The same station twice in one batch.
+                batch.push((batch[0].0, point(&mut rng)));
+            }
+            sc.move_stations_at(at(3 + k), &batch);
+        }
+        for k in 0..rng.uniform_inclusive(0, 3) {
+            let pos = if rng.chance(0.6) {
+                // Near a station: heard unless the offset leaves its ball.
+                let s = sc.station_position(pick(&mut rng)).unwrap();
+                let d = |rng: &mut SimRng| (rng.uniform_f64() - 0.5) * 24.0;
+                Point::new(s.x + d(&mut rng), s.y + d(&mut rng), s.z)
+            } else {
+                // Far outside the scenario: nobody hears it.
+                Point::new(10.0 * span, -10.0 * span, 0.0)
+            };
+            let e = sc.add_noise_source(pos, 4.0, false);
+            sc.set_noise_at(at(4 + k), e, true);
+        }
+        for k in 0..rng.uniform_inclusive(0, 4) {
+            let (src, dst) = pair(&mut rng);
+            sc.add_udp_stream(&format!("u{k}"), src, dst, 8, 512);
+        }
+        for _ in 0..rng.uniform_inclusive(0, 2) {
+            let (src, dst) = pair(&mut rng);
+            sc.corrupt_link(src, dst, at(1), at(5), SimDuration::from_millis(1));
+        }
+        let s = pick(&mut rng);
+        sc.power_off_at(at(6), s).power_on_at(at(7), s);
+        let s = pick(&mut rng);
+        sc.crash_at(at(6), s, true).restart_at(at(7), s);
+        sc
+    }
+
+    #[test]
+    fn the_grid_matches_an_all_pairs_oracle_on_random_scenarios() {
+        let (mut split, mut merged, mut heard, mut orphaned) = (0, 0, 0, 0);
+        for case in 0..400 {
+            let sc = random_scenario(case);
+            let (fast, slow) = (compute(&sc), all_pairs(&sc));
+            let at = format!("case {case}");
+            assert_eq!(fast.n_islands, slow.n_islands, "{at}: n_islands");
+            assert_eq!(fast.station_island, slow.station_island, "{at}: stations");
+            assert_eq!(fast.stream_island, slow.stream_island, "{at}: streams");
+            assert_eq!(fast.action_island, slow.action_island, "{at}: actions");
+            assert_eq!(fast.window_island, slow.window_island, "{at}: windows");
+            assert_eq!(fast.noise_island, slow.noise_island, "{at}: emitters");
+            let station_islands = fast.island_sizes().iter().filter(|&&s| s > 0).count();
+            split += usize::from(station_islands > 1);
+            merged += usize::from(station_islands < sc.stations.len());
+            heard += fast
+                .noise_island
+                .iter()
+                .filter(|&&i| (i as usize) < station_islands)
+                .count();
+            orphaned += fast.noise_island.len();
+        }
+        orphaned -= heard;
+        assert!(
+            split > 0 && merged > 0 && heard > 0 && orphaned > 0,
+            "the cases must reach every outcome: {split} split, {merged} merged, \
+             {heard} heard and {orphaned} orphan emitters"
+        );
+    }
+
+    /// The `campus_walk` benchmark scenario: N = 4096, 90 % of ground
+    /// stations walking at 32 ft/s, one move batch per 50 ms tick, 1 s.
+    /// Nearly all of its instances belong to walkers that one batch
+    /// already connects.
+    #[test]
+    fn a_walking_campus_evaluates_fewer_distances_than_it_has_instances() {
+        let mut cfg = CampusConfig::with_stations(4096);
+        cfg.mobile_share = 0.9;
+        cfg.waypoint.speed_fps = 32.0;
+        cfg.waypoint.tick = SimDuration::from_millis(50);
+        let sc = campus_topology(&cfg, MacKind::Macaw, SimDuration::from_secs(1), 5);
+        let instances = position_instances(&sc).count() as u64;
+        let (_, evals) = compute_counted(&sc);
+        assert!(
+            evals < instances,
+            "{evals} distance evaluations for {instances} position instances"
+        );
+    }
+
+    /// On a static floor every station is its own group, so the grid
+    /// evaluates at most the pairs a per-instance scan of the 27
+    /// surrounding cells would.
+    #[test]
+    fn a_static_floor_evaluates_no_more_distances_than_a_cell_scan() {
+        let sc = scale_topology(&ScaleConfig::with_stations(1024), MacKind::Macaw, 3);
+        // 12 ft cells: the default 10 ft reach plus the pad.
+        let inst: Vec<(u32, [i64; 3])> = position_instances(&sc)
+            .map(|(s, p)| (s, cell_of(p, 12.0)))
+            .collect();
+        let mut candidates = 0u64;
+        for (k, (a, ca)) in inst.iter().enumerate() {
+            for (b, cb) in &inst[k + 1..] {
+                if a != b && (0..3).all(|d| (ca[d] - cb[d]).abs() <= 1) {
+                    candidates += 1;
+                }
+            }
+        }
+        let (_, evals) = compute_counted(&sc);
+        assert!(
+            evals > 0 && evals <= candidates,
+            "{evals} distance evaluations against {candidates} cell-scan candidates"
+        );
     }
 }

@@ -94,9 +94,6 @@ pub struct Backoff {
     /// `my_backoff`: the station-wide counter (the only counter in the
     /// `None`/`Copy` schemes).
     my: u32,
-    /// Per-peer state, directly indexed by the peer's station index.
-    /// Station indices are small and dense, so a vector beats any hash map
-    /// on this per-frame path; absent peers are `None`.
     /// Per-peer learned state, keyed by the peer's station index and kept
     /// ascending. A station only ever exchanges with its radio
     /// neighborhood, so a sorted vec stays O(neighbors); a dense
