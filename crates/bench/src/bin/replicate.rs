@@ -3,28 +3,22 @@
 //!
 //! Usage:
 //!   replicate [--quick] [--seed N] [--reps R] [--dur SECS] [--jobs N]
-//!             [--out PATH] [--cache-dir PATH] [--no-cache] [--fresh]
-//!             [--no-check]
+//!             [--out PATH] [--no-check]
 //!
-//! Three phases, every run of this binary:
+//! Two phases, every run of this binary:
 //!
-//! 1. **Parallel sweep** — every `(table, run, replication)` triple on the
-//!    work-stealing executor, memoized through the run cache
-//!    (`target/run-cache` by default; `--fresh` wipes it first for a cold
-//!    measurement).
+//! 1. **Parallel sweep** — every `(table, run, replication)` triple runs
+//!    on the work-stealing executor.
 //! 2. **Serial check** (skippable with `--no-check`) — the same sweep on
-//!    one worker with the cache disabled. The aggregates must be bitwise
-//!    identical to phase 1's (this also proves the cache's text round-trip
-//!    is bit-exact), and the cold parallel/serial ratio is the reported
-//!    speedup.
-//! 3. **Warm rerun** — phase 1 again against the now-populated cache; it
-//!    must execute *zero* simulations and still produce identical
-//!    aggregates.
+//!    one worker. The aggregates must be bitwise identical to phase 1's,
+//!    and the serial/parallel wall ratio is the printed speedup.
 //!
-//! `--quick` is the CI smoke (`scripts/verify.sh`): R = 3 at 10 s in a
-//! scratch cache directory, all assertions live, no JSON.
+//! Wall times and the speedup go to stdout only: the JSON holds the
+//! deterministic aggregates, so every worker count writes the same bytes.
+//!
+//! `--quick` is the CI smoke (`scripts/verify.sh`): R = 3 at 10 s, both
+//! phases live, no JSON.
 
-use macaw_bench::cache::RunCache;
 use macaw_bench::executor::{parse_jobs_arg, Executor};
 use macaw_bench::replicate::{sweep, to_json, SweepConfig};
 use macaw_bench::stopwatch::time_once;
@@ -40,7 +34,7 @@ fn usage_and_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
         "usage: replicate [--quick] [--seed N] [--reps R] [--dur SECS] [--jobs N] \
-         [--out PATH] [--cache-dir PATH] [--no-cache] [--fresh] [--no-check]"
+         [--out PATH] [--no-check]"
     );
     std::process::exit(2);
 }
@@ -53,9 +47,6 @@ fn main() {
     let mut dur_secs = 100u64;
     let mut jobs: Option<usize> = None;
     let mut out_path = "BENCH_replicate.json".to_string();
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-    let mut fresh = false;
     let mut check = true;
     fn value_of(args: &[String], i: &mut usize, what: &str) -> String {
         *i += 1;
@@ -68,8 +59,6 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => quick = true,
-            "--no-cache" => no_cache = true,
-            "--fresh" => fresh = true,
             "--no-check" => check = false,
             "--seed" => {
                 root_seed = value_of(&args, &mut i, "--seed")
@@ -93,7 +82,6 @@ fn main() {
                 )
             }
             "--out" => out_path = value_of(&args, &mut i, "--out"),
-            "--cache-dir" => cache_dir = Some(value_of(&args, &mut i, "--cache-dir")),
             other => usage_and_exit(&format!("unknown argument {other}")),
         }
         i += 1;
@@ -101,7 +89,6 @@ fn main() {
     if quick {
         reps = 3;
         dur_secs = 10;
-        fresh = true;
     }
     if reps < 1 || dur_secs < 1 {
         usage_and_exit("--reps and --dur must be >= 1");
@@ -114,77 +101,45 @@ fn main() {
     };
     let specs: Vec<&TableSpec> = TABLE_SPECS.iter().collect();
     let parallel = jobs.map(Executor::new).unwrap_or_else(Executor::from_env);
-    let cache = if no_cache {
-        RunCache::disabled()
-    } else {
-        let dir = cache_dir.unwrap_or_else(|| {
-            if quick {
-                // Scratch directory: the smoke must not wipe (or warm-hit
-                // against) a user's real run cache.
-                "target/run-cache-quick".to_string()
-            } else {
-                RunCache::default_dir().display().to_string()
-            }
-        });
-        RunCache::new(dir)
-    };
-    if fresh {
-        cache.clear();
-    }
 
     println!(
-        "replicate: {} tables x R={reps} seeds (root {root_seed}), base {dur_secs} s, \
-         {} workers, cache {}",
+        "replicate: {} tables x R={reps} seeds (root {root_seed}), base {dur_secs} s, {} workers",
         specs.len(),
         parallel.workers(),
-        match cache.dir() {
-            Some(d) => format!("{} ({} entries)", d.display(), cache.len()),
-            None => "disabled".to_string(),
-        }
     );
 
-    // Phase 1: parallel sweep through the cache.
-    let (cold, par_secs) =
-        time_once(|| sweep(&parallel, &cache, &specs, &cfg).unwrap_or_else(|e| die(&e)));
-    let was_cold = cold.executed == cold.total_jobs;
+    // Phase 1: parallel sweep.
+    let (par, par_secs) = time_once(|| sweep(&parallel, &specs, &cfg).unwrap_or_else(|e| die(&e)));
     println!(
-        "  parallel: {} simulations ({} executed, {} cache hits) in {:.2} s",
-        cold.total_jobs,
-        cold.executed,
-        cold.total_jobs - cold.executed,
-        par_secs
+        "  parallel: {} simulations in {:.2} s",
+        par.total_jobs, par_secs
     );
 
-    // Phase 2: serial, cache off — the bitwise serial==parallel check and
-    // the honest speedup denominator.
+    // Phase 2: serial — the bitwise serial==parallel check and the
+    // speedup denominator.
     if check {
-        let (serial, ser_secs) = time_once(|| {
-            sweep(&Executor::serial(), &RunCache::disabled(), &specs, &cfg)
-                .unwrap_or_else(|e| die(&e))
-        });
-        assert_eq!(serial.executed, serial.total_jobs, "disabled cache must execute all");
+        let (serial, ser_secs) =
+            time_once(|| sweep(&Executor::serial(), &specs, &cfg).unwrap_or_else(|e| die(&e)));
         assert_eq!(
-            cold.fingerprint_text(),
+            par.fingerprint_text(),
             serial.fingerprint_text(),
-            "parallel (cached) and serial (uncached) aggregates must be bitwise identical"
+            "parallel and serial aggregates must be bitwise identical"
         );
         let speedup = ser_secs / par_secs;
         println!(
             "  serial:   {} simulations in {:.2} s — aggregates bitwise identical; \
-             speedup {speedup:.2}x{}",
-            serial.total_jobs,
-            ser_secs,
-            if was_cold { "" } else { " (parallel phase was cache-assisted; rerun --fresh for a cold ratio)" }
+             speedup {speedup:.2}x",
+            serial.total_jobs, ser_secs
         );
         // The >= 4x gate is only meaningful when 8 workers have 8 real
         // hardware threads to run on — oversubscribing a small machine
         // proves nothing either way.
         let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        if !quick && was_cold && parallel.workers() >= 8 {
+        if !quick && parallel.workers() >= 8 {
             if hw >= 8 {
                 assert!(
                     speedup >= 4.0,
-                    "cold parallel sweep on {} workers must be >= 4x serial, got {speedup:.2}x",
+                    "parallel sweep on {} workers must be >= 4x serial, got {speedup:.2}x",
                     parallel.workers()
                 );
             } else {
@@ -195,54 +150,15 @@ fn main() {
         }
     }
 
-    // Phase 3: warm rerun — the cache must absorb every job. If the cache
-    // directory never accepted a single store (read-only checkout, bogus
-    // --cache-dir), the invariant is unverifiable: report that cleanly
-    // instead of tripping the zero-executions assertion below.
-    if cache.enabled() && cache.len() < cold.total_jobs {
-        eprintln!(
-            "cache directory {} holds {} of {} entries after the sweep — not writable? \
-             (use --no-cache to skip the warm-cache check)",
-            cache.dir().expect("enabled cache has a dir").display(),
-            cache.len(),
-            cold.total_jobs
-        );
-        std::process::exit(1);
-    }
-    if cache.enabled() {
-        let (warm, warm_secs) =
-            time_once(|| sweep(&parallel, &cache, &specs, &cfg).unwrap_or_else(|e| die(&e)));
-        assert_eq!(
-            warm.executed, 0,
-            "warm-cache rerun must execute zero simulations"
-        );
-        assert_eq!(
-            cold.fingerprint_text(),
-            warm.fingerprint_text(),
-            "warm-cache aggregates must be bitwise identical to the cold sweep"
-        );
-        println!(
-            "  warm:     {} simulations, 0 executed, in {:.2} s (all {} from cache)",
-            warm.total_jobs, warm_secs, warm.total_jobs
-        );
-    }
-
     if quick {
-        if cache.enabled() {
-            println!(
-                "replicate --quick: serial == parallel bitwise, warm cache executed 0 of {} jobs",
-                cold.total_jobs
-            );
-        } else {
-            println!("replicate --quick: serial == parallel bitwise (cache disabled)");
-        }
+        println!("replicate --quick: done, no JSON written");
         return;
     }
 
-    for t in &cold.tables {
+    for t in &par.tables {
         println!("{}", t.render());
     }
-    let json = to_json(&cold, &cfg, parallel.workers(), par_secs);
+    let json = to_json(&par, &cfg);
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);

@@ -15,9 +15,9 @@
 //! simulations it needs ([`RunSpec`]s, each a pure function of the seed)
 //! and how to assemble their [`RunReport`]s into the published rows. That
 //! factoring is what lets one batch layer serve every consumer: the serial
-//! `table*` wrappers, the work-stealing parallel sweep ([`executor`]), the
-//! multi-seed replication engine ([`replicate`]) and the fingerprint-keyed
-//! run cache ([`cache`]) all iterate the same specs.
+//! `table*` wrappers, the work-stealing parallel sweep ([`executor`]) and
+//! the multi-seed replication engine ([`replicate`]) all iterate the same
+//! specs.
 
 use macaw_core::prelude::*;
 use macaw_mac::BackoffSharing;
@@ -25,7 +25,6 @@ use macaw_mac::BackoffSharing;
 use crate::executor::Executor;
 
 pub mod alloc_stats;
-pub mod cache;
 pub mod executor;
 pub mod faults;
 pub mod replicate;
@@ -144,9 +143,9 @@ pub fn late(ack: bool, ds: bool, rrts: bool) -> MacKind {
 /// One simulation inside a table: a stable label and a scenario builder
 /// that is a pure function of the seed. Everything else (duration,
 /// warm-up, which medium) is supplied by the runner, so the same spec
-/// serves the paper sweep, the replication engine and the run cache.
+/// serves the paper sweep and the replication engine.
 pub struct RunSpec {
-    /// Stable within-table label (cache display, replication output).
+    /// Stable within-table label (benchmark output).
     pub label: String,
     /// Build the scenario for one seed.
     pub build: Box<dyn Fn(u64) -> Scenario + Send + Sync>,

@@ -8,8 +8,7 @@
 //! `(table, run, replication)` triple is an independent simulation — and
 //! runs through the work-stealing [`Executor`] with results scattered
 //! into indexed slots, so the aggregates are *bitwise identical* whether
-//! the sweep ran serially, on eight workers, or resumed from a
-//! half-populated [`RunCache`].
+//! the sweep ran serially or on eight workers.
 //!
 //! Replication seeds come from the simulator's own stream-splitting
 //! ([`replication_seed`]): seed r of a sweep rooted at R is a pure
@@ -21,8 +20,8 @@
 use macaw_core::prelude::*;
 use macaw_sim::SimRng;
 
-use crate::cache::RunCache;
 use crate::executor::Executor;
+use crate::sharding::run_report;
 use crate::{warm_for, RunSpec, TableSpec};
 
 /// The seed driving replication `r` of a sweep rooted at `root`: the
@@ -145,9 +144,6 @@ impl TableReplication {
 #[derive(Debug)]
 pub struct Replication {
     pub tables: Vec<TableReplication>,
-    /// Simulations actually executed (cache misses); `total_jobs` minus
-    /// cache hits. A warm-cache rerun reports 0 here.
-    pub executed: usize,
     /// Total `(table, run, replication)` jobs in the sweep.
     pub total_jobs: usize,
 }
@@ -161,14 +157,12 @@ impl Replication {
     }
 }
 
-/// Run the replication sweep for `specs` on `ex`, with completed runs
-/// memoized through `cache`. Aggregates are a pure fold (in replication
-/// order) over reports that are themselves pure functions of
-/// `(table, run, seed)`, so the result is independent of worker count,
-/// steal timing and cache state.
+/// Run the replication sweep for `specs` on `ex`. Aggregates are a pure
+/// fold (in replication order) over reports that are themselves pure
+/// functions of `(table, run, seed)`, so the result is independent of
+/// worker count and steal timing.
 pub fn sweep(
     ex: &Executor,
-    cache: &RunCache,
     specs: &[&TableSpec],
     cfg: &SweepConfig,
 ) -> Result<Replication, SimError> {
@@ -195,7 +189,7 @@ pub fn sweep(
         let (si, ri, rep) = jobs[j];
         let d = cfg.dur * specs[si].dur_mul;
         let sc = (runs[si][ri].build)(seeds[rep]);
-        cache.run_cached(sc, d, warm_for(d))
+        run_report(sc, d, warm_for(d))
     })?;
 
     // Scatter results back to [table][replication][run].
@@ -203,10 +197,8 @@ pub fn sweep(
         .iter()
         .map(|rs| (0..reps).map(|_| (0..rs.len()).map(|_| None).collect()).collect())
         .collect();
-    let mut executed = 0;
     let total_jobs = jobs.len();
-    for (&(si, ri, rep), (report, ran)) in jobs.iter().zip(results) {
-        executed += ran as usize;
+    for (&(si, ri, rep), report) in jobs.iter().zip(results) {
         reports[si][rep][ri] = Some(report);
     }
 
@@ -239,11 +231,13 @@ pub fn sweep(
         tables.push(agg.expect("R >= 1"));
     }
 
-    Ok(Replication { tables, executed, total_jobs })
+    Ok(Replication { tables, total_jobs })
 }
 
-/// Serialize a completed sweep as the `BENCH_replicate.json` payload.
-pub fn to_json(rep: &Replication, cfg: &SweepConfig, jobs: usize, wall_secs: f64) -> String {
+/// Serialize a completed sweep as the `BENCH_replicate.json` payload:
+/// deterministic aggregates only, so any worker count writes the same
+/// bytes.
+pub fn to_json(rep: &Replication, cfg: &SweepConfig) -> String {
     let mut tables = String::new();
     for t in &rep.tables {
         let cols: Vec<String> = t.columns.iter().map(|c| format!("\"{c}\"")).collect();
@@ -279,21 +273,17 @@ pub fn to_json(rep: &Replication, cfg: &SweepConfig, jobs: usize, wall_secs: f64
     tables.pop();
     tables.pop();
     tables.push('\n');
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     format!(
         "{{\n  \"workload\": \"every paper table replicated over R independent seeds; \
          per-stream throughput as mean ± 95% CI (Student-t)\",\n  \
          \"root_seed\": {},\n  \"replications\": {},\n  \"base_duration_secs\": {},\n  \
-         \"host_cores\": {host_cores},\n  \
-         \"jobs\": {jobs},\n  \"simulations\": {},\n  \"executed\": {},\n  \
-         \"wall_secs\": {wall_secs:.3},\n  \
+         \"simulations\": {},\n  \
          \"seed_derivation\": \"SimRng::new(root_seed).stream_seed(r)\",\n  \
          \"tables\": [\n{tables}  ]\n}}\n",
         cfg.root_seed,
         cfg.replications,
         cfg.dur.as_secs_f64() as u64,
         rep.total_jobs,
-        rep.executed,
     )
 }
 

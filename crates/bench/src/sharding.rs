@@ -8,13 +8,13 @@
 //! island-partitioned engine (`macaw_core::partition`). The sharded
 //! report is bitwise identical to the serial one (asserted in
 //! `tests/sharding.rs`), so turning this on changes wall time only:
-//! table outputs, fault ablations, replication sweeps and the run
-//! cache all stay byte-for-byte the same.
+//! table outputs, fault ablations and replication sweeps all stay
+//! byte-for-byte the same.
 //!
 //! The count is a process-wide setting rather than a threaded argument
 //! because the run sites sit at the bottom of deep generic call stacks
-//! (table specs, fault ladders, the run cache) shared by binaries that
-//! do and don't expose the flag.
+//! (table specs, fault ladders, replication sweeps) shared by binaries
+//! that do and don't expose the flag.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

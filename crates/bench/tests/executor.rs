@@ -1,31 +1,17 @@
-//! Cross-module guarantees of the batch-execution layer: the executor,
-//! the replication sweep, and the run cache composed the way the bench
-//! binaries compose them.
+//! Cross-module guarantees of the batch-execution layer: the executor
+//! and the replication sweep composed the way the bench binaries compose
+//! them.
 //!
 //! Everything here asserts *bitwise* agreement (`Debug` renders f64 via
 //! the shortest round-trippable decimal, so string equality is bit
-//! equality) — the batch layer's contract is that worker count, steal
-//! timing, and cache state are unobservable in the output.
+//! equality) — the batch layer's contract is that worker count and steal
+//! timing are unobservable in the output.
 
-use std::path::PathBuf;
-
-use macaw_bench::cache::RunCache;
 use macaw_bench::executor::Executor;
 use macaw_bench::replicate::{sweep, SweepConfig};
 use macaw_bench::{run_specs_with, table_spec, TableSpec};
 use macaw_core::prelude::SimDuration;
 use macaw_sim::SimRng;
-
-/// A per-test scratch cache directory (fresh on entry, removed on a
-/// later test run; tests share a process, so the tag keys the isolation).
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "macaw-executor-test-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// A small but heterogeneous spec subset: Figure 1 (3 runs), Table 3
 /// (2 runs), Table 9 (2 runs) — enough jobs to exercise stealing without
@@ -60,44 +46,15 @@ fn randomized_seeds_serial_vs_parallel_bitwise_identical() {
 }
 
 #[test]
-fn sweep_is_identical_across_workers_cache_state_and_resume() {
+fn sweep_is_identical_across_workers() {
     let dur = SimDuration::from_secs(2);
     let specs = specs();
     let cfg = SweepConfig { root_seed: 42, replications: 3, dur };
-    let dir = scratch("sweep");
-    let cache = RunCache::new(&dir);
-
-    // Cold parallel sweep: every job is a miss and executes.
-    let cold = sweep(&Executor::new(8), &cache, &specs, &cfg).unwrap();
-    assert_eq!(cold.executed, cold.total_jobs, "cold cache must execute everything");
-    let reference = cold.fingerprint_text();
-
-    // Serial, cache disabled: same bits with no threads and no cache.
-    let serial = sweep(&Executor::serial(), &RunCache::disabled(), &specs, &cfg).unwrap();
-    assert_eq!(serial.fingerprint_text(), reference, "serial/no-cache diverged");
-
-    // Warm rerun: zero simulations, same bits.
-    let warm = sweep(&Executor::new(8), &cache, &specs, &cfg).unwrap();
-    assert_eq!(warm.executed, 0, "warm cache must not execute");
-    assert_eq!(warm.fingerprint_text(), reference, "warm rerun diverged");
-
-    // Interrupted-sweep resume: evict a few entries and rerun — only the
-    // evicted jobs execute, and the aggregates still match bit for bit.
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "run"))
-        .collect();
-    entries.sort();
-    assert_eq!(entries.len(), cold.total_jobs);
-    let evict = 3.min(entries.len());
-    for p in &entries[..evict] {
-        std::fs::remove_file(p).unwrap();
-    }
-    let resumed = sweep(&Executor::new(4), &cache, &specs, &cfg).unwrap();
-    assert_eq!(resumed.executed, evict, "resume must re-execute exactly the evicted jobs");
-    assert_eq!(resumed.fingerprint_text(), reference, "resumed sweep diverged");
-    assert_eq!(cache.len(), cold.total_jobs, "resume must heal the cache");
-
-    let _ = std::fs::remove_dir_all(&dir);
+    let parallel = sweep(&Executor::new(8), &specs, &cfg).unwrap();
+    let serial = sweep(&Executor::serial(), &specs, &cfg).unwrap();
+    assert_eq!(
+        serial.fingerprint_text(),
+        parallel.fingerprint_text(),
+        "serial and 8-worker sweeps diverged"
+    );
 }

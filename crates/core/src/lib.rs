@@ -17,7 +17,7 @@
 //!   position jitter, applied to a scenario before it is built.
 //! * [`mobility`] — campus workloads: a [`topology`] floor whose pads roam
 //!   under seeded random-waypoint motion, emitted as batched move actions
-//!   so mobility composes with fault plans, sharding and the run cache.
+//!   so mobility composes with fault plans and sharding.
 //! * [`partition`] — the conservative coupling partition
 //!   ([`partition::Partition`]) behind [`scenario::Scenario::run_with_shards`]:
 //!   islands of stations that can ever interact, run in parallel with a

@@ -222,47 +222,6 @@ impl Scenario {
         self
     }
 
-    /// A deterministic 128-bit fingerprint of everything that determines
-    /// this scenario's trajectory: the seed, the propagation model, every
-    /// station (position, protocol configuration, error rate, power),
-    /// every stream, every noise emitter, every scheduled action (fault
-    /// plans apply as actions and corruption windows, so they are covered)
-    /// and the crate version.
-    ///
-    /// Two scenarios with equal fingerprints run the same simulation; a
-    /// changed parameter — a different seed, a moved station, one extra
-    /// fault — changes the fingerprint. The run cache keys persisted
-    /// [`RunReport`]s on this (plus the run duration and warm-up), so a
-    /// cache hit is safe to substitute for a simulation.
-    ///
-    /// The hash folds the exact `Debug` rendering of the configuration
-    /// (Rust prints floats as their shortest round-trippable decimals, so
-    /// distinct f64 bit patterns render distinctly) through two
-    /// independently-seeded [`FastHasher`](macaw_sim::FastHasher) streams
-    /// — deterministic across processes and platforms.
-    pub fn fingerprint(&self) -> [u64; 2] {
-        use std::hash::Hasher;
-        let text = format!(
-            "macaw {} seed={} prop={:?} stations={:?} streams={:?} noise={:?} actions={:?} moves={:?} windows={:?}",
-            env!("CARGO_PKG_VERSION"),
-            self.seed,
-            self.prop,
-            self.stations,
-            self.streams,
-            self.noise,
-            self.actions,
-            self.moves,
-            self.windows,
-        );
-        let mut lo = macaw_sim::FastHasher::default();
-        let mut hi = macaw_sim::FastHasher::default();
-        lo.write_u64(0x5eed_0001);
-        hi.write_u64(0x5eed_0002);
-        lo.write(text.as_bytes());
-        hi.write(text.as_bytes());
-        [lo.finish(), hi.finish()]
-    }
-
     /// Add a station; returns its index. Positions are in feet, with
     /// base stations conventionally at z = 6 and pads at z = 0 (the paper's
     /// "pads are 6 feet below the base station height").
@@ -311,6 +270,11 @@ impl Scenario {
 
     /// Add a spatial noise emitter; returns its index.
     pub fn add_noise_source(&mut self, pos: Point, power: f64, active: bool) -> usize {
+        if !(power.is_finite() && power >= 0.0) {
+            self.note_defect(format!(
+                "add_noise_source: {power} must be finite and non-negative"
+            ));
+        }
         self.noise.push((pos, power, active));
         self.noise.len() - 1
     }
@@ -558,6 +522,16 @@ impl Scenario {
         if spec.bytes == 0 {
             return Err(format!("stream '{}': zero-byte packets", spec.name));
         }
+        let rate_ok = match spec.source {
+            SourceKind::Cbr { pps } => pps > 0,
+            SourceKind::Poisson { pps } => pps.is_finite() && pps > 0.0,
+        };
+        if !rate_ok {
+            return Err(format!(
+                "stream '{}': rate must be finite and positive",
+                spec.name
+            ));
+        }
         Ok(())
     }
 
@@ -753,8 +727,8 @@ impl Scenario {
     /// [`Scenario::run_with`] that also returns the medium's side-channel
     /// operation counters ([`MediumStats`]). The report is byte-for-byte
     /// what `run_with` produces — the counters ride outside it so the
-    /// bitwise-identity contracts (reference vs sparse, serial vs sharded,
-    /// cache fingerprints) are untouched by instrumentation.
+    /// bitwise-identity contracts (reference vs sparse, serial vs sharded)
+    /// are untouched by instrumentation.
     pub fn run_with_medium_stats<M: Medium>(
         self,
         duration: SimDuration,
@@ -1032,6 +1006,44 @@ mod tests {
         sc.add_udp_stream("self", a, a, 32, 512);
         let err = sc.build().unwrap_err();
         assert!(err.to_string().contains("stream to self"), "got: {err}");
+    }
+
+    #[test]
+    fn bad_rates_and_noise_powers_are_rejected() {
+        let sources = [
+            SourceKind::Cbr { pps: 0 },
+            SourceKind::Poisson { pps: 0.0 },
+            SourceKind::Poisson { pps: -3.0 },
+            SourceKind::Poisson { pps: f64::NAN },
+            SourceKind::Poisson { pps: f64::INFINITY },
+        ];
+        for source in sources {
+            let (mut sc, a, b) = two_station_scenario();
+            sc.add_stream(StreamSpec {
+                name: "s".into(),
+                src: a,
+                dst: Dest::Station(b),
+                transport: TransportKind::Udp,
+                source,
+                bytes: 512,
+                start: SimTime::ZERO,
+                stop: None,
+            });
+            let err = sc.build().unwrap_err();
+            assert!(
+                err.to_string().contains("rate must be"),
+                "{source:?}: {err}"
+            );
+        }
+        for power in [f64::NAN, -1.0, f64::INFINITY] {
+            let (mut sc, _, _) = two_station_scenario();
+            sc.add_noise_source(Point::new(1.0, 0.0, 0.0), power, true);
+            let err = sc.build().unwrap_err();
+            assert!(
+                err.to_string().contains("add_noise_source"),
+                "{power}: {err}"
+            );
+        }
     }
 
     #[test]

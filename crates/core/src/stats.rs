@@ -137,7 +137,7 @@ impl RunReport {
     }
 }
 
-/// Escape a name for the one-token-per-field cache text format.
+/// Escape a name for the one-token-per-field canonical text.
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -152,40 +152,15 @@ fn esc(s: &str) -> String {
     out
 }
 
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let code: String = chars.by_ref().take(2).collect();
-        match code.as_str() {
-            "25" => out.push('%'),
-            "20" => out.push(' '),
-            "09" => out.push('\t'),
-            "0A" => out.push('\n'),
-            other => {
-                // Unknown escape: keep it verbatim (never produced by esc).
-                out.push('%');
-                out.push_str(other);
-            }
-        }
-    }
-    out
-}
-
-/// The cache text format version. Bump when the format (or the set of
-/// fields in [`RunReport`]) changes, so stale cache entries from an older
-/// build parse-fail into a miss instead of deserializing garbage.
+/// First line of the canonical text, naming its format.
 const CACHE_FORMAT: &str = "macaw-runreport v3";
 
 impl RunReport {
-    /// Serialize for the fingerprint-keyed run cache: a line-oriented text
-    /// form that round-trips *exactly* — every f64 is printed as its
-    /// shortest round-trippable decimal (Rust's `{:?}`), so
-    /// `from_cache_text(to_cache_text(r)) == r` down to the bit patterns.
+    /// The canonical text of a report: one line per record, every field
+    /// present, every f64 printed as its shortest round-trippable decimal
+    /// (Rust's `{:?}`), so changing any field changes the text.
+    /// perfbench's output digests hash these bytes, so any change to the
+    /// format changes its expected digests.
     pub fn to_cache_text(&self) -> String {
         let mut out = String::new();
         out.push_str(CACHE_FORMAT);
@@ -248,99 +223,6 @@ impl RunReport {
         ));
         out.push_str("end\n");
         out
-    }
-
-    /// Parse the [`RunReport::to_cache_text`] form. Any structural problem
-    /// — wrong version header, malformed line, truncated file (an
-    /// interrupted write) — is an `Err`, which the run cache treats as a
-    /// miss and recomputes.
-    pub fn from_cache_text(text: &str) -> Result<RunReport, String> {
-        fn num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String> {
-            tok.ok_or_else(|| format!("missing {what}"))?
-                .parse()
-                .map_err(|_| format!("malformed {what}"))
-        }
-        let mut lines = text.lines();
-        if lines.next() != Some(CACHE_FORMAT) {
-            return Err("bad cache format header".to_string());
-        }
-        let mut report = RunReport {
-            measured_secs: 0.0,
-            streams: Vec::new(),
-            station_names: Vec::new(),
-            mac_stats: Vec::new(),
-            mac_drops: Vec::new(),
-            data_air_secs: 0.0,
-            total_air_secs: 0.0,
-            events_processed: 0,
-            queue_stats: QueueStats::default(),
-        };
-        let mut complete = false;
-        for line in lines {
-            let mut t = line.split(' ');
-            match t.next() {
-                Some("measured_secs") => report.measured_secs = num(t.next(), "measured_secs")?,
-                Some("stream") => report.streams.push(StreamReport {
-                    name: unesc(t.next().ok_or("missing stream name")?),
-                    src: unesc(t.next().ok_or("missing stream src")?),
-                    dst: unesc(t.next().ok_or("missing stream dst")?),
-                    offered: num(t.next(), "offered")?,
-                    delivered: num(t.next(), "delivered")?,
-                    offered_pps: num(t.next(), "offered_pps")?,
-                    throughput_pps: num(t.next(), "throughput_pps")?,
-                    delivered_bytes: num(t.next(), "delivered_bytes")?,
-                }),
-                Some("station") => report
-                    .station_names
-                    .push(unesc(t.next().ok_or("missing station name")?)),
-                Some("macstat") => match t.clone().next() {
-                    Some("-") => report.mac_stats.push(None),
-                    _ => report.mac_stats.push(Some(MacStats {
-                        enqueued: num(t.next(), "enqueued")?,
-                        refused: num(t.next(), "refused")?,
-                        rts_sent: num(t.next(), "rts_sent")?,
-                        cts_sent: num(t.next(), "cts_sent")?,
-                        ds_sent: num(t.next(), "ds_sent")?,
-                        data_sent: num(t.next(), "data_sent")?,
-                        ack_sent: num(t.next(), "ack_sent")?,
-                        rrts_sent: num(t.next(), "rrts_sent")?,
-                        nack_sent: num(t.next(), "nack_sent")?,
-                        rts_timeouts: num(t.next(), "rts_timeouts")?,
-                        ack_timeouts: num(t.next(), "ack_timeouts")?,
-                        data_delivered: num(t.next(), "data_delivered")?,
-                        packets_sent_ok: num(t.next(), "packets_sent_ok")?,
-                        packets_dropped: num(t.next(), "packets_dropped")?,
-                    })),
-                },
-                Some("mac_drops") => {
-                    for tok in t {
-                        report.mac_drops.push(num(Some(tok), "mac_drops entry")?);
-                    }
-                }
-                Some("air") => {
-                    report.data_air_secs = num(t.next(), "data_air_secs")?;
-                    report.total_air_secs = num(t.next(), "total_air_secs")?;
-                }
-                Some("events") => report.events_processed = num(t.next(), "events")?,
-                Some("queue") => {
-                    report.queue_stats = QueueStats {
-                        scheduled: num(t.next(), "queue scheduled")?,
-                        popped: num(t.next(), "queue popped")?,
-                        cancelled: num(t.next(), "queue cancelled")?,
-                        high_water: num(t.next(), "queue high_water")?,
-                    }
-                }
-                Some("end") => {
-                    complete = true;
-                    break;
-                }
-                other => return Err(format!("unknown cache line {other:?}")),
-            }
-        }
-        if !complete {
-            return Err("truncated cache entry".to_string());
-        }
-        Ok(report)
     }
 }
 
@@ -429,53 +311,111 @@ mod tests {
         let _ = r.throughput("nope");
     }
 
-    #[test]
-    fn cache_text_roundtrips_bitwise() {
-        let mut r = report_with(&[("P1-B", 23.82), ("error 0.001", 1.0 / 3.0)]);
-        r.station_names = vec!["B".into(), "P 1".into()];
-        r.mac_stats = vec![
-            None,
-            Some(MacStats {
-                enqueued: 1,
-                refused: 2,
-                rts_sent: 3,
-                cts_sent: 4,
-                ds_sent: 5,
-                data_sent: 6,
-                ack_sent: 7,
-                rrts_sent: 8,
-                nack_sent: 9,
-                rts_timeouts: 10,
-                ack_timeouts: 11,
-                data_delivered: 12,
-                packets_sent_ok: 13,
-                packets_dropped: 14,
-            }),
-        ];
-        r.mac_drops = vec![0, 7];
-        r.events_processed = 123_456;
-        r.queue_stats = QueueStats {
-            scheduled: 9,
-            popped: 8,
-            cancelled: 7,
-            high_water: 6,
+    /// A report with every field set, each to a value no other field
+    /// holds.
+    fn full_report() -> RunReport {
+        let stream = |i: u64| StreamReport {
+            name: format!("P{i}-B"),
+            src: format!("P {i}"),
+            dst: "B".into(),
+            offered: 100 + i,
+            delivered: 90 + i,
+            offered_pps: 32.0 + 1.0 / 3.0,
+            throughput_pps: 23.82 + i as f64,
+            delivered_bytes: 46_080 + i,
         };
-        let back = RunReport::from_cache_text(&r.to_cache_text()).unwrap();
-        assert_eq!(r, back);
-        // Debug equality is f64 bit equality (shortest round-trip floats).
-        assert_eq!(format!("{r:?}"), format!("{back:?}"));
+        let mac = |i: u64| MacStats {
+            enqueued: 1 + i,
+            refused: 2 + i,
+            rts_sent: 3 + i,
+            cts_sent: 4 + i,
+            ds_sent: 5 + i,
+            data_sent: 6 + i,
+            ack_sent: 7 + i,
+            rrts_sent: 8 + i,
+            nack_sent: 9 + i,
+            rts_timeouts: 10 + i,
+            ack_timeouts: 11 + i,
+            data_delivered: 12 + i,
+            packets_sent_ok: 13 + i,
+            packets_dropped: 14 + i,
+        };
+        RunReport {
+            measured_secs: 450.0,
+            streams: vec![stream(1), stream(2)],
+            station_names: vec!["B".into(), "P 1".into()],
+            mac_stats: vec![Some(mac(0)), Some(mac(100))],
+            mac_drops: vec![3, 7],
+            data_air_secs: 0.1 + 0.2,
+            total_air_secs: 1.0 / 7.0,
+            events_processed: 123_456,
+            queue_stats: QueueStats {
+                scheduled: 9,
+                popped: 8,
+                cancelled: 7,
+                high_water: 6,
+            },
+        }
     }
 
     #[test]
-    fn cache_text_rejects_garbage_and_truncation() {
-        assert!(RunReport::from_cache_text("not a report").is_err());
-        let full = report_with(&[("a", 1.5)]).to_cache_text();
-        // Drop the "end" terminator: an interrupted write must not parse.
-        let truncated = full.trim_end_matches("end\n");
-        assert!(RunReport::from_cache_text(truncated).is_err());
-        // A stale-format header must parse-fail into a miss.
-        let wrong_version = full.replacen("v3", "v1", 1);
-        assert!(RunReport::from_cache_text(&wrong_version).is_err());
+    fn cache_text_changes_with_every_field() {
+        fn ulp(x: &mut f64) {
+            *x = f64::from_bits(x.to_bits() + 1);
+        }
+        fn mac(r: &mut RunReport) -> &mut MacStats {
+            r.mac_stats[1]
+                .as_mut()
+                .expect("full_report sets every MAC row")
+        }
+        type Edit = (&'static str, fn(&mut RunReport));
+        let edits: [Edit; 33] = [
+            ("measured_secs", |r| ulp(&mut r.measured_secs)),
+            ("stream name", |r| r.streams[1].name.push('x')),
+            ("stream src", |r| r.streams[1].src.push('x')),
+            ("stream dst", |r| r.streams[1].dst.push('x')),
+            ("offered", |r| r.streams[1].offered += 1),
+            ("delivered", |r| r.streams[1].delivered += 1),
+            ("offered_pps", |r| ulp(&mut r.streams[1].offered_pps)),
+            ("throughput_pps", |r| ulp(&mut r.streams[1].throughput_pps)),
+            ("delivered_bytes", |r| r.streams[1].delivered_bytes += 1),
+            ("station name", |r| r.station_names[1].push('x')),
+            ("MAC row Some to None", |r| r.mac_stats[1] = None),
+            ("enqueued", |r| mac(r).enqueued += 1),
+            ("refused", |r| mac(r).refused += 1),
+            ("rts_sent", |r| mac(r).rts_sent += 1),
+            ("cts_sent", |r| mac(r).cts_sent += 1),
+            ("ds_sent", |r| mac(r).ds_sent += 1),
+            ("data_sent", |r| mac(r).data_sent += 1),
+            ("ack_sent", |r| mac(r).ack_sent += 1),
+            ("rrts_sent", |r| mac(r).rrts_sent += 1),
+            ("nack_sent", |r| mac(r).nack_sent += 1),
+            ("rts_timeouts", |r| mac(r).rts_timeouts += 1),
+            ("ack_timeouts", |r| mac(r).ack_timeouts += 1),
+            ("data_delivered", |r| mac(r).data_delivered += 1),
+            ("packets_sent_ok", |r| mac(r).packets_sent_ok += 1),
+            ("packets_dropped", |r| mac(r).packets_dropped += 1),
+            ("mac_drops", |r| r.mac_drops[1] += 1),
+            ("data_air_secs", |r| ulp(&mut r.data_air_secs)),
+            ("total_air_secs", |r| ulp(&mut r.total_air_secs)),
+            ("events_processed", |r| r.events_processed += 1),
+            ("queue scheduled", |r| r.queue_stats.scheduled += 1),
+            ("queue popped", |r| r.queue_stats.popped += 1),
+            ("queue cancelled", |r| r.queue_stats.cancelled += 1),
+            ("queue high_water", |r| r.queue_stats.high_water += 1),
+        ];
+        let base = full_report();
+        let text = base.to_cache_text();
+        for (what, edit) in edits {
+            let mut changed = base.clone();
+            edit(&mut changed);
+            assert_ne!(changed, base, "{what}: the edit must change the report");
+            assert_ne!(
+                changed.to_cache_text(),
+                text,
+                "{what}: the canonical text must change with the field"
+            );
+        }
     }
 
     #[test]

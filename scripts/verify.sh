@@ -57,7 +57,7 @@ cargo run --release -p macaw-bench --bin scale -- --quick --shards 4
 echo "== per-event-cost guard (flat medium cost across N) =="
 cargo run --release -p macaw-bench --bin scale -- --smoke
 
-echo "== per-move-cost guard (flat mover cost across N + moving-run cache round-trip) =="
+echo "== per-move-cost guard (flat mover cost across N + moving sparse == reference) =="
 cargo run --release -p macaw-bench --bin mobility -- --smoke
 
 echo "== medium churn suite (slab vs reference oracle under end_tx-heavy schedules) =="
@@ -66,7 +66,7 @@ cargo test -q --release -p macaw-phy --test churn_medium
 echo "== sharded-engine invariance suite =="
 cargo test -q --release -p macaw-bench --test sharding
 
-echo "== replicate smoke (executor + run cache + multi-seed sweep) =="
+echo "== replicate smoke (executor + multi-seed sweep) =="
 cargo run --release -p macaw-bench --bin replicate -- --quick
 cargo test -q --release -p macaw-bench --test executor
 
