@@ -12,13 +12,11 @@
 //! * `recovery_ladder` — transport-only vs link NACK vs link ACK recovery
 //!   over a noisy channel (Table-4 setup).
 
-use macaw_bench::stopwatch;
 use macaw_core::prelude::*;
 use macaw_mac::BackoffSharing;
 
 const SECS: u64 = 30;
 const WARM: u64 = 5;
-const ITERS: u32 = 5;
 
 fn run(sc: Scenario) -> RunReport {
     sc.run(
@@ -47,12 +45,6 @@ fn backoff_grid() {
             );
         }
     }
-    let mut cfg = MacConfig::maca();
-    cfg.backoff_algo = BackoffAlgo::Mild;
-    cfg.backoff_sharing = BackoffSharing::Copy;
-    stopwatch::bench("ablation_backoff_mild_copy_fig3", ITERS, || {
-        run(figures::figure3(MacKind::Custom(cfg), 1))
-    });
 }
 
 fn exchange_ladder() {
@@ -85,9 +77,6 @@ fn exchange_ladder() {
             f6.jain_fairness()
         );
     }
-    stopwatch::bench("ablation_exchange_full_fig6", ITERS, || {
-        run(figures::figure6(MacKind::Macaw, 1))
-    });
 }
 
 fn gamma_sensitivity() {
@@ -108,9 +97,6 @@ fn gamma_sensitivity() {
             );
         }
     }
-    stopwatch::bench("ablation_gamma6_fig10", ITERS, || {
-        run(figures::figure10(MacKind::Macaw, 1))
-    });
 }
 
 fn fig8_leakage() {
@@ -126,9 +112,6 @@ fn fig8_leakage() {
             c1, c2
         );
     }
-    stopwatch::bench("ablation_fig8_perdest", ITERS, || {
-        run(figures::figure8(MacKind::Macaw, 1))
-    });
 }
 
 fn recovery_ladder() {
@@ -148,11 +131,6 @@ fn recovery_ladder() {
         let r = run(figures::table4(MacKind::Custom(cfg), 1, 0.05));
         println!("  {name:<15}: {:6.2} pps", r.throughput("P-B"));
     }
-    stopwatch::bench("ablation_recovery_nack", ITERS, || {
-        let mut cfg = MacConfig::maca();
-        cfg.use_nack = true;
-        run(figures::table4(MacKind::Custom(cfg), 1, 0.05))
-    });
 }
 
 fn main() {

@@ -4,9 +4,9 @@
 //! around the system allocator that counts allocations, allocated bytes,
 //! live bytes and the live-bytes high-water mark with relaxed atomics —
 //! cheap enough to leave on for a measurement run, and exact (it wraps
-//! the real allocator rather than sampling). The `perf` binary reports
-//! allocations/run and peak bytes in its probe output, giving hot-path
-//! work an allocation baseline to be judged against.
+//! the real allocator rather than sampling). The `scale` sweep reports
+//! each cell's live-bytes peak from it, and perfbench's header records
+//! whether it is compiled in.
 //!
 //! Without the feature this module compiles to an API that always returns
 //! `None`, so call sites never need a `cfg`.
@@ -22,19 +22,6 @@ pub struct AllocSnapshot {
     pub live_bytes: u64,
     /// High-water mark of live bytes over the process lifetime.
     pub peak_bytes: u64,
-}
-
-impl AllocSnapshot {
-    /// Counter deltas from `earlier` to `self` (peak stays absolute — it
-    /// is a process-lifetime high-water mark, not a rate).
-    pub fn since(&self, earlier: &AllocSnapshot) -> AllocSnapshot {
-        AllocSnapshot {
-            allocations: self.allocations - earlier.allocations,
-            allocated_bytes: self.allocated_bytes - earlier.allocated_bytes,
-            live_bytes: self.live_bytes,
-            peak_bytes: self.peak_bytes,
-        }
-    }
 }
 
 /// Current allocator counters, or `None` when the `alloc-stats` feature

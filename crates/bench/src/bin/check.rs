@@ -1,7 +1,8 @@
-//! Model-checker throughput harness: run the full proof matrix (protocol
-//! × topology family × fault class), report explorer statistics — states
-//! explored per second, dedup ratio, reduction ratio, deepest path — and
-//! write `BENCH_check.json`.
+//! Model-checker proof matrix: run every row (protocol × topology family
+//! × fault class), report explorer statistics — states explored, dedup
+//! ratio, reduction ratio, deepest path — and write `BENCH_check.json`.
+//! Every field is deterministic; the checker's clock is perfbench's
+//! `proof_matrix` workload.
 //!
 //! Usage:
 //!   check [--smoke] [--seed N] [--out PATH] [--jobs N]
@@ -10,18 +11,13 @@
 //! partial order + symmetry quotient + reception-order filtering, split
 //! at a fixed shallow depth and fanned over the deterministic executor —
 //! `--jobs N` / `MACAW_JOBS`, bitwise-identical output for any worker
-//! count) is the primary measurement, and the **oracle** explorer (the
+//! count) is the primary result, and the **oracle** explorer (the
 //! historical unreduced serial search) is the baseline it is validated
 //! against. Feasible oracle rows must agree with the reduced verdict and
 //! yield an exact `reduction_ratio`; rows whose oracle search exceeds
 //! [`ORACLE_STATE_BUDGET`] transitions are recorded as
 //! `oracle_infeasible` with a `reduction_ratio_lower_bound` instead —
 //! those proofs exist *only* because of the reductions.
-//!
-//! Wall times are best-of-K ([`stopwatch::time_once`] in a loop sized by
-//! the first observation), so `states_per_sec` is not timer noise on the
-//! microsecond-scale rows; sub-100 µs cells are additionally flagged
-//! `microsecond_scale`.
 //!
 //! `--smoke` is the CI mode (`scripts/verify.sh`): the two-station proofs
 //! under all three protocols, a fixed reduction-ratio guard on the
@@ -30,18 +26,14 @@
 //! reports diverge.
 
 use macaw_bench::executor::{jobs_from_env, parse_jobs_arg, Executor};
-use macaw_bench::stopwatch::time_once;
 use macaw_check::{
     check, check_fan, CheckConfig, CheckReport, Expectation, FaultClass, SubtreeOut, Topology,
 };
 use macaw_mac::{Addr, Csma, CsmaConfig, MacConfig, WMac};
 
-/// Oracle baseline cutoff, in applied transitions: ≈12–41 s of unreduced
-/// exploration at the matrix's measured oracle throughput (~73–240k
-/// states/s in release builds over the rows with at least 10k oracle
-/// states, `BENCH_check.json`); rows that exceed it are reported as
-/// infeasible for the oracle rather than timed. A state count, not a wall
-/// clock, so the classification is deterministic.
+/// Oracle baseline cutoff, in applied transitions. Rows that exceed it are
+/// reported as infeasible for the oracle rather than run to the end. A
+/// state count, not a wall clock, so the classification is deterministic.
 const ORACLE_STATE_BUDGET: u64 = 3_000_000;
 
 /// Fixed frontier split depth for the reduced runs. Constant across
@@ -229,41 +221,15 @@ fn run_oracle(run: &Run, seed: u64) -> CheckReport {
     }
 }
 
-/// Best-of-K wall time for `f`, K sized from the first observation so
-/// microsecond-scale cells are not reported as timer noise: 25 repeats
-/// under 1 ms, 5 under 100 ms, a single run otherwise.
-fn best_of_k<T>(mut f: impl FnMut() -> T) -> (T, f64, u32) {
-    let (mut out, first) = time_once(&mut f);
-    let iters: u32 = if first < 1e-3 {
-        25
-    } else if first < 100e-3 {
-        5
-    } else {
-        1
-    };
-    let mut best = first;
-    for _ in 1..iters {
-        let (o, secs) = time_once(&mut f);
-        out = o;
-        if secs < best {
-            best = secs;
-        }
-    }
-    (out, best, iters)
-}
-
 struct RowOutcome {
     report: CheckReport,
-    wall_secs: f64,
-    timing_iters: u32,
     oracle_states: Option<u64>,
-    oracle_wall_secs: Option<f64>,
     oracle_infeasible: bool,
     ratio: f64,
 }
 
 fn run_row(run: &Run, seed: u64, executor: &Executor) -> Result<RowOutcome, String> {
-    let (report, wall_secs, timing_iters) = best_of_k(|| run_reduced(run, seed, executor));
+    let report = run_reduced(run, seed, executor);
     if let Some(v) = &report.violation {
         return Err(format!("reduced run found a violation:\n{v}"));
     }
@@ -280,23 +246,17 @@ fn run_row(run: &Run, seed: u64, executor: &Executor) -> Result<RowOutcome, Stri
         return Ok(RowOutcome {
             ratio: ORACLE_STATE_BUDGET as f64 / report.stats.states_explored.max(1) as f64,
             report,
-            wall_secs,
-            timing_iters,
             oracle_states: None,
-            oracle_wall_secs: None,
             oracle_infeasible: true,
         });
     }
 
-    let (oracle, oracle_wall) = time_once(|| run_oracle(run, seed));
+    let oracle = run_oracle(run, seed);
     if oracle.exhausted {
         return Ok(RowOutcome {
             ratio: ORACLE_STATE_BUDGET as f64 / report.stats.states_explored.max(1) as f64,
             report,
-            wall_secs,
-            timing_iters,
             oracle_states: Some(oracle.stats.states_explored),
-            oracle_wall_secs: Some(oracle_wall),
             oracle_infeasible: true,
         });
     }
@@ -315,10 +275,7 @@ fn run_row(run: &Run, seed: u64, executor: &Executor) -> Result<RowOutcome, Stri
     Ok(RowOutcome {
         ratio: oracle.stats.states_explored as f64 / report.stats.states_explored.max(1) as f64,
         report,
-        wall_secs,
-        timing_iters,
         oracle_states: Some(oracle.stats.states_explored),
-        oracle_wall_secs: Some(oracle_wall),
         oracle_infeasible: false,
     })
 }
@@ -446,7 +403,7 @@ fn main() {
     let executor = Executor::new(jobs);
     let runs = matrix();
     let mut rows = String::new();
-    let (mut tot_states, mut tot_secs) = (0u64, 0.0f64);
+    let mut tot_states = 0u64;
     let mut failures = 0u32;
     let mut infeasible_rows = 0u32;
     for run in &runs {
@@ -459,12 +416,10 @@ fn main() {
             }
         };
         let report = &out.report;
-        let states_per_sec = report.stats.states_explored as f64 / out.wall_secs.max(1e-9);
         let visits = report.stats.states_explored + report.stats.dedup_hits;
         let dedup_ratio = report.stats.dedup_hits as f64 / visits.max(1) as f64;
-        let microsecond_scale = out.wall_secs < 100e-6;
         println!(
-            "{:<6} {:<20} {:<22} {:>8} states {:>7} dedup {:>6} slept depth {:>3} {:>10.0} states/s ratio {}{:<9.2} {}",
+            "{:<6} {:<20} {:<22} {:>8} states {:>7} dedup {:>6} slept depth {:>3} ratio {}{:<9.2} {}",
             report.protocol,
             report.topology,
             format!("{:?}", report.fault),
@@ -472,7 +427,6 @@ fn main() {
             report.stats.dedup_hits,
             report.stats.sleep_skips,
             report.stats.max_depth_reached,
-            states_per_sec,
             if out.oracle_infeasible { ">" } else { "" },
             out.ratio,
             if out.oracle_infeasible {
@@ -481,14 +435,8 @@ fn main() {
                 "proved"
             },
         );
-        if !states_per_sec.is_finite() {
-            eprintln!("non-finite throughput for {} on {}", report.protocol, report.topology);
-            failures += 1;
-            continue;
-        }
         infeasible_rows += out.oracle_infeasible as u32;
         tot_states += report.stats.states_explored;
-        tot_secs += out.wall_secs;
         let ratio_field = if out.oracle_infeasible {
             format!(
                 "\"oracle_infeasible\": true, \"reduction_ratio_lower_bound\": {:.2}",
@@ -504,9 +452,7 @@ fn main() {
             "    {{ \"protocol\": \"{}\", \"topology\": \"{}\", \"stations\": {}, \"fault\": \"{:?}\", \
              \"expectation\": \"{:?}\", \"states_explored\": {}, \"dedup_hits\": {}, \
              \"dedup_ratio\": {:.4}, \"sleep_skips\": {}, \"terminals\": {}, \"max_depth\": {}, \
-             \"complete\": {}, \"wall_secs\": {:.9}, \"timing_iters\": {}, \
-             \"microsecond_scale\": {}, \"states_per_sec\": {:.0}, \"jobs\": {}, \
-             \"oracle_states\": {}, \"oracle_wall_secs\": {}, {} }},\n",
+             \"complete\": {}, \"oracle_states\": {}, {} }},\n",
             report.protocol,
             report.topology,
             run.topo.n,
@@ -519,13 +465,7 @@ fn main() {
             report.stats.terminals,
             report.stats.max_depth_reached,
             report.complete,
-            out.wall_secs,
-            out.timing_iters,
-            microsecond_scale,
-            states_per_sec,
-            executor.workers(),
             out.oracle_states.map_or("null".into(), |v| v.to_string()),
-            out.oracle_wall_secs.map_or("null".into(), |v| format!("{v:.6}")),
             ratio_field,
         ));
     }
@@ -534,12 +474,9 @@ fn main() {
         eprintln!("{failures} check(s) failed");
         std::process::exit(1);
     }
-    let total_rate = tot_states as f64 / tot_secs.max(1e-9);
     println!(
-        "total: {} reduced states in {:.1} ms = {:.0} states/s across {} checks ({} oracle-infeasible)",
+        "total: {} reduced states across {} checks ({} oracle-infeasible)",
         tot_states,
-        tot_secs * 1e3,
-        total_rate,
         runs.len(),
         infeasible_rows,
     );
@@ -547,16 +484,12 @@ fn main() {
     rows.pop();
     rows.pop(); // drop trailing ",\n"
     rows.push('\n');
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"workload\": \"exhaustive model check, full proof matrix (seed={seed}, \
            reduced explorer, split_depth={SPLIT_DEPTH}, oracle budget {ORACLE_STATE_BUDGET})\",\n  \
-           \"host_cores\": {host_cores},\n  \
-           \"workers\": {},\n  \
            \"checks\": [\n{rows}  ],\n  \
-           \"total\": {{ \"states_explored\": {tot_states}, \"wall_secs\": {tot_secs:.6}, \
-           \"states_per_sec\": {total_rate:.0}, \"oracle_infeasible_rows\": {infeasible_rows} }}\n}}\n",
-        executor.workers(),
+           \"total\": {{ \"states_explored\": {tot_states}, \
+           \"oracle_infeasible_rows\": {infeasible_rows} }}\n}}\n"
     );
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("cannot write {out_path}: {e}");

@@ -2,19 +2,17 @@
 //! ladder, written to `BENCH_faults.json`.
 //!
 //! Usage:
-//!   faults [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N] [--shards N]
+//!   faults [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N]
 //!
 //! `--quick` runs 30-second simulations instead of 120 s. `--smoke` is
 //! the CI mode (`scripts/verify.sh`): 10-second runs, assertions only,
 //! no JSON — non-zero exit if any class fails, any goodput comes out
 //! non-finite, or the headline corruption claim (MACAW ahead of MACA on
 //! a corrupting channel) does not hold. `--jobs N` (or `MACAW_JOBS`)
-//! pins the executor's worker count; `--shards N` (or `MACAW_SHARDS`)
-//! runs each cell on the island-sharded engine, with identical output.
+//! pins the executor's worker count, with identical output for any count.
 
 use macaw_bench::executor::{parse_jobs_arg, Executor};
 use macaw_bench::faults::all_faults_with;
-use macaw_bench::sharding::{parse_shards_arg, set_shards_override};
 use macaw_core::prelude::SimDuration;
 
 fn die(e: &dyn std::fmt::Display) -> ! {
@@ -24,7 +22,7 @@ fn die(e: &dyn std::fmt::Display) -> ! {
 
 fn usage_and_exit(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!("usage: faults [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N] [--shards N]");
+    eprintln!("usage: faults [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N]");
     std::process::exit(2);
 }
 
@@ -64,14 +62,6 @@ fn main() {
                     Some(Err(e)) => usage_and_exit(&e),
                     None => usage_and_exit("--jobs takes a worker count"),
                 };
-            }
-            "--shards" => {
-                i += 1;
-                match args.get(i).map(|s| parse_shards_arg(s)) {
-                    Some(Ok(n)) => set_shards_override(n),
-                    Some(Err(e)) => usage_and_exit(&e),
-                    None => usage_and_exit("--shards takes a shard count"),
-                }
             }
             other => usage_and_exit(&format!("unknown argument {other}")),
         }

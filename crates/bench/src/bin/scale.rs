@@ -6,14 +6,14 @@
 //! N ∈ {4096, 16384}, written to `BENCH_scale.json`.
 //!
 //! Usage:
-//!   scale [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N] [--shards N]
+//!   scale [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N]
 //!
 //! `--jobs N` (or `MACAW_JOBS`) sizes the executor used by the quick
 //! smoke's sparse/reference pair; the timed sweep always runs serially so
-//! its wall-clock numbers measure one simulation at a time. `--shards N`
-//! (or `MACAW_SHARDS`) sets the shard count of the quick smoke's
-//! serial-vs-sharded assertion and of the large sharded sweep (which
-//! defaults to the host's available parallelism, at least 2, when unset).
+//! its wall-clock numbers measure one simulation at a time. The large
+//! sharded sweep runs at the host's available parallelism (at least 2
+//! shards); the quick smoke's serial-vs-sharded assertion at a fixed
+//! 4 shards.
 //!
 //! Four measurements:
 //!
@@ -54,11 +54,14 @@
 
 use macaw_bench::alloc_stats;
 use macaw_bench::executor::{parse_jobs_arg, Executor};
-use macaw_bench::sharding::{effective_shards, parse_shards_arg, set_shards_override};
 use macaw_bench::stopwatch::time_once;
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
 use macaw_phy::{Medium as PhyMedium, ReferenceMedium, SparseMedium};
+
+/// Shard count of the `--quick` serial-vs-sharded assertion, fixed so the
+/// smoke checks the same split on every host.
+const QUICK_SHARDS: usize = 4;
 
 fn die(e: &dyn std::fmt::Display) -> ! {
     eprintln!("simulation failed: {e}");
@@ -67,7 +70,7 @@ fn die(e: &dyn std::fmt::Display) -> ! {
 
 fn usage_and_exit(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!("usage: scale [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N] [--shards N]");
+    eprintln!("usage: scale [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N]");
     std::process::exit(2);
 }
 
@@ -263,14 +266,6 @@ fn main() {
                     None => usage_and_exit("--jobs takes a worker count"),
                 };
             }
-            "--shards" => {
-                i += 1;
-                match args.get(i).map(|s| parse_shards_arg(s)) {
-                    Some(Ok(n)) => set_shards_override(n),
-                    Some(Err(e)) => usage_and_exit(&e),
-                    None => usage_and_exit("--shards takes a shard count"),
-                }
-            }
             other => usage_and_exit(&format!("unknown argument {other}")),
         }
         i += 1;
@@ -360,20 +355,18 @@ fn main() {
             "non-finite or zero total throughput"
         );
         // Sharded smoke: the same floor through the island-sharded engine
-        // (`--shards 4` in scripts/verify.sh) must retrace the serial run
-        // down to the f64 bit patterns.
-        let shards = effective_shards();
+        // must retrace the serial run down to the f64 bit patterns.
         let (sharded, _) = scale_topology(&floor_config(64), MacKind::Macaw, seed)
-            .run_with_shards(dur, warm, shards)
+            .run_with_shards(dur, warm, QUICK_SHARDS)
             .unwrap_or_else(|e| die(&e));
         assert_eq!(
             format!("{sparse:?}"),
             format!("{sharded:?}"),
-            "{shards}-shard run must be bitwise identical to serial"
+            "{QUICK_SHARDS}-shard run must be bitwise identical to serial"
         );
         println!(
             "scale --quick: N=64 MACAW, {streams} streams, {} events in {:.1} ms, \
-             {:.1} KiB medium, sparse == reference, serial == {shards}-shard",
+             {:.1} KiB medium, sparse == reference, serial == {QUICK_SHARDS}-shard",
             sparse.events_processed,
             secs * 1e3,
             footprint as f64 / 1024.0
@@ -501,10 +494,7 @@ fn main() {
     // into one island — recorded per row as `default_floor_islands` — so
     // it cannot parallelize; the cellular variant is the decomposable
     // regime. Reports are asserted bitwise identical inside each cell.
-    let shards = match effective_shards() {
-        1 => std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
-        n => n,
-    };
+    let shards = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
     println!("\nsharded sweep: cellular floor, MACAW, serial vs {shards} shards");
     let mut shard_cells: Vec<ShardCell> = Vec::new();
     for &n in &[4096usize, 16384] {

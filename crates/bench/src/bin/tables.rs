@@ -1,24 +1,22 @@
 //! Regenerate every table of the MACAW paper and print paper-vs-measured.
 //!
 //! Usage:
-//!   tables [--quick] [--seed N] [--table ID] [--serial] [--jobs N] [--shards N]
+//!   tables [--quick] [--seed N] [--table ID] [--jobs N]
 //!
 //! `--quick` runs 100-second simulations instead of the paper's 500 s
 //! (2000 s for Table 11); `--table 5` runs only Table 5 (and `--table 1`
-//! also matches Figure 1). Tables fan out on the work-stealing executor
-//! by default — each simulation is an independent deterministic job, so
-//! output is identical to `--serial` — and are printed in paper order.
-//! `--jobs N` (or `MACAW_JOBS`) pins the worker count; `--shards N` (or
-//! `MACAW_SHARDS`) additionally parallelizes *within* each simulation
-//! via the island-sharded engine, with bitwise-identical output.
+//! also matches Figure 1). Tables fan out on the work-stealing executor —
+//! each simulation is an independent deterministic job — and are printed
+//! in paper order. `--jobs N` (or `MACAW_JOBS`) pins the worker count;
+//! output is byte-identical for any count, and `--jobs 1` runs every
+//! simulation in turn on the calling thread.
 
 use macaw_bench::executor::{parse_jobs_arg, Executor};
-use macaw_bench::sharding::{parse_shards_arg, set_shards_override};
-use macaw_bench::{default_duration, run_specs_with, TableResult, TableSpec, TABLE_SPECS};
+use macaw_bench::{default_duration, run_specs_with, TableSpec, TABLE_SPECS};
 use macaw_core::prelude::SimDuration;
 
 fn usage_and_exit() -> ! {
-    eprintln!("usage: tables [--quick] [--seed N] [--table <n>] [--serial] [--jobs N] [--shards N]");
+    eprintln!("usage: tables [--quick] [--seed N] [--table <n>] [--jobs N]");
     std::process::exit(2);
 }
 
@@ -27,13 +25,11 @@ fn main() {
     let mut dur = default_duration();
     let mut seed = 1u64;
     let mut only: Option<String> = None;
-    let mut serial = false;
     let mut jobs: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => dur = SimDuration::from_secs(100),
-            "--serial" => serial = true,
             "--seed" => {
                 i += 1;
                 seed = match args.get(i).map(|s| s.parse()) {
@@ -57,20 +53,6 @@ fn main() {
                         usage_and_exit();
                     }
                 };
-            }
-            "--shards" => {
-                i += 1;
-                match args.get(i).map(|s| parse_shards_arg(s)) {
-                    Some(Ok(n)) => set_shards_override(n),
-                    Some(Err(e)) => {
-                        eprintln!("{e}");
-                        usage_and_exit();
-                    }
-                    None => {
-                        eprintln!("--shards takes a shard count");
-                        usage_and_exit();
-                    }
-                }
             }
             "--table" => {
                 i += 1;
@@ -111,16 +93,8 @@ fn main() {
         std::process::exit(2);
     }
 
-    let results = if serial {
-        selected
-            .iter()
-            .map(|s| s.run(seed, dur * s.dur_mul))
-            .collect::<Result<Vec<TableResult>, _>>()
-    } else {
-        let ex = jobs.map(Executor::new).unwrap_or_else(Executor::from_env);
-        run_specs_with(&ex, &selected, seed, dur)
-    };
-    let results = match results {
+    let ex = jobs.map(Executor::new).unwrap_or_else(Executor::from_env);
+    let results = match run_specs_with(&ex, &selected, seed, dur) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("simulation failed: {e}");

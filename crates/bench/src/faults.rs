@@ -231,9 +231,7 @@ fn assemble(spec: &ClassSpec, per_proto: &[RunReport]) -> FaultAblation {
 fn run_ladder(spec: &ClassSpec, seed: u64, dur: SimDuration) -> Result<FaultAblation, SimError> {
     let per_proto: Vec<RunReport> = protocols()
         .iter()
-        .map(|(_, mac)| {
-            crate::sharding::run_report((spec.cell)(*mac, seed, dur)?, dur, warm_for(dur))
-        })
+        .map(|(_, mac)| (spec.cell)(*mac, seed, dur)?.run(dur, warm_for(dur)))
         .collect::<Result<_, _>>()?;
     Ok(assemble(spec, &per_proto))
 }
@@ -397,8 +395,7 @@ pub fn all_faults_with(
     let reports = ex.try_run(specs.len() * ladder.len(), |i| {
         let spec = &specs[i / ladder.len()];
         let (_, mac) = ladder[i % ladder.len()];
-        (spec.cell)(mac, seed, dur)
-            .and_then(|sc| crate::sharding::run_report(sc, dur, warm_for(dur)))
+        (spec.cell)(mac, seed, dur).and_then(|sc| sc.run(dur, warm_for(dur)))
     })?;
     Ok(specs
         .iter()

@@ -1,23 +1,18 @@
 //! Experiment definitions regenerating every table of the MACAW paper.
 //!
-//! Each `table*` function runs the corresponding experiment and returns a
-//! [`TableResult`] holding the paper's published numbers next to the
-//! measured ones, so the `tables` binary, the Criterion benches and
-//! `EXPERIMENTS.md` all share one source of truth.
+//! Every table is *data*: a [`TableSpec`] lists the independent
+//! simulations it needs ([`RunSpec`]s, each a pure function of the seed)
+//! and how to assemble their [`RunReport`]s into a [`TableResult`], which
+//! holds the paper's published numbers next to the measured ones. The
+//! `tables` binary, the work-stealing parallel sweep ([`executor`]), the
+//! multi-seed replication engine ([`replicate`]) and `EXPERIMENTS.md` all
+//! iterate the same [`TABLE_SPECS`], so they share one source of truth.
 //!
 //! Protocol configurations follow the paper's narrative order: each table
 //! was produced with the amendments adopted *up to that section*, so e.g.
 //! Table 5 (§3.3.2) uses MILD + copying + per-stream queues + link ACK but
-//! not RRTS or per-destination backoff. The configuration for each table is
-//! documented on its function.
-//!
-//! Internally every table is *data*: a [`TableSpec`] lists the independent
-//! simulations it needs ([`RunSpec`]s, each a pure function of the seed)
-//! and how to assemble their [`RunReport`]s into the published rows. That
-//! factoring is what lets one batch layer serve every consumer: the serial
-//! `table*` wrappers, the work-stealing parallel sweep ([`executor`]) and
-//! the multi-seed replication engine ([`replicate`]) all iterate the same
-//! specs.
+//! not RRTS or per-destination backoff. Each table's section comment below
+//! says what it runs.
 
 use macaw_core::prelude::*;
 use macaw_mac::BackoffSharing;
@@ -28,7 +23,6 @@ pub mod alloc_stats;
 pub mod executor;
 pub mod faults;
 pub mod replicate;
-pub mod sharding;
 pub mod stopwatch;
 
 /// Default experiment duration (the paper runs 500–2000 s).
@@ -41,9 +35,8 @@ pub fn warmup() -> SimDuration {
     SimDuration::from_secs(50)
 }
 
-/// Warm-up for a run of length `dur`: the paper's 50 s, shrunk
-/// proportionally when a caller (e.g. a Criterion bench) runs short
-/// simulations.
+/// Warm-up for a run of length `dur`: the paper's 50 s, shrunk to a
+/// fifth of the run when the run is short (e.g. `tables --quick`).
 pub fn warm_for(dur: SimDuration) -> SimDuration {
     warmup().min(dur / 5)
 }
@@ -173,26 +166,20 @@ pub struct TableSpec {
 }
 
 impl TableSpec {
-    /// Run this table serially at exactly `dur` (no `dur_mul` scaling —
-    /// the public `table*` wrappers let callers control duration; registry
-    /// sweeps scale first).
+    /// Run this table's simulations one after another at exactly `dur`
+    /// (no `dur_mul` scaling: [`all_tables`] scales first).
     pub fn run(&self, seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
         let reports = (self.runs)()
             .iter()
-            .map(|r| crate::sharding::run_report((r.build)(seed), dur, warm_for(dur)))
+            .map(|r| (r.build)(seed).run(dur, warm_for(dur)))
             .collect::<Result<Vec<_>, _>>()?;
         Ok((self.assemble)(&reports))
     }
 }
 
-fn spec(id: &str) -> &'static TableSpec {
-    TABLE_SPECS
-        .iter()
-        .find(|s| s.id == id)
-        .expect("table id registered in TABLE_SPECS")
-}
-
 // ---- Figure 1 (§2.2) ------------------------------------------------------
+// Hidden-terminal behaviour of CSMA vs MACA vs MACAW. Not a numbered table
+// in the paper; the qualitative claim is §2.2's.
 
 fn figure1_runs() -> Vec<RunSpec> {
     vec![
@@ -235,6 +222,8 @@ fn figure1_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 1 (§3.1, Figure 2) ---------------------------------------------
+// BEB vs BEB + copying on two saturating pads. BEB alone lets one pad
+// capture the channel completely.
 
 fn table1_runs() -> Vec<RunSpec> {
     vec![
@@ -270,6 +259,7 @@ fn table1_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 2 (§3.1, Figure 3) ---------------------------------------------
+// BEB + copy vs MILD + copy, six saturating pads.
 
 fn table2_runs() -> Vec<RunSpec> {
     vec![
@@ -305,6 +295,7 @@ fn table2_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 3 (§3.2, Figure 4) ---------------------------------------------
+// Single station FIFO vs per-stream queues.
 
 fn table3_runs() -> Vec<RunSpec> {
     vec![
@@ -343,6 +334,8 @@ fn table3_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 4 (§3.3.1) -----------------------------------------------------
+// A TCP stream under intermittent noise, with and without the link-layer
+// ACK.
 
 const TABLE4_RATES: [f64; 4] = [0.0, 0.001, 0.01, 0.1];
 
@@ -384,6 +377,7 @@ fn table4_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 5 (§3.3.2, Figure 5) -------------------------------------------
+// Exposed-terminal senders, with and without the DS packet.
 
 fn table5_runs() -> Vec<RunSpec> {
     vec![
@@ -415,6 +409,7 @@ fn table5_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 6 (§3.3.3, Figure 6) -------------------------------------------
+// Blocked receivers, with and without RRTS.
 
 fn table6_runs() -> Vec<RunSpec> {
     vec![
@@ -446,6 +441,7 @@ fn table6_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 7 (§3.3.3, Figure 7) -------------------------------------------
+// The configuration MACAW leaves unsolved.
 
 fn table7_runs() -> Vec<RunSpec> {
     vec![RunSpec::new("macaw", |seed| figures::figure7(MacKind::Macaw, seed))]
@@ -465,6 +461,8 @@ fn table7_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 8 (§3.4, Figure 9) ---------------------------------------------
+// A pad is switched off at t = 100 s; single shared backoff vs
+// per-destination backoff.
 
 fn table8_runs() -> Vec<RunSpec> {
     let off_at = SimTime::ZERO + SimDuration::from_secs(100);
@@ -507,6 +505,7 @@ fn table8_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 9 (§3.5) -------------------------------------------------------
+// Protocol overhead on a clean single stream.
 
 fn table9_cell(mac: MacKind, seed: u64) -> Scenario {
     let mut sc = Scenario::new(seed);
@@ -538,6 +537,7 @@ fn table9_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 10 (§3.5, Figure 10) -------------------------------------------
+// The three-cell scenario, MACA vs MACAW.
 
 fn table10_runs() -> Vec<RunSpec> {
     vec![
@@ -580,6 +580,8 @@ fn table10_assemble(r: &[RunReport]) -> TableResult {
 }
 
 // ---- Table 11 (§3.5, Figure 11) -------------------------------------------
+// The four-cell PARC office slice with noise and mobility, MACA vs MACAW
+// over TCP (the paper runs it 2000 s: `dur_mul` 4).
 
 fn table11_runs() -> Vec<RunSpec> {
     let arrive = SimTime::ZERO + SimDuration::from_secs(300);
@@ -640,100 +642,6 @@ pub fn table_spec(id: &str) -> Option<&'static TableSpec> {
     TABLE_SPECS.iter().find(|s| s.id == id)
 }
 
-/// Table 1 (§3.1, Figure 2): BEB vs BEB + copying on two saturating pads.
-/// BEB alone lets one pad capture the channel completely.
-pub fn table1(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 1").run(seed, dur)
-}
-
-/// Table 2 (§3.1, Figure 3): BEB + copy vs MILD + copy, six saturating pads.
-pub fn table2(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 2").run(seed, dur)
-}
-
-/// Table 3 (§3.2, Figure 4): single station FIFO vs per-stream queues.
-pub fn table3(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 3").run(seed, dur)
-}
-
-/// Table 4 (§3.3.1): a TCP stream under intermittent noise, with and
-/// without the link-layer ACK.
-pub fn table4(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 4").run(seed, dur)
-}
-
-/// Table 5 (§3.3.2, Figure 5): exposed-terminal senders, with and without
-/// the DS packet.
-pub fn table5(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 5").run(seed, dur)
-}
-
-/// Table 6 (§3.3.3, Figure 6): blocked receivers, with and without RRTS.
-pub fn table6(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 6").run(seed, dur)
-}
-
-/// Table 7 (§3.3.3, Figure 7): the configuration MACAW leaves unsolved.
-pub fn table7(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 7").run(seed, dur)
-}
-
-/// Table 8 (§3.4, Figure 9): a pad is switched off at t = 100 s; single
-/// shared backoff vs per-destination backoff.
-pub fn table8(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 8").run(seed, dur)
-}
-
-/// Table 9 (§3.5): protocol overhead on a clean single stream.
-pub fn table9(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 9").run(seed, dur)
-}
-
-/// Table 10 (§3.5, Figure 10): the three-cell scenario, MACA vs MACAW.
-pub fn table10(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 10").run(seed, dur)
-}
-
-/// Table 11 (§3.5, Figure 11): the four-cell PARC office slice with noise
-/// and mobility, MACA vs MACAW over TCP (the paper runs 2000 s).
-pub fn table11(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Table 11").run(seed, dur)
-}
-
-/// Figure 1 (§2.2): hidden-terminal behaviour of CSMA vs MACA vs MACAW.
-/// Not a numbered table in the paper; the qualitative claim is §2.2's.
-pub fn figure1(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    spec("Figure 1").run(seed, dur)
-}
-
-/// Table 11 at its paper-relative duration (the paper runs it 2000 s
-/// against 500 s for the rest), so the registry entries share a signature.
-fn table11_x4(seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-    table11(seed, dur * 4)
-}
-
-/// A table-reproducing experiment: `(seed, duration) -> TableResult`.
-pub type TableFn = fn(u64, SimDuration) -> Result<TableResult, SimError>;
-
-/// Every reproduced table as a plain function, in paper order: `(id,
-/// constructor)`. The id matches [`TableResult::id`], so callers can
-/// select tables *before* running them. [`TABLE_SPECS`] is the data-level
-/// view of the same registry.
-pub const TABLES: &[(&str, TableFn)] = &[
-    ("Figure 1", figure1),
-    ("Table 1", table1),
-    ("Table 2", table2),
-    ("Table 3", table3),
-    ("Table 4", table4),
-    ("Table 5", table5),
-    ("Table 6", table6),
-    ("Table 7", table7),
-    ("Table 8", table8),
-    ("Table 9", table9),
-    ("Table 10", table10),
-    ("Table 11", table11_x4),
-];
-
 /// Every table in paper order (Table 11 runs 4x longer, like the paper's
 /// 2000 s vs 500 s runs). Fails on the first table whose simulation
 /// reports a [`SimError`].
@@ -775,7 +683,7 @@ pub fn run_specs_with(
     let reports = ex.try_run(jobs.len(), |j| {
         let (si, ri) = jobs[j];
         let d = dur * specs[si].dur_mul;
-        crate::sharding::run_report((runs[si][ri].build)(seed), d, warm_for(d))
+        (runs[si][ri].build)(seed).run(d, warm_for(d))
     })?;
     let mut out = Vec::with_capacity(specs.len());
     let mut offset = 0;
@@ -791,25 +699,21 @@ pub fn run_specs_with(
 mod tests {
     use super::*;
 
-    /// The data-level registry and the function-level one agree on ids and
-    /// order, and every spec's serial runner matches its wrapper exactly.
+    /// A spec's serial runner and the executor's per-simulation fan-out
+    /// assemble the same table, byte for byte.
     #[test]
-    fn specs_and_table_fns_agree() {
-        assert_eq!(TABLE_SPECS.len(), TABLES.len());
-        for (spec, (id, _)) in TABLE_SPECS.iter().zip(TABLES) {
-            assert_eq!(spec.id, *id);
-        }
+    fn spec_runner_matches_executor() {
         let dur = SimDuration::from_secs(10);
-        let via_spec = spec("Table 9").run(3, dur).unwrap();
-        let via_fn = table9(3, dur).unwrap();
-        assert_eq!(format!("{via_spec:?}"), format!("{via_fn:?}"));
+        let spec = table_spec("Table 9").unwrap();
+        let via_spec = spec.run(3, dur).unwrap();
+        let via_ex = run_specs_with(&Executor::new(2), &[spec], 3, dur).unwrap();
+        assert_eq!(format!("{via_spec:?}"), format!("{:?}", via_ex[0]));
     }
 
-    /// `TABLES`' Table 11 entry applies the paper's 4x duration, and the
-    /// spec records the same multiplier.
+    /// Table 11 runs at the paper's 4x duration; every other table at 1x.
     #[test]
     fn table11_duration_multiplier_is_four() {
-        assert_eq!(spec("Table 11").dur_mul, 4);
+        assert_eq!(table_spec("Table 11").unwrap().dur_mul, 4);
         for s in TABLE_SPECS {
             if s.id != "Table 11" {
                 assert_eq!(s.dur_mul, 1, "{}", s.id);

@@ -21,7 +21,6 @@ use macaw_core::prelude::*;
 use macaw_sim::SimRng;
 
 use crate::executor::Executor;
-use crate::sharding::run_report;
 use crate::{warm_for, RunSpec, TableSpec};
 
 /// The seed driving replication `r` of a sweep rooted at `root`: the
@@ -188,8 +187,7 @@ pub fn sweep(
     let results = ex.try_run(jobs.len(), |j| {
         let (si, ri, rep) = jobs[j];
         let d = cfg.dur * specs[si].dur_mul;
-        let sc = (runs[si][ri].build)(seeds[rep]);
-        run_report(sc, d, warm_for(d))
+        (runs[si][ri].build)(seeds[rep]).run(d, warm_for(d))
     })?;
 
     // Scatter results back to [table][replication][run].

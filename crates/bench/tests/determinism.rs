@@ -138,9 +138,9 @@ fn scale_topology_sparse_matches_reference_bitwise() {
 /// paper tables, run under the ladder queue and under the plain 4-ary
 /// heap oracle, produces bitwise-identical `RunReport`s — every f64 bit
 /// pattern, every counter, the FEL operation stats included. Each table's
-/// published numbers are pure functions of these reports (the `table*`
-/// functions only read stream throughputs out of them), so report
-/// equality here is full-table equality under both queues.
+/// published numbers are pure functions of these reports (each
+/// `TableSpec`'s `assemble` only reads stream throughputs out of them), so
+/// report equality here is full-table equality under both queues.
 #[test]
 fn ladder_and_heap_queue_reports_are_bitwise_identical() {
     use macaw_core::Scenario;

@@ -4,7 +4,7 @@
 //! panicking: a misconfigured scenario (dangling station index, TCP
 //! multicast, inverted warm-up), an invalid fault schedule, or a run that
 //! trips the watchdog all surface as values the caller — in particular the
-//! `tables` / `perf` / `faults` binaries — can print and exit on. Internal
+//! `tables` / `faults` / `replicate` binaries — can print and exit on. Internal
 //! invariants (states unreachable from any public API) remain
 //! `debug_assert!`s; `SimError` is strictly for conditions a user can
 //! cause from outside.

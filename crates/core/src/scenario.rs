@@ -91,6 +91,16 @@ pub enum SourceKind {
     Poisson { pps: f64 },
 }
 
+impl SourceKind {
+    /// The smallest Poisson rate a scenario accepts, in packets per
+    /// second. A gap is drawn as `-mean * ln(u)` with `u` on a 2^-53 grid,
+    /// so one gap is at most about 36.7 mean gaps: at this rate about
+    /// 3.7e16 ns (1.2 years), far inside `SimTime`'s ~584 years. Much
+    /// smaller rates make the mean gap infinite, or one gap overflow
+    /// `u64` nanoseconds, and the run would abort.
+    pub const MIN_POISSON_PPS: f64 = 1e-6;
+}
+
 /// Where a stream's packets go.
 #[derive(Clone, Debug)]
 pub enum Dest {
@@ -333,10 +343,12 @@ impl Scenario {
 
     /// Schedule a station move (mobility) at time `at`.
     pub fn move_station_at(&mut self, at: SimTime, station: usize, to: Point) -> &mut Self {
-        self.actions.push(ScheduledAction {
-            at,
-            kind: ActionKind::Move { station, to },
-        });
+        if self.check_station(station, "move_station_at") {
+            self.actions.push(ScheduledAction {
+                at,
+                kind: ActionKind::Move { station, to },
+            });
+        }
         self
     }
 
@@ -370,19 +382,23 @@ impl Scenario {
 
     /// Schedule a station power-off at time `at` (the Figure-9 experiment).
     pub fn power_off_at(&mut self, at: SimTime, station: usize) -> &mut Self {
-        self.actions.push(ScheduledAction {
-            at,
-            kind: ActionKind::PowerOff { station },
-        });
+        if self.check_station(station, "power_off_at") {
+            self.actions.push(ScheduledAction {
+                at,
+                kind: ActionKind::PowerOff { station },
+            });
+        }
         self
     }
 
     /// Schedule a station power-on at time `at`.
     pub fn power_on_at(&mut self, at: SimTime, station: usize) -> &mut Self {
-        self.actions.push(ScheduledAction {
-            at,
-            kind: ActionKind::PowerOn { station },
-        });
+        if self.check_station(station, "power_on_at") {
+            self.actions.push(ScheduledAction {
+                at,
+                kind: ActionKind::PowerOn { station },
+            });
+        }
         self
     }
 
@@ -532,6 +548,15 @@ impl Scenario {
                 spec.name
             ));
         }
+        if let SourceKind::Poisson { pps } = spec.source {
+            if pps < SourceKind::MIN_POISSON_PPS {
+                return Err(format!(
+                    "stream '{}': rate must be at least {:e} pps for a Poisson source",
+                    spec.name,
+                    SourceKind::MIN_POISSON_PPS
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -551,8 +576,8 @@ impl Scenario {
     /// Assemble the network on any [`Medium`] and any future-event-list
     /// family ([`macaw_sim::FelChoice`]). The FEL is unobservable by
     /// construction — every backend pops the same total order — so this
-    /// exists for the queue-equivalence tests and engine benchmarks that
-    /// prove it.
+    /// exists for the queue-equivalence tests that prove it and for
+    /// perfbench's timed event list.
     pub fn build_with_queue<M: Medium, Q: macaw_sim::FelChoice>(
         mut self,
     ) -> Result<Network<M, Q>, SimError> {
@@ -724,36 +749,14 @@ impl Scenario {
         Ok(net.report(end))
     }
 
-    /// [`Scenario::run_with`] that also returns the medium's side-channel
-    /// operation counters ([`MediumStats`]). The report is byte-for-byte
-    /// what `run_with` produces — the counters ride outside it so the
-    /// bitwise-identity contracts (reference vs sparse, serial vs sharded)
-    /// are untouched by instrumentation.
-    pub fn run_with_medium_stats<M: Medium>(
-        self,
-        duration: SimDuration,
-        warmup: SimDuration,
-    ) -> Result<(RunReport, MediumStats), SimError> {
-        if warmup >= duration {
-            return Err(SimError::InvalidScenario(
-                "warmup must end before the run does".to_string(),
-            ));
-        }
-        let mut net = self.build_with_queue::<M, macaw_sim::LadderFel>()?;
-        let warmup_end = SimTime::ZERO + warmup;
-        let end = SimTime::ZERO + duration;
-        net.set_warmup(warmup_end);
-        net.run_until(end)?;
-        let medium = net.medium().medium_stats();
-        Ok((net.report(end), medium))
-    }
-
     /// Run the scenario **sharded**: decompose it into coupling islands
     /// (see [`crate::partition`]), assign whole islands to `shards` OS
     /// threads, run each shard as an independent event loop, and merge the
     /// per-shard results into a [`RunReport`] that is bitwise identical to
     /// [`Scenario::run`]'s — the serial engine stays the oracle, exactly as
-    /// for the reference-vs-sparse media and heap-vs-ladder FELs.
+    /// for the reference-vs-sparse media and heap-vs-ladder FELs. Every
+    /// shard builds on the default medium and event list, as
+    /// [`Scenario::run`] does.
     ///
     /// The model's zero propagation delay leaves zero conservative
     /// lookahead *within* an island and unbounded lookahead *between*
@@ -765,19 +768,6 @@ impl Scenario {
     /// serially whatever the shard count, which the returned
     /// [`ShardRunStats`] makes visible.
     pub fn run_with_shards(
-        self,
-        duration: SimDuration,
-        warmup: SimDuration,
-        shards: usize,
-    ) -> Result<(RunReport, ShardRunStats), SimError> {
-        self.run_with_shards_queue::<macaw_phy::SparseMedium, macaw_sim::LadderFel>(
-            duration, warmup, shards,
-        )
-    }
-
-    /// [`Scenario::run_with_shards`] on an explicit medium and
-    /// future-event-list family.
-    pub fn run_with_shards_queue<M: Medium, Q: macaw_sim::FelChoice>(
         mut self,
         duration: SimDuration,
         warmup: SimDuration,
@@ -866,7 +856,7 @@ impl Scenario {
                 .map(|sc| {
                     scope.spawn(move || -> ShardOutcome {
                         let t0 = std::time::Instant::now();
-                        let mut net = sc.build_with_queue::<M, Q>()?;
+                        let mut net = sc.build()?;
                         net.set_warmup(warmup_end);
                         net.run_until(end)?;
                         let report = net.report(end);
@@ -1016,6 +1006,13 @@ mod tests {
             SourceKind::Poisson { pps: -3.0 },
             SourceKind::Poisson { pps: f64::NAN },
             SourceKind::Poisson { pps: f64::INFINITY },
+            SourceKind::Poisson { pps: 1e-300 },
+            SourceKind::Poisson {
+                pps: f64::MIN_POSITIVE,
+            },
+            SourceKind::Poisson {
+                pps: SourceKind::MIN_POISSON_PPS.next_down(),
+            },
         ];
         for source in sources {
             let (mut sc, a, b) = two_station_scenario();
@@ -1035,6 +1032,22 @@ mod tests {
                 "{source:?}: {err}"
             );
         }
+        // Exactly at the floor builds and runs.
+        let (mut sc, a, b) = two_station_scenario();
+        sc.add_stream(StreamSpec {
+            name: "s".into(),
+            src: a,
+            dst: Dest::Station(b),
+            transport: TransportKind::Udp,
+            source: SourceKind::Poisson {
+                pps: SourceKind::MIN_POISSON_PPS,
+            },
+            bytes: 512,
+            start: SimTime::ZERO,
+            stop: None,
+        });
+        sc.run(SimDuration::from_secs(1), SimDuration::ZERO)
+            .unwrap();
         for power in [f64::NAN, -1.0, f64::INFINITY] {
             let (mut sc, _, _) = two_station_scenario();
             sc.add_noise_source(Point::new(1.0, 0.0, 0.0), power, true);
@@ -1097,6 +1110,21 @@ mod tests {
         sc.crash_at(SimTime::ZERO, 99, true);
         let err = sc.build().unwrap_err();
         assert!(err.to_string().contains("crash_at"), "got: {err}");
+
+        let (mut sc, ..) = two_station_scenario();
+        sc.move_station_at(SimTime::ZERO, 9, Point::new(1.0, 0.0, 0.0));
+        let err = sc.build().unwrap_err();
+        assert!(err.to_string().contains("move_station_at"), "got: {err}");
+
+        let (mut sc, ..) = two_station_scenario();
+        sc.power_off_at(SimTime::ZERO, 9);
+        let err = sc.build().unwrap_err();
+        assert!(err.to_string().contains("power_off_at"), "got: {err}");
+
+        let (mut sc, ..) = two_station_scenario();
+        sc.power_on_at(SimTime::ZERO, 9);
+        let err = sc.build().unwrap_err();
+        assert!(err.to_string().contains("power_on_at"), "got: {err}");
 
         let (mut sc, a2, _) = two_station_scenario();
         sc.set_link_gain_at(SimTime::ZERO, a2, a2, 0.5);

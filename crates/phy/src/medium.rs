@@ -63,9 +63,9 @@ impl TxId {
 
 /// Medium-layer operation counters, reported on the side (never inside a
 /// `RunReport`, whose bitwise identity across engines and builds is load
-/// bearing — see `macaw-core`'s report plumbing). The perf and scale
-/// binaries print these to attribute wall time to the medium vs the FEL vs
-/// the MAC machines.
+/// bearing — see `macaw-core`'s report plumbing). The `scale` and
+/// `mobility` binaries print these to attribute wall time to the medium vs
+/// the FEL vs the MAC machines.
 ///
 /// Implementations that don't track counters return the all-zero default.
 /// [`SparseMedium`](crate::sparse::SparseMedium) tracks all fields; the

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline release build, lint wall, full test suite,
-# and smoke runs of the perf and fault-injection harnesses. Exits non-zero
-# if anything fails to build, clippy reports any warning, any test fails,
-# or either harness panics / produces non-finite throughput / loses the
-# corruption-ablation claim (MACAW ahead of MACA on a corrupting channel).
+# the benchmark's output check, and smoke runs of the bench binaries.
+# Exits non-zero if anything fails to build, clippy reports any warning,
+# any test fails, or a smoke run panics / produces non-finite throughput /
+# loses the corruption-ablation claim (MACAW ahead of MACA on a
+# corrupting channel).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,11 +17,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== perf smoke =="
-cargo run --release -p macaw-bench --bin perf -- --quick
-
-echo "== engine smoke (FEL microbench + queue-backend equivalence) =="
-cargo run --release -p macaw-bench --bin engine -- --quick
+echo "== queue backends agree (ladder vs heap: random traces + every table family) =="
 cargo test -q --release -p macaw-sim --test proptest_queue
 cargo test -q --release -p macaw-bench --test determinism ladder_and_heap
 
@@ -52,7 +49,7 @@ echo "== faults smoke =="
 cargo run --release -p macaw-bench --bin faults -- --smoke
 
 echo "== scale smoke (serial vs 4-shard bitwise identity) =="
-cargo run --release -p macaw-bench --bin scale -- --quick --shards 4
+cargo run --release -p macaw-bench --bin scale -- --quick
 
 echo "== per-event-cost guard (flat medium cost across N) =="
 cargo run --release -p macaw-bench --bin scale -- --smoke
