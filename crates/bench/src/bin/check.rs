@@ -10,8 +10,8 @@
 //! Every matrix row runs twice: the **reduced** explorer (sleep-set
 //! partial order + symmetry quotient + reception-order filtering, split
 //! at a fixed shallow depth and fanned over the deterministic executor —
-//! `--jobs N` / `MACAW_JOBS`, bitwise-identical output for any worker
-//! count) is the primary result, and the **oracle** explorer (the
+//! `--jobs N` (default one per core), bitwise-identical output for any
+//! worker count) is the primary result, and the **oracle** explorer (the
 //! historical unreduced serial search) is the baseline it is validated
 //! against. Feasible oracle rows must agree with the reduced verdict and
 //! yield an exact `reduction_ratio`; rows whose oracle search exceeds
@@ -25,7 +25,7 @@
 //! non-zero exit if any proof fails, any ratio regresses, or the parallel
 //! reports diverge.
 
-use macaw_bench::executor::{jobs_from_env, parse_jobs_arg, Executor};
+use macaw_bench::executor::{parse_jobs_arg, Executor};
 use macaw_check::{
     check, check_fan, CheckConfig, CheckReport, Expectation, FaultClass, SubtreeOut, Topology,
 };
@@ -376,7 +376,7 @@ fn main() {
     let mut smoke_mode = false;
     let mut seed = 1u64;
     let mut out_path = "BENCH_check.json".to_string();
-    let mut jobs = jobs_from_env();
+    let mut jobs: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -390,7 +390,7 @@ fn main() {
             }
             "--jobs" => {
                 let v = args.next().unwrap_or_else(|| usage_and_exit("--jobs needs a value"));
-                jobs = parse_jobs_arg(&v).unwrap_or_else(|e| usage_and_exit(&e));
+                jobs = Some(parse_jobs_arg(&v).unwrap_or_else(|e| usage_and_exit(&e)));
             }
             other => usage_and_exit(&format!("unknown argument: {other}")),
         }
@@ -400,7 +400,7 @@ fn main() {
         std::process::exit(smoke(seed));
     }
 
-    let executor = Executor::new(jobs);
+    let executor = jobs.map(Executor::new).unwrap_or_else(Executor::per_core);
     let runs = matrix();
     let mut rows = String::new();
     let mut tot_states = 0u64;

@@ -100,7 +100,7 @@ fn main() {
         dur: SimDuration::from_secs(dur_secs),
     };
     let specs: Vec<&TableSpec> = TABLE_SPECS.iter().collect();
-    let parallel = jobs.map(Executor::new).unwrap_or_else(Executor::from_env);
+    let parallel = jobs.map(Executor::new).unwrap_or_else(Executor::per_core);
 
     println!(
         "replicate: {} tables x R={reps} seeds (root {root_seed}), base {dur_secs} s, {} workers",

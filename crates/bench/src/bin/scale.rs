@@ -8,12 +8,12 @@
 //! Usage:
 //!   scale [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N]
 //!
-//! `--jobs N` (or `MACAW_JOBS`) sizes the executor used by the quick
-//! smoke's sparse/reference pair; the timed sweep always runs serially so
-//! its wall-clock numbers measure one simulation at a time. The large
-//! sharded sweep runs at the host's available parallelism (at least 2
-//! shards); the quick smoke's serial-vs-sharded assertion at a fixed
-//! 4 shards.
+//! `--jobs N` (default: one worker per core) sizes the executor used by
+//! the quick smoke's sparse/reference pair; the timed sweep always runs
+//! serially so its wall-clock numbers measure one simulation at a time.
+//! The large sharded sweep runs at the host's available parallelism (at
+//! least 2 shards); the quick smoke's serial-vs-sharded assertion at a
+//! fixed 4 shards.
 //!
 //! Four measurements:
 //!
@@ -336,7 +336,7 @@ fn main() {
         // total must be finite.
         let dur = SimDuration::from_secs(2);
         let warm = SimDuration::from_millis(500);
-        let ex = jobs.map(Executor::new).unwrap_or_else(Executor::from_env);
+        let ex = jobs.map(Executor::new).unwrap_or_else(Executor::per_core);
         let mut pair = ex.run(2, |i| {
             if i == 0 {
                 run_cell::<SparseMedium>(64, MacKind::Macaw, seed, dur, warm)

@@ -7,9 +7,9 @@
 //! (2000 s for Table 11); `--table 5` runs only Table 5 (and `--table 1`
 //! also matches Figure 1). Tables fan out on the work-stealing executor —
 //! each simulation is an independent deterministic job — and are printed
-//! in paper order. `--jobs N` (or `MACAW_JOBS`) pins the worker count;
-//! output is byte-identical for any count, and `--jobs 1` runs every
-//! simulation in turn on the calling thread.
+//! in paper order, on one worker per core unless `--jobs N` pins the
+//! count; output is byte-identical for any count, and `--jobs 1` runs
+//! every simulation in turn on the calling thread.
 
 use macaw_bench::executor::{parse_jobs_arg, Executor};
 use macaw_bench::{default_duration, run_specs_with, TableSpec, TABLE_SPECS};
@@ -93,7 +93,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let ex = jobs.map(Executor::new).unwrap_or_else(Executor::from_env);
+    let ex = jobs.map(Executor::new).unwrap_or_else(Executor::per_core);
     let results = match run_specs_with(&ex, &selected, seed, dur) {
         Ok(r) => r,
         Err(e) => {

@@ -17,9 +17,8 @@
 //! order that makes long jobs (which the table registry front-loads) start
 //! early.
 //!
-//! Worker count resolves as `--jobs N` flag > `MACAW_JOBS` env > the
-//! machine's `available_parallelism`, via [`Executor::from_env`] /
-//! [`jobs_from_env`].
+//! The bench binaries default to one worker per available core
+//! ([`Executor::per_core`]); their `--jobs N` flag overrides it.
 
 use std::sync::Mutex;
 
@@ -41,10 +40,9 @@ impl Executor {
         Executor::new(1)
     }
 
-    /// Worker count from the environment: `MACAW_JOBS` if set and valid,
-    /// else the machine's available parallelism.
-    pub fn from_env() -> Self {
-        Executor::new(jobs_from_env())
+    /// One worker per available core (1 if the core count is unknown).
+    pub fn per_core() -> Self {
+        Executor::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// The configured worker count.
@@ -169,20 +167,6 @@ impl Executor {
     {
         self.run(n, job).into_iter().collect()
     }
-}
-
-/// Resolve the worker count from `MACAW_JOBS`, falling back to the
-/// machine's available parallelism (and 1 if even that is unknown).
-pub fn jobs_from_env() -> usize {
-    if let Ok(v) = std::env::var("MACAW_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("warning: ignoring invalid MACAW_JOBS={v:?} (want an integer >= 1)");
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Parse a `--jobs` argument value shared by every bench binary.

@@ -373,18 +373,12 @@ pub fn all_faults(seed: u64, dur: SimDuration) -> Result<Vec<FaultAblation>, Sim
         .collect()
 }
 
-/// [`all_faults`] on the default work-stealing [`Executor`] (worker count
-/// from `MACAW_JOBS` / the machine): every `(class, protocol)` cell is an
-/// independent job — 15 independent simulations. Each cell is a pure
-/// function of `(class, protocol, seed)`, so the assembled tables are
-/// identical to the serial runner's, in the same order; the first error
-/// in input order wins (see `parallel_faults_match_serial` in
-/// `tests/determinism.rs`).
-pub fn all_faults_parallel(seed: u64, dur: SimDuration) -> Result<Vec<FaultAblation>, SimError> {
-    all_faults_with(&Executor::from_env(), seed, dur)
-}
-
-/// [`all_faults_parallel`] on a caller-supplied executor.
+/// [`all_faults`] on the work-stealing executor `ex`: every
+/// `(class, protocol)` cell is an independent job — 15 independent
+/// simulations. Each cell is a pure function of `(class, protocol, seed)`,
+/// so the assembled tables are identical to the serial runner's, in the
+/// same order; the first error in input order wins (see
+/// `parallel_faults_match_serial` in `tests/determinism.rs`).
 pub fn all_faults_with(
     ex: &Executor,
     seed: u64,

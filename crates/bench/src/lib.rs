@@ -652,15 +652,6 @@ pub fn all_tables(seed: u64, dur: SimDuration) -> Result<Vec<TableResult>, SimEr
         .collect()
 }
 
-/// [`all_tables`] on the work-stealing [`Executor`] (worker count from
-/// `MACAW_JOBS` / the machine). Every simulation is an independent pure
-/// function of `seed`, so the results are identical to the serial run —
-/// only wall time changes.
-pub fn all_tables_parallel(seed: u64, dur: SimDuration) -> Result<Vec<TableResult>, SimError> {
-    let specs: Vec<&TableSpec> = TABLE_SPECS.iter().collect();
-    run_specs_with(&Executor::from_env(), &specs, seed, dur)
-}
-
 /// Run a selection of table specs on `ex`, fanning out at *simulation*
 /// granularity (a table needing eight runs contributes eight independent
 /// jobs), and assemble each table from its reports. Output order matches

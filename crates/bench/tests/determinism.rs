@@ -8,8 +8,9 @@
 //! change that perturbs event order or floating-point folds shows up here
 //! before it can silently move the paper tables.
 
-use macaw_bench::faults::{all_faults, all_faults_parallel};
-use macaw_bench::{all_tables, all_tables_parallel};
+use macaw_bench::executor::Executor;
+use macaw_bench::faults::{all_faults, all_faults_with};
+use macaw_bench::{all_tables, run_specs_with, TableSpec, TABLE_SPECS};
 use macaw_core::figures;
 use macaw_core::prelude::{MacKind, SimDuration, SimTime};
 
@@ -55,13 +56,14 @@ fn mobility_scenario_deterministic() {
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
-/// The scoped-thread table runner must be observationally identical to the
-/// serial one: same tables, same renders, byte for byte.
+/// The table runner on a two-worker executor must be observationally
+/// identical to the serial one: same tables, same renders, byte for byte.
 #[test]
 fn parallel_tables_match_serial() {
     let dur = SimDuration::from_secs(10);
     let serial = all_tables(1, dur).unwrap();
-    let parallel = all_tables_parallel(1, dur).unwrap();
+    let specs: Vec<&TableSpec> = TABLE_SPECS.iter().collect();
+    let parallel = run_specs_with(&Executor::new(2), &specs, 1, dur).unwrap();
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.id, p.id);
@@ -74,14 +76,14 @@ fn parallel_tables_match_serial() {
     }
 }
 
-/// The scoped-thread fault runner — one thread per (class, protocol)
-/// cell — must be observationally identical to the serial ladder: same
-/// classes, same renders, byte for byte.
+/// The fault runner on a two-worker executor — one job per (class,
+/// protocol) cell — must be observationally identical to the serial
+/// ladder: same classes, same renders, byte for byte.
 #[test]
 fn parallel_faults_match_serial() {
     let dur = SimDuration::from_secs(10);
     let serial = all_faults(7, dur).unwrap();
-    let parallel = all_faults_parallel(7, dur).unwrap();
+    let parallel = all_faults_with(&Executor::new(2), 7, dur).unwrap();
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.class, p.class);

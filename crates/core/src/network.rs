@@ -33,7 +33,9 @@ use std::collections::VecDeque;
 
 use macaw_mac::context::{MacContext, MacFeedback, MacProtocol, MacResult};
 use macaw_mac::frames::{Addr, Frame, MacSdu, StreamId, Timing};
-use macaw_phy::{ChaosMedium, Delivery, LinkWindow, Medium, Point, SparseMedium, StationId, TxId};
+use macaw_phy::{
+    corrupt_deliveries, Delivery, LinkWindow, Medium, Point, SparseMedium, StationId, TxId,
+};
 use macaw_sim::{
     EventQueue, FastHashMap, Fel, FelChoice, LadderFel, NextFire, QueueStats, SimDuration, SimRng,
     SimTime,
@@ -374,7 +376,10 @@ struct StreamState {
 /// the plain 4-ary heap as the oracle the equivalence tests compare
 /// against.
 pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
-    pub(crate) medium: ChaosMedium<M>,
+    pub(crate) medium: M,
+    /// Corruption windows (fault injection), applied to the deliveries of
+    /// every frame that ends on the air; see [`corrupt_deliveries`].
+    windows: Vec<LinkWindow>,
     queue: EventQueue<Event, Q::Fel<Event>>,
     timing: Timing,
     stations: Vec<StationSlot>,
@@ -413,10 +418,9 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     island_of_station: Vec<u32>,
     island_of_stream: Vec<u32>,
     island_of_action: Vec<u32>,
-    /// Live queued-event count per island, mirroring the event queue's own
-    /// live count (core never cancels, so live = queued): +1 on schedule,
-    /// −1 on pop. Timers live outside the queue and are not counted —
-    /// exactly as in [`EventQueue`]'s accounting.
+    /// Queued-event count per island, mirroring the event queue's own
+    /// count: +1 on schedule, −1 on pop. Timers live outside the queue and
+    /// are not counted — exactly as in [`EventQueue`]'s accounting.
     island_live: Vec<usize>,
     /// Per-island high-water mark of `island_live`, updated on schedule
     /// only (the queue's own high-water is too). The report sums these, so
@@ -445,7 +449,8 @@ impl<M: Medium, Q: FelChoice> std::fmt::Debug for Network<M, Q> {
 impl<M: Medium, Q: FelChoice> Network<M, Q> {
     pub(crate) fn new(medium: M, timing: Timing) -> Self {
         Network {
-            medium: ChaosMedium::new(medium),
+            medium,
+            windows: Vec::new(),
             queue: EventQueue::new(),
             timing,
             stations: Vec::new(),
@@ -481,11 +486,11 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         self.watchdog = Some(max_events);
     }
 
-    /// Schedule a deterministic corruption window on the medium (fault
-    /// injection): frames from `w.src` that overlap the window on the air
-    /// for at least `w.min_air` arrive dirty at `w.dst`.
+    /// Schedule a deterministic corruption window (fault injection):
+    /// frames from `w.src` that overlap the window on the air for at least
+    /// `w.min_air` arrive dirty at `w.dst`.
     pub fn add_corruption_window(&mut self, w: LinkWindow) {
-        self.medium.add_corruption_window(w);
+        self.windows.push(w);
     }
 
     /// Install a tracer receiving a [`TraceEvent`] per frame and MAC timer.
@@ -677,9 +682,9 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             // timer sorts first; `(time, key)` tuples from both sides share
             // one insertion-sequence space, so this interleaving is
             // identical to having queued the timers. The fused dispatch
-            // resolves the race, drains cancelled heads, and advances the
-            // queue's "now" in one descent instead of the peek-compare-pop
-            // double traversal the loop used to do.
+            // resolves the race and advances the queue's "now" in one
+            // descent instead of the peek-compare-pop double traversal the
+            // loop used to do.
             let timer = self.peek_timer();
             match self.queue.pop_next(timer.map(|(t, k, _)| (t, k)), end) {
                 NextFire::Queued(t, ev) => {
@@ -873,7 +878,20 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             .expect("TxEnd without in-flight transmission");
         let now = self.queue.now();
         let mut deliveries = std::mem::take(&mut self.delivery_buf);
-        self.medium.end_tx_into(tx, now, &mut deliveries);
+        if self.windows.is_empty() {
+            self.medium.end_tx_into(tx, now, &mut deliveries);
+        } else {
+            // The air interval must be read before `end_tx_into` retires `tx`.
+            let start = self.medium.tx_start(tx).expect("in-flight tx has a start");
+            self.medium.end_tx_into(tx, now, &mut deliveries);
+            corrupt_deliveries(
+                &self.windows,
+                StationId(station),
+                start,
+                now,
+                &mut deliveries,
+            );
+        }
 
         // Utilization accounting.
         if now >= self.warmup_end {
@@ -1318,7 +1336,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
 
     /// Immutable access to the radio medium (diagnostics / tests).
     pub fn medium(&self) -> &M {
-        self.medium.inner()
+        &self.medium
     }
 }
 
@@ -1348,7 +1366,7 @@ struct CoreMacCtx<'a, M: Medium, F: Fel<Event>> {
     island: u32,
     timing: Timing,
     queue: &'a mut EventQueue<Event, F>,
-    medium: &'a mut ChaosMedium<M>,
+    medium: &'a mut M,
     rng: &'a mut SimRng,
     mac_timer: &'a mut PendingTimer,
     timer_index: &'a mut TimerIndex,

@@ -226,16 +226,42 @@ impl Scenario {
     }
 
     /// Override the propagation model (default: the paper's near-field
-    /// model with a hard out-of-range cutoff).
+    /// model with a hard out-of-range cutoff). `gamma` and
+    /// `threshold_distance_ft` must be finite and positive, and
+    /// `capture_margin_db` finite.
     pub fn propagation(&mut self, cfg: PropagationConfig) -> &mut Self {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !(positive(cfg.gamma)
+            && positive(cfg.threshold_distance_ft)
+            && cfg.capture_margin_db.is_finite())
+        {
+            self.note_defect(format!(
+                "propagation: gamma {} and threshold_distance_ft {} must be finite and \
+                 positive, capture_margin_db {} finite",
+                cfg.gamma, cfg.threshold_distance_ft, cfg.capture_margin_db
+            ));
+        }
         self.prop = cfg;
         self
     }
 
     /// Add a station; returns its index. Positions are in feet, with
     /// base stations conventionally at z = 6 and pads at z = 0 (the paper's
-    /// "pads are 6 feet below the base station height").
+    /// "pads are 6 feet below the base station height"). A custom or CSMA
+    /// MAC config must have backoff bounds `1 <= bo_min <= bo_max`.
     pub fn add_station(&mut self, name: &str, pos: Point, mac: MacKind) -> usize {
+        let bounds = match mac {
+            MacKind::Custom(cfg) => Some((cfg.bo_min, cfg.bo_max)),
+            MacKind::Csma(cfg) => Some((cfg.bo_min, cfg.bo_max)),
+            MacKind::Maca | MacKind::Macaw => None,
+        };
+        if let Some((min, max)) = bounds {
+            if !(1..=max).contains(&min) {
+                self.note_defect(format!(
+                    "add_station '{name}': backoff bounds [{min}, {max}] need 1 <= bo_min <= bo_max"
+                ));
+            }
+        }
         self.stations.push(StationSpec {
             name: name.to_string(),
             pos,
@@ -1141,6 +1167,55 @@ mod tests {
         );
         let err = sc.build().unwrap_err();
         assert!(err.to_string().contains("empty window"), "got: {err}");
+    }
+
+    #[test]
+    fn bad_propagation_and_backoff_bounds_are_typed_errors() {
+        let prop = |f: fn(&mut PropagationConfig)| {
+            let mut cfg = PropagationConfig::default();
+            f(&mut cfg);
+            let (mut sc, a, b) = two_station_scenario();
+            sc.propagation(cfg);
+            sc.add_udp_stream("s", a, b, 32, 512);
+            sc
+        };
+        let mac = |kind: MacKind| {
+            let mut sc = Scenario::new(1);
+            let a = sc.add_station("A", Point::new(0.0, 0.0, 6.0), kind);
+            let b = sc.add_station("B", Point::new(3.0, 0.0, 0.0), kind);
+            sc.add_udp_stream("s", a, b, 32, 512);
+            sc
+        };
+        let cases = [
+            ("gamma 0", prop(|c| c.gamma = 0.0)),
+            ("gamma NaN", prop(|c| c.gamma = f64::NAN)),
+            ("threshold 0", prop(|c| c.threshold_distance_ft = 0.0)),
+            (
+                "capture margin NaN",
+                prop(|c| c.capture_margin_db = f64::NAN),
+            ),
+            (
+                "MacConfig bounds [0, 0]",
+                mac(MacKind::Custom(MacConfig {
+                    bo_min: 0,
+                    bo_max: 0,
+                    ..MacConfig::macaw()
+                })),
+            ),
+            (
+                "CsmaConfig bo_max 0",
+                mac(MacKind::Csma(CsmaConfig {
+                    bo_max: 0,
+                    ..Default::default()
+                })),
+            ),
+        ];
+        for (what, sc) in cases {
+            match sc.run(SimDuration::from_secs(5), SimDuration::from_secs(1)) {
+                Err(SimError::InvalidScenario(_)) => {}
+                other => panic!("{what}: want InvalidScenario, got {other:?}"),
+            }
+        }
     }
 
     #[test]

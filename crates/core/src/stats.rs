@@ -52,11 +52,11 @@ pub struct RunReport {
     /// Total simulation events processed over the whole run (including
     /// warm-up) — the numerator of engine events-per-second throughput.
     pub events_processed: u64,
-    /// Future-event-list operation counters (schedules, pops,
-    /// cancellations, live-depth high-water mark). Pure functions of the
-    /// event trajectory, so they are identical across FEL backends — the
-    /// queue-equivalence tests compare them bitwise along with everything
-    /// else. The high-water mark is the **sum of per-island high-water
+    /// Future-event-list operation counters (schedules, pops, an
+    /// always-zero cancellation count, depth high-water mark). Pure
+    /// functions of the event trajectory, so they are identical across FEL
+    /// backends — the queue-equivalence tests compare them bitwise along
+    /// with everything else. The high-water mark is the **sum of per-island high-water
     /// marks** (see `Network::queue_stats`), which makes it decompose over
     /// coupling islands and reproduce bitwise under the sharded engine too.
     pub queue_stats: QueueStats,

@@ -1,35 +1,25 @@
-//! Deterministic fault-injection wrapper around the radio medium.
+//! Deterministic per-link corruption windows.
 //!
-//! [`ChaosMedium`] wraps any [`Medium`] implementation and applies
-//! *corruption windows*: time intervals during which every sufficiently long
+//! A [`LinkWindow`] is a time interval during which every sufficiently long
 //! frame crossing a specific directed link is marked corrupted at delivery.
 //! This models the paper's lossy-channel motivation (§3.3) — bursty per-link
 //! interference that damages data frames in flight — without touching the
-//! medium's signal model or its RNG stream: corruption is a pure post-filter
-//! on the deliveries [`Medium::end_tx_into`] produces, so a chaos run draws
-//! exactly the same random sequence as a clean run and stays
-//! bit-reproducible.
+//! medium's signal model or its RNG stream: [`corrupt_deliveries`] is a pure
+//! post-filter on the deliveries [`Medium::end_tx_into`] produces, so a run
+//! with windows draws exactly the same random sequence as a clean run and
+//! stays bit-reproducible. The simulation core applies it to every frame
+//! that ends on the air.
 //!
 //! The `min_air` threshold on each window lets a schedule target long DATA
 //! frames (16 ms at 256 kbps) while sparing short control frames (under
 //! 1 ms), mimicking the empirical observation that loss probability grows
 //! with time on air. Set `min_air` to zero to corrupt everything.
 //!
-//! Everything else — positions, noise sources, link gains, transmissions —
-//! passes straight through to the inner medium via [`Deref`] (read-only
-//! queries) and explicit mutator delegates. The wrapper also implements
-//! [`Medium`] itself, so trait-generic harnesses can drive a fault-injected
-//! medium exactly like a bare one.
+//! [`Medium::end_tx_into`]: crate::medium::Medium::end_tx_into
 
-use std::ops::Deref;
+use macaw_sim::{SimDuration, SimTime};
 
-use macaw_sim::{FastHashMap, SimDuration, SimTime};
-
-use crate::geometry::Point;
-use crate::medium::{Delivery, Medium, MediumStats, StationId, TxId};
-use crate::propagation::Propagation;
-use crate::sparse::SparseMedium;
-use macaw_sim::SimRng;
+use crate::medium::{Delivery, StationId};
 
 /// A scheduled per-link corruption interval.
 ///
@@ -60,9 +50,8 @@ impl LinkWindow {
 }
 
 /// Mark corrupted every delivery in `out` that a window in `windows` hits,
-/// given the transmission's source and air interval. Free function so the
-/// oracle tests can apply the identical rule to the reference medium's
-/// deliveries.
+/// given the transmission's source and air interval. Corruption only clears
+/// flags, so the order of `windows` never matters.
 pub fn corrupt_deliveries(
     windows: &[LinkWindow],
     source: StationId,
@@ -82,265 +71,18 @@ pub fn corrupt_deliveries(
     }
 }
 
-/// A [`Medium`] with a deterministic fault schedule layered on top.
-///
-/// Derefs to the inner medium for all read-only queries; mutating calls are
-/// delegated explicitly. With no windows installed the wrapper is
-/// behaviorally identical to the bare medium. Defaults to wrapping the
-/// sparse cube-grid medium.
-pub struct ChaosMedium<M: Medium = SparseMedium> {
-    inner: M,
-    windows: Vec<LinkWindow>,
-    /// Window indices grouped by source station, in installation order —
-    /// `end_tx` consults only the ended transmission's own source's
-    /// windows, O(windows-per-source) instead of O(windows). Lookup-only
-    /// (never iterated), so hash order cannot leak into results.
-    win_by_src: FastHashMap<usize, Vec<usize>>,
-}
-
-impl<M: Medium> ChaosMedium<M> {
-    /// Wrap a medium with an empty fault schedule.
-    pub fn new(inner: M) -> Self {
-        ChaosMedium {
-            inner,
-            windows: Vec::new(),
-            win_by_src: FastHashMap::default(),
-        }
-    }
-
-    /// Build a fresh inner medium and wrap it (mirrors [`Medium::new`]).
-    pub fn with_new_medium(prop: Propagation, rng: SimRng) -> Self {
-        ChaosMedium::new(M::new(prop, rng))
-    }
-
-    /// The wrapped medium (read-only; also available via deref).
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// Install a corruption window. Windows are independent; overlapping
-    /// windows on the same link are harmless.
-    pub fn add_corruption_window(&mut self, window: LinkWindow) {
-        self.win_by_src
-            .entry(window.src.0)
-            .or_default()
-            .push(self.windows.len());
-        self.windows.push(window);
-    }
-
-    /// The installed corruption windows.
-    pub fn corruption_windows(&self) -> &[LinkWindow] {
-        &self.windows
-    }
-
-    // ---- delegated mutators ------------------------------------------------
-
-    /// See [`Medium::add_station`].
-    pub fn add_station(&mut self, pos: Point) -> StationId {
-        self.inner.add_station(pos)
-    }
-
-    /// See [`Medium::set_rx_error_rate`].
-    pub fn set_rx_error_rate(&mut self, id: StationId, p: f64) {
-        self.inner.set_rx_error_rate(id, p)
-    }
-
-    /// See [`Medium::set_tx_power`].
-    pub fn set_tx_power(&mut self, id: StationId, power: f64) {
-        self.inner.set_tx_power(id, power)
-    }
-
-    /// See [`Medium::set_link_gain`].
-    pub fn set_link_gain(&mut self, src: StationId, dst: StationId, factor: f64) {
-        self.inner.set_link_gain(src, dst, factor)
-    }
-
-    /// See [`Medium::add_noise_source`].
-    pub fn add_noise_source(&mut self, pos: Point, power: f64) -> usize {
-        self.inner.add_noise_source(pos, power)
-    }
-
-    /// See [`Medium::set_noise_active`].
-    pub fn set_noise_active(&mut self, index: usize, active: bool) {
-        self.inner.set_noise_active(index, active)
-    }
-
-    /// See [`Medium::set_position`].
-    pub fn set_position(&mut self, id: StationId, pos: Point) {
-        self.inner.set_position(id, pos)
-    }
-
-    /// See [`Medium::set_positions`].
-    pub fn set_positions(&mut self, moves: &[(StationId, Point)]) {
-        self.inner.set_positions(moves)
-    }
-
-    /// See [`Medium::start_tx`].
-    pub fn start_tx(&mut self, source: StationId, now: SimTime) -> TxId {
-        self.inner.start_tx(source, now)
-    }
-
-    /// See [`Medium::end_tx`]; additionally applies any corruption window
-    /// covering the transmission's air interval.
-    pub fn end_tx(&mut self, tx: TxId, now: SimTime) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        self.end_tx_into(tx, now, &mut out);
-        out
-    }
-
-    /// See [`Medium::end_tx_into`]; additionally applies any corruption
-    /// window covering the transmission's air interval.
-    pub fn end_tx_into(&mut self, tx: TxId, now: SimTime, out: &mut Vec<Delivery>) {
-        // Attribution must be captured before the inner call retires `tx`
-        // (both lookups are O(1) id→slot map hits on the sparse medium).
-        let origin = if self.windows.is_empty() {
-            None
-        } else {
-            self.inner.tx_source(tx).zip(self.inner.tx_start(tx))
-        };
-        self.inner.end_tx_into(tx, now, out);
-        if let Some((source, start)) = origin {
-            // Same rule as `corrupt_deliveries`, restricted to this
-            // source's windows — the `w.src != source` filter is what the
-            // index precomputed. Corruption only clears flags, so applying
-            // the windows in installation order (as stored) is exact.
-            if let Some(idxs) = self.win_by_src.get(&source.0) {
-                for &wi in idxs {
-                    let w = self.windows[wi];
-                    debug_assert_eq!(w.src, source);
-                    if !w.hits(start, now) {
-                        continue;
-                    }
-                    for d in out.iter_mut() {
-                        if d.station == w.dst {
-                            d.clean = false;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<M: Medium> Deref for ChaosMedium<M> {
-    type Target = M;
-
-    fn deref(&self) -> &M {
-        &self.inner
-    }
-}
-
-/// The wrapper is itself a [`Medium`] (with an initially empty fault
-/// schedule when built via [`Medium::new`]), so trait-generic code can use
-/// a fault-injected medium unchanged.
-impl<M: Medium> Medium for ChaosMedium<M> {
-    fn new(prop: Propagation, rng: SimRng) -> Self {
-        ChaosMedium::with_new_medium(prop, rng)
-    }
-
-    fn propagation(&self) -> &Propagation {
-        self.inner.propagation()
-    }
-
-    fn add_station(&mut self, pos: Point) -> StationId {
-        ChaosMedium::add_station(self, pos)
-    }
-
-    fn station_count(&self) -> usize {
-        self.inner.station_count()
-    }
-
-    fn position(&self, id: StationId) -> Point {
-        self.inner.position(id)
-    }
-
-    fn set_rx_error_rate(&mut self, id: StationId, p: f64) {
-        ChaosMedium::set_rx_error_rate(self, id, p)
-    }
-
-    fn set_tx_power(&mut self, id: StationId, power: f64) {
-        ChaosMedium::set_tx_power(self, id, power)
-    }
-
-    fn hears(&self, to: StationId, from: StationId) -> bool {
-        self.inner.hears(to, from)
-    }
-
-    fn set_link_gain(&mut self, src: StationId, dst: StationId, factor: f64) {
-        ChaosMedium::set_link_gain(self, src, dst, factor)
-    }
-
-    fn link_gain(&self, src: StationId, dst: StationId) -> f64 {
-        self.inner.link_gain(src, dst)
-    }
-
-    fn add_noise_source(&mut self, pos: Point, power: f64) -> usize {
-        ChaosMedium::add_noise_source(self, pos, power)
-    }
-
-    fn set_noise_active(&mut self, index: usize, active: bool) {
-        ChaosMedium::set_noise_active(self, index, active)
-    }
-
-    fn set_position(&mut self, id: StationId, pos: Point) {
-        ChaosMedium::set_position(self, id, pos)
-    }
-
-    fn set_positions(&mut self, moves: &[(StationId, Point)]) {
-        ChaosMedium::set_positions(self, moves)
-    }
-
-    fn in_range(&self, a: StationId, b: StationId) -> bool {
-        self.inner.in_range(a, b)
-    }
-
-    fn is_transmitting(&self, id: StationId) -> bool {
-        self.inner.is_transmitting(id)
-    }
-
-    fn carrier_busy(&self, id: StationId) -> bool {
-        self.inner.carrier_busy(id)
-    }
-
-    fn active_count(&self) -> usize {
-        self.inner.active_count()
-    }
-
-    fn start_tx(&mut self, source: StationId, now: SimTime) -> TxId {
-        ChaosMedium::start_tx(self, source, now)
-    }
-
-    fn end_tx_into(&mut self, tx: TxId, now: SimTime, out: &mut Vec<Delivery>) {
-        ChaosMedium::end_tx_into(self, tx, now, out)
-    }
-
-    fn tx_start(&self, tx: TxId) -> Option<SimTime> {
-        self.inner.tx_start(tx)
-    }
-
-    fn tx_source(&self, tx: TxId) -> Option<StationId> {
-        self.inner.tx_source(tx)
-    }
-
-    fn memory_footprint(&self) -> usize {
-        self.inner.memory_footprint()
-            + self.windows.capacity() * std::mem::size_of::<LinkWindow>()
-    }
-
-    fn medium_stats(&self) -> MediumStats {
-        self.inner.medium_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagation::PropagationConfig;
+    use crate::geometry::Point;
+    use crate::medium::Medium;
+    use crate::propagation::{Propagation, PropagationConfig};
+    use crate::sparse::SparseMedium;
+    use macaw_sim::SimRng;
 
-    fn chaos_pair() -> (ChaosMedium, StationId, StationId) {
+    fn pair() -> (SparseMedium, StationId, StationId) {
         let prop = Propagation::new(PropagationConfig::default());
-        let rng = SimRng::new(7);
-        let mut m: ChaosMedium = ChaosMedium::with_new_medium(prop, rng);
+        let mut m = SparseMedium::new(prop, SimRng::new(7));
         let a = m.add_station(Point::new(0.0, 0.0, 0.0));
         let b = m.add_station(Point::new(5.0, 0.0, 0.0));
         (m, a, b)
@@ -350,107 +92,68 @@ mod tests {
         SimTime::from_nanos(n * 1_000_000)
     }
 
+    /// Send one frame from `src` over `[start, end)` and apply `windows`
+    /// to its deliveries.
+    fn send(
+        m: &mut SparseMedium,
+        windows: &[LinkWindow],
+        src: StationId,
+        start: SimTime,
+        end: SimTime,
+    ) -> Vec<Delivery> {
+        let tx = m.start_tx(src, start);
+        let mut out = m.end_tx(tx, end);
+        corrupt_deliveries(windows, src, start, end, &mut out);
+        out
+    }
+
     #[test]
     fn window_corrupts_long_frames_on_its_link_only() {
-        let (mut m, a, b) = chaos_pair();
-        m.add_corruption_window(LinkWindow {
+        let (mut m, a, b) = pair();
+        let w = [LinkWindow {
             src: a,
             dst: b,
             from: ms(0),
             until: ms(100),
             min_air: SimDuration::from_nanos(2_000_000),
-        });
+        }];
 
         // Long frame inside the window: corrupted.
-        let tx = m.start_tx(a, ms(10));
-        let out = m.end_tx(tx, ms(20));
+        let out = send(&mut m, &w, a, ms(10), ms(20));
         assert_eq!(out.len(), 1);
         assert!(!out[0].clean, "10 ms frame in window must be corrupted");
 
         // Short frame inside the window: spared by min_air.
-        let tx = m.start_tx(a, ms(30));
-        let out = m.end_tx(tx, SimTime::from_nanos(31_000_000));
+        let out = send(&mut m, &w, a, ms(30), SimTime::from_nanos(31_000_000));
         assert!(out[0].clean, "1 ms control frame must slip through");
 
         // Reverse direction unaffected.
-        let tx = m.start_tx(b, ms(40));
-        let out = m.end_tx(tx, ms(60));
+        let out = send(&mut m, &w, b, ms(40), ms(60));
         assert!(out[0].clean, "window is directional");
 
         // After the window closes: unaffected.
-        let tx = m.start_tx(a, ms(200));
-        let out = m.end_tx(tx, ms(220));
+        let out = send(&mut m, &w, a, ms(200), ms(220));
         assert!(out[0].clean, "window has closed");
     }
 
     #[test]
     fn frame_overlapping_window_edge_is_hit() {
-        let (mut m, a, b) = chaos_pair();
-        m.add_corruption_window(LinkWindow {
+        let (mut m, a, b) = pair();
+        let w = [LinkWindow {
             src: a,
             dst: b,
             from: ms(50),
             until: ms(60),
             min_air: SimDuration::ZERO,
-        });
+        }];
         // Starts before the window, ends inside it.
-        let tx = m.start_tx(a, ms(45));
-        let out = m.end_tx(tx, ms(55));
+        let out = send(&mut m, &w, a, ms(45), ms(55));
         assert!(!out[0].clean);
-        // Ends exactly at the window start: `from < end` — hit.
-        let tx = m.start_tx(a, ms(40));
-        let out = m.end_tx(tx, SimTime::from_nanos(50_000_001));
+        // Ends just past the window start: `from < end` — hit.
+        let out = send(&mut m, &w, a, ms(40), SimTime::from_nanos(50_000_001));
         assert!(!out[0].clean);
         // Starts exactly at the window end: `start < until` fails — spared.
-        let tx = m.start_tx(a, ms(60));
-        let out = m.end_tx(tx, ms(70));
-        assert!(out[0].clean);
-    }
-
-    #[test]
-    fn no_windows_is_transparent_and_draws_same_rng() {
-        let prop = Propagation::new(PropagationConfig::default());
-        let mut bare = SparseMedium::new(prop, SimRng::new(11));
-        let mut chaos: ChaosMedium = ChaosMedium::with_new_medium(prop, SimRng::new(11));
-        let (a0, b0) = (
-            bare.add_station(Point::new(0.0, 0.0, 0.0)),
-            bare.add_station(Point::new(5.0, 0.0, 0.0)),
-        );
-        let (a1, b1) = (
-            chaos.add_station(Point::new(0.0, 0.0, 0.0)),
-            chaos.add_station(Point::new(5.0, 0.0, 0.0)),
-        );
-        bare.set_rx_error_rate(b0, 0.5);
-        chaos.set_rx_error_rate(b1, 0.5);
-        for i in 0..32u64 {
-            let t0 = ms(i * 10);
-            let t1 = ms(i * 10 + 5);
-            let tx_b = bare.start_tx(a0, t0);
-            let tx_c = chaos.start_tx(a1, t0);
-            let del_b = bare.end_tx(tx_b, t1);
-            let del_c = chaos.end_tx(tx_c, t1);
-            assert_eq!(del_b.len(), del_c.len());
-            for (x, y) in del_b.iter().zip(del_c.iter()) {
-                assert_eq!(x.station, y.station);
-                assert_eq!(x.clean, y.clean);
-                assert_eq!(x.signal.to_bits(), y.signal.to_bits());
-            }
-        }
-        let _ = (a1, b1);
-    }
-
-    #[test]
-    fn chaos_wrapper_works_through_the_medium_trait() {
-        fn drive<M: Medium>(m: &mut M) -> Vec<Delivery> {
-            let a = m.add_station(Point::new(0.0, 0.0, 0.0));
-            let _b = m.add_station(Point::new(5.0, 0.0, 0.0));
-            let tx = m.start_tx(a, ms(0));
-            m.end_tx(tx, ms(10))
-        }
-        let prop = Propagation::new(PropagationConfig::default());
-        let mut m: ChaosMedium = Medium::new(prop, SimRng::new(9));
-        let out = drive(&mut m);
-        assert_eq!(out.len(), 1);
+        let out = send(&mut m, &w, a, ms(60), ms(70));
         assert!(out[0].clean);
     }
 }

@@ -34,7 +34,7 @@ pub mod propagation;
 pub mod reference;
 pub mod sparse;
 
-pub use chaos::{corrupt_deliveries, ChaosMedium, LinkWindow};
+pub use chaos::{corrupt_deliveries, LinkWindow};
 pub use geometry::{cube_center, Point};
 pub use medium::{Delivery, Medium, MediumStats, StationId, TxId};
 pub use propagation::{CutoffMode, Propagation, PropagationConfig};

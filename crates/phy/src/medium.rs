@@ -68,10 +68,9 @@ impl TxId {
 /// the FEL vs the MAC machines.
 ///
 /// Implementations that don't track counters return the all-zero default.
-/// [`SparseMedium`](crate::sparse::SparseMedium) tracks all fields; the
-/// chaos wrapper delegates to its inner medium. Under the sharded engine
-/// the per-shard counters are summed, so totals stay comparable (each
-/// shard replays its islands' exact serial schedule).
+/// [`SparseMedium`](crate::sparse::SparseMedium) tracks all fields. Under
+/// the sharded engine the per-shard counters are summed, so totals stay
+/// comparable (each shard replays its islands' exact serial schedule).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MediumStats {
     /// Transmissions started.
@@ -265,9 +264,9 @@ pub trait Medium {
     /// Time at which transmission `tx` started, if still in flight.
     fn tx_start(&self, tx: TxId) -> Option<SimTime>;
 
-    /// The station transmitting `tx`, if it is still in flight. Lets
-    /// wrappers ([`crate::chaos::ChaosMedium`]) attribute deliveries to a
-    /// link before ending the transmission.
+    /// The station transmitting `tx`, if it is still in flight. Lets a
+    /// caller that holds only the id attribute deliveries to a link before
+    /// ending the transmission.
     fn tx_source(&self, tx: TxId) -> Option<StationId>;
 
     /// Approximate heap bytes held by the medium's station-dependent state

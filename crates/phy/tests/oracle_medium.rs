@@ -9,10 +9,7 @@
 //! signal's contribution equals the reception threshold exactly) — the
 //! cases where an "approximately equal" cache would betray itself.
 
-use macaw_phy::{
-    corrupt_deliveries, ChaosMedium, LinkWindow, Medium, Point, Propagation, PropagationConfig,
-    ReferenceMedium, StationId, TxId,
-};
+use macaw_phy::{Medium, Point, Propagation, PropagationConfig, ReferenceMedium, StationId, TxId};
 use macaw_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -202,86 +199,5 @@ proptest! {
             }))
             .collect();
         run_schedule::<macaw_phy::SparseMedium>(seed, points, ops)?;
-    }
-
-    /// `ChaosMedium` under a random fault schedule must match the naive
-    /// reference medium with the identical corruption rule applied as a
-    /// post-filter: corruption windows never perturb the signal model or
-    /// the RNG stream, only the final clean verdicts.
-    fn chaos_medium_matches_reference_under_fault_schedule(
-        seed in 0u64..1_000_000,
-        points in proptest::collection::vec(arb_point(), 2..7),
-        windows in proptest::collection::vec(
-            ((0usize..8), (0usize..8), (0u64..400), (1u64..400), (0u64..40)), 0..6),
-        schedule in proptest::collection::vec((0usize..12, any::<bool>()), 8..48),
-        rate in 0u32..25,
-    ) {
-        let prop = Propagation::new(PropagationConfig::default());
-        let mut fast: ChaosMedium = ChaosMedium::with_new_medium(prop, SimRng::new(seed));
-        let mut slow = ReferenceMedium::new(prop, SimRng::new(seed));
-        let n = points.len();
-        for p in &points {
-            prop_assert_eq!(fast.add_station(*p), slow.add_station(*p));
-        }
-        fast.set_rx_error_rate(StationId(0), rate as f64 / 100.0);
-        slow.set_rx_error_rate(StationId(0), rate as f64 / 100.0);
-
-        let mut plan: Vec<LinkWindow> = Vec::new();
-        for (i, j, from_us, len_us, air_us) in windows {
-            let (src, dst) = (StationId(i % n), StationId(j % n));
-            if src == dst {
-                continue;
-            }
-            let from = SimTime::ZERO + SimDuration::from_micros(from_us);
-            let w = LinkWindow {
-                src,
-                dst,
-                from,
-                until: from + SimDuration::from_micros(len_us),
-                min_air: SimDuration::from_micros(air_us),
-            };
-            fast.add_corruption_window(w);
-            plan.push(w);
-        }
-
-        let mut live: Vec<TxId> = Vec::new();
-        let mut clock = 0u64;
-        let tick = |clock: &mut u64| {
-            *clock += 7;
-            SimTime::ZERO + SimDuration::from_micros(*clock)
-        };
-        let end_both = |fast: &mut ChaosMedium,
-                            slow: &mut ReferenceMedium,
-                            tx: TxId,
-                            now: SimTime|
-         -> Result<(), TestCaseError> {
-            let src = slow.tx_source(tx).expect("tx in flight");
-            let start = slow.tx_start(tx).expect("tx in flight");
-            prop_assert_eq!(fast.tx_source(tx), Some(src));
-            let df = fast.end_tx(tx, now);
-            let mut ds = slow.end_tx(tx, now);
-            corrupt_deliveries(&plan, src, start, now, &mut ds);
-            prop_assert_eq!(df, ds, "chaos deliveries diverged for {:?}", tx);
-            Ok(())
-        };
-        for (i, start) in schedule {
-            let now = tick(&mut clock);
-            if start {
-                let s = StationId(i % n);
-                if !fast.is_transmitting(s) {
-                    let tf = fast.start_tx(s, now);
-                    let ts = slow.start_tx(s, now);
-                    prop_assert_eq!(tf, ts);
-                    live.push(tf);
-                }
-            } else if !live.is_empty() {
-                let tx = live.remove(i % live.len());
-                end_both(&mut fast, &mut slow, tx, now)?;
-            }
-        }
-        for tx in live {
-            let now = tick(&mut clock);
-            end_both(&mut fast, &mut slow, tx, now)?;
-        }
     }
 }

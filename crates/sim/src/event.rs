@@ -1,4 +1,4 @@
-//! Totally-ordered, cancellable event queue.
+//! Totally-ordered event queue.
 //!
 //! Determinism requirement: when two events are scheduled for the same
 //! instant, they are delivered in the order they were scheduled. The queue
@@ -19,17 +19,7 @@
 //! between them; the property suite in `crates/sim/tests` drives random
 //! operation traces through both and asserts exactly that.
 
-use crate::hash::FastHashSet;
 use crate::time::SimTime;
-
-/// Opaque handle to a scheduled event, used for cancellation. Carries the
-/// event's full sort key so [`EventQueue::cancel`] can tell whether the
-/// event is still queued (see [`EventQueue::len`]).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId {
-    time: SimTime,
-    pseq: u64,
-}
 
 /// Maximum representable insertion sequence number: `seq` shares a word
 /// with the priority byte (below), leaving 56 bits — enough for ~7×10^16
@@ -582,11 +572,13 @@ impl FelChoice for HeapFel {
 pub struct QueueStats {
     /// Events scheduled (pushes).
     pub scheduled: u64,
-    /// Live events popped (cancelled events drained lazily do not count).
+    /// Events popped.
     pub popped: u64,
-    /// Cancellations that hit a still-queued event.
+    /// Always 0: the queue has no cancellation. The field stays because
+    /// `RunReport`'s cache text prints it and the digests in
+    /// `perfbench/expected.txt` pin those bytes.
     pub cancelled: u64,
-    /// Maximum number of live queued events observed.
+    /// Maximum number of queued events observed.
     pub high_water: usize,
 }
 
@@ -607,33 +599,16 @@ pub enum NextFire<E> {
 /// A deterministic future-event list.
 ///
 /// `pop` yields events in nondecreasing time order; ties are broken by
-/// insertion order. Events can be cancelled by [`EventId`]; cancelled events
-/// are skipped lazily at pop time, so cancellation is O(1).
+/// insertion order.
 ///
 /// Generic over the storage backend: [`LadderQueue`] by default,
 /// [`HeapQueue`] as the plain-heap oracle (see [`Fel`]).
 pub struct EventQueue<E, F: Fel<E> = LadderQueue<E>> {
     fel: F,
-    cancelled: FastHashSet<u64>,
     next_seq: u64,
     /// Time of the most recently popped event; used to reject scheduling in
     /// the past, which would silently corrupt causality.
     watermark: SimTime,
-    /// Maximum key ever *removed from the FEL* (popped, or drained as
-    /// cancelled). An event with key above this is certainly still queued
-    /// (every removal is the then-minimum of the FEL, so nothing above the
-    /// max removal has ever left it) — which is most of what lets
-    /// [`cancel`](Self::cancel) ignore already-fired events exactly. Not
-    /// the *latest* removal: draining a cancelled future head pushes this
-    /// past "now", and later pops can legitimately be below it.
-    removed_mark: (SimTime, u64),
-    /// Seqs of live events whose key is at or below `removed_mark` — the
-    /// one case the mark can't classify. Populated at schedule time (a
-    /// drained future cancel can leave the mark above "now", so new events
-    /// may legally slot under it), emptied as those events leave the FEL.
-    /// Almost always empty: cancellation of a not-yet-due event is the
-    /// only thing that can raise the mark past the watermark.
-    below_mark_live: FastHashSet<u64>,
     stats: QueueStats,
     _payload: std::marker::PhantomData<E>,
 }
@@ -646,11 +621,8 @@ impl<E: Eq, F: Fel<E>> EventQueue<E, F> {
     pub fn new() -> Self {
         EventQueue {
             fel: F::default(),
-            cancelled: FastHashSet::default(),
             next_seq: 0,
             watermark: SimTime::ZERO,
-            removed_mark: (SimTime::ZERO, 0),
-            below_mark_live: FastHashSet::default(),
             stats: QueueStats::default(),
             _payload: std::marker::PhantomData,
         }
@@ -661,7 +633,7 @@ impl<E: Eq, F: Fel<E>> EventQueue<E, F> {
     /// # Panics
     /// Panics if `time` precedes the most recently popped event: scheduling
     /// into the past is always a simulation bug.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
         self.schedule_with_priority(time, Self::DEFAULT_PRIORITY, payload)
     }
 
@@ -675,58 +647,17 @@ impl<E: Eq, F: Fel<E>> EventQueue<E, F> {
     /// hear that RTS — and defer — before its own timer lets it transmit,
     /// mirroring hardware that finishes decoding a frame before acting on a
     /// slot boundary.
-    pub fn schedule_with_priority(&mut self, time: SimTime, priority: u8, payload: E) -> EventId {
+    pub fn schedule_with_priority(&mut self, time: SimTime, priority: u8, payload: E) {
         assert!(
             time >= self.watermark,
             "scheduled event at {time:?} before current time {:?}",
             self.watermark
         );
-        let seq = self.next_seq;
-        assert!(seq <= SEQ_MAX, "event sequence space exhausted");
-        self.next_seq += 1;
-        let pseq = (priority as u64) << 56 | seq;
-        if (time, pseq) <= self.removed_mark {
-            // The mark sits past "now" (a future cancel was drained) and
-            // this event slots under it; remember it so `cancel` can still
-            // classify it as live.
-            self.below_mark_live.insert(seq);
-        }
+        let pseq = self.alloc_key(priority);
         self.fel.push(time, pseq, payload);
         self.stats.scheduled += 1;
-        let live = self.fel.len() - self.cancelled.len();
-        if live > self.stats.high_water {
-            self.stats.high_water = live;
-        }
-        EventId { time, pseq }
-    }
-
-    /// Cancel a previously scheduled event. Cancelling an event that has
-    /// already fired (or was already cancelled) is a harmless no-op — and
-    /// an *accounted* no-op: only cancellations of still-queued events are
-    /// recorded, so [`len`](Self::len) stays exact.
-    pub fn cancel(&mut self, id: EventId) {
-        // Nothing above the max removed key has ever left the FEL, so a
-        // key past the mark is certainly live; at or below it, only the
-        // (rare, tracked) below-mark stragglers are. Without this guard a
-        // cancel-after-fire would sit in `cancelled` forever and make
-        // `len()` under-report (and `is_empty()` lie).
-        let seq = id.pseq & SEQ_MAX;
-        let live = (id.time, id.pseq) > self.removed_mark || self.below_mark_live.contains(&seq);
-        if live && self.cancelled.insert(seq) {
-            self.stats.cancelled += 1;
-        }
-    }
-
-    /// Bookkeeping for an entry physically leaving the FEL: advance the
-    /// max-removal mark, or — for a below-mark straggler — retire it from
-    /// the side set. (Exclusive cases: a straggler's key stays below the
-    /// monotone mark forever.)
-    #[inline]
-    fn note_removed(&mut self, time: SimTime, pseq: u64) {
-        if (time, pseq) > self.removed_mark {
-            self.removed_mark = (time, pseq);
-        } else if !self.below_mark_live.is_empty() {
-            self.below_mark_live.remove(&(pseq & SEQ_MAX));
+        if self.fel.len() > self.stats.high_water {
+            self.stats.high_water = self.fel.len();
         }
     }
 
@@ -749,35 +680,11 @@ impl<E: Eq, F: Fel<E>> EventQueue<E, F> {
         (priority as u64) << 56 | seq
     }
 
-    /// Drop cancelled entries off the head of the FEL so the next peek/pop
-    /// sees a live event. The single home of the drain loop — every
-    /// public entry point (pop, peeks, fused dispatch) goes through here,
-    /// so each [`Fel`] implements plain storage and nothing else.
-    #[inline]
-    fn drain_cancelled(&mut self) {
-        // The emptiness guard keeps the common no-cancellations case free
-        // of any hashing on the hottest loop in the simulator.
-        if self.cancelled.is_empty() {
-            return;
-        }
-        while let Some((time, pseq)) = self.fel.peek() {
-            if !self.cancelled.remove(&(pseq & SEQ_MAX)) {
-                break;
-            }
-            self.fel.pop();
-            self.note_removed(time, pseq);
-            if self.cancelled.is_empty() {
-                break;
-            }
-        }
-    }
-
-    /// `(time, sort key)` of the next live queued event without removing
-    /// it. The key is comparable with values from
+    /// `(time, sort key)` of the next queued event without removing it.
+    /// The key is comparable with values from
     /// [`alloc_key`](Self::alloc_key): among same-time events, smaller key
     /// fires first.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.drain_cancelled();
         self.fel.peek()
     }
 
@@ -795,12 +702,10 @@ impl<E: Eq, F: Fel<E>> EventQueue<E, F> {
         self.watermark = time;
     }
 
-    /// Remove and return the next live event, or `None` if the queue is
+    /// Remove and return the next event, or `None` if the queue is
     /// drained.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.drain_cancelled();
-        let (time, pseq, payload) = self.fel.pop()?;
-        self.note_removed(time, pseq);
+        let (time, _, payload) = self.fel.pop()?;
         self.watermark = time;
         self.stats.popped += 1;
         Some((time, payload))
@@ -810,14 +715,13 @@ impl<E: Eq, F: Fel<E>> EventQueue<E, F> {
     /// optional external candidate `(time, key)` (keyed via
     /// [`alloc_key`](Self::alloc_key)), fire whichever sorts first if it
     /// is at or before `horizon`, and advance "now" accordingly — one
-    /// entry point replacing the peek-compare-pop-advance dance (and its
-    /// repeated cancelled-head drains) in the caller's run loop.
+    /// entry point replacing the peek-compare-pop-advance dance in the
+    /// caller's run loop.
     ///
     /// # Panics
     /// Panics if the external candidate fires and its time precedes "now"
     /// (the same causality rule as [`advance_to`](Self::advance_to)).
     pub fn pop_next(&mut self, external: Option<(SimTime, u64)>, horizon: SimTime) -> NextFire<E> {
-        self.drain_cancelled();
         let head = self.fel.peek();
         let queued_wins = match (head, external) {
             (None, None) => return NextFire::Idle,
@@ -831,8 +735,7 @@ impl<E: Eq, F: Fel<E>> EventQueue<E, F> {
             if time > horizon {
                 return NextFire::Idle;
             }
-            let (time, pseq, payload) = self.fel.pop().expect("peeked head vanished");
-            self.note_removed(time, pseq);
+            let (time, _, payload) = self.fel.pop().expect("peeked head vanished");
             self.watermark = time;
             self.stats.popped += 1;
             NextFire::Queued(time, payload)
@@ -851,19 +754,12 @@ impl<E: Eq, F: Fel<E>> EventQueue<E, F> {
         }
     }
 
-    /// Time of the next live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(time, _)| time)
-    }
-
-    /// Number of live (non-cancelled) events still queued. Exact: the
-    /// cancelled set only ever holds still-queued events (see
-    /// [`cancel`](Self::cancel)).
+    /// Number of events still queued.
     pub fn len(&self) -> usize {
-        self.fel.len() - self.cancelled.len()
+        self.fel.len()
     }
 
-    /// `true` iff no live events remain.
+    /// `true` iff no events remain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -903,36 +799,20 @@ mod tests {
 
     /// Object-safe subset used by [`on_both`] tests.
     trait QueueOps {
-        fn schedule(&mut self, time: SimTime, payload: &'static str) -> EventId;
-        fn schedule_prio(&mut self, time: SimTime, prio: u8, payload: &'static str) -> EventId;
-        fn cancel(&mut self, id: EventId);
+        fn schedule(&mut self, time: SimTime, payload: &'static str);
+        fn schedule_prio(&mut self, time: SimTime, prio: u8, payload: &'static str);
         fn pop(&mut self) -> Option<(SimTime, &'static str)>;
-        fn peek_time(&mut self) -> Option<SimTime>;
-        fn len(&self) -> usize;
-        fn is_empty(&self) -> bool;
     }
 
     impl<F: Fel<&'static str>> QueueOps for EventQueue<&'static str, F> {
-        fn schedule(&mut self, time: SimTime, payload: &'static str) -> EventId {
+        fn schedule(&mut self, time: SimTime, payload: &'static str) {
             EventQueue::schedule(self, time, payload)
         }
-        fn schedule_prio(&mut self, time: SimTime, prio: u8, payload: &'static str) -> EventId {
+        fn schedule_prio(&mut self, time: SimTime, prio: u8, payload: &'static str) {
             self.schedule_with_priority(time, prio, payload)
-        }
-        fn cancel(&mut self, id: EventId) {
-            EventQueue::cancel(self, id)
         }
         fn pop(&mut self) -> Option<(SimTime, &'static str)> {
             EventQueue::pop(self)
-        }
-        fn peek_time(&mut self) -> Option<SimTime> {
-            EventQueue::peek_time(self)
-        }
-        fn len(&self) -> usize {
-            EventQueue::len(self)
-        }
-        fn is_empty(&self) -> bool {
-            EventQueue::is_empty(self)
         }
     }
 
@@ -958,74 +838,6 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(q.pop(), Some((t(5), i)));
         }
-    }
-
-    #[test]
-    fn cancellation_skips_events() {
-        on_both(|q| {
-            let a = q.schedule(t(1), "a");
-            q.schedule(t(2), "b");
-            q.cancel(a);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((t(2), "b")));
-            assert!(q.is_empty());
-        });
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        on_both(|q| {
-            let a = q.schedule(t(1), "a");
-            assert_eq!(q.pop(), Some((t(1), "a")));
-            q.cancel(a); // must not panic or affect later events
-            assert_eq!(q.len(), 0, "cancel-after-fire must not leak into len");
-            assert!(q.is_empty());
-            q.schedule(t(2), "b");
-            assert_eq!(q.len(), 1, "a live event after a stale cancel");
-            assert!(!q.is_empty());
-            assert_eq!(q.pop(), Some((t(2), "b")));
-            assert!(q.is_empty());
-        });
-    }
-
-    #[test]
-    fn double_cancel_counts_once() {
-        on_both(|q| {
-            let a = q.schedule(t(1), "a");
-            q.schedule(t(2), "b");
-            q.cancel(a);
-            q.cancel(a); // second cancel of the same id
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((t(2), "b")));
-            assert!(q.is_empty());
-        });
-    }
-
-    #[test]
-    fn cancel_after_lazy_drain_is_noop() {
-        on_both(|q| {
-            let a = q.schedule(t(1), "a");
-            q.schedule(t(2), "b");
-            q.cancel(a);
-            // Peeking drains the cancelled head; a re-cancel of the drained
-            // id must not corrupt the live count.
-            assert_eq!(q.peek_time(), Some(t(2)));
-            q.cancel(a);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((t(2), "b")));
-            assert!(q.is_empty());
-        });
-    }
-
-    #[test]
-    fn peek_time_sees_through_cancelled_head() {
-        on_both(|q| {
-            let a = q.schedule(t(1), "a");
-            q.schedule(t(2), "b");
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(t(2)));
-            assert_eq!(q.pop(), Some((t(2), "b")));
-        });
     }
 
     #[test]
@@ -1092,15 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_key_sees_through_cancelled_head() {
-        let mut q = EventQueue::<&str>::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_key().map(|(time, _)| time), Some(t(2)));
-    }
-
-    #[test]
     fn advance_to_moves_now_forward() {
         let mut q = EventQueue::<()>::new();
         q.advance_to(t(9));
@@ -1162,32 +965,19 @@ mod tests {
     }
 
     #[test]
-    fn pop_next_drains_cancelled_heads() {
-        let mut q = EventQueue::<&str>::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
-        q.cancel(a);
-        assert_eq!(q.pop_next(None, t(100)), NextFire::Queued(t(2), "b"));
-    }
-
-    #[test]
     fn stats_track_operations() {
         let mut q = EventQueue::<&str>::new();
-        let a = q.schedule(t(1), "a");
+        q.schedule(t(1), "a");
         q.schedule(t(2), "b");
         q.schedule(t(3), "c");
         assert_eq!(q.stats().high_water, 3);
-        q.cancel(a);
         q.pop();
         q.pop();
         let s = q.stats();
         assert_eq!(s.scheduled, 3);
         assert_eq!(s.popped, 2);
-        assert_eq!(s.cancelled, 1);
+        assert_eq!(s.cancelled, 0);
         assert_eq!(s.high_water, 3);
-        // A stale cancel is not an effective cancellation.
-        q.cancel(a);
-        assert_eq!(q.stats().cancelled, 1);
     }
 
     #[test]

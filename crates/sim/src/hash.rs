@@ -1,17 +1,17 @@
 //! A fast, deterministic hasher for small integer keys.
 //!
-//! The simulator's hot maps — the event queue's cancelled-event set, the
-//! MAC layer's per-peer backoff tables — are keyed by small integers
-//! (sequence numbers, station indices) produced internally, so SipHash's
-//! DoS resistance buys nothing and its per-lookup cost shows up directly
-//! in event throughput. This is the Fx/rustc-style multiply-xor hash:
-//! one rotate, one xor, one multiply per word.
+//! The simulator's hot maps — the medium's id→slot map, the core's stream
+//! index — are keyed by small integers (transmission ids, stream ids)
+//! produced internally, so SipHash's DoS resistance buys nothing and its
+//! per-lookup cost shows up directly in event throughput. This is the
+//! Fx/rustc-style multiply-xor hash: one rotate, one xor, one multiply per
+//! word.
 //!
 //! The hash is fully deterministic (no per-process random state), which
 //! also removes a source of run-to-run variation in any code that might
 //! ever iterate one of these maps.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -72,8 +72,6 @@ impl Hasher for FastHasher {
 
 /// `HashMap` with the deterministic fast hasher.
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
-/// `HashSet` with the deterministic fast hasher.
-pub type FastHashSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -88,15 +86,6 @@ mod tests {
         assert_eq!(m.len(), 1000);
         assert!(m.contains_key(&999));
         assert!(!m.contains_key(&1000));
-    }
-
-    #[test]
-    fn set_roundtrip() {
-        let mut s: FastHashSet<usize> = FastHashSet::default();
-        assert!(s.insert(7));
-        assert!(!s.insert(7));
-        assert!(s.remove(&7));
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This crate is the substrate under every experiment in the MACAW
 //! reproduction. It deliberately contains **no** radio or protocol knowledge:
-//! just simulated time, a totally-ordered cancellable event queue, and a
+//! just simulated time, a totally-ordered event queue, and a
 //! seeded deterministic random number generator.
 //!
 //! # Design
@@ -38,11 +38,10 @@ pub mod symtime;
 pub mod time;
 
 pub use event::{
-    EventId, EventQueue, Fel, FelChoice, HeapFel, HeapQueue, LadderFel, LadderQueue, NextFire,
-    QueueStats,
+    EventQueue, Fel, FelChoice, HeapFel, HeapQueue, LadderFel, LadderQueue, NextFire, QueueStats,
 };
 pub use grid::BucketGrid;
-pub use hash::{FastHashMap, FastHashSet, FastHasher};
+pub use hash::{FastHashMap, FastHasher};
 pub use rng::SimRng;
 pub use symtime::TieBand;
 pub use time::{SimDuration, SimTime};

@@ -2,9 +2,10 @@
 # Tier-1 verification: offline release build, lint wall, full test suite,
 # the benchmark's output check, and smoke runs of the bench binaries.
 # Exits non-zero if anything fails to build, clippy reports any warning,
-# any test fails, or a smoke run panics / produces non-finite throughput /
+# any test fails, a smoke run panics / produces non-finite throughput /
 # loses the corruption-ablation claim (MACAW ahead of MACA on a
-# corrupting channel).
+# corrupting channel), or a fresh fault ablation differs from the
+# committed BENCH_faults.json by a single byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,8 +46,11 @@ if [ "$bench_lines" -ne 4 ] || [ "$bench_ok" -ne 4 ]; then
   exit 1
 fi
 
-echo "== faults smoke =="
-cargo run --release -p macaw-bench --bin faults -- --smoke
+echo "== fault ablation (full run, byte-compared with the committed BENCH_faults.json) =="
+faults_dir="$(mktemp -d)"
+trap 'rm -rf "$faults_dir"' EXIT
+cargo run --release -p macaw-bench --bin faults -- --out "$faults_dir/BENCH_faults.json"
+cmp "$faults_dir/BENCH_faults.json" BENCH_faults.json
 
 echo "== scale smoke (serial vs 4-shard bitwise identity) =="
 cargo run --release -p macaw-bench --bin scale -- --quick
