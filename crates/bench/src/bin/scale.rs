@@ -1,67 +1,70 @@
-//! Medium-scaling harness: events/sec, wall time, peak RSS, medium memory
-//! and medium op counters across station counts N ∈ {16, 64, 256, 1024}
-//! per protocol (CSMA / MACA / MACAW) on the synthetic office floor
-//! ([`macaw_core::topology`]), extended MACAW-only to
-//! N ∈ {4096, 16384, 65536}, plus a serial-vs-sharded sweep at
-//! N ∈ {4096, 16384}, written to `BENCH_scale.json`.
+//! Medium-scaling sweep on the synthetic office floor
+//! ([`macaw_core::topology`]), written to `BENCH_scale.json`:
 //!
-//! Usage:
-//!   scale [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N]
-//!
-//! `--jobs N` (default: one worker per core) sizes the executor used by
-//! the quick smoke's sparse/reference pair; the timed sweep always runs
-//! serially so its wall-clock numbers measure one simulation at a time.
-//! The large sharded sweep runs at the host's available parallelism (at
-//! least 2 shards); the quick smoke's serial-vs-sharded assertion at a
-//! fixed 4 shards.
-//!
-//! Four measurements:
-//!
-//! 1. **Sweep** — every (N, protocol) cell runs the same randomized floor
-//!    on the cube-grid [`SparseMedium`], reporting processed events per
-//!    wall-clock second, throughput and Jain fairness.
-//! 2. **Reference vs sparse** — the N = 256 MACAW cell runs on both the
-//!    cube grid and the naive [`ReferenceMedium`] oracle, best wall time
-//!    of three runs each, on a fresh heap before the sweep. The
-//!    [`RunReport`]s must be *equal* (the media are bit-identical by
-//!    construction; this is the end-to-end check) and the sparse run must
-//!    be ≥ 5x faster.
-//! 3. **Memory** — [`Medium::memory_footprint`] of the built sparse medium
-//!    at each N. A 16x station growth (64 → 1024) must cost well under
-//!    256x the bytes (sub-quadratic; the cube grid is O(N·k)). Each sweep
-//!    cell also records `peak_rss_kb` (process-wide `VmHWM`, monotone
-//!    across cells) and, under `--features alloc-stats`, the true
-//!    *per-cell* live-bytes peak from the counting allocator.
+//! 1. **Sweep** — N ∈ {16, 64, 256, 1024} × {CSMA, MACA, MACAW}, extended
+//!    MACAW-only to N ∈ {4096, 16384, 65536}, on the cube-grid
+//!    [`SparseMedium`]: throughput, Jain fairness, medium bytes and the
+//!    medium's op counters. Fold terms per `end_tx` staying flat across N
+//!    is the direct evidence the per-event medium cost is O(k), not
+//!    O(active).
+//! 2. **Reference vs sparse** — the N = 256 MACAW cell on the naive
+//!    [`ReferenceMedium`] oracle. The [`RunReport`]s must be *equal* (the
+//!    media are bit-identical by construction; this is the end-to-end
+//!    check).
+//! 3. **Memory** — [`Medium::memory_footprint`] of the built sparse medium.
+//!    A 16x station growth (64 → 1024) must cost well under 256x the bytes
+//!    (sub-quadratic; the cube grid is O(N·k)).
 //! 4. **Sharded sweep** — the *cellular* floor variant (pads inset 6 ft,
 //!    no corridor walkers, so the partition decomposes into one island
 //!    per room — see `macaw_core::partition`) at N ∈ {4096, 16384},
-//!    MACAW, run serially and via [`Scenario::run_with_shards`]. The two
-//!    reports must be bitwise identical; the JSON records the speedup,
-//!    island counts, per-shard event totals and the barrier-wait share.
+//!    MACAW, run serially and via [`Scenario::run_with_shards`] on
+//!    [`SHARDS`] shards. The two reports must be bitwise identical; the
+//!    JSON records island counts and the per-shard split.
 //!
-//! `--quick` is a smoke mode for CI (`scripts/verify.sh`): one short
-//! N = 64 run plus a miniature reference-equivalence check and a
-//! serial-vs-sharded bitwise assertion, no JSON output. `--smoke` is the
-//! per-event-cost guard: events/s and fold-terms-per-end_tx at N = 4096
-//! must stay within a fixed factor of the N = 256 rates, so an O(active)
-//! scan creeping back into the medium's per-event path fails CI instead
-//! of quietly re-bending the scaling curve.
+//! Every number in the file is a pure function of the code and the seed.
+//! Each cell is one executor job, `--jobs N` (default: one worker per
+//! core) changes no byte, and `scripts/verify.sh` regenerates the file and
+//! compares it with the committed one byte for byte.
+//!
+//! `--timing` measures instead the three speeds perfbench does not: MACAW
+//! events/s of the run loop at every N, the sparse-vs-reference speed-up
+//! at N = 256, and the serial-vs-sharded speed-up at N ∈ {4096, 16384}.
+//! It runs one simulation at a time on the calling thread, [`K`] times
+//! each (pairs in alternating order), and writes min/median/max under a
+//! host header to `BENCH_scale_timing.json`. It asserts that repeats and
+//! pairs give identical reports, never a speed. It takes several minutes
+//! and is run by hand.
+//!
+//! Usage:
+//!   scale [--timing] [--seed N] [--out PATH] [--jobs N]
 //!
 //! [`SparseMedium`]: macaw_phy::SparseMedium
 //! [`ReferenceMedium`]: macaw_phy::ReferenceMedium
 //! [`Medium::memory_footprint`]: macaw_phy::Medium::memory_footprint
 //! [`RunReport`]: macaw_core::stats::RunReport
 
-use macaw_bench::alloc_stats;
 use macaw_bench::executor::{parse_jobs_arg, Executor};
-use macaw_bench::stopwatch::time_once;
+use macaw_bench::stopwatch::{time_once, Spread};
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
 use macaw_phy::{Medium as PhyMedium, ReferenceMedium, SparseMedium};
 
-/// Shard count of the `--quick` serial-vs-sharded assertion, fixed so the
-/// smoke checks the same split on every host.
-const QUICK_SHARDS: usize = 4;
+/// Shards of the serial-vs-sharded rows, fixed so `per_shard` does not
+/// depend on the host.
+const SHARDS: usize = 2;
+/// Repeats of every `--timing` measurement.
+const K: usize = 10;
+/// Station counts of the three-protocol sweep.
+const SIZES: [usize; 4] = [16, 64, 256, 1024];
+/// Station counts of the MACAW-only sweep cells. N = 65536 is the
+/// stamp-ordered slab's headline: before it, the O(active) scans in
+/// `end_tx` made this size untenable.
+const LARGE_SIZES: [usize; 3] = [4096, 16384, 65536];
+/// Station counts of the sharded rows.
+const SHARD_SIZES: [usize; 2] = [4096, 16384];
+/// Simulated length of every run, and its warm-up.
+const DUR: SimDuration = SimDuration::from_secs(5);
+const WARM: SimDuration = SimDuration::from_secs(1);
 
 fn die(e: &dyn std::fmt::Display) -> ! {
     eprintln!("simulation failed: {e}");
@@ -70,27 +73,16 @@ fn die(e: &dyn std::fmt::Display) -> ! {
 
 fn usage_and_exit(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!("usage: scale [--quick] [--smoke] [--seed N] [--out PATH] [--jobs N]");
+    eprintln!("usage: scale [--timing] [--seed N] [--out PATH] [--jobs N]");
     std::process::exit(2);
 }
 
-/// Peak resident set size of this process so far, in kilobytes
-/// (`VmHWM` from `/proc/self/status`; 0 where procfs is unavailable).
-/// **Process-wide and monotone** over the process lifetime, so per-cell
-/// readings record the high-water mark *up to and including* that cell —
-/// the reference-vs-sparse N = 256 check runs first and sets the floor every
-/// smaller cell then repeats. Per-cell peaks come from
-/// [`alloc_stats`] when the feature is on.
-fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+fn write_or_exit(path: &str, json: String) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
 }
 
 /// The protocols the sweep compares, in paper order.
@@ -131,43 +123,40 @@ fn cellular_config(n: usize) -> ScaleConfig {
     cfg
 }
 
+/// The `n`-station floor built on medium `M` with its warm-up set, ready
+/// for `run_until`.
+fn build<M: PhyMedium>(n: usize, mac: MacKind, seed: u64) -> Network<M> {
+    let mut net = scale_topology(&floor_config(n), mac, seed)
+        .build_with::<M>()
+        .unwrap_or_else(|e| die(&e));
+    net.set_warmup(SimTime::ZERO + WARM);
+    net
+}
+
 struct Cell {
     protocol: &'static str,
     stations: usize,
     streams: usize,
     footprint: usize,
     report: RunReport,
-    wall_secs: f64,
-    rss_kb: u64,
-    /// Per-cell live-bytes peak (counting allocator), `None` without
-    /// `--features alloc-stats`.
-    alloc_peak_live: Option<u64>,
-    /// Medium-layer op counters — the perf-attribution side channel. The
-    /// fold-terms-per-end_tx ratio staying flat across N is the direct
-    /// evidence the per-event medium cost is O(k), not O(active).
     medium: MediumStats,
 }
 
-/// Build the floor and run it on medium `M`, returning the report, wall
-/// time of the run loop (excluding scenario build), medium footprint,
-/// stream count and the medium's op counters.
-fn run_cell<M: PhyMedium>(
-    n: usize,
-    mac: MacKind,
-    seed: u64,
-    dur: SimDuration,
-    warm: SimDuration,
-) -> (RunReport, f64, usize, usize, MediumStats) {
-    let sc = scale_topology(&floor_config(n), mac, seed);
-    let mut net = sc.build_with::<M>().unwrap_or_else(|e| die(&e));
+/// Build the floor on medium `M`, run it and collect its cell. The
+/// footprint is the built medium's, read before the run.
+fn run_cell<M: PhyMedium>(protocol: &'static str, n: usize, mac: MacKind, seed: u64) -> Cell {
+    let mut net = build::<M>(n, mac, seed);
     let footprint = net.medium().memory_footprint();
-    let streams = net.stream_count();
-    let end = SimTime::ZERO + dur;
-    net.set_warmup(SimTime::ZERO + warm);
-    let (res, wall_secs) = time_once(|| net.run_until(end));
-    res.unwrap_or_else(|e| die(&e));
-    let medium = net.medium().medium_stats();
-    (net.report(end), wall_secs, footprint, streams, medium)
+    let end = SimTime::ZERO + DUR;
+    net.run_until(end).unwrap_or_else(|e| die(&e));
+    Cell {
+        protocol,
+        stations: n,
+        streams: net.stream_count(),
+        footprint,
+        report: net.report(end),
+        medium: net.medium().medium_stats(),
+    }
 }
 
 /// Fold terms visited per `end_tx` — the per-event medium cost the slab
@@ -190,31 +179,23 @@ struct ShardCell {
     /// same size — context for why the cellular variant is the one that
     /// scales.
     default_floor_islands: usize,
-    serial_secs: f64,
-    sharded_secs: f64,
     events: u64,
     stats: ShardRunStats,
 }
 
-/// Run the cellular floor at `n` stations serially and sharded; assert
-/// the reports bitwise identical and return the timings.
-fn run_shard_cell(
-    n: usize,
-    seed: u64,
-    dur: SimDuration,
-    warm: SimDuration,
-    shards: usize,
-) -> ShardCell {
-    let cfg = cellular_config(n);
-    let mk = || scale_topology(&cfg, MacKind::Macaw, seed);
+/// The cellular floor at `n` stations, serial and on [`SHARDS`] shards;
+/// asserts the reports bitwise identical.
+fn run_shard_cell(n: usize, seed: u64) -> ShardCell {
+    let mk = || scale_topology(&cellular_config(n), MacKind::Macaw, seed);
     let islands = mk().partition().unwrap_or_else(|e| die(&e)).n_islands;
     let default_floor_islands = scale_topology(&floor_config(n), MacKind::Macaw, seed)
         .partition()
         .unwrap_or_else(|e| die(&e))
         .n_islands;
-    let (serial, serial_secs) = time_once(|| mk().run(dur, warm).unwrap_or_else(|e| die(&e)));
-    let ((sharded, stats), sharded_secs) =
-        time_once(|| mk().run_with_shards(dur, warm, shards).unwrap_or_else(|e| die(&e)));
+    let serial = mk().run(DUR, WARM).unwrap_or_else(|e| die(&e));
+    let (sharded, stats) = mk()
+        .run_with_shards(DUR, WARM, SHARDS)
+        .unwrap_or_else(|e| die(&e));
     assert_eq!(
         format!("{serial:?}"),
         format!("{sharded:?}"),
@@ -225,25 +206,37 @@ fn run_shard_cell(
         streams: serial.streams.len(),
         islands,
         default_floor_islands,
-        serial_secs,
-        sharded_secs,
         events: serial.events_processed,
         stats,
     }
 }
 
+/// One executor job of the science run.
+#[derive(Clone, Copy)]
+enum Job {
+    /// A sweep cell on the sparse medium.
+    Sweep(&'static str, MacKind, usize),
+    /// The N = 256 MACAW cell on the reference oracle.
+    Reference,
+    /// A serial-vs-sharded row.
+    Sharded(usize),
+}
+
+enum Done {
+    Cell(Cell),
+    Sharded(ShardCell),
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut smoke = false;
+    let mut timing_mode = false;
     let mut seed = 1u64;
-    let mut out_path = "BENCH_scale.json".to_string();
+    let mut out_path: Option<String> = None;
     let mut jobs: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--quick" => quick = true,
-            "--smoke" => smoke = true,
+            "--timing" => timing_mode = true,
             "--seed" => {
                 i += 1;
                 seed = match args.get(i).map(|s| s.parse()) {
@@ -254,7 +247,7 @@ fn main() {
             "--out" => {
                 i += 1;
                 out_path = match args.get(i) {
-                    Some(p) => p.clone(),
+                    Some(p) => Some(p.clone()),
                     None => usage_and_exit("--out takes a path"),
                 };
             }
@@ -271,262 +264,126 @@ fn main() {
         i += 1;
     }
 
-    if smoke {
-        // Per-event-cost guard for CI (`scripts/verify.sh`): the medium
-        // must not regress to O(active) per event. Two checks, one noisy
-        // and one deterministic:
-        //
-        // 1. events/s at N = 4096 must stay within 5x of the N = 256 rate.
-        //    Pre-slab, the O(active) scans made the 16x-station cell pay
-        //    ~10x+ per event; with the slab both cells do O(k) work per
-        //    event and the ratio rides well under the guard. 5x leaves
-        //    headroom for a loaded CI host.
-        // 2. fold terms visited per end_tx must stay within 4x across the
-        //    same pair. This is a pure op count — deterministic, immune to
-        //    machine load — and is the direct signature of an O(active)
-        //    scan creeping back into the per-event path.
-        // Best of two timed runs per cell: the first run in a fresh
-        // process pays page-fault and cache-warmup costs that can triple
-        // its wall time on a contended CI host, which is exactly the noise
-        // a ratio guard must not trip on. Repeats are deterministic, so
-        // the reports must agree exactly.
-        let dur = SimDuration::from_secs(2);
-        let warm = SimDuration::from_millis(500);
-        let best_of_2 = |n: usize| {
-            let (r1, s1, _, _, m) = run_cell::<SparseMedium>(n, MacKind::Macaw, seed, dur, warm);
-            let (r2, s2, _, _, _) = run_cell::<SparseMedium>(n, MacKind::Macaw, seed, dur, warm);
-            assert_eq!(r1, r2, "repeated smoke runs at N={n} must agree exactly");
-            (r1, s1.min(s2), m)
-        };
-        let (r_small, s_small, m_small) = best_of_2(256);
-        let (r_big, s_big, m_big) = best_of_2(4096);
-        let evps_small = r_small.events_processed as f64 / s_small;
-        let evps_big = r_big.events_processed as f64 / s_big;
-        let (t_small, t_big) = (terms_per_end(&m_small), terms_per_end(&m_big));
-        println!(
-            "scale --smoke: N=256 {:.2} Mev/s ({t_small:.1} terms/end, slab hw {})  \
-             N=4096 {:.2} Mev/s ({t_big:.1} terms/end, slab hw {})",
-            evps_small / 1e6,
-            m_small.slab_high_water,
-            evps_big / 1e6,
-            m_big.slab_high_water
-        );
-        assert!(
-            evps_big * 5.0 >= evps_small,
-            "per-event cost regressed: N=4096 ran at {evps_big:.0} ev/s vs {evps_small:.0} ev/s \
-             at N=256 ({:.1}x slower; guard is 5x)",
-            evps_small / evps_big
-        );
-        assert!(
-            t_big <= t_small * 4.0 + 1.0,
-            "medium fold work regressed: {t_big:.1} fold terms per end_tx at N=4096 vs \
-             {t_small:.1} at N=256 — an O(active) scan is back in the per-event path"
-        );
-        println!(
-            "scale --smoke: per-event cost flat (events/s ratio {:.2}x, terms/end ratio {:.2}x)",
-            evps_small / evps_big,
-            if t_small > 0.0 { t_big / t_small } else { 0.0 }
+    if timing_mode {
+        timing(
+            seed,
+            out_path.as_deref().unwrap_or("BENCH_scale_timing.json"),
         );
         return;
     }
+    let out_path = out_path.as_deref().unwrap_or("BENCH_scale.json");
 
-    if quick {
-        // Smoke mode: one short N = 64 floor per medium, both cells on the
-        // work-stealing executor; the reports must agree exactly and every
-        // total must be finite.
-        let dur = SimDuration::from_secs(2);
-        let warm = SimDuration::from_millis(500);
-        let ex = jobs.map(Executor::new).unwrap_or_else(Executor::per_core);
-        let mut pair = ex.run(2, |i| {
-            if i == 0 {
-                run_cell::<SparseMedium>(64, MacKind::Macaw, seed, dur, warm)
-            } else {
-                run_cell::<ReferenceMedium>(64, MacKind::Macaw, seed, dur, warm)
-            }
-        });
-        let (reference, _, _, _, _) = pair.pop().expect("two cells");
-        let (sparse, secs, footprint, streams, _) = pair.pop().expect("two cells");
-        assert_eq!(
-            sparse, reference,
-            "sparse and reference runs must agree exactly"
-        );
-        assert!(
-            sparse.total_throughput().is_finite() && sparse.total_throughput() > 0.0,
-            "non-finite or zero total throughput"
-        );
-        // Sharded smoke: the same floor through the island-sharded engine
-        // must retrace the serial run down to the f64 bit patterns.
-        let (sharded, _) = scale_topology(&floor_config(64), MacKind::Macaw, seed)
-            .run_with_shards(dur, warm, QUICK_SHARDS)
-            .unwrap_or_else(|e| die(&e));
-        assert_eq!(
-            format!("{sparse:?}"),
-            format!("{sharded:?}"),
-            "{QUICK_SHARDS}-shard run must be bitwise identical to serial"
-        );
-        println!(
-            "scale --quick: N=64 MACAW, {streams} streams, {} events in {:.1} ms, \
-             {:.1} KiB medium, sparse == reference, serial == {QUICK_SHARDS}-shard",
-            sparse.events_processed,
-            secs * 1e3,
-            footprint as f64 / 1024.0
-        );
-        return;
-    }
-
-    let dur = SimDuration::from_secs(5);
-    let warm = SimDuration::from_secs(1);
-    let sizes = [16usize, 64, 256, 1024];
-
-    // Reference oracle vs sparse at N = 256: identical report, much slower
-    // medium. Measured before the sweep, on a fresh heap, taking the best
-    // of three runs per medium — the runs are deterministic, so repeats
-    // must agree exactly and differ only in wall time.
-    println!("reference vs sparse, N=256 MACAW (best of 3):");
-    let best_of_3 = |run: &dyn Fn() -> (RunReport, f64, usize, usize, MediumStats)| {
-        let (report, mut secs, bytes, streams, _) = run();
-        for _ in 0..2 {
-            let (again, s, _, _, _) = run();
-            assert_eq!(report, again, "repeated runs of one cell must agree exactly");
-            secs = secs.min(s);
-        }
-        (report, secs, bytes, streams)
-    };
-    let (sp_report, sp_secs, sp_bytes, _) =
-        best_of_3(&|| run_cell::<SparseMedium>(256, MacKind::Macaw, seed, dur, warm));
-    let (ref_report, ref_secs, ref_bytes, _) =
-        best_of_3(&|| run_cell::<ReferenceMedium>(256, MacKind::Macaw, seed, dur, warm));
-    assert_eq!(
-        sp_report, ref_report,
-        "sparse and reference N=256 runs must produce identical reports"
-    );
-    let speedup = ref_secs / sp_secs;
-    println!(
-        "  sparse {:>8.1} ms ({:>8.1} KiB)   reference {:>8.1} ms ({:>8.1} KiB)   speedup {speedup:.2}x, reports identical",
-        sp_secs * 1e3,
-        sp_bytes as f64 / 1024.0,
-        ref_secs * 1e3,
-        ref_bytes as f64 / 1024.0
-    );
-    assert!(
-        speedup >= 5.0,
-        "sparse N=256 run must be >= 5x faster than the reference oracle, got {speedup:.2}x"
-    );
-
-    println!("\nscale sweep: office floor, {sizes:?} stations x {{CSMA, MACA, MACAW}}, 5 s runs");
-    // Above 1024 stations only MACAW runs — the point of the large cells
-    // is per-event medium cost, and one protocol pins it down at a third
-    // of the wall time. N = 65536 is the stamp-ordered slab's headline:
-    // before it, the O(active) scans in `end_tx` made this size untenable.
-    let large_sizes = [4096usize, 16384, 65536];
-    let mut cells: Vec<Cell> = Vec::new();
-    let run_sweep_cell = |n: usize, name: &'static str, mac: MacKind, cells: &mut Vec<Cell>| {
-        alloc_stats::reset_peak();
-        let (report, wall_secs, footprint, streams, medium) =
-            run_cell::<SparseMedium>(n, mac, seed, dur, warm);
-        let alloc_peak_live = alloc_stats::snapshot().map(|s| s.peak_bytes);
-        let evps = report.events_processed as f64 / wall_secs;
-        println!(
-            "  {name:<6} N={n:<5} {streams:>5} streams  {:>9} events  {:>8.1} ms  \
-             {:>6.2} Mev/s  {:>8.1} pps  fairness {:.3}  medium {:>8.1} KiB  \
-             {:>5.1} terms/end  slab hw {}",
-            report.events_processed,
-            wall_secs * 1e3,
-            evps / 1e6,
-            report.total_throughput(),
-            report.jain_fairness(),
-            footprint as f64 / 1024.0,
-            terms_per_end(&medium),
-            medium.slab_high_water
-        );
-        assert!(
-            report.total_throughput().is_finite() && report.total_throughput() > 0.0,
-            "{name} N={n}: non-finite or zero throughput"
-        );
-        cells.push(Cell {
-            protocol: name,
-            stations: n,
-            streams,
-            footprint,
-            report,
-            wall_secs,
-            rss_kb: peak_rss_kb(),
-            alloc_peak_live,
-            medium,
-        });
-    };
-    for &n in &sizes {
+    // Largest first: the N = 65536 cell alone takes about as long as every
+    // other job together, so it starts at once and the rest fill the other
+    // workers around it. Results are sorted back into report order below.
+    let mut job_list: Vec<Job> = LARGE_SIZES
+        .iter()
+        .rev()
+        .map(|&n| Job::Sweep("MACAW", MacKind::Macaw, n))
+        .collect();
+    job_list.extend(SHARD_SIZES.iter().rev().map(|&n| Job::Sharded(n)));
+    job_list.push(Job::Reference);
+    for &n in SIZES.iter().rev() {
         for (name, mac) in protocols() {
-            run_sweep_cell(n, name, mac, &mut cells);
+            job_list.push(Job::Sweep(name, mac, n));
         }
     }
-    for &n in &large_sizes {
-        run_sweep_cell(n, "MACAW", MacKind::Macaw, &mut cells);
-    }
-
-    // The per-event-cost trajectory the slab was built for: events/s for
-    // MACAW across the whole size range, normalized to the N = 1024 rate.
-    let macaw_evps = |n: usize| {
-        cells
-            .iter()
-            .find(|c| c.stations == n && c.protocol == "MACAW")
-            .map(|c| c.report.events_processed as f64 / c.wall_secs)
-            .expect("sweep covers this size")
-    };
-    let base_evps = macaw_evps(1024);
-    println!("\nMACAW events/s vs N (relative to N=1024):");
-    let mut trajectory_json = String::new();
-    for &n in sizes.iter().chain(large_sizes.iter()) {
-        let evps = macaw_evps(n);
-        println!("  N={n:<6} {:>7.2} Mev/s  ({:>5.2}x of N=1024)", evps / 1e6, evps / base_evps);
-        trajectory_json.push_str(&format!(
-            "    {{ \"stations\": {n}, \"events_per_sec\": {:.0}, \"relative_to_n1024\": {:.4} }},\n",
-            evps,
-            evps / base_evps
-        ));
-    }
-    trajectory_json.pop();
-    trajectory_json.pop();
-    trajectory_json.push('\n');
-
-    // Serial vs sharded at large N, on the cellular floor (one island per
-    // room). The default floor's edge coupling welds almost everything
-    // into one island — recorded per row as `default_floor_islands` — so
-    // it cannot parallelize; the cellular variant is the decomposable
-    // regime. Reports are asserted bitwise identical inside each cell.
-    let shards = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
-    println!("\nsharded sweep: cellular floor, MACAW, serial vs {shards} shards");
+    let ex = jobs.map(Executor::new).unwrap_or_else(Executor::per_core);
+    let done = ex.run(job_list.len(), |i| match job_list[i] {
+        Job::Sweep(name, mac, n) => Done::Cell(run_cell::<SparseMedium>(name, n, mac, seed)),
+        Job::Reference => Done::Cell(run_cell::<ReferenceMedium>(
+            "MACAW",
+            256,
+            MacKind::Macaw,
+            seed,
+        )),
+        Job::Sharded(n) => Done::Sharded(run_shard_cell(n, seed)),
+    });
+    let mut cells: Vec<Cell> = Vec::new();
+    let mut reference: Option<Cell> = None;
     let mut shard_cells: Vec<ShardCell> = Vec::new();
-    for &n in &[4096usize, 16384] {
-        let c = run_shard_cell(n, seed, dur, warm, shards);
-        let speedup = c.serial_secs / c.sharded_secs;
+    for (job, d) in job_list.iter().zip(done) {
+        match (job, d) {
+            (Job::Reference, Done::Cell(c)) => reference = Some(c),
+            (_, Done::Cell(c)) => cells.push(c),
+            (_, Done::Sharded(s)) => shard_cells.push(s),
+        }
+    }
+    // Protocol names sort in paper order (CSMA < MACA < MACAW).
+    cells.sort_by_key(|c| (c.stations, c.protocol));
+    shard_cells.sort_by_key(|c| c.stations);
+    let reference = reference.expect("the reference job ran");
+
+    println!(
+        "scale sweep: office floor, {SIZES:?} stations x {{CSMA, MACA, MACAW}} and MACAW at \
+         {LARGE_SIZES:?}, 5 s runs"
+    );
+    let mut sweep_json: Vec<String> = Vec::new();
+    for c in &cells {
+        let (r, m) = (&c.report, &c.medium);
         println!(
-            "  N={:<6} {:>5} streams  {:>5} islands (default floor: {})  serial {:>8.1} ms  \
-             {}-shard {:>8.1} ms  speedup {speedup:.2}x  barrier share {:.3}",
+            "  {:<6} N={:<5} {:>5} streams  {:>9} events  {:>8.1} pps  fairness {:.3}  \
+             medium {:>8.1} KiB  {:>5.1} terms/end  slab hw {}",
+            c.protocol,
             c.stations,
             c.streams,
-            c.islands,
-            c.default_floor_islands,
-            c.serial_secs * 1e3,
-            shards,
-            c.sharded_secs * 1e3,
-            c.stats.barrier_wait_share
+            r.events_processed,
+            r.total_throughput(),
+            r.jain_fairness(),
+            c.footprint as f64 / 1024.0,
+            terms_per_end(m),
+            m.slab_high_water
         );
-        shard_cells.push(c);
+        assert!(
+            r.total_throughput().is_finite() && r.total_throughput() > 0.0,
+            "{} N={}: non-finite or zero throughput",
+            c.protocol,
+            c.stations
+        );
+        sweep_json.push(format!(
+            "    {{ \"protocol\": \"{}\", \"stations\": {}, \"streams\": {}, \"events\": {}, \
+             \"total_throughput_pps\": {:.3}, \"jain_fairness\": {:.4}, \"medium_bytes\": {}, \
+             \"medium_end_tx_ops\": {}, \"medium_folds\": {}, \"medium_fold_terms\": {}, \
+             \"fold_terms_per_end_tx\": {:.2}, \"slab_high_water\": {} }}",
+            c.protocol,
+            c.stations,
+            c.streams,
+            r.events_processed,
+            r.total_throughput(),
+            r.jain_fairness(),
+            c.footprint,
+            m.end_tx_ops,
+            m.folds,
+            m.fold_terms,
+            terms_per_end(m),
+            m.slab_high_water
+        ));
     }
-
-    // Sub-quadratic memory: 16x stations must cost far less than 256x bytes.
-    let bytes_at = |n: usize| {
+    let macaw = |n: usize| {
         cells
             .iter()
             .find(|c| c.stations == n && c.protocol == "MACAW")
-            .map(|c| c.footprint)
             .expect("sweep covers this size")
     };
-    let (m64, m1024) = (bytes_at(64), bytes_at(1024));
+
+    // Reference oracle vs sparse at N = 256: identical report.
+    let sparse = macaw(256);
+    assert_eq!(
+        format!("{:?}", sparse.report),
+        format!("{:?}", reference.report),
+        "sparse and reference N=256 runs must produce identical reports"
+    );
+    println!(
+        "\nreference vs sparse, N=256 MACAW: sparse {:.1} KiB, reference {:.1} KiB, reports identical",
+        sparse.footprint as f64 / 1024.0,
+        reference.footprint as f64 / 1024.0
+    );
+
+    // Sub-quadratic memory: 16x stations must cost far less than 256x bytes.
+    let (m64, m1024) = (macaw(64).footprint, macaw(1024).footprint);
     let growth = m1024 as f64 / m64 as f64;
     println!(
-        "\nmedium memory: N=64 {:.1} KiB -> N=1024 {:.1} KiB ({growth:.1}x for 16x stations; quadratic would be 256x)",
+        "medium memory: N=64 {:.1} KiB -> N=1024 {:.1} KiB ({growth:.1}x for 16x stations; quadratic would be 256x)",
         m64 as f64 / 1024.0,
         m1024 as f64 / 1024.0
     );
@@ -535,115 +392,224 @@ fn main() {
         "medium memory grew quadratically: {growth:.1}x"
     );
 
-    let mut sweep_json = String::new();
-    for c in &cells {
-        let alloc = match c.alloc_peak_live {
-            Some(b) => b.to_string(),
-            None => "null".to_string(),
-        };
-        sweep_json.push_str(&format!(
-            "    {{ \"protocol\": \"{}\", \"stations\": {}, \"streams\": {}, \"events\": {}, \
-             \"wall_secs\": {:.6}, \"events_per_sec\": {:.0}, \"total_throughput_pps\": {:.3}, \
-             \"jain_fairness\": {:.4}, \"medium_bytes\": {}, \"peak_rss_kb\": {}, \
-             \"alloc_peak_live_bytes\": {}, \"medium_end_tx_ops\": {}, \"medium_folds\": {}, \
-             \"medium_fold_terms\": {}, \"fold_terms_per_end_tx\": {:.2}, \
-             \"slab_high_water\": {} }},\n",
-            c.protocol,
-            c.stations,
-            c.streams,
-            c.report.events_processed,
-            c.wall_secs,
-            c.report.events_processed as f64 / c.wall_secs,
-            c.report.total_throughput(),
-            c.report.jain_fairness(),
-            c.footprint,
-            c.rss_kb,
-            alloc,
-            c.medium.end_tx_ops,
-            c.medium.folds,
-            c.medium.fold_terms,
-            terms_per_end(&c.medium),
-            c.medium.slab_high_water
-        ));
-    }
-    sweep_json.pop();
-    sweep_json.pop(); // trailing ",\n"
-    sweep_json.push('\n');
-
-    let mut shard_json = String::new();
+    // Serial vs sharded at large N, on the cellular floor (one island per
+    // room). The default floor's edge coupling welds almost everything
+    // into one island — recorded per row as `default_floor_islands` — so
+    // it cannot parallelize; the cellular variant is the decomposable
+    // regime. Reports are asserted bitwise identical inside each job.
+    println!("\nsharded sweep: cellular floor, MACAW, serial == {SHARDS} shards");
+    let mut shard_json: Vec<String> = Vec::new();
     for c in &shard_cells {
-        let mut per_shard = String::new();
-        for s in &c.stats.per_shard {
-            per_shard.push_str(&format!(
-                "        {{ \"islands\": {}, \"stations\": {}, \"streams\": {}, \
-                 \"events\": {}, \"wall_secs\": {:.6} }},\n",
-                s.islands, s.stations, s.streams, s.events, s.wall_secs
-            ));
-        }
-        per_shard.pop();
-        per_shard.pop();
-        per_shard.push('\n');
-        shard_json.push_str(&format!(
+        let per_shard: Vec<String> = c
+            .stats
+            .per_shard
+            .iter()
+            .map(|s| {
+                format!(
+                    "        {{ \"islands\": {}, \"stations\": {}, \"streams\": {}, \"events\": {} }}",
+                    s.islands, s.stations, s.streams, s.events
+                )
+            })
+            .collect();
+        println!(
+            "  N={:<6} {:>5} streams  {:>5} islands (default floor: {})  {} events",
+            c.stations, c.streams, c.islands, c.default_floor_islands, c.events
+        );
+        shard_json.push(format!(
             "    {{\n      \"stations\": {}, \"streams\": {}, \"events\": {},\n      \
              \"islands\": {}, \"default_floor_islands\": {}, \"largest_island\": {},\n      \
-             \"serial_wall_secs\": {:.6}, \"sharded_wall_secs\": {:.6}, \"speedup\": {:.2},\n      \
-             \"shards\": {}, \"epochs\": {}, \"barrier_wait_share\": {:.4},\n      \
-             \"reports_identical\": true,\n      \"per_shard\": [\n{per_shard}      ]\n    }},\n",
+             \"shards\": {}, \"reports_identical\": true,\n      \
+             \"per_shard\": [\n{}\n      ]\n    }}",
             c.stations,
             c.streams,
             c.events,
             c.islands,
             c.default_floor_islands,
             c.stats.largest_island,
-            c.serial_secs,
-            c.sharded_secs,
-            c.serial_secs / c.sharded_secs,
             c.stats.shards,
-            c.stats.epochs,
-            c.stats.barrier_wait_share
+            per_shard.join(",\n")
         ));
     }
-    shard_json.pop();
-    shard_json.pop();
-    shard_json.push('\n');
-
-    // Recorded so readers can tell parallel speedup from working-set
-    // reduction: with fewer cores than shards the threads time-slice.
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Build features that change what the walls measure (the counting
-    // allocator wraps every allocation).
-    let features = if alloc_stats::enabled() {
-        "[\"alloc-stats\"]"
-    } else {
-        "[]"
-    };
 
     let json = format!(
         "{{\n  \"workload\": \"random office floor (topology::scale_topology), seed {seed}, 5 s sim with 1 s warm-up\",\n  \
-           \"features\": {features},\n  \
-           \"peak_rss_note\": \"peak_rss_kb is the process-wide VmHWM high-water mark up to and including that cell — monotone, so cells smaller than whatever ran first repeat its value; alloc_peak_live_bytes is the true per-cell live-bytes peak from the counting allocator (null without --features alloc-stats)\",\n  \
-           \"sweep\": [\n{sweep_json}  ],\n  \
-           \"macaw_events_per_sec_trajectory_note\": \"MACAW events/s across the full size range, normalized to the N=1024 rate — flat-ish is the stamp-ordered slab working; the pre-slab build fell to ~0.04x by N=16384\",\n  \
-           \"macaw_events_per_sec_trajectory\": [\n{trajectory_json}  ],\n  \
+           \"sweep\": [\n{}\n  ],\n  \
            \"reference_vs_sparse_n256_macaw\": {{\n    \
-             \"sparse_wall_secs\": {sp_secs:.6},\n    \
-             \"reference_wall_secs\": {ref_secs:.6},\n    \
-             \"speedup\": {speedup:.2},\n    \
-             \"sparse_medium_bytes\": {sp_bytes},\n    \
-             \"reference_medium_bytes\": {ref_bytes},\n    \
+             \"sparse_medium_bytes\": {},\n    \
+             \"reference_medium_bytes\": {},\n    \
              \"reports_identical\": true\n  }},\n  \
            \"memory_growth_64_to_1024\": {{\n    \
              \"bytes_n64\": {m64},\n    \
              \"bytes_n1024\": {m1024},\n    \
              \"growth_factor\": {growth:.2},\n    \
              \"quadratic_reference\": 256.0\n  }},\n  \
-           \"sharded_sweep_note\": \"cellular floor (room_inset_ft 6, walker_share 0) under MACAW: one coupling island per room, run serially and via run_with_shards — bitwise-identical reports, wall time includes scenario build for both; epochs is 1 by design (zero propagation delay leaves no lookahead to window — whole islands are the unit of parallelism, see DESIGN.md 'Parallel DES'); interpret speedup against host_cores — on a single-core host any gain is per-shard working-set reduction, not parallelism (DESIGN.md 'Measured results')\",\n  \
-           \"host_cores\": {host_cores},\n  \
-           \"sharded_sweep\": [\n{shard_json}  ]\n}}\n"
+           \"sharded_sweep_note\": \"cellular floor (room_inset_ft 6, walker_share 0) under MACAW: one coupling island per room, run serially and via run_with_shards on a fixed {SHARDS} shards — bitwise-identical reports; whole islands are the unit of parallelism (DESIGN.md 'Parallel DES'); the speed-ups are in BENCH_scale_timing.json (scale --timing)\",\n  \
+           \"sharded_sweep\": [\n{}\n  ]\n}}\n",
+        sweep_json.join(",\n"),
+        sparse.footprint,
+        reference.footprint,
+        shard_json.join(",\n")
     );
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
+    write_or_exit(out_path, json);
+}
+
+/// Keep the first report of a measurement and assert every later one is
+/// bitwise identical to it (`Debug` renders every f64 exactly).
+fn check_same(first: &mut Option<String>, report: &RunReport, what: &str) {
+    let text = format!("{report:?}");
+    match first {
+        Some(f) => assert!(
+            *f == text,
+            "{what}: every run must give the identical report"
+        ),
+        None => *first = Some(text),
     }
-    println!("wrote {out_path}");
+}
+
+/// Wall time of the run loop of the `n`-station MACAW floor on medium `M`,
+/// scenario build excluded.
+fn timed_run_loop<M: PhyMedium>(n: usize, seed: u64) -> (RunReport, f64) {
+    let mut net = build::<M>(n, MacKind::Macaw, seed);
+    let end = SimTime::ZERO + DUR;
+    let (res, secs) = time_once(|| net.run_until(end));
+    res.unwrap_or_else(|e| die(&e));
+    (net.report(end), secs)
+}
+
+/// [`K`] alternating pairs of `a` and `b` (pair i runs `a` first when i is
+/// even, `b` first when odd). Returns each side's walls; every report must
+/// be identical to the first.
+fn alternating_pairs(
+    what: &str,
+    a: &dyn Fn() -> (RunReport, f64),
+    b: &dyn Fn() -> (RunReport, f64),
+) -> (Vec<f64>, Vec<f64>) {
+    let mut first = None;
+    let (mut walls_a, mut walls_b) = (Vec::with_capacity(K), Vec::with_capacity(K));
+    for pair in 0..K {
+        for a_turn in [pair % 2 == 0, pair % 2 == 1] {
+            let (report, secs) = if a_turn { a() } else { b() };
+            check_same(&mut first, &report, what);
+            if a_turn {
+                walls_a.push(secs);
+            } else {
+                walls_b.push(secs);
+            }
+        }
+    }
+    (walls_a, walls_b)
+}
+
+/// `--timing`: the three speeds perfbench does not measure, K runs each.
+fn timing(seed: u64, out_path: &str) {
+    println!("scale --timing: K={K} runs per quantity, one simulation at a time");
+
+    // 1. MACAW events/s of the run loop (build excluded) at every N, in K
+    //    passes over the sizes: a slow spell of the host spreads over all
+    //    of them, and the process's cold start costs one sample.
+    let sizes: Vec<usize> = SIZES.iter().chain(&LARGE_SIZES).copied().collect();
+    let mut first = vec![None; sizes.len()];
+    let mut rates = vec![Vec::with_capacity(K); sizes.len()];
+    let mut events = vec![0u64; sizes.len()];
+    for _ in 0..K {
+        for (i, &n) in sizes.iter().enumerate() {
+            let (report, secs) = timed_run_loop::<SparseMedium>(n, seed);
+            check_same(&mut first[i], &report, &format!("MACAW N={n}"));
+            events[i] = report.events_processed;
+            rates[i].push(events[i] as f64 / secs);
+        }
+    }
+    let mut trajectory: Vec<(usize, u64, Spread)> = Vec::new();
+    for (i, &n) in sizes.iter().enumerate() {
+        let rate = Spread::of(&rates[i]);
+        println!(
+            "  MACAW N={n:<6} {:>9} events  {:.2} Mev/s median ({:.2}–{:.2})",
+            events[i],
+            rate.median / 1e6,
+            rate.min / 1e6,
+            rate.max / 1e6
+        );
+        trajectory.push((n, events[i], rate));
+    }
+    let base = trajectory
+        .iter()
+        .find(|t| t.0 == 1024)
+        .expect("trajectory covers N=1024")
+        .2
+        .median;
+
+    // 2. Sparse vs reference at N = 256, run loop only.
+    let (sparse, reference) = alternating_pairs(
+        "sparse vs reference N=256",
+        &|| timed_run_loop::<SparseMedium>(256, seed),
+        &|| timed_run_loop::<ReferenceMedium>(256, seed),
+    );
+    let (sparse, reference) = (Spread::of(&sparse), Spread::of(&reference));
+    let ref_speedup = reference.median / sparse.median;
+    println!(
+        "  N=256 sparse {:.1} ms vs reference {:.1} ms median: {ref_speedup:.2}x",
+        sparse.median * 1e3,
+        reference.median * 1e3
+    );
+
+    // 3. Serial vs sharded on the cellular floor, scenario generation and
+    //    build included.
+    let mut sharded_rows: Vec<String> = Vec::new();
+    for &n in &SHARD_SIZES {
+        let mk = || scale_topology(&cellular_config(n), MacKind::Macaw, seed);
+        let (serial, sharded) = alternating_pairs(
+            &format!("serial vs {SHARDS} shards N={n}"),
+            &|| time_once(|| mk().run(DUR, WARM).unwrap_or_else(|e| die(&e))),
+            &|| {
+                time_once(|| {
+                    mk().run_with_shards(DUR, WARM, SHARDS)
+                        .unwrap_or_else(|e| die(&e))
+                        .0
+                })
+            },
+        );
+        let wins = serial.iter().zip(&sharded).filter(|(s, p)| p < s).count();
+        let (serial, sharded) = (Spread::of(&serial), Spread::of(&sharded));
+        let speedup = serial.median / sharded.median;
+        println!(
+            "  N={n:<6} serial {:.1} ms vs {SHARDS} shards {:.1} ms median: {speedup:.2}x, \
+             sharded won {wins} of {K} pairs",
+            serial.median * 1e3,
+            sharded.median * 1e3
+        );
+        sharded_rows.push(format!(
+            "    {{ \"stations\": {n}, \"serial_wall_secs\": {}, \"sharded_wall_secs\": {}, \
+             \"speedup\": {speedup:.2}, \"sharded_wins\": {wins}, \"reports_identical\": true }}",
+            serial.to_json(6),
+            sharded.to_json(6)
+        ));
+    }
+
+    let trajectory_json: Vec<String> = trajectory
+        .iter()
+        .map(|(n, events, rate)| {
+            format!(
+                "    {{ \"stations\": {n}, \"events\": {events}, \"events_per_sec\": {}, \
+                 \"relative_to_n1024\": {:.4} }}",
+                rate.to_json(0),
+                rate.median / base
+            )
+        })
+        .collect();
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let json = format!(
+        "{{\n  \"workload\": \"random office floor (topology::scale_topology), seed {seed}, 5 s sim with 1 s warm-up, MACAW; one simulation at a time on the calling thread\",\n  \
+           \"host_cores\": {host_cores},\n  \
+           \"shards\": {SHARDS},\n  \
+           \"k\": {K},\n  \
+           \"note\": \"each quantity is min/median/max over k runs; relative_to_n1024 and every speedup are ratios of medians; pairs run in alternating order and sharded_wins counts the pairs the sharded run won; events/s and the N=256 walls time the run loop only, the sharded rows include scenario generation and build\",\n  \
+           \"macaw_events_per_sec\": [\n{}\n  ],\n  \
+           \"reference_vs_sparse_n256_macaw\": {{ \"sparse_wall_secs\": {}, \"reference_wall_secs\": {}, \"speedup\": {ref_speedup:.2}, \"reports_identical\": true }},\n  \
+           \"sharded_sweep\": [\n{}\n  ]\n}}\n",
+        trajectory_json.join(",\n"),
+        sparse.to_json(6),
+        reference.to_json(6),
+        sharded_rows.join(",\n")
+    );
+    write_or_exit(out_path, json);
 }

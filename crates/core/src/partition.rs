@@ -167,12 +167,6 @@ pub struct ShardRunStats {
     /// Stations in the largest island — the serial floor no shard count
     /// can break through.
     pub largest_island: usize,
-    /// Lockstep epochs executed. Always 1 in this engine: the model's
-    /// zero propagation delay gives zero lookahead *within* an island and
-    /// infinite lookahead *between* islands, so the epoch ladder
-    /// degenerates to a single run-to-completion epoch per shard with one
-    /// final join barrier (see DESIGN.md "Parallel DES").
-    pub epochs: u64,
     /// Share of total shard wall-time spent waiting at the final join:
     /// `Σ(max_wall − wall_i) / (shards · max_wall)`. 0 = perfectly
     /// balanced, →1 = one shard did all the work.

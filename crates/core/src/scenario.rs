@@ -212,6 +212,20 @@ impl Scenario {
         }
     }
 
+    /// Check a position, recording a defect unless every coordinate is
+    /// finite.
+    fn check_point(&mut self, p: Point, what: impl std::fmt::Display) -> bool {
+        if p.x.is_finite() && p.y.is_finite() && p.z.is_finite() {
+            true
+        } else {
+            self.note_defect(format!(
+                "{what}: position ({}, {}, {}) is not finite",
+                p.x, p.y, p.z
+            ));
+            false
+        }
+    }
+
     /// Check a station index, recording a defect if it is out of range.
     fn check_station(&mut self, station: usize, what: &str) -> bool {
         if station < self.stations.len() {
@@ -247,9 +261,11 @@ impl Scenario {
 
     /// Add a station; returns its index. Positions are in feet, with
     /// base stations conventionally at z = 6 and pads at z = 0 (the paper's
-    /// "pads are 6 feet below the base station height"). A custom or CSMA
-    /// MAC config must have backoff bounds `1 <= bo_min <= bo_max`.
+    /// "pads are 6 feet below the base station height"). Every coordinate
+    /// must be finite. A custom or CSMA MAC config must have backoff bounds
+    /// `1 <= bo_min <= bo_max`.
     pub fn add_station(&mut self, name: &str, pos: Point, mac: MacKind) -> usize {
+        self.check_point(pos, format_args!("add_station '{name}'"));
         let bounds = match mac {
             MacKind::Custom(cfg) => Some((cfg.bo_min, cfg.bo_max)),
             MacKind::Csma(cfg) => Some((cfg.bo_min, cfg.bo_max)),
@@ -304,8 +320,10 @@ impl Scenario {
         self
     }
 
-    /// Add a spatial noise emitter; returns its index.
+    /// Add a spatial noise emitter; returns its index. Every coordinate of
+    /// `pos` must be finite, and `power` finite and non-negative.
     pub fn add_noise_source(&mut self, pos: Point, power: f64, active: bool) -> usize {
+        self.check_point(pos, "add_noise_source");
         if !(power.is_finite() && power >= 0.0) {
             self.note_defect(format!(
                 "add_noise_source: {power} must be finite and non-negative"
@@ -367,9 +385,11 @@ impl Scenario {
         })
     }
 
-    /// Schedule a station move (mobility) at time `at`.
+    /// Schedule a station move (mobility) at time `at`. Every coordinate
+    /// of `to` must be finite.
     pub fn move_station_at(&mut self, at: SimTime, station: usize, to: Point) -> &mut Self {
-        if self.check_station(station, "move_station_at") {
+        if self.check_station(station, "move_station_at") && self.check_point(to, "move_station_at")
+        {
             self.actions.push(ScheduledAction {
                 at,
                 kind: ActionKind::Move { station, to },
@@ -384,12 +404,15 @@ impl Scenario {
     /// waypoint mobility driver ([`crate::mobility`]) emits one batch per
     /// tick. An empty batch is a no-op; a batch is one event, so all its
     /// stations are coupled into one island by [`Scenario::partition`].
+    /// Every coordinate of every target must be finite.
     pub fn move_stations_at(&mut self, at: SimTime, moves: &[(usize, Point)]) -> &mut Self {
         if moves.is_empty() {
             return self;
         }
-        for &(station, _) in moves {
-            if !self.check_station(station, "move_stations_at") {
+        for &(station, to) in moves {
+            if !(self.check_station(station, "move_stations_at")
+                && self.check_point(to, "move_stations_at"))
+            {
                 return self;
             }
         }
@@ -984,7 +1007,6 @@ impl Scenario {
             shards: n_shards,
             islands: part.n_islands,
             largest_island: sizes.iter().copied().max().unwrap_or(0),
-            epochs: 1,
             barrier_wait_share,
             medium,
             per_shard,
@@ -1213,6 +1235,53 @@ mod tests {
         for (what, sc) in cases {
             match sc.run(SimDuration::from_secs(5), SimDuration::from_secs(1)) {
                 Err(SimError::InvalidScenario(_)) => {}
+                other => panic!("{what}: want InvalidScenario, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_positions_are_typed_errors() {
+        let nan = Point::new(f64::NAN, 0.0, 0.0);
+        // A at (0, 0, 6) and C at `c_at` each send 32 pps to B at (3, 0, 0).
+        let floor = |c_at: Point| {
+            let mut sc = Scenario::new(1);
+            let a = sc.add_station("A", Point::new(0.0, 0.0, 6.0), MacKind::Macaw);
+            let b = sc.add_station("B", Point::new(3.0, 0.0, 0.0), MacKind::Macaw);
+            let c = sc.add_station("C", c_at, MacKind::Macaw);
+            sc.add_udp_stream("A-B", a, b, 32, 512);
+            sc.add_udp_stream("C-B", c, b, 32, 512);
+            (sc, c)
+        };
+        let c_home = Point::new(-3.0, 0.0, 0.0);
+        let at_2s = SimTime::ZERO + SimDuration::from_secs(2);
+        let cases = [
+            ("NaN station", floor(nan).0),
+            (
+                "infinite station",
+                floor(Point::new(f64::INFINITY, 0.0, 0.0)).0,
+            ),
+            ("NaN single move", {
+                let (mut sc, c) = floor(c_home);
+                sc.move_station_at(at_2s, c, nan);
+                sc
+            }),
+            ("NaN batch move", {
+                let (mut sc, c) = floor(c_home);
+                sc.move_stations_at(at_2s, &[(c, nan)]);
+                sc
+            }),
+            ("NaN noise source", {
+                let (mut sc, _) = floor(c_home);
+                sc.add_noise_source(nan, 1.0, true);
+                sc
+            }),
+        ];
+        for (what, sc) in cases {
+            match sc.run(SimDuration::from_secs(5), SimDuration::from_secs(1)) {
+                Err(SimError::InvalidScenario(msg)) => {
+                    assert!(msg.contains("not finite"), "{what}: {msg}")
+                }
                 other => panic!("{what}: want InvalidScenario, got {other:?}"),
             }
         }

@@ -2,7 +2,7 @@
 # One-command CPU profile of any bench binary invocation:
 #
 #   scripts/profile.sh mobility                 # profile the full sweep
-#   scripts/profile.sh -n 40 scale -- --smoke   # top 40, smoke workload
+#   scripts/profile.sh -n 40 scale -- --jobs 1  # top 40, scaling sweep
 #   scripts/profile.sh tables -- --quick --table 5
 #
 # Builds the binary in release (with frame pointers kept so the collector

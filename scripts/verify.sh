@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline release build, lint wall, full test suite,
-# the benchmark's output check, and smoke runs of the bench binaries.
+# the benchmark's output check, smoke runs of the checker and replicate
+# binaries, and full runs of the faults, scale and mobility binaries.
 # Exits non-zero if anything fails to build, clippy reports any warning,
-# any test fails, a smoke run panics / produces non-finite throughput /
-# loses the corruption-ablation claim (MACAW ahead of MACA on a
-# corrupting channel), or a fresh fault ablation differs from the
-# committed BENCH_faults.json by a single byte.
+# any test fails, a run panics or breaks one of its asserts (non-finite
+# throughput, MACAW not ahead of MACA on a corrupting channel, sparse !=
+# reference, serial != sharded), or a fresh BENCH_faults.json,
+# BENCH_scale.json or BENCH_mobility.json differs from the committed file
+# by a single byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,19 +49,18 @@ if [ "$bench_lines" -ne 4 ] || [ "$bench_ok" -ne 4 ]; then
 fi
 
 echo "== fault ablation (full run, byte-compared with the committed BENCH_faults.json) =="
-faults_dir="$(mktemp -d)"
-trap 'rm -rf "$faults_dir"' EXIT
-cargo run --release -p macaw-bench --bin faults -- --out "$faults_dir/BENCH_faults.json"
-cmp "$faults_dir/BENCH_faults.json" BENCH_faults.json
+out_dir="$(mktemp -d)"
+trap 'rm -rf "$out_dir"' EXIT
+cargo run --release -p macaw-bench --bin faults -- --out "$out_dir/BENCH_faults.json"
+cmp "$out_dir/BENCH_faults.json" BENCH_faults.json
 
-echo "== scale smoke (serial vs 4-shard bitwise identity) =="
-cargo run --release -p macaw-bench --bin scale -- --quick
+echo "== scaling sweep (full run: sparse == reference, serial == 2 shards, byte-compared with BENCH_scale.json) =="
+cargo run --release -p macaw-bench --bin scale -- --out "$out_dir/BENCH_scale.json"
+cmp "$out_dir/BENCH_scale.json" BENCH_scale.json
 
-echo "== per-event-cost guard (flat medium cost across N) =="
-cargo run --release -p macaw-bench --bin scale -- --smoke
-
-echo "== per-move-cost guard (flat mover cost across N + moving sparse == reference) =="
-cargo run --release -p macaw-bench --bin mobility -- --smoke
+echo "== mobility sweep (full run, byte-compared with BENCH_mobility.json) =="
+cargo run --release -p macaw-bench --bin mobility -- --out "$out_dir/BENCH_mobility.json"
+cmp "$out_dir/BENCH_mobility.json" BENCH_mobility.json
 
 echo "== medium churn suite (slab vs reference oracle under end_tx-heavy schedules) =="
 cargo test -q --release -p macaw-phy --test churn_medium
@@ -70,8 +71,5 @@ cargo test -q --release -p macaw-bench --test sharding
 echo "== replicate smoke (executor + multi-seed sweep) =="
 cargo run --release -p macaw-bench --bin replicate -- --quick
 cargo test -q --release -p macaw-bench --test executor
-
-echo "== alloc-stats feature gate =="
-cargo build --release -p macaw-bench --features alloc-stats
 
 echo "verify: OK"
