@@ -284,7 +284,7 @@ fn run_row(run: &Run, seed: u64, executor: &Executor) -> Result<RowOutcome, Stri
 /// floor, `--jobs` determinism). Exits non-zero on any failure.
 fn smoke(seed: u64) -> i32 {
     let mut failures = 0;
-    let serial = Executor::serial();
+    let serial = Executor::new(1);
     for run in matrix().into_iter().filter(|r| {
         r.topo.name == "shared_cell" && r.topo.n == 2 && r.fault == FaultClass::None
     }) {

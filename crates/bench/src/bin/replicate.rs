@@ -119,7 +119,7 @@ fn main() {
     // speedup denominator.
     if check {
         let (serial, ser_secs) =
-            time_once(|| sweep(&Executor::serial(), &specs, &cfg).unwrap_or_else(|e| die(&e)));
+            time_once(|| sweep(&Executor::new(1), &specs, &cfg).unwrap_or_else(|e| die(&e)));
         assert_eq!(
             par.fingerprint_text(),
             serial.fingerprint_text(),

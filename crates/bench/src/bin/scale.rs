@@ -48,6 +48,7 @@ use macaw_bench::stopwatch::{time_once, Spread};
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
 use macaw_phy::{Medium as PhyMedium, ReferenceMedium, SparseMedium};
+use macaw_sim::LadderFel;
 
 /// Shards of the serial-vs-sharded rows, fixed so `per_shard` does not
 /// depend on the host.
@@ -127,7 +128,7 @@ fn cellular_config(n: usize) -> ScaleConfig {
 /// for `run_until`.
 fn build<M: PhyMedium>(n: usize, mac: MacKind, seed: u64) -> Network<M> {
     let mut net = scale_topology(&floor_config(n), mac, seed)
-        .build_with::<M>()
+        .build_with_queue::<M, LadderFel>()
         .unwrap_or_else(|e| die(&e));
     net.set_warmup(SimTime::ZERO + WARM);
     net

@@ -35,11 +35,6 @@ impl Executor {
         Executor { workers: workers.max(1) }
     }
 
-    /// A serial executor (one worker, inline execution).
-    pub fn serial() -> Self {
-        Executor::new(1)
-    }
-
     /// One worker per available core (1 if the core count is unknown).
     pub fn per_core() -> Self {
         Executor::new(std::thread::available_parallelism().map_or(1, |n| n.get()))

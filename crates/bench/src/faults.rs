@@ -150,8 +150,8 @@ fn two_cell(mac: MacKind, seed: u64) -> Scenario {
 }
 
 /// A fault class as data: everything needed to build and label one
-/// `(class, protocol)` cell independently, so the serial and parallel
-/// runners share the exact same scenarios.
+/// `(class, protocol)` cell independently, so each cell is one executor
+/// job.
 struct ClassSpec {
     class: &'static str,
     topology: &'static str,
@@ -228,29 +228,10 @@ fn assemble(spec: &ClassSpec, per_proto: &[RunReport]) -> FaultAblation {
     }
 }
 
-fn run_ladder(spec: &ClassSpec, seed: u64, dur: SimDuration) -> Result<FaultAblation, SimError> {
-    let per_proto: Vec<RunReport> = protocols()
-        .iter()
-        .map(|(_, mac)| (spec.cell)(*mac, seed, dur)?.run(dur, warm_for(dur)))
-        .collect::<Result<_, _>>()?;
-    Ok(assemble(spec, &per_proto))
-}
-
-fn spec_for(class: &str) -> ClassSpec {
-    classes()
-        .into_iter()
-        .find(|s| s.class == class)
-        .expect("known fault class")
-}
-
 /// Periodic corruption windows on both uplinks: 150 ms corrupt / 50 ms
 /// clean, `min_air` 2 ms (DATA at 512 B airs for ~16 ms and dies; 30 B
 /// control frames air for ~0.9 ms and pass). MACA loses every DATA frame
 /// the window touches; MACAW retransmits into the clean gaps.
-pub fn corruption(seed: u64, dur: SimDuration) -> Result<FaultAblation, SimError> {
-    run_ladder(&spec_for("corruption"), seed, dur)
-}
-
 fn corruption_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, SimError> {
     let corrupt = SimDuration::from_millis(150);
     let period = SimDuration::from_millis(200);
@@ -274,10 +255,6 @@ fn corruption_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario
 /// back through a burst, so DATA is simply not sent until the channel is
 /// really clear, and the occasional frame a burst onset clips mid-flight
 /// surfaces as a reported MAC drop.
-pub fn noise(seed: u64, dur: SimDuration) -> Result<FaultAblation, SimError> {
-    run_ladder(&spec_for("noise"), seed, dur)
-}
-
 fn noise_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, SimError> {
     // 93 ms on / 134 ms off: the 227 ms period shares no small multiple
     // with the streams' 125 ms CBR interval, so bursts sweep across the
@@ -302,10 +279,6 @@ fn noise_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, Sim
 /// P1 crashes a third of the way in (queues preserved) and restarts at
 /// two thirds. P2 must keep its full rate throughout; P1 must come back
 /// and re-contend rather than leaving the cell wedged.
-pub fn crash(seed: u64, dur: SimDuration) -> Result<FaultAblation, SimError> {
-    run_ladder(&spec_for("crash"), seed, dur)
-}
-
 fn crash_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, SimError> {
     let (mut sc, [_, p1, _]) = one_cell(mac, seed, 8);
     sc.crash_at(SimTime::ZERO + dur / 3, p1, true);
@@ -319,10 +292,6 @@ fn crash_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, Sim
 /// still arrive. The MACs must stall cleanly (bounded retries, drops
 /// reported) and recover when the fade lifts; CSMA never needed the
 /// replies and sails through.
-pub fn asymmetry(seed: u64, dur: SimDuration) -> Result<FaultAblation, SimError> {
-    run_ladder(&spec_for("asymmetry"), seed, dur)
-}
-
 fn asymmetry_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, SimError> {
     // figure6 station order: B1, P1, P2, B2 (streams B1→P1, B2→P2).
     let mut sc = two_cell(mac, seed);
@@ -342,10 +311,6 @@ fn asymmetry_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario,
 /// (which quantize to the 1 ft cube grid) degrade links without severing
 /// them — unlike Figure 6, whose 9.2 ft links a single jitter can
 /// permanently amputate.
-pub fn chaos(seed: u64, dur: SimDuration) -> Result<FaultAblation, SimError> {
-    run_ladder(&spec_for("chaos"), seed, dur)
-}
-
 fn chaos_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, SimError> {
     let cfg = FaultPlanConfig {
         duration: dur,
@@ -365,20 +330,13 @@ fn chaos_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, Sim
     Ok(sc)
 }
 
-/// Every fault class, in report order.
-pub fn all_faults(seed: u64, dur: SimDuration) -> Result<Vec<FaultAblation>, SimError> {
-    classes()
-        .iter()
-        .map(|spec| run_ladder(spec, seed, dur))
-        .collect()
-}
-
-/// [`all_faults`] on the work-stealing executor `ex`: every
-/// `(class, protocol)` cell is an independent job — 15 independent
-/// simulations. Each cell is a pure function of `(class, protocol, seed)`,
-/// so the assembled tables are identical to the serial runner's, in the
-/// same order; the first error in input order wins (see
+/// Every fault class, in report order, on the work-stealing executor
+/// `ex`: every `(class, protocol)` cell is an independent job — 15
+/// independent simulations. Each cell is a pure function of `(class,
+/// protocol, seed)`, so the assembled tables are the same whatever the
+/// worker count; the first error in input order wins (see
 /// `parallel_faults_match_serial` in `tests/determinism.rs`).
+/// `Executor::new(1)` runs the cells inline, one after another.
 pub fn all_faults_with(
     ex: &Executor,
     seed: u64,
@@ -406,7 +364,8 @@ mod tests {
 
     #[test]
     fn corruption_separates_macaw_from_maca() {
-        let t = corruption(7, DUR).unwrap();
+        let all = all_faults_with(&Executor::new(1), 7, DUR).unwrap();
+        let t = all.iter().find(|t| t.class == "corruption").unwrap();
         let totals = t.totals();
         let (maca, macaw) = (totals[1], totals[2]);
         assert!(macaw > 0.0, "MACAW must keep goodput alive: {macaw}");
@@ -418,7 +377,7 @@ mod tests {
 
     #[test]
     fn every_class_runs_and_stays_finite() {
-        for t in all_faults(3, SimDuration::from_secs(10)).unwrap() {
+        for t in all_faults_with(&Executor::new(1), 3, SimDuration::from_secs(10)).unwrap() {
             for total in t.totals() {
                 assert!(
                     total.is_finite() && total >= 0.0,

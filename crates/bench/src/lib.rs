@@ -165,18 +165,6 @@ pub struct TableSpec {
     pub assemble: fn(&[RunReport]) -> TableResult,
 }
 
-impl TableSpec {
-    /// Run this table's simulations one after another at exactly `dur`
-    /// (no `dur_mul` scaling: [`all_tables`] scales first).
-    pub fn run(&self, seed: u64, dur: SimDuration) -> Result<TableResult, SimError> {
-        let reports = (self.runs)()
-            .iter()
-            .map(|r| (r.build)(seed).run(dur, warm_for(dur)))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((self.assemble)(&reports))
-    }
-}
-
 // ---- Figure 1 (§2.2) ------------------------------------------------------
 // Hidden-terminal behaviour of CSMA vs MACA vs MACAW. Not a numbered table
 // in the paper; the qualitative claim is §2.2's.
@@ -642,22 +630,12 @@ pub fn table_spec(id: &str) -> Option<&'static TableSpec> {
     TABLE_SPECS.iter().find(|s| s.id == id)
 }
 
-/// Every table in paper order (Table 11 runs 4x longer, like the paper's
-/// 2000 s vs 500 s runs). Fails on the first table whose simulation
-/// reports a [`SimError`].
-pub fn all_tables(seed: u64, dur: SimDuration) -> Result<Vec<TableResult>, SimError> {
-    TABLE_SPECS
-        .iter()
-        .map(|s| s.run(seed, dur * s.dur_mul))
-        .collect()
-}
-
 /// Run a selection of table specs on `ex`, fanning out at *simulation*
 /// granularity (a table needing eight runs contributes eight independent
 /// jobs), and assemble each table from its reports. Output order matches
-/// `specs`; the first [`SimError`] in (table, run) order wins — exactly
-/// the serial runner's error, regardless of which job failed first on the
-/// wall clock.
+/// `specs`; the first [`SimError`] in (table, run) order wins, whatever
+/// the worker count and whichever job failed first on the wall clock.
+/// `Executor::new(1)` runs every job inline, one after another.
 pub fn run_specs_with(
     ex: &Executor,
     specs: &[&TableSpec],
@@ -689,17 +667,6 @@ pub fn run_specs_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A spec's serial runner and the executor's per-simulation fan-out
-    /// assemble the same table, byte for byte.
-    #[test]
-    fn spec_runner_matches_executor() {
-        let dur = SimDuration::from_secs(10);
-        let spec = table_spec("Table 9").unwrap();
-        let via_spec = spec.run(3, dur).unwrap();
-        let via_ex = run_specs_with(&Executor::new(2), &[spec], 3, dur).unwrap();
-        assert_eq!(format!("{via_spec:?}"), format!("{:?}", via_ex[0]));
-    }
 
     /// Table 11 runs at the paper's 4x duration; every other table at 1x.
     #[test]

@@ -9,8 +9,8 @@
 //! before it can silently move the paper tables.
 
 use macaw_bench::executor::Executor;
-use macaw_bench::faults::{all_faults, all_faults_with};
-use macaw_bench::{all_tables, run_specs_with, TableSpec, TABLE_SPECS};
+use macaw_bench::faults::all_faults_with;
+use macaw_bench::{run_specs_with, TableSpec, TABLE_SPECS};
 use macaw_core::figures;
 use macaw_core::prelude::{MacKind, SimDuration, SimTime};
 
@@ -57,12 +57,13 @@ fn mobility_scenario_deterministic() {
 }
 
 /// The table runner on a two-worker executor must be observationally
-/// identical to the serial one: same tables, same renders, byte for byte.
+/// identical to the one-worker (inline, serial) run: same tables, same
+/// renders, byte for byte.
 #[test]
 fn parallel_tables_match_serial() {
     let dur = SimDuration::from_secs(10);
-    let serial = all_tables(1, dur).unwrap();
     let specs: Vec<&TableSpec> = TABLE_SPECS.iter().collect();
+    let serial = run_specs_with(&Executor::new(1), &specs, 1, dur).unwrap();
     let parallel = run_specs_with(&Executor::new(2), &specs, 1, dur).unwrap();
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -77,12 +78,12 @@ fn parallel_tables_match_serial() {
 }
 
 /// The fault runner on a two-worker executor — one job per (class,
-/// protocol) cell — must be observationally identical to the serial
-/// ladder: same classes, same renders, byte for byte.
+/// protocol) cell — must be observationally identical to the one-worker
+/// (inline, serial) run: same classes, same renders, byte for byte.
 #[test]
 fn parallel_faults_match_serial() {
     let dur = SimDuration::from_secs(10);
-    let serial = all_faults(7, dur).unwrap();
+    let serial = all_faults_with(&Executor::new(1), 7, dur).unwrap();
     let parallel = all_faults_with(&Executor::new(2), 7, dur).unwrap();
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -103,12 +104,13 @@ fn parallel_faults_match_serial() {
 fn scale_topology_sparse_matches_reference_bitwise() {
     use macaw_core::prelude::{scale_topology, ScaleConfig};
     use macaw_phy::{ReferenceMedium, SparseMedium};
+    use macaw_sim::LadderFel;
     let dur = SimDuration::from_secs(3);
     let warm = SimDuration::from_millis(500);
     for seed in [1, 13] {
         let cfg = ScaleConfig::with_stations(48);
         let run = |sc: macaw_core::Scenario| {
-            let mut net = sc.build_with::<SparseMedium>().unwrap();
+            let mut net = sc.build_with_queue::<SparseMedium, LadderFel>().unwrap();
             net.set_warmup(SimTime::ZERO + warm);
             net.run_until(SimTime::ZERO + dur).unwrap();
             net.report(SimTime::ZERO + dur)
@@ -119,7 +121,7 @@ fn scale_topology_sparse_matches_reference_bitwise() {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
 
         let mut reference = scale_topology(&cfg, MacKind::Macaw, seed)
-            .build_with::<ReferenceMedium>()
+            .build_with_queue::<ReferenceMedium, LadderFel>()
             .unwrap();
         reference.set_warmup(SimTime::ZERO + warm);
         reference.run_until(SimTime::ZERO + dur).unwrap();

@@ -33,7 +33,7 @@ fn randomized_seeds_serial_vs_parallel_bitwise_identical() {
     for _ in 0..3 {
         let stream = rng.uniform_inclusive(0, u64::MAX >> 1);
         let seed = rng.stream_seed(stream);
-        let serial = run_specs_with(&Executor::serial(), &specs, seed, dur).unwrap();
+        let serial = run_specs_with(&Executor::new(1), &specs, seed, dur).unwrap();
         for workers in [2, 8, 32] {
             let par = run_specs_with(&Executor::new(workers), &specs, seed, dur).unwrap();
             assert_eq!(
@@ -51,7 +51,7 @@ fn sweep_is_identical_across_workers() {
     let specs = specs();
     let cfg = SweepConfig { root_seed: 42, replications: 3, dur };
     let parallel = sweep(&Executor::new(8), &specs, &cfg).unwrap();
-    let serial = sweep(&Executor::serial(), &specs, &cfg).unwrap();
+    let serial = sweep(&Executor::new(1), &specs, &cfg).unwrap();
     assert_eq!(
         serial.fingerprint_text(),
         parallel.fingerprint_text(),

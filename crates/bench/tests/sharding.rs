@@ -190,8 +190,8 @@ fn boundary_straddling_pairs_are_shard_count_invariant() {
 
 /// A generated fault plan (crashes, bursts, corruption, asymmetry, jitter)
 /// on a paper topology stays shard-count invariant — faults schedule
-/// actions and windows, the rows the projection has to route to the right
-/// island.
+/// actions and corruption windows, which every shard builds and only the
+/// shard that owns their station's island ever fires.
 #[test]
 fn faulted_runs_are_shard_count_invariant() {
     use macaw_core::prelude::{FaultPlan, FaultPlanConfig};

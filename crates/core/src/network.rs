@@ -37,8 +37,7 @@ use macaw_phy::{
     corrupt_deliveries, Delivery, LinkWindow, Medium, Point, SparseMedium, StationId, TxId,
 };
 use macaw_sim::{
-    EventQueue, FastHashMap, Fel, FelChoice, LadderFel, NextFire, QueueStats, SimDuration, SimRng,
-    SimTime,
+    EventQueue, Fel, FelChoice, LadderFel, NextFire, QueueStats, SimDuration, SimRng, SimTime,
 };
 use macaw_traffic::TrafficSource;
 use macaw_transport::{Segment, Transport, TransportContext};
@@ -347,9 +346,10 @@ enum StreamDst {
     Multicast { group: u32, members: Vec<usize> },
 }
 
+/// A declared stream; its index in `Network::streams` is its
+/// [`StreamId`].
 struct StreamState {
     name: String,
-    id: StreamId,
     src: usize,
     dst: StreamDst,
     bytes: u32,
@@ -384,11 +384,6 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     timing: Timing,
     stations: Vec<StationSlot>,
     streams: Vec<StreamState>,
-    /// Stream id → index into `streams`, built as streams are declared.
-    /// Delivery and drop feedback resolve their stream through this map
-    /// instead of scanning `streams` — O(1) per delivered SDU rather than
-    /// O(streams).
-    stream_index: FastHashMap<u32, usize>,
     /// MAC timer slot per station (dense). `timer_index` orders the
     /// pending ones; only the debug oracle `scan_timers` scans them all.
     mac_timers: Vec<PendingTimer>,
@@ -455,7 +450,6 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             timing,
             stations: Vec::new(),
             streams: Vec::new(),
-            stream_index: FastHashMap::default(),
             mac_timers: Vec::new(),
             tp_timers: Vec::new(),
             timer_index: TimerIndex::default(),
@@ -522,7 +516,6 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     pub(crate) fn add_unicast_stream(
         &mut self,
         name: String,
-        id: StreamId,
         src: usize,
         dst: usize,
         bytes: u32,
@@ -533,10 +526,8 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         sender: Box<dyn Transport>,
         receiver: Box<dyn Transport>,
     ) -> usize {
-        self.stream_index.insert(id.0, self.streams.len());
         self.streams.push(StreamState {
             name,
-            id,
             src,
             dst: StreamDst::Unicast {
                 station: dst,
@@ -564,7 +555,6 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     pub(crate) fn add_multicast_stream(
         &mut self,
         name: String,
-        id: StreamId,
         src: usize,
         group: u32,
         members: Vec<usize>,
@@ -575,10 +565,8 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         stop: Option<SimTime>,
         sender: Box<dyn Transport>,
     ) -> usize {
-        self.stream_index.insert(id.0, self.streams.len());
         self.streams.push(StreamState {
             name,
-            id,
             src,
             dst: StreamDst::Multicast { group, members },
             bytes,
@@ -623,10 +611,16 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         self.island_high = vec![0; p.n_islands];
     }
 
-    /// Prime first arrivals and scheduled actions. Called once before
-    /// running.
-    pub(crate) fn prime(&mut self) {
+    /// Prime the first arrival of every stream and every scheduled action
+    /// whose island `owns` accepts. Called once before running: the serial
+    /// build owns every island, a shard of
+    /// [`Scenario::run_with_shards`](crate::scenario::Scenario::run_with_shards)
+    /// only its own.
+    pub(crate) fn prime(&mut self, owns: impl Fn(u32) -> bool) {
         for i in 0..self.streams.len() {
+            if !owns(self.island_of_stream[i]) {
+                continue;
+            }
             let st = &mut self.streams[i];
             // Random initial phase so same-rate CBR streams are not
             // pathologically synchronized (the paper's generators are
@@ -643,6 +637,9 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             );
         }
         for (i, a) in self.actions.iter().enumerate() {
+            if !owns(self.island_of_action[i]) {
+                continue;
+            }
             self.queue.schedule(a.at, Event::Action { index: i as u32 });
             note_island_schedule(
                 &mut self.island_live,
@@ -671,7 +668,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     /// Run until `end`, then stop (events beyond `end` stay queued).
     ///
     /// Fails with [`SimError::WatchdogTripped`] if the run livelocks —
-    /// more than [`LIVELOCK_SAME_INSTANT_CAP`] events fire at one
+    /// more than `LIVELOCK_SAME_INSTANT_CAP` events fire at one
     /// simulated instant (a state machine re-arming a zero-length timer
     /// from its own handler), or the opt-in [`Network::set_watchdog`]
     /// event budget is exhausted. The network is left at the instant the
@@ -1144,7 +1141,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                         station: from_station,
                         dst: to_addr,
                         sdu: MacSdu {
-                            stream: st.id,
+                            stream: StreamId(stream as u32),
                             transport_seq,
                             bytes,
                         },
@@ -1179,13 +1176,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     /// the failure"). The MAC feedback carries the stream id and transport
     /// sequence number; the payload size is the stream's configured size.
     fn signal_drop(&mut self, station: usize, stream_id: StreamId, transport_seq: u64) {
-        let stream = if let Some(&i) = self.stream_index.get(&stream_id.0) {
-            i
-        } else {
-            debug_assert!(false, "drop feedback for unknown stream {stream_id:?}");
-            return;
-        };
-        debug_assert_eq!(self.streams[stream].id, stream_id);
+        let stream = stream_id.0 as usize;
         let st = &self.streams[stream];
         let side = if station == st.src {
             Side::Sender
@@ -1204,15 +1195,10 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         self.with_transport(stream, side, |tp, ctx| tp.on_segment_dropped(ctx, seg));
     }
 
-    /// Route a MAC-delivered SDU to the right transport endpoint.
+    /// Route a MAC-delivered SDU to the right transport endpoint. Its
+    /// stream id is the stream index this network stamped into it.
     fn route_up(&mut self, station: usize, sdu: MacSdu) {
-        let stream = if let Some(&i) = self.stream_index.get(&sdu.stream.0) {
-            i
-        } else {
-            debug_assert!(false, "SDU for unknown stream {:?}", sdu.stream);
-            return;
-        };
-        debug_assert_eq!(self.streams[stream].id, sdu.stream);
+        let stream = sdu.stream.0 as usize;
         let seg = Segment::decode(sdu.transport_seq, sdu.bytes);
         enum Route {
             ToReceiver,

@@ -18,7 +18,7 @@
 //!   within `max(reach_a, reach_b) + PAD` feet, where `reach_s = 10 ·
 //!   (tx_power_s · max_link)^(1/γ)` is the stretched reception radius under
 //!   the largest link-gain factor any action ever sets, and
-//!   [`COUPLING_PAD_FT`] absorbs the medium's cube-center snapping. This
+//!   `COUPLING_PAD_FT` absorbs the medium's cube-center snapping. This
 //!   over-approximates every radio interaction: interference (a 10 ft ball
 //!   independent of power — the cutoff tests the raw geometric gain),
 //!   reception, carrier sense, and link-gain rechecks.
@@ -37,7 +37,9 @@
 //! Streams and corruption windows need no edges of their own: endpoints
 //! that are in range are already geometrically coupled, and endpoints that
 //! never are cannot exchange a single frame — the sender's futile RTS
-//! attempts play out entirely inside its own island.
+//! attempts play out entirely inside its own island. A corruption window
+//! needs no island either: it only touches frames its source station
+//! sends, so it acts wherever that station's island runs and nowhere else.
 //!
 //! Under [`CutoffMode::Physical`] every station interferes with every other
 //! at any distance, so the whole scenario is one island and a sharded run
@@ -68,9 +70,8 @@ use crate::scenario::Scenario;
 const COUPLING_PAD_FT: f64 = 2.0;
 
 /// The island decomposition of a scenario (see module docs). Island ids are
-/// dense, deterministic (numbered by the smallest station index they
-/// contain, synthetic noise islands last) and identical for the full
-/// scenario and for any projection of it that keeps whole islands.
+/// dense and deterministic: numbered by the smallest station index they
+/// contain, synthetic noise islands last.
 #[derive(Clone, Debug)]
 pub struct Partition {
     /// Total island count, including synthetic islands for unheard noise
@@ -82,8 +83,6 @@ pub struct Partition {
     pub stream_island: Vec<u32>,
     /// Island of each scheduled action, in declaration order.
     pub action_island: Vec<u32>,
-    /// Island of each corruption window (its source station's island).
-    pub window_island: Vec<u32>,
     /// Island of each noise emitter: its hearers' island, or a synthetic
     /// island of its own when nothing can ever hear it.
     pub noise_island: Vec<u32>,
@@ -148,14 +147,12 @@ pub struct ShardStats {
     pub streams: usize,
     /// Simulation events the shard's loop processed.
     pub events: u64,
-    /// Wall-clock seconds the shard's thread spent running.
-    pub wall_secs: f64,
 }
 
 /// Execution statistics of a [`Scenario::run_with_shards`] call. Kept
 /// *outside* [`RunReport`](crate::stats::RunReport) on purpose: the report
-/// is bitwise-identical to the serial engine's, while these numbers
-/// (wall-clock, load split) legitimately vary run to run.
+/// is bitwise-identical to the serial engine's, while these numbers (the
+/// load split) depend on the shard count.
 ///
 /// [`Scenario::run_with_shards`]: crate::scenario::Scenario::run_with_shards
 #[derive(Clone, Debug)]
@@ -167,10 +164,6 @@ pub struct ShardRunStats {
     /// Stations in the largest island — the serial floor no shard count
     /// can break through.
     pub largest_island: usize,
-    /// Share of total shard wall-time spent waiting at the final join:
-    /// `Σ(max_wall − wall_i) / (shards · max_wall)`. 0 = perfectly
-    /// balanced, →1 = one shard did all the work.
-    pub barrier_wait_share: f64,
     /// Medium operation counters merged across shards (ops and fold terms
     /// sum; slab high-water is the per-shard max). Like the rest of this
     /// struct they live outside [`RunReport`](crate::stats::RunReport) so
@@ -472,7 +465,7 @@ fn compute_counted(sc: &Scenario) -> (Partition, u64) {
 
 /// Number the components of `dsu` densely by smallest member station
 /// (synthetic islands for unheard emitters last) and give every stream,
-/// action, corruption window and emitter its island.
+/// action and emitter its island.
 fn label(sc: &Scenario, dsu: &mut Dsu, first_hearer: &[Option<u32>]) -> Partition {
     let n = sc.stations.len();
     // Dense renumbering by smallest member station index.
@@ -525,18 +518,12 @@ fn label(sc: &Scenario, dsu: &mut Dsu, first_hearer: &[Option<u32>]) -> Partitio
             }
         })
         .collect();
-    let window_island: Vec<u32> = sc
-        .windows
-        .iter()
-        .map(|w| station_island[w.src.0])
-        .collect();
 
     Partition {
         n_islands: next as usize,
         station_island,
         stream_island,
         action_island,
-        window_island,
         noise_island,
     }
 }
@@ -832,7 +819,6 @@ mod tests {
             assert_eq!(fast.station_island, slow.station_island, "{at}: stations");
             assert_eq!(fast.stream_island, slow.stream_island, "{at}: streams");
             assert_eq!(fast.action_island, slow.action_island, "{at}: actions");
-            assert_eq!(fast.window_island, slow.window_island, "{at}: windows");
             assert_eq!(fast.noise_island, slow.noise_island, "{at}: emitters");
             let station_islands = fast.island_sizes().iter().filter(|&&s| s > 0).count();
             split += usize::from(station_islands > 1);

@@ -8,7 +8,7 @@
 use macaw_mac::config::MacConfig;
 use macaw_mac::context::MacProtocol;
 use macaw_mac::csma::{Csma, CsmaConfig};
-use macaw_mac::frames::{Addr, StreamId, Timing};
+use macaw_mac::frames::{Addr, Timing};
 use macaw_mac::wmac::WMac;
 use macaw_phy::{
     LinkWindow, Medium, MediumStats, Point, Propagation, PropagationConfig, StationId,
@@ -148,6 +148,7 @@ pub(crate) struct StationSpec {
 /// [`SimError::InvalidScenario`] when [`Scenario::build`] or
 /// [`Scenario::run`] is called, so misconfiguration surfaces as a typed
 /// error instead of a crash mid-construction.
+#[derive(Clone)]
 pub struct Scenario {
     pub(crate) seed: u64,
     pub(crate) prop: PropagationConfig,
@@ -158,21 +159,9 @@ pub struct Scenario {
     /// Flat move table for batched mobility: each
     /// [`ActionKind::MoveBatch`] action names a `start..start + len` slice
     /// of this vector. Kept beside `actions` (not inside them) so the
-    /// action enum stays `Copy`; shard projections replicate the whole
-    /// table because batch indices are global.
+    /// action enum stays `Copy`.
     pub(crate) moves: Vec<(StationId, Point)>,
     pub(crate) windows: Vec<LinkWindow>,
-    /// Global stream ids, by position in `streams`. `None` (every
-    /// user-built scenario) means stream `i` is `StreamId(i)`; shard
-    /// projections override this so a stream keeps its *global* id — and
-    /// therefore its RNG fork — when it is rebuilt inside a shard that
-    /// holds only a subset of the streams.
-    pub(crate) stream_ids: Option<Vec<u32>>,
-    /// Precomputed island labels for this scenario's contents. `None`
-    /// (every user-built scenario) derives them at build time; shard
-    /// projections carry the *global* partition restricted to their rows so
-    /// per-island accounting matches the serial run label for label.
-    pub(crate) islands: Option<Partition>,
     /// First builder-time problem, reported at build()/run().
     pub(crate) defect: Option<String>,
 }
@@ -189,8 +178,6 @@ impl Scenario {
             actions: Vec::new(),
             moves: Vec::new(),
             windows: Vec::new(),
-            stream_ids: None,
-            islands: None,
             defect: None,
         }
     }
@@ -263,9 +250,27 @@ impl Scenario {
     /// base stations conventionally at z = 6 and pads at z = 0 (the paper's
     /// "pads are 6 feet below the base station height"). Every coordinate
     /// must be finite. A custom or CSMA MAC config must have backoff bounds
-    /// `1 <= bo_min <= bo_max`.
+    /// `1 <= bo_min <= bo_max`. Every station shares one channel, so its
+    /// MAC's [`Timing`] must have a nonzero `ns_per_byte` and
+    /// `control_bytes` and equal the first station's: the network times
+    /// every frame on the air with that one timing.
     pub fn add_station(&mut self, name: &str, pos: Point, mac: MacKind) -> usize {
         self.check_point(pos, format_args!("add_station '{name}'"));
+        let timing = mac.timing();
+        if timing.ns_per_byte == 0 || timing.control_bytes == 0 {
+            self.note_defect(format!(
+                "add_station '{name}': timing {timing:?} needs a nonzero ns_per_byte and \
+                 control_bytes"
+            ));
+        } else if let Some(first) = self.stations.first() {
+            let channel = first.mac.timing();
+            if timing != channel {
+                self.note_defect(format!(
+                    "add_station '{name}': timing {timing:?} differs from the first \
+                     station's {channel:?}"
+                ));
+            }
+        }
         let bounds = match mac {
             MacKind::Custom(cfg) => Some((cfg.bo_min, cfg.bo_max)),
             MacKind::Csma(cfg) => Some((cfg.bo_min, cfg.bo_max)),
@@ -613,33 +618,37 @@ impl Scenario {
     /// the first recorded builder defect (if any) as
     /// [`SimError::InvalidScenario`].
     pub fn build(self) -> Result<Network, SimError> {
-        self.build_with()
-    }
-
-    /// Assemble the network on any [`Medium`] implementation (with the
-    /// default ladder-queue future-event list).
-    pub fn build_with<M: Medium>(self) -> Result<Network<M>, SimError> {
-        self.build_with_queue::<M, macaw_sim::LadderFel>()
+        self.build_with_queue::<macaw_phy::SparseMedium, macaw_sim::LadderFel>()
     }
 
     /// Assemble the network on any [`Medium`] and any future-event-list
     /// family ([`macaw_sim::FelChoice`]). The FEL is unobservable by
     /// construction — every backend pops the same total order — so this
-    /// exists for the queue-equivalence tests that prove it and for
-    /// perfbench's timed event list.
+    /// exists for the queue-equivalence tests that prove it, for the
+    /// reference-medium oracle tests and for perfbench's timed seams.
     pub fn build_with_queue<M: Medium, Q: macaw_sim::FelChoice>(
         mut self,
     ) -> Result<Network<M, Q>, SimError> {
         if let Some(msg) = self.defect.take() {
             return Err(SimError::InvalidScenario(msg));
         }
-        // Island labels for the per-island event accounting: precomputed by
-        // the sharded runner (the global partition restricted to this
-        // projection), derived from the coupling graph otherwise.
-        let part = match self.islands.take() {
-            Some(p) => p,
-            None => crate::partition::compute(&self),
-        };
+        // Island labels for the per-island event accounting.
+        let part = crate::partition::compute(&self);
+        Ok(self.assemble(&part, |_| true))
+    }
+
+    /// The one network builder behind [`Scenario::build_with_queue`] and
+    /// every shard of [`Scenario::run_with_shards`]. `part` is this
+    /// scenario's coupling partition; only the stream arrivals and actions
+    /// of islands `owns` accepts are primed. Everything else is built but
+    /// stays inert: a MAC acts only when driven by traffic, a timer or a
+    /// received frame, and nothing outside the owned islands can produce
+    /// any of the three.
+    fn assemble<M: Medium, Q: macaw_sim::FelChoice>(
+        mut self,
+        part: &Partition,
+        owns: impl Fn(u32) -> bool,
+    ) -> Network<M, Q> {
         let root = SimRng::new(self.seed);
         // Multicast group membership comes from both explicit joins and
         // stream declarations.
@@ -654,6 +663,7 @@ impl Scenario {
             }
         }
 
+        // `add_station` holds every station to the same timing.
         let timing = self
             .stations
             .first()
@@ -679,19 +689,13 @@ impl Scenario {
             net.add_station(s.name.clone(), mac, root.fork(0x57A7_0000 + i as u64));
         }
 
+        // Stream `i` is `StreamId(i)` in every network, serial or shard.
         for (i, spec) in self.streams.iter().enumerate() {
-            // A shard projection carries global ids so a stream's label and
-            // RNG fork are identical to the full (serial) build.
-            let gid = match &self.stream_ids {
-                Some(ids) => ids[i],
-                None => i as u32,
-            };
-            let id = StreamId(gid);
             let source: Box<dyn TrafficSource> = match spec.source {
                 SourceKind::Cbr { pps } => Box::new(Cbr::pps(pps, spec.bytes)),
                 SourceKind::Poisson { pps } => Box::new(Poisson::pps(pps, spec.bytes)),
             };
-            let rng = root.fork(0x5742_0000 + gid as u64);
+            let rng = root.fork(0x5742_0000 + i as u64);
             match &spec.dst {
                 Dest::Station(dst) => {
                     let (sender, receiver): (Box<dyn Transport>, Box<dyn Transport>) =
@@ -706,7 +710,6 @@ impl Scenario {
                         };
                     net.add_unicast_stream(
                         spec.name.clone(),
-                        id,
                         spec.src,
                         *dst,
                         spec.bytes,
@@ -721,7 +724,6 @@ impl Scenario {
                 Dest::Group { group, members } => {
                     net.add_multicast_stream(
                         spec.name.clone(),
-                        id,
                         spec.src,
                         *group,
                         members.clone(),
@@ -743,16 +745,16 @@ impl Scenario {
         for w in self.windows.drain(..) {
             net.add_corruption_window(w);
         }
-        net.set_islands(&part);
-        net.prime();
-        Ok(net)
+        net.set_islands(part);
+        net.prime(owns);
+        net
     }
 
     /// The conservative coupling partition of this scenario: the islands
     /// of stations that can ever interact, plus the island of every
-    /// stream, action, corruption window and noise emitter. See
-    /// [`crate::partition`] for the coupling rules and
-    /// [`Scenario::run_with_shards`] for the engine built on top of it.
+    /// stream, action and noise emitter. See [`crate::partition`] for the
+    /// coupling rules and [`Scenario::run_with_shards`] for the engine
+    /// built on top of it.
     pub fn partition(&self) -> Result<Partition, SimError> {
         if let Some(msg) = &self.defect {
             return Err(SimError::InvalidScenario(msg.clone()));
@@ -762,24 +764,13 @@ impl Scenario {
 
     /// Build and run for `duration`, measuring after `warmup`.
     pub fn run(self, duration: SimDuration, warmup: SimDuration) -> Result<RunReport, SimError> {
-        self.run_with::<macaw_phy::SparseMedium>(duration, warmup)
+        self.run_with_queue::<macaw_phy::SparseMedium, macaw_sim::LadderFel>(duration, warmup)
     }
 
-    /// Build on any [`Medium`] implementation and run for `duration`,
-    /// measuring after `warmup`. On the reference oracle
-    /// ([`macaw_phy::ReferenceMedium`]) the [`RunReport`] is bitwise
+    /// [`Scenario::run`] on any [`Medium`] and any future-event-list
+    /// family. On the reference oracle ([`macaw_phy::ReferenceMedium`]) or
+    /// the heap FEL ([`macaw_sim::HeapFel`]) the [`RunReport`] is bitwise
     /// identical to [`Scenario::run`]'s for the same scenario and seed.
-    pub fn run_with<M: Medium>(
-        self,
-        duration: SimDuration,
-        warmup: SimDuration,
-    ) -> Result<RunReport, SimError> {
-        self.run_with_queue::<M, macaw_sim::LadderFel>(duration, warmup)
-    }
-
-    /// [`Scenario::run_with`] on an explicit future-event-list family.
-    /// Produces a bitwise-identical [`RunReport`] for the same scenario
-    /// and seed whichever FEL backend runs it.
     pub fn run_with_queue<M: Medium, Q: macaw_sim::FelChoice>(
         self,
         duration: SimDuration,
@@ -803,9 +794,15 @@ impl Scenario {
     /// threads, run each shard as an independent event loop, and merge the
     /// per-shard results into a [`RunReport`] that is bitwise identical to
     /// [`Scenario::run`]'s — the serial engine stays the oracle, exactly as
-    /// for the reference-vs-sparse media and heap-vs-ladder FELs. Every
-    /// shard builds on the default medium and event list, as
-    /// [`Scenario::run`] does.
+    /// for the reference-vs-sparse media and heap-vs-ladder FELs.
+    ///
+    /// Every shard builds the whole scenario, on the default medium and
+    /// event list, through the same builder as [`Scenario::build`], and
+    /// primes only the stream arrivals and actions of the islands it owns.
+    /// Station and stream indices, RNG forks and the medium are therefore
+    /// identical to the serial build; the rest of the network stays inert.
+    /// Each stream and station row of the report comes from the shard that
+    /// owns its island.
     ///
     /// The model's zero propagation delay leaves zero conservative
     /// lookahead *within* an island and unbounded lookahead *between*
@@ -833,86 +830,24 @@ impl Scenario {
         let part = crate::partition::compute(&self);
         let n_shards = shards.max(1);
         let shard_of = part.assign_shards(n_shards);
-
-        // Project the scenario onto each shard. Every shard replicates ALL
-        // stations and noise emitters — so station indices, RNG forks and
-        // medium construction are identical to the serial build — but
-        // receives only the streams, actions and corruption windows of the
-        // islands it owns. Stations outside those islands are inert: a MAC
-        // only acts when driven by traffic, a timer or a received frame,
-        // and nothing in a foreign island can produce any of the three.
-        let mut shard_scs: Vec<Scenario> = (0..n_shards)
-            .map(|_| Scenario {
-                seed: self.seed,
-                prop: self.prop,
-                stations: self.stations.clone(),
-                streams: Vec::new(),
-                noise: self.noise.clone(),
-                actions: Vec::new(),
-                // The whole move table rides along: batch actions index it
-                // globally, and an unreferenced entry is inert.
-                moves: self.moves.clone(),
-                windows: Vec::new(),
-                stream_ids: Some(Vec::new()),
-                islands: None,
-                defect: None,
-            })
-            .collect();
-        // Global stream ids owned by each shard, in declaration order.
-        let mut gids: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        // The global partition restricted to each projection's rows, so
-        // per-island accounting in the shard matches the serial labels.
-        let mut sub_streams: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        let mut sub_actions: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        let mut sub_windows: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        for (i, spec) in self.streams.iter().enumerate() {
-            let isl = part.stream_island[i];
-            let s = shard_of[isl as usize] as usize;
-            shard_scs[s].streams.push(spec.clone());
-            gids[s].push(i as u32);
-            sub_streams[s].push(isl);
-        }
-        for (i, a) in self.actions.iter().enumerate() {
-            let isl = part.action_island[i];
-            let s = shard_of[isl as usize] as usize;
-            shard_scs[s].actions.push(*a);
-            sub_actions[s].push(isl);
-        }
-        for (i, w) in self.windows.iter().enumerate() {
-            let isl = part.window_island[i];
-            let s = shard_of[isl as usize] as usize;
-            shard_scs[s].windows.push(*w);
-            sub_windows[s].push(isl);
-        }
-        for (s, sc) in shard_scs.iter_mut().enumerate() {
-            sc.stream_ids = Some(gids[s].clone());
-            sc.islands = Some(Partition {
-                n_islands: part.n_islands,
-                station_island: part.station_island.clone(),
-                stream_island: std::mem::take(&mut sub_streams[s]),
-                action_island: std::mem::take(&mut sub_actions[s]),
-                window_island: std::mem::take(&mut sub_windows[s]),
-                noise_island: part.noise_island.clone(),
-            });
-        }
+        let owner = |island: u32| shard_of[island as usize] as usize;
 
         let warmup_end = SimTime::ZERO + warmup;
         let end = SimTime::ZERO + duration;
-        type ShardOutcome = Result<(RunReport, (u64, u64), u64, f64, MediumStats), SimError>;
+        type ShardOutcome = Result<(RunReport, (u64, u64), u64, MediumStats), SimError>;
         let results: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_scs
-                .into_iter()
-                .map(|sc| {
+            let handles: Vec<_> = (0..n_shards)
+                .map(|s| {
+                    let (sc, part) = (&self, &part);
                     scope.spawn(move || -> ShardOutcome {
-                        let t0 = std::time::Instant::now();
-                        let mut net = sc.build()?;
+                        let mut net: Network = sc.clone().assemble(part, |i| owner(i) == s);
                         net.set_warmup(warmup_end);
                         net.run_until(end)?;
                         let report = net.report(end);
                         let air = net.air_totals_ns();
                         let events = net.events_processed();
                         let medium = net.medium().medium_stats();
-                        Ok((report, air, events, t0.elapsed().as_secs_f64(), medium))
+                        Ok((report, air, events, medium))
                     })
                 })
                 .collect();
@@ -922,47 +857,40 @@ impl Scenario {
                 .collect()
         });
         let mut reports = Vec::with_capacity(n_shards);
-        let mut walls = Vec::with_capacity(n_shards);
         let mut events = Vec::with_capacity(n_shards);
         let (mut data_ns, mut air_ns, mut total_events) = (0u64, 0u64, 0u64);
         let mut medium = MediumStats::default();
         for r in results {
-            let (rep, (d, a), ev, wall, med) = r?;
+            let (rep, (d, a), ev, med) = r?;
             data_ns += d;
             air_ns += a;
             total_events += ev;
             medium.merge(med);
             events.push(ev);
-            walls.push(wall);
             reports.push(rep);
         }
 
         // Merge, field by field, into exactly what the serial engine
         // reports. Per-stream and per-station rows come verbatim from the
-        // owning shard (each shard computed its rates from the same
-        // `measured` value below, so the f64s are bit-identical); air
-        // totals are summed as integer nanoseconds *before* the single
+        // shard that owns their island (each shard computed its rates from
+        // the same `measured` value below, so the f64s are bit-identical);
+        // air totals are summed as integer nanoseconds *before* the single
         // conversion to seconds; queue counters sum because every event
         // belongs to exactly one island, and the high-water field was
         // redefined as an island sum for precisely this reason (see
         // [`Network::queue_stats`](crate::network::Network::queue_stats)).
         let measured = end.saturating_since(warmup_end).as_secs_f64();
-        let mut stream_rows: Vec<Option<StreamReport>> = vec![None; self.streams.len()];
-        for (s, rep) in reports.iter().enumerate() {
-            for (j, &gid) in gids[s].iter().enumerate() {
-                stream_rows[gid as usize] = Some(rep.streams[j].clone());
-            }
-        }
-        let streams: Vec<StreamReport> = stream_rows
-            .into_iter()
-            .map(|r| r.expect("every stream is owned by exactly one shard"))
+        let streams: Vec<StreamReport> = part
+            .stream_island
+            .iter()
+            .enumerate()
+            .map(|(i, &isl)| reports[owner(isl)].streams[i].clone())
             .collect();
-        let mut mac_stats = Vec::with_capacity(self.stations.len());
-        let mut mac_drops = Vec::with_capacity(self.stations.len());
+        let mut mac_stats = Vec::with_capacity(part.station_island.len());
+        let mut mac_drops = Vec::with_capacity(part.station_island.len());
         for (i, &isl) in part.station_island.iter().enumerate() {
-            let owner = shard_of[isl as usize] as usize;
-            mac_stats.push(reports[owner].mac_stats[i]);
-            mac_drops.push(reports[owner].mac_drops[i]);
+            mac_stats.push(reports[owner(isl)].mac_stats[i]);
+            mac_drops.push(reports[owner(isl)].mac_drops[i]);
         }
         let mut queue_stats = macaw_sim::QueueStats::default();
         for rep in &reports {
@@ -983,31 +911,19 @@ impl Scenario {
             queue_stats,
         };
 
-        let max_wall = walls.iter().cloned().fold(0.0f64, f64::max);
-        let barrier_wait_share = if max_wall > 0.0 {
-            walls.iter().map(|w| max_wall - w).sum::<f64>() / (n_shards as f64 * max_wall)
-        } else {
-            0.0
-        };
-        let sizes = part.island_sizes();
+        let count = |islands: &[u32], s: usize| islands.iter().filter(|&&i| owner(i) == s).count();
         let per_shard = (0..n_shards)
             .map(|s| ShardStats {
                 islands: shard_of.iter().filter(|&&o| o as usize == s).count(),
-                stations: part
-                    .station_island
-                    .iter()
-                    .filter(|&&i| shard_of[i as usize] as usize == s)
-                    .count(),
-                streams: gids[s].len(),
+                stations: count(&part.station_island, s),
+                streams: count(&part.stream_island, s),
                 events: events[s],
-                wall_secs: walls[s],
             })
             .collect();
         let stats = ShardRunStats {
             shards: n_shards,
             islands: part.n_islands,
-            largest_island: sizes.iter().copied().max().unwrap_or(0),
-            barrier_wait_share,
+            largest_island: part.island_sizes().into_iter().max().unwrap_or(0),
             medium,
             per_shard,
         };
@@ -1235,6 +1151,50 @@ mod tests {
         for (what, sc) in cases {
             match sc.run(SimDuration::from_secs(5), SimDuration::from_secs(1)) {
                 Err(SimError::InvalidScenario(_)) => {}
+                other => panic!("{what}: want InvalidScenario, got {other:?}"),
+            }
+        }
+    }
+
+    /// One channel, one timing: a pad whose MAC runs at half the byte rate
+    /// used to leave the air time to the declaration order, and a zero
+    /// byte time put frames on the air for no time at all.
+    #[test]
+    fn mixed_or_zero_mac_timing_is_a_typed_error() {
+        let custom = |ns_per_byte| {
+            MacKind::Custom(MacConfig {
+                timing: Timing {
+                    ns_per_byte,
+                    ..Timing::default()
+                },
+                ..MacConfig::macaw()
+            })
+        };
+        // A base at (0, 0, 6) and a pad at (3, 0, 0) sending it 16 pps.
+        let cell = |base: MacKind, pad: MacKind, pad_first: bool| {
+            let mut sc = Scenario::new(3);
+            let (b_at, p_at) = (Point::new(0.0, 0.0, 6.0), Point::new(3.0, 0.0, 0.0));
+            let (b, p) = if pad_first {
+                let p = sc.add_station("P", p_at, pad);
+                (sc.add_station("B", b_at, base), p)
+            } else {
+                let b = sc.add_station("B", b_at, base);
+                (b, sc.add_station("P", p_at, pad))
+            };
+            sc.add_udp_stream("P-B", p, b, 16, 512);
+            sc
+        };
+        let (macaw, slow, zero) = (MacKind::Macaw, custom(62_500), custom(0));
+        let cases = [
+            ("slow pad after the base", cell(macaw, slow, false)),
+            ("slow pad before the base", cell(macaw, slow, true)),
+            ("zero byte time everywhere", cell(zero, zero, false)),
+        ];
+        for (what, sc) in cases {
+            match sc.run(SimDuration::from_secs(20), SimDuration::from_secs(2)) {
+                Err(SimError::InvalidScenario(msg)) => {
+                    assert!(msg.contains("timing"), "{what}: {msg}")
+                }
                 other => panic!("{what}: want InvalidScenario, got {other:?}"),
             }
         }

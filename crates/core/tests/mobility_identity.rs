@@ -14,7 +14,7 @@
 use macaw_core::mobility::{self, CampusConfig, WaypointConfig};
 use macaw_core::prelude::*;
 use macaw_phy::ReferenceMedium;
-use macaw_sim::SimRng;
+use macaw_sim::{LadderFel, SimRng};
 
 const RUN: SimDuration = SimDuration::from_secs(10);
 const WARM: SimDuration = SimDuration::from_secs(2);
@@ -30,7 +30,7 @@ fn moving_campus(seed: u64) -> Scenario {
 fn moving_campus_sparse_matches_reference_bitwise() {
     let sparse = moving_campus(3).run(RUN, WARM).unwrap();
     let reference = moving_campus(3)
-        .run_with::<ReferenceMedium>(RUN, WARM)
+        .run_with_queue::<ReferenceMedium, LadderFel>(RUN, WARM)
         .unwrap();
     assert_eq!(
         sparse, reference,

@@ -113,7 +113,7 @@ pub enum MacFeedback {
 /// for. These used to be `expect`/`debug_assert!` aborts; surfacing them as
 /// data lets the model checker report the offending interleaving as a
 /// counterexample instead of killing the whole exploration, and lets the
-/// simulation core fail a run with a diagnosable [`SimError`] instead of a
+/// simulation core fail a run with a diagnosable `SimError` instead of a
 /// panic.
 ///
 /// A violation is a *bug in the protocol implementation* (or in a

@@ -116,7 +116,7 @@ impl Frame {
 /// 31 250 ns. The slot time used by the backoff algorithms is the duration
 /// of one 30-byte control packet (§3: "The transmission time of these
 /// packets defines the 'slot' time for retransmissions").
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Timing {
     /// Nanoseconds per byte on the air.
     pub ns_per_byte: u64,

@@ -9,7 +9,7 @@
 //! `carrier_busy` / `hears` / `in_range` answer, and the same RNG draw
 //! sequence — on any schedule of operations. `medium_contract_tests!` runs
 //! on both; `tests/oracle_medium.rs` and `tests/churn_medium.rs` drive them
-//! side by side, and `macaw-core`'s `Scenario::run_with::<ReferenceMedium>`
+//! side by side, and `macaw-core`'s `Scenario::run_with_queue::<ReferenceMedium, _>`
 //! holds whole runs bit-identical end to end.
 //!
 //! Do not "optimize" or otherwise clean this file up; its value is precisely

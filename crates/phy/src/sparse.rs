@@ -64,8 +64,9 @@
 //!   never depends on when unrelated transmissions elsewhere end, which is
 //!   what lets the sharded run in `macaw-core` reproduce the serial
 //!   trajectory island by island.
-//! * `set_position` changes terms involving the mover only — refold the
-//!   mover, plus its old and new neighborhoods if it is mid-transmission.
+//! * A move changes terms involving the mover only — refold the mover,
+//!   plus its old and new neighborhoods if it is mid-transmission, once per
+//!   `set_positions` batch (a single `set_position` is a batch of one).
 //! * `set_tx_power` / `set_link_gain` scale one source's terms — refold its
 //!   neighborhood / the one affected destination.
 //!
@@ -485,7 +486,7 @@ impl Medium for SparseMedium {
     }
 
     fn set_position(&mut self, id: StationId, pos: Point) {
-        self.move_station(id, pos, None);
+        self.set_positions(&[(id, pos)]);
     }
 
     fn set_positions(&mut self, moves: &[(StationId, Point)]) {
@@ -499,7 +500,7 @@ impl Medium for SparseMedium {
         let mut pending = std::mem::take(&mut self.scratch_refold);
         pending.clear();
         for &(id, pos) in moves {
-            self.move_station(id, pos, Some(&mut pending));
+            self.move_station(id, pos, &mut pending);
         }
         pending.sort_unstable();
         pending.dedup();
@@ -1131,12 +1132,13 @@ impl SparseMedium {
     }
 
     /// Apply one station move — the mover pipeline behind
-    /// [`Medium::set_position`] and [`Medium::set_positions`].
+    /// [`Medium::set_positions`] (a single [`Medium::set_position`] is a
+    /// batch of one).
     ///
-    /// `deferred` collects `incident`-refold targets when the caller
-    /// batches moves (`None` refolds immediately). Everything else —
-    /// dirtying, neighbor reconciliation, audibility, rechecks — always
-    /// happens per move, because later moves observe that state.
+    /// `deferred` collects the `incident`-refold targets, which the caller
+    /// refolds once the batch is done. Everything else — dirtying,
+    /// neighbor reconciliation, audibility, rechecks — happens per move,
+    /// because later moves observe that state.
     ///
     /// The pipeline replaces the old drop-and-rebuild with:
     /// * a same-cube early-out (geometry unchanged ⇒ nothing beyond the
@@ -1148,7 +1150,7 @@ impl SparseMedium {
     /// * audible-list deltas derived from those same deltas under a
     ///   uniform radio (ring searches otherwise), and
     /// * a *restricted* reception recheck — see the comment at the end.
-    fn move_station(&mut self, id: StationId, pos: Point, deferred: Option<&mut Vec<usize>>) {
+    fn move_station(&mut self, id: StationId, pos: Point, deferred: &mut Vec<usize>) {
         let moved = id.0;
         let old_pos = self.stations[moved].pos;
         let new_pos = cube_center(pos);
@@ -1369,28 +1371,10 @@ impl SparseMedium {
         // Fold terms changed only on pairs involving the mover: its own
         // sum always, and — if it is mid-transmission — its old and new
         // neighborhoods (went_out ∪ the new list covers both exactly).
-        match deferred {
-            Some(pending) => {
-                pending.push(moved);
-                if moving_tx.is_some() {
-                    pending.extend(went_out.iter().copied());
-                    pending.extend(self.nbrs[moved].iter().map(|n| n.idx));
-                }
-            }
-            None => {
-                let mut buf = std::mem::take(&mut self.scratch_fold);
-                self.incident[moved] = self.fold_incident_fast(moved, &mut buf);
-                if moving_tx.is_some() {
-                    for &b in &went_out {
-                        self.incident[b] = self.fold_incident_fast(b, &mut buf);
-                    }
-                    for i in 0..self.nbrs[moved].len() {
-                        let b = self.nbrs[moved][i].idx;
-                        self.incident[b] = self.fold_incident_fast(b, &mut buf);
-                    }
-                }
-                self.scratch_fold = buf;
-            }
+        deferred.push(moved);
+        if moving_tx.is_some() {
+            deferred.extend(went_out.iter().copied());
+            deferred.extend(self.nbrs[moved].iter().map(|n| n.idx));
         }
 
         // Restricted recheck. Receptions at the mover and of its own

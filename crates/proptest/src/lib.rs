@@ -330,7 +330,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,

@@ -195,7 +195,7 @@ const LADDER_SCAN_FACTOR: u64 = 8;
 
 /// A two-tier ladder/calendar future-event list.
 ///
-/// Near-future events live in a ring of [`LADDER_BUCKETS`] fixed-width
+/// Near-future events live in a ring of `LADDER_BUCKETS` fixed-width
 /// buckets in insertion order; a bucket is sorted once, when its time
 /// window becomes current, making push O(1) and pop O(1) amortized —
 /// the classic calendar-queue win over an O(log n) heap when event
@@ -216,7 +216,7 @@ const LADDER_SCAN_FACTOR: u64 = 8;
 ///
 /// # Sizing
 ///
-/// The first [`LADDER_BOOT_SAMPLES`] pushes run straight through the
+/// The first `LADDER_BOOT_SAMPLES` pushes run straight through the
 /// overflow heap while the push horizons (delay from "now") are sampled;
 /// the bucket width is then chosen so the median horizon spreads its
 /// events at roughly one per bucket. After that the geometry self-adjusts:

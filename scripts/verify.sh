@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline release build, lint wall, full test suite,
-# the benchmark's output check, smoke runs of the checker and replicate
-# binaries, and full runs of the faults, scale and mobility binaries.
-# Exits non-zero if anything fails to build, clippy reports any warning,
-# any test fails, a run panics or breaks one of its asserts (non-finite
+# Tier-1 verification: offline release build, lint wall, rustdoc gate,
+# full test suite, the benchmark's output check, smoke runs of the checker
+# and replicate binaries, and full runs of the faults, scale and mobility
+# binaries. Exits non-zero if anything fails to build, clippy or rustdoc
+# reports any warning (a dangling or private doc link included), any test
+# fails, a run panics or breaks one of its asserts (non-finite
 # throughput, MACAW not ahead of MACA on a corrupting channel, sparse !=
 # reference, serial != sharded), or a fresh BENCH_faults.json,
 # BENCH_scale.json or BENCH_mobility.json differs from the committed file
@@ -16,6 +17,9 @@ cargo build --release --workspace
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (deny warnings: dangling, private and ambiguous doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== tests =="
 cargo test -q --workspace
