@@ -25,10 +25,11 @@
 //! non-zero exit if any proof fails, any ratio regresses, or the parallel
 //! reports diverge.
 
-use macaw_bench::executor::{parse_jobs_arg, Executor};
+use macaw_bench::parse_jobs_arg;
 use macaw_check::{
     check, check_fan, CheckConfig, CheckReport, Expectation, FaultClass, SubtreeOut, Topology,
 };
+use macaw_core::Executor;
 use macaw_mac::{Addr, Csma, CsmaConfig, MacConfig, WMac};
 
 /// Oracle baseline cutoff, in applied transitions. Rows that exceed it are

@@ -11,9 +11,10 @@
 //! compares it byte for byte. `--jobs N` (default: one worker per core)
 //! pins the executor's worker count, with identical output for any count.
 
-use macaw_bench::executor::{parse_jobs_arg, Executor};
 use macaw_bench::faults::all_faults_with;
+use macaw_bench::parse_jobs_arg;
 use macaw_core::prelude::SimDuration;
+use macaw_core::Executor;
 
 fn die(e: &dyn std::fmt::Display) -> ! {
     eprintln!("simulation failed: {e}");
@@ -95,7 +96,7 @@ fn main() {
 
     let classes: Vec<String> = results.iter().map(|t| t.to_json()).collect();
     let json = format!(
-        "{{\n  \"workload\": \"all_faults(seed={seed}, {}s) — protocol ladder under injected faults\",\n  \
+        "{{\n  \"workload\": \"faults::all_faults_with(seed={seed}, {} s) — protocol ladder under injected faults\",\n  \
            \"classes\": [\n{}\n  ]\n}}\n",
         dur.as_secs_f64() as u64,
         classes.join(",\n")

@@ -27,10 +27,10 @@
 //!
 //! [`SparseMedium`]: macaw_phy::SparseMedium
 
-use macaw_bench::executor::Executor;
 use macaw_core::mobility::CampusConfig;
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
+use macaw_core::Executor;
 use macaw_phy::Medium;
 
 fn die(e: &dyn std::fmt::Display) -> ! {

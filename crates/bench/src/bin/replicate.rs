@@ -7,8 +7,8 @@
 //!
 //! Two phases, every run of this binary:
 //!
-//! 1. **Parallel sweep** — every `(table, run, replication)` triple runs
-//!    on the work-stealing executor.
+//! 1. **Parallel sweep** — every `(table, run, replication)` triple is
+//!    one job of the one table sweep (`run_specs_with`) on the executor.
 //! 2. **Serial check** (skippable with `--no-check`) — the same sweep on
 //!    one worker. The aggregates must be bitwise identical to phase 1's,
 //!    and the serial/parallel wall ratio is the printed speedup.
@@ -19,11 +19,11 @@
 //! `--quick` is the CI smoke (`scripts/verify.sh`): R = 3 at 10 s, both
 //! phases live, no JSON.
 
-use macaw_bench::executor::{parse_jobs_arg, Executor};
 use macaw_bench::replicate::{sweep, to_json, SweepConfig};
 use macaw_bench::stopwatch::time_once;
-use macaw_bench::{TableSpec, TABLE_SPECS};
+use macaw_bench::{parse_jobs_arg, TableSpec, TABLE_SPECS};
 use macaw_core::prelude::SimDuration;
+use macaw_core::Executor;
 
 fn die(e: &dyn std::fmt::Display) -> ! {
     eprintln!("simulation failed: {e}");

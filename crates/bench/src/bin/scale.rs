@@ -43,10 +43,11 @@
 //! [`Medium::memory_footprint`]: macaw_phy::Medium::memory_footprint
 //! [`RunReport`]: macaw_core::stats::RunReport
 
-use macaw_bench::executor::{parse_jobs_arg, Executor};
+use macaw_bench::parse_jobs_arg;
 use macaw_bench::stopwatch::{time_once, Spread};
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
+use macaw_core::Executor;
 use macaw_phy::{Medium as PhyMedium, ReferenceMedium, SparseMedium};
 use macaw_sim::LadderFel;
 

@@ -5,15 +5,16 @@
 //!
 //! `--quick` runs 100-second simulations instead of the paper's 500 s
 //! (2000 s for Table 11); `--table 5` runs only Table 5 (and `--table 1`
-//! also matches Figure 1). Tables fan out on the work-stealing executor —
-//! each simulation is an independent deterministic job — and are printed
-//! in paper order, on one worker per core unless `--jobs N` pins the
-//! count; output is byte-identical for any count, and `--jobs 1` runs
-//! every simulation in turn on the calling thread.
+//! also matches Figure 1). Every simulation is an independent
+//! deterministic job of the one table sweep (`run_specs_with`), longest
+//! table first, and the tables are printed in paper order, on one worker
+//! per core unless `--jobs N` pins the count; output is byte-identical
+//! for any count, and `--jobs 1` runs every simulation in turn on the
+//! calling thread.
 
-use macaw_bench::executor::{parse_jobs_arg, Executor};
-use macaw_bench::{default_duration, run_specs_with, TableSpec, TABLE_SPECS};
+use macaw_bench::{default_duration, parse_jobs_arg, run_specs_with, TableSpec, TABLE_SPECS};
 use macaw_core::prelude::SimDuration;
+use macaw_core::Executor;
 
 fn usage_and_exit() -> ! {
     eprintln!("usage: tables [--quick] [--seed N] [--table <n>] [--jobs N]");
@@ -94,8 +95,8 @@ fn main() {
     }
 
     let ex = jobs.map(Executor::new).unwrap_or_else(Executor::per_core);
-    let results = match run_specs_with(&ex, &selected, seed, dur) {
-        Ok(r) => r,
+    let results = match run_specs_with(&ex, &selected, &[seed], dur) {
+        Ok(mut per_seed) => per_seed.remove(0),
         Err(e) => {
             eprintln!("simulation failed: {e}");
             std::process::exit(1);

@@ -23,8 +23,8 @@
 //!   once) on the Figure-3 six-pad cell.
 
 use macaw_core::prelude::*;
+use macaw_core::Executor;
 
-use crate::executor::Executor;
 use crate::warm_for;
 
 /// The protocol ladder every fault class is run against.
@@ -330,9 +330,9 @@ fn chaos_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, Sim
     Ok(sc)
 }
 
-/// Every fault class, in report order, on the work-stealing executor
-/// `ex`: every `(class, protocol)` cell is an independent job — 15
-/// independent simulations. Each cell is a pure function of `(class,
+/// Every fault class, in report order, on the executor `ex`: every
+/// `(class, protocol)` cell is an independent job — 15 independent
+/// simulations. Each cell is a pure function of `(class,
 /// protocol, seed)`, so the assembled tables are the same whatever the
 /// worker count; the first error in input order wins (see
 /// `parallel_faults_match_serial` in `tests/determinism.rs`).

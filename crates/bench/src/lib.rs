@@ -4,9 +4,10 @@
 //! simulations it needs ([`RunSpec`]s, each a pure function of the seed)
 //! and how to assemble their [`RunReport`]s into a [`TableResult`], which
 //! holds the paper's published numbers next to the measured ones. The
-//! `tables` binary, the work-stealing parallel sweep ([`executor`]), the
-//! multi-seed replication engine ([`replicate`]) and `EXPERIMENTS.md` all
-//! iterate the same [`TABLE_SPECS`], so they share one source of truth.
+//! `tables` binary, the multi-seed replication engine ([`replicate`]) and
+//! `EXPERIMENTS.md` all iterate the same [`TABLE_SPECS`], and both
+//! binaries run them through one sweep, [`run_specs_with`], on the
+//! [`Executor`], so they share one source of truth.
 //!
 //! Protocol configurations follow the paper's narrative order: each table
 //! was produced with the amendments adopted *up to that section*, so e.g.
@@ -15,15 +16,21 @@
 //! says what it runs.
 
 use macaw_core::prelude::*;
+use macaw_core::Executor;
 use macaw_mac::BackoffSharing;
 
-use crate::executor::Executor;
-
 pub mod alloc_stats;
-pub mod executor;
 pub mod faults;
 pub mod replicate;
 pub mod stopwatch;
+
+/// Parse a `--jobs` argument value shared by every bench binary.
+pub fn parse_jobs_arg(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("--jobs wants an integer >= 1, got {value:?}")),
+    }
+}
 
 /// Default experiment duration (the paper runs 500–2000 s).
 pub fn default_duration() -> SimDuration {
@@ -630,38 +637,47 @@ pub fn table_spec(id: &str) -> Option<&'static TableSpec> {
     TABLE_SPECS.iter().find(|s| s.id == id)
 }
 
-/// Run a selection of table specs on `ex`, fanning out at *simulation*
-/// granularity (a table needing eight runs contributes eight independent
-/// jobs), and assemble each table from its reports. Output order matches
-/// `specs`; the first [`SimError`] in (table, run) order wins, whatever
-/// the worker count and whichever job failed first on the wall clock.
-/// `Executor::new(1)` runs every job inline, one after another.
+/// The one `(table, run, seed)` sweep behind `tables` and
+/// [`replicate::sweep`]: every simulation of every table in `specs`, once
+/// per seed in `seeds`, is an independent job on `ex`, queued longest
+/// table first (by `dur_mul`) so the pool's tail is short runs rather
+/// than one 4x-length straggler. Returns, for each seed in order, the
+/// tables assembled in `specs` order. The first [`SimError`] in job order
+/// wins, whatever the worker count and whichever job failed first on the
+/// wall clock.
 pub fn run_specs_with(
     ex: &Executor,
     specs: &[&TableSpec],
-    seed: u64,
+    seeds: &[u64],
     dur: SimDuration,
-) -> Result<Vec<TableResult>, SimError> {
+) -> Result<Vec<Vec<TableResult>>, SimError> {
     let runs: Vec<Vec<RunSpec>> = specs.iter().map(|s| (s.runs)()).collect();
-    let mut jobs: Vec<(usize, usize)> = Vec::new();
+    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
     for (si, rs) in runs.iter().enumerate() {
         for ri in 0..rs.len() {
-            jobs.push((si, ri));
+            for k in 0..seeds.len() {
+                jobs.push((si, ri, k));
+            }
         }
     }
+    jobs.sort_by_key(|&(si, _, _)| std::cmp::Reverse(specs[si].dur_mul));
     let reports = ex.try_run(jobs.len(), |j| {
-        let (si, ri) = jobs[j];
+        let (si, ri, k) = jobs[j];
         let d = dur * specs[si].dur_mul;
-        (runs[si][ri].build)(seed).run(d, warm_for(d))
+        (runs[si][ri].build)(seeds[k]).run(d, warm_for(d))
     })?;
-    let mut out = Vec::with_capacity(specs.len());
-    let mut offset = 0;
-    for (si, spec) in specs.iter().enumerate() {
-        let n = runs[si].len();
-        out.push((spec.assemble)(&reports[offset..offset + n]));
-        offset += n;
-    }
-    Ok(out)
+
+    // Back to (seed, table, run) order, then one assembly per seed and table.
+    let mut done: Vec<_> = jobs.into_iter().zip(reports).collect();
+    done.sort_unstable_by_key(|&((si, ri, k), _)| (k, si, ri));
+    let mut reports = done.into_iter().map(|(_, r)| r);
+    let mut assemble = |(spec, rs): (&&TableSpec, &Vec<RunSpec>)| {
+        (spec.assemble)(&reports.by_ref().take(rs.len()).collect::<Vec<_>>())
+    };
+    Ok(seeds
+        .iter()
+        .map(|_| specs.iter().zip(&runs).map(&mut assemble).collect())
+        .collect())
 }
 
 #[cfg(test)]
@@ -677,5 +693,14 @@ mod tests {
                 assert_eq!(s.dur_mul, 1, "{}", s.id);
             }
         }
+    }
+
+    #[test]
+    fn parse_jobs_arg_accepts_positive_rejects_rest() {
+        assert_eq!(parse_jobs_arg("8"), Ok(8));
+        assert_eq!(parse_jobs_arg(" 2 "), Ok(2));
+        assert!(parse_jobs_arg("0").is_err());
+        assert!(parse_jobs_arg("-1").is_err());
+        assert!(parse_jobs_arg("lots").is_err());
     }
 }

@@ -6,8 +6,8 @@
 //! NS-3-style DCF parameter studies make to put error bars on MAC
 //! comparisons. The sweep is embarrassingly parallel — each
 //! `(table, run, replication)` triple is an independent simulation — and
-//! runs through the work-stealing [`Executor`] with results scattered
-//! into indexed slots, so the aggregates are *bitwise identical* whether
+//! runs through the same [`run_specs_with`] sweep as the `tables` binary,
+//! on the [`Executor`], so the aggregates are *bitwise identical* whether
 //! the sweep ran serially or on eight workers.
 //!
 //! Replication seeds come from the simulator's own stream-splitting
@@ -18,10 +18,10 @@
 //! for the actual degrees of freedom.
 
 use macaw_core::prelude::*;
+use macaw_core::Executor;
 use macaw_sim::SimRng;
 
-use crate::executor::Executor;
-use crate::{warm_for, RunSpec, TableSpec};
+use crate::{run_specs_with, TableSpec};
 
 /// The seed driving replication `r` of a sweep rooted at `root`: the
 /// simulator's own stream-split derivation, so the mapping is pure,
@@ -156,80 +156,51 @@ impl Replication {
     }
 }
 
-/// Run the replication sweep for `specs` on `ex`. Aggregates are a pure
-/// fold (in replication order) over reports that are themselves pure
-/// functions of `(table, run, seed)`, so the result is independent of
-/// worker count and steal timing.
+/// Run the replication sweep for `specs` on `ex`: one
+/// [`run_specs_with`] call over the R replication seeds, folded into
+/// streaming stats in replication order. Aggregates are a pure fold over
+/// reports that are themselves pure functions of `(table, run, seed)`, so
+/// the result is independent of worker count and timing.
 pub fn sweep(
     ex: &Executor,
     specs: &[&TableSpec],
     cfg: &SweepConfig,
 ) -> Result<Replication, SimError> {
     assert!(cfg.replications >= 1, "replication sweep needs R >= 1");
-    let reps = cfg.replications as usize;
-    let runs: Vec<Vec<RunSpec>> = specs.iter().map(|s| (s.runs)()).collect();
     let seeds: Vec<u64> = (0..cfg.replications)
         .map(|r| replication_seed(cfg.root_seed, r))
         .collect();
+    let per_seed = run_specs_with(ex, specs, &seeds, cfg.dur)?;
+    let runs_per_seed: usize = specs.iter().map(|s| (s.runs)().len()).sum();
 
-    // Flat job list. Long-duration tables go first so the work-stealing
-    // tail is short jobs, not one 4x-length straggler.
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-    for (si, rs) in runs.iter().enumerate() {
-        for ri in 0..rs.len() {
-            for rep in 0..reps {
-                jobs.push((si, ri, rep));
-            }
-        }
-    }
-    jobs.sort_by_key(|&(si, _, _)| std::cmp::Reverse(specs[si].dur_mul));
-
-    let results = ex.try_run(jobs.len(), |j| {
-        let (si, ri, rep) = jobs[j];
-        let d = cfg.dur * specs[si].dur_mul;
-        (runs[si][ri].build)(seeds[rep]).run(d, warm_for(d))
-    })?;
-
-    // Scatter results back to [table][replication][run].
-    let mut reports: Vec<Vec<Vec<Option<RunReport>>>> = runs
-        .iter()
-        .map(|rs| (0..reps).map(|_| (0..rs.len()).map(|_| None).collect()).collect())
-        .collect();
-    let total_jobs = jobs.len();
-    for (&(si, ri, rep), report) in jobs.iter().zip(results) {
-        reports[si][rep][ri] = Some(report);
-    }
-
-    // Fold per-replication tables into streaming stats, replication order.
-    let mut tables = Vec::with_capacity(specs.len());
-    for (si, tspec) in specs.iter().enumerate() {
-        let mut agg: Option<TableReplication> = None;
-        for rep_slots in reports[si].iter_mut() {
-            let per_run: Vec<RunReport> = rep_slots
-                .iter_mut()
-                .map(|r| r.take().expect("every job filled its slot"))
-                .collect();
-            let t = (tspec.assemble)(&per_run);
-            let agg = agg.get_or_insert_with(|| TableReplication {
-                id: t.id,
-                title: t.title,
-                columns: t.columns.clone(),
-                rows: t
+    let tables = (0..specs.len())
+        .map(|si| {
+            let first = &per_seed[0][si];
+            let mut agg = TableReplication {
+                id: first.id,
+                title: first.title,
+                columns: first.columns.clone(),
+                rows: first
                     .rows
                     .iter()
                     .map(|(n, p, m)| (n.clone(), p.clone(), vec![Welford::default(); m.len()]))
                     .collect(),
-            });
-            for ((_, _, stats), (_, _, measured)) in agg.rows.iter_mut().zip(&t.rows) {
-                for (w, &x) in stats.iter_mut().zip(measured) {
-                    w.push(x);
+            };
+            for t in per_seed.iter().map(|tables| &tables[si]) {
+                for ((_, _, stats), (_, _, measured)) in agg.rows.iter_mut().zip(&t.rows) {
+                    for (w, &x) in stats.iter_mut().zip(measured) {
+                        w.push(x);
+                    }
                 }
             }
-        }
-        tables.push(agg.expect("R >= 1"));
-    }
+            agg
+        })
+        .collect();
 
-    Ok(Replication { tables, total_jobs })
+    Ok(Replication {
+        tables,
+        total_jobs: seeds.len() * runs_per_seed,
+    })
 }
 
 /// Serialize a completed sweep as the `BENCH_replicate.json` payload:

@@ -4,8 +4,8 @@
 //! defines the job set, and the executor returns job outputs in index
 //! order, so the merged statistics and verdict cannot depend on `--jobs`.
 
-use macaw_bench::executor::Executor;
 use macaw_check::{check_fan, CheckConfig, CheckReport, Expectation, FaultClass, Topology};
+use macaw_core::Executor;
 use macaw_mac::{Addr, MacConfig, WMac};
 
 fn macaw_cfg() -> MacConfig {

@@ -8,11 +8,11 @@
 //! change that perturbs event order or floating-point folds shows up here
 //! before it can silently move the paper tables.
 
-use macaw_bench::executor::Executor;
 use macaw_bench::faults::all_faults_with;
 use macaw_bench::{run_specs_with, TableSpec, TABLE_SPECS};
 use macaw_core::figures;
 use macaw_core::prelude::{MacKind, SimDuration, SimTime};
+use macaw_core::Executor;
 
 /// Same topology + seed → byte-identical report. `Debug` for f64 prints
 /// the shortest round-trippable decimal, so string equality here is bit
@@ -63,8 +63,12 @@ fn mobility_scenario_deterministic() {
 fn parallel_tables_match_serial() {
     let dur = SimDuration::from_secs(10);
     let specs: Vec<&TableSpec> = TABLE_SPECS.iter().collect();
-    let serial = run_specs_with(&Executor::new(1), &specs, 1, dur).unwrap();
-    let parallel = run_specs_with(&Executor::new(2), &specs, 1, dur).unwrap();
+    let serial = run_specs_with(&Executor::new(1), &specs, &[1], dur)
+        .unwrap()
+        .remove(0);
+    let parallel = run_specs_with(&Executor::new(2), &specs, &[1], dur)
+        .unwrap()
+        .remove(0);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.id, p.id);

@@ -55,13 +55,13 @@
 //! ([`CheckConfig::split_depth`]): the serial expansion phase explores to
 //! that depth, memo-deduping split-frontier states, and emits one job per
 //! surviving subtree. Jobs run through a caller-supplied fan (the bench
-//! crate passes its deterministic executor) and merge in job-index order —
-//! stats are summed over *all* jobs and the first violating job supplies
-//! the counterexample, so the report is bitwise identical for any worker
-//! count. The one behavioral seam: a progress-free cycle that crosses the
-//! split boundary is caught one full cycle later, inside the job's own
-//! path set, which can require one extra `depth_step` of bound — the same
-//! for every worker count.
+//! crate passes `macaw_core::Executor`, the shared-cursor pool) and merge
+//! in job-index order — stats are summed over *all* jobs and the first
+//! violating job supplies the counterexample, so the report is bitwise
+//! identical for any worker count. The one behavioral seam: a
+//! progress-free cycle that crosses the split boundary is caught one full
+//! cycle later, inside the job's own path set, which can require one extra
+//! `depth_step` of bound — the same for every worker count.
 
 use std::fmt;
 use std::sync::Arc;
@@ -289,7 +289,7 @@ where
 /// [`check`] with a caller-supplied fan for the split-frontier jobs. `fan`
 /// receives the job count and a job runner and must return exactly one
 /// output per job, **in job-index order** — any execution strategy with
-/// that contract (serial loop, the bench crate's deterministic executor)
+/// that contract (serial loop, `macaw_core::Executor` in the bench crate)
 /// yields a bitwise-identical report. With [`CheckConfig::split_depth`]
 /// zero the fan is never invoked.
 pub fn check_fan<P, F>(

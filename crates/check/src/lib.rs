@@ -38,9 +38,10 @@
 //! topology's declared station-permutation group ([`SymPerm`]), and
 //! reception-order (Foata) filtering. [`check_fan`] additionally splits
 //! the frontier at a fixed depth and fans subtrees out over a
-//! caller-supplied executor, merging deterministically so reports are
-//! bitwise identical for any worker count. The unreduced serial explorer
-//! is kept bit-for-bit intact as the validation oracle.
+//! caller-supplied fan (the bench crate passes `macaw_core::Executor`),
+//! merging deterministically so reports are bitwise identical for any
+//! worker count. The unreduced serial explorer is kept bit-for-bit intact
+//! as the validation oracle.
 
 pub mod explore;
 mod key;

@@ -22,6 +22,10 @@
 //!   ([`partition::Partition`]) behind [`scenario::Scenario::run_with_shards`]:
 //!   islands of stations that can ever interact, run in parallel with a
 //!   bitwise-identical merged [`stats::RunReport`].
+//! * [`executor`] — the [`Executor`], the one thread pool: a batch of
+//!   independent jobs on a shared cursor, results in index order. The
+//!   bench binaries fan their simulations out on it, and
+//!   [`scenario::Scenario::run_with_shards`] runs its shards as its jobs.
 //! * [`error`] — [`error::SimError`], the typed failure every fallible entry
 //!   point returns instead of panicking.
 //!
@@ -46,6 +50,7 @@
 //! ```
 
 pub mod error;
+pub mod executor;
 pub mod faults;
 pub mod figures;
 pub mod mobility;
@@ -56,6 +61,7 @@ pub mod stats;
 pub mod topology;
 
 pub use error::SimError;
+pub use executor::Executor;
 pub use faults::{Fault, FaultPlan, FaultPlanConfig};
 pub use mobility::{campus_topology, CampusConfig, WaypointConfig};
 pub use network::Network;

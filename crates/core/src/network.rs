@@ -287,9 +287,7 @@ enum Effect {
 /// Scheduled scenario actions.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ActionKind {
-    /// Move a station (mobility).
-    Move { station: usize, to: Point },
-    /// Move several stations at one instant: entries `start..start + len`
+    /// Move one or more stations at one instant: entries `start..start + len`
     /// of the network's move table, applied through
     /// [`Medium::set_positions`] so the medium coalesces the interference
     /// re-folds across the batch. The table lives outside this enum so the
@@ -825,12 +823,6 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         }
     }
 
-    /// Total number of events processed since construction (the natural
-    /// unit for engine throughput: events per wall-clock second).
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
     /// Operation counters of the underlying future-event list, with the
     /// live-depth high-water mark replaced by the **sum of per-island
     /// high-water marks**. Islands never exchange events, so each island's
@@ -966,9 +958,6 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
 
     fn handle_action(&mut self, kind: ActionKind) -> Result<(), SimError> {
         match kind {
-            ActionKind::Move { station, to } => {
-                self.medium.set_position(StationId(station), to);
-            }
             ActionKind::MoveBatch { start, len } => {
                 let s = start as usize;
                 self.medium.set_positions(&self.moves[s..s + len as usize]);

@@ -14,7 +14,7 @@
 //! that graph conservatively from the declarative [`Scenario`]:
 //!
 //! * **Geometry** — stations couple when any pair of their position
-//!   instances (initial placement plus every scheduled `Move` target) comes
+//!   instances (initial placement plus every scheduled move target) comes
 //!   within `max(reach_a, reach_b) + PAD` feet, where `reach_s = 10 ·
 //!   (tx_power_s · max_link)^(1/γ)` is the stretched reception radius under
 //!   the largest link-gain factor any action ever sets, and
@@ -57,7 +57,7 @@
 
 use std::ops::Range;
 
-use macaw_phy::{CutoffMode, MediumStats, Point, StationId};
+use macaw_phy::{CutoffMode, MediumStats, Point};
 
 use crate::network::ActionKind;
 use crate::scenario::Scenario;
@@ -157,15 +157,16 @@ pub struct ShardStats {
 /// [`Scenario::run_with_shards`]: crate::scenario::Scenario::run_with_shards
 #[derive(Clone, Debug)]
 pub struct ShardRunStats {
-    /// Shards requested (and spawned; some may own zero islands).
+    /// Shards requested. A shard that owns no island (shard 0 excepted)
+    /// builds nothing, and its [`ShardStats`] row is all zero.
     pub shards: usize,
     /// Islands in the scenario's coupling partition.
     pub islands: usize,
     /// Stations in the largest island — the serial floor no shard count
     /// can break through.
     pub largest_island: usize,
-    /// Medium operation counters merged across shards (ops and fold terms
-    /// sum; slab high-water is the per-shard max). Like the rest of this
+    /// Medium operation counters merged across the shards that ran (ops
+    /// and fold terms sum; slab high-water is the per-shard max). Like the rest of this
     /// struct they live outside [`RunReport`](crate::stats::RunReport) so
     /// instrumentation can never perturb the bitwise-identity contract.
     pub medium: MediumStats,
@@ -235,27 +236,15 @@ fn cell_of(p: Point, edge: f64) -> [i64; 3] {
 }
 
 /// Every position a station can ever occupy, in declaration order: the
-/// initial placements, then each `Move` and `MoveBatch` target.
+/// initial placements, then the move table, which holds every move
+/// batch's targets in action order.
 fn position_instances(sc: &Scenario) -> impl Iterator<Item = (u32, Point)> + '_ {
     let initial = sc
         .stations
         .iter()
         .enumerate()
         .map(|(i, s)| (i as u32, s.pos));
-    let targets = sc.actions.iter().flat_map(move |a| {
-        let (single, batch) = match a.kind {
-            ActionKind::Move { station, to } => (Some((StationId(station), to)), &[][..]),
-            ActionKind::MoveBatch { start, len } => {
-                (None, &sc.moves[start as usize..(start + len) as usize])
-            }
-            _ => (None, &[][..]),
-        };
-        single
-            .into_iter()
-            .chain(batch.iter().copied())
-            .map(|(id, to)| (id.0 as u32, to))
-    });
-    initial.chain(targets)
+    initial.chain(sc.moves.iter().map(|&(id, to)| (id.0 as u32, to)))
 }
 
 /// One position instance, keyed for the grid.
@@ -283,8 +272,7 @@ struct Grid {
 
 impl Grid {
     fn new(sc: &Scenario, dsu: &mut Dsu, edge: f64) -> Grid {
-        // Room for every initial position and batch target; single
-        // `Move`s are rare.
+        // Room for every initial position and move target.
         let mut inst = Vec::with_capacity(sc.stations.len() + sc.moves.len());
         inst.extend(
             position_instances(sc)
@@ -504,8 +492,7 @@ fn label(sc: &Scenario, dsu: &mut Dsu, first_hearer: &[Option<u32>]) -> Partitio
         .actions
         .iter()
         .map(|a| match a.kind {
-            ActionKind::Move { station, .. }
-            | ActionKind::PowerOff { station }
+            ActionKind::PowerOff { station }
             | ActionKind::PowerOn { station }
             | ActionKind::Crash { station, .. }
             | ActionKind::Restart { station } => station_island[station],

@@ -18,6 +18,7 @@ use macaw_traffic::{Cbr, Poisson, TrafficSource};
 use macaw_transport::{TcpConfig, TcpReceiver, TcpSender, Transport, UdpReceiver, UdpSender};
 
 use crate::error::SimError;
+use crate::executor::Executor;
 use crate::network::{ActionKind, Network, ScheduledAction};
 use crate::partition::{Partition, ShardRunStats, ShardStats};
 use crate::stats::{RunReport, StreamReport};
@@ -395,10 +396,7 @@ impl Scenario {
     pub fn move_station_at(&mut self, at: SimTime, station: usize, to: Point) -> &mut Self {
         if self.check_station(station, "move_station_at") && self.check_point(to, "move_station_at")
         {
-            self.actions.push(ScheduledAction {
-                at,
-                kind: ActionKind::Move { station, to },
-            });
+            self.push_moves(at, &[(station, to)]);
         }
         self
     }
@@ -421,6 +419,13 @@ impl Scenario {
                 return self;
             }
         }
+        self.push_moves(at, moves);
+        self
+    }
+
+    /// Schedule checked, non-empty `moves` as one
+    /// [`ActionKind::MoveBatch`] at `at`: a single move is a batch of one.
+    fn push_moves(&mut self, at: SimTime, moves: &[(usize, Point)]) {
         let start = self.moves.len() as u32;
         self.moves
             .extend(moves.iter().map(|&(s, p)| (StationId(s), p)));
@@ -431,7 +436,6 @@ impl Scenario {
                 len: moves.len() as u32,
             },
         });
-        self
     }
 
     /// Schedule a station power-off at time `at` (the Figure-9 experiment).
@@ -790,25 +794,28 @@ impl Scenario {
     }
 
     /// Run the scenario **sharded**: decompose it into coupling islands
-    /// (see [`crate::partition`]), assign whole islands to `shards` OS
-    /// threads, run each shard as an independent event loop, and merge the
-    /// per-shard results into a [`RunReport`] that is bitwise identical to
-    /// [`Scenario::run`]'s — the serial engine stays the oracle, exactly as
-    /// for the reference-vs-sparse media and heap-vs-ladder FELs.
+    /// (see [`crate::partition`]), assign whole islands to `shards` shards,
+    /// run each shard as an independent event loop, one [`Executor`] job
+    /// per shard, and merge the per-shard results into a [`RunReport`]
+    /// that is bitwise identical to [`Scenario::run`]'s — the serial
+    /// engine stays the oracle, exactly as for the reference-vs-sparse
+    /// media and heap-vs-ladder FELs.
     ///
-    /// Every shard builds the whole scenario, on the default medium and
-    /// event list, through the same builder as [`Scenario::build`], and
-    /// primes only the stream arrivals and actions of the islands it owns.
-    /// Station and stream indices, RNG forks and the medium are therefore
-    /// identical to the serial build; the rest of the network stays inert.
-    /// Each stream and station row of the report comes from the shard that
-    /// owns its island.
+    /// Only shard 0 and the shards that own an island run, so a
+    /// one-island scenario runs inline with one build whatever `shards`
+    /// is. A shard that runs builds the whole scenario, on the default
+    /// medium and event list, through the same builder as
+    /// [`Scenario::build`], and primes only the stream arrivals and actions
+    /// of the islands it owns. Station and stream indices, RNG forks and
+    /// the medium are therefore identical to the serial build; the rest of
+    /// the network stays inert. Each stream and station row of the report
+    /// comes from the shard that owns its island.
     ///
     /// The model's zero propagation delay leaves zero conservative
     /// lookahead *within* an island and unbounded lookahead *between*
     /// islands, so there are no epochs or cross-shard inboxes to manage:
     /// each shard runs its islands to completion and the only barrier is
-    /// the final join (DESIGN.md "Parallel DES" derives this). The
+    /// the end of the batch (DESIGN.md "Parallel DES" derives this). The
     /// attainable speed-up is therefore bounded by the island structure —
     /// a scenario that is one big island (every paper-table topology) runs
     /// serially whatever the shard count, which the returned
@@ -831,44 +838,31 @@ impl Scenario {
         let n_shards = shards.max(1);
         let shard_of = part.assign_shards(n_shards);
         let owner = |island: u32| shard_of[island as usize] as usize;
+        // The shards that run, one job each, in shard order.
+        let ran: Vec<usize> = (0..n_shards)
+            .filter(|&s| s == 0 || shard_of.contains(&(s as u32)))
+            .collect();
+        let job_of = |shard: usize| ran.binary_search(&shard).ok();
 
         let warmup_end = SimTime::ZERO + warmup;
         let end = SimTime::ZERO + duration;
-        type ShardOutcome = Result<(RunReport, (u64, u64), u64, MediumStats), SimError>;
-        let results: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_shards)
-                .map(|s| {
-                    let (sc, part) = (&self, &part);
-                    scope.spawn(move || -> ShardOutcome {
-                        let mut net: Network = sc.clone().assemble(part, |i| owner(i) == s);
-                        net.set_warmup(warmup_end);
-                        net.run_until(end)?;
-                        let report = net.report(end);
-                        let air = net.air_totals_ns();
-                        let events = net.events_processed();
-                        let medium = net.medium().medium_stats();
-                        Ok((report, air, events, medium))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        });
-        let mut reports = Vec::with_capacity(n_shards);
-        let mut events = Vec::with_capacity(n_shards);
-        let (mut data_ns, mut air_ns, mut total_events) = (0u64, 0u64, 0u64);
+        let results = Executor::new(ran.len()).try_run(ran.len(), |j| {
+            let mut net: Network = self.clone().assemble(&part, |i| owner(i) == ran[j]);
+            net.set_warmup(warmup_end);
+            net.run_until(end)?;
+            let medium = net.medium().medium_stats();
+            Ok::<_, SimError>((net.report(end), net.air_totals_ns(), medium))
+        })?;
+        let (mut data_ns, mut air_ns) = (0u64, 0u64);
         let mut medium = MediumStats::default();
-        for r in results {
-            let (rep, (d, a), ev, med) = r?;
+        let mut reports = Vec::with_capacity(ran.len());
+        for (rep, (d, a), med) in results {
             data_ns += d;
             air_ns += a;
-            total_events += ev;
             medium.merge(med);
-            events.push(ev);
             reports.push(rep);
         }
+        let report_of = |island: u32| &reports[job_of(owner(island)).expect("an owner runs")];
 
         // Merge, field by field, into exactly what the serial engine
         // reports. Per-stream and per-station rows come verbatim from the
@@ -884,13 +878,13 @@ impl Scenario {
             .stream_island
             .iter()
             .enumerate()
-            .map(|(i, &isl)| reports[owner(isl)].streams[i].clone())
+            .map(|(i, &isl)| report_of(isl).streams[i].clone())
             .collect();
         let mut mac_stats = Vec::with_capacity(part.station_island.len());
         let mut mac_drops = Vec::with_capacity(part.station_island.len());
         for (i, &isl) in part.station_island.iter().enumerate() {
-            mac_stats.push(reports[owner(isl)].mac_stats[i]);
-            mac_drops.push(reports[owner(isl)].mac_drops[i]);
+            mac_stats.push(report_of(isl).mac_stats[i]);
+            mac_drops.push(report_of(isl).mac_drops[i]);
         }
         let mut queue_stats = macaw_sim::QueueStats::default();
         for rep in &reports {
@@ -907,7 +901,7 @@ impl Scenario {
             mac_drops,
             data_air_secs: data_ns as f64 / 1e9,
             total_air_secs: air_ns as f64 / 1e9,
-            events_processed: total_events,
+            events_processed: reports.iter().map(|r| r.events_processed).sum(),
             queue_stats,
         };
 
@@ -917,7 +911,7 @@ impl Scenario {
                 islands: shard_of.iter().filter(|&&o| o as usize == s).count(),
                 stations: count(&part.station_island, s),
                 streams: count(&part.stream_island, s),
-                events: events[s],
+                events: job_of(s).map_or(0, |j| reports[j].events_processed),
             })
             .collect();
         let stats = ShardRunStats {
@@ -1357,5 +1351,32 @@ mod tests {
         let s = r.stream("mc");
         assert!(s.delivered > s.offered, "multicast must fan out: {} vs {}", s.delivered, s.offered);
         assert!(s.delivered <= 2 * s.offered);
+    }
+
+    /// Shard 0 always runs, so a scenario with no island (no stations) or
+    /// whose one island no station can hear (a lone noise emitter) still
+    /// merges into the serial report; the other shards own nothing, build
+    /// nothing and keep all-zero rows.
+    #[test]
+    fn island_free_and_noise_only_scenarios_shard_like_serial() {
+        let (dur, warm) = (SimDuration::from_secs(5), SimDuration::from_secs(1));
+        let noise_only = || {
+            let mut sc = Scenario::new(4);
+            sc.add_noise_source(Point::new(0.0, 0.0, 0.0), 1.0, true);
+            sc.set_noise_at(SimTime::ZERO + SimDuration::from_secs(2), 0, false);
+            sc
+        };
+        let empty = || Scenario::new(4);
+        for (mk, islands) in [(&empty as &dyn Fn() -> Scenario, 0), (&noise_only, 1)] {
+            let serial = mk().run(dur, warm).unwrap();
+            let (sharded, stats) = mk().run_with_shards(dur, warm, 4).unwrap();
+            assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
+            assert_eq!((stats.shards, stats.islands), (4, islands));
+            assert_eq!(stats.per_shard[0].events, serial.events_processed);
+            let idle = |r: &ShardStats| r.islands + r.stations + r.streams == 0 && r.events == 0;
+            assert!(stats.per_shard[1..].iter().all(idle));
+        }
+        // The emitter's toggle is the noise-only run's one event.
+        assert_eq!(noise_only().run(dur, warm).unwrap().events_processed, 1);
     }
 }

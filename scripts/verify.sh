@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline release build, lint wall, rustdoc gate,
-# full test suite, the benchmark's output check, smoke runs of the checker
-# and replicate binaries, and full runs of the faults, scale and mobility
-# binaries. Exits non-zero if anything fails to build, clippy or rustdoc
-# reports any warning (a dangling or private doc link included), any test
-# fails, a run panics or breaks one of its asserts (non-finite
-# throughput, MACAW not ahead of MACA on a corrupting channel, sparse !=
-# reference, serial != sharded), or a fresh BENCH_faults.json,
-# BENCH_scale.json or BENCH_mobility.json differs from the committed file
-# by a single byte.
+# full test suite, the benchmark's output check, a smoke run of the
+# checker, and full runs of the faults, scale, mobility and replicate
+# binaries (replicate also as a serial == parallel smoke). Exits non-zero
+# if anything fails to build, clippy or rustdoc reports any warning (a
+# dangling or private doc link included), any test fails, a run panics
+# or breaks one of its asserts (non-finite throughput, MACAW not ahead of
+# MACA on a corrupting channel, sparse != reference, serial != sharded,
+# serial != parallel), or a fresh BENCH_faults.json, BENCH_scale.json,
+# BENCH_mobility.json or BENCH_replicate.json differs from the committed
+# file by a single byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,5 +76,10 @@ cargo test -q --release -p macaw-bench --test sharding
 echo "== replicate smoke (executor + multi-seed sweep) =="
 cargo run --release -p macaw-bench --bin replicate -- --quick
 cargo test -q --release -p macaw-bench --test executor
+
+echo "== replication sweep (full 480-simulation run, byte-compared with BENCH_replicate.json) =="
+cargo run --release -p macaw-bench --bin replicate -- --dur 500 --no-check \
+  --out "$out_dir/BENCH_replicate.json"
+cmp "$out_dir/BENCH_replicate.json" BENCH_replicate.json
 
 echo "verify: OK"

@@ -82,35 +82,78 @@ fn build(rs: &RandomScenario) -> Option<Scenario> {
     any_stream.then_some(sc)
 }
 
+/// Any random scenario runs to completion and conserves packets.
+/// (Zero warm-up: with a warm-up window, packets offered before the
+/// boundary but delivered after it legitimately make delivered exceed
+/// offered within the window.)
+fn run_and_conserve(rs: &RandomScenario) -> Result<(), TestCaseError> {
+    let Some(sc) = build(rs) else { return Ok(()) };
+    let r = sc
+        .run(SimDuration::from_secs(30), SimDuration::ZERO)
+        .unwrap();
+    for s in &r.streams {
+        prop_assert!(
+            s.delivered <= s.offered,
+            "{}: {} > {}",
+            s.name,
+            s.delivered,
+            s.offered
+        );
+        prop_assert!(s.throughput_pps.is_finite());
+    }
+    let n = r.streams.len() as f64;
+    let j = r.jain_fairness();
+    prop_assert!(j >= 1.0 / n - 1e-9 && j <= 1.0 + 1e-9);
+    Ok(())
+}
+
+/// Replay determinism holds for random scenarios too.
+fn replay(rs: &RandomScenario) -> Result<(), TestCaseError> {
+    let (Some(a), Some(b)) = (build(rs), build(rs)) else {
+        return Ok(());
+    };
+    let ra = a
+        .run(SimDuration::from_secs(15), SimDuration::from_secs(2))
+        .unwrap();
+    let rb = b
+        .run(SimDuration::from_secs(15), SimDuration::from_secs(2))
+        .unwrap();
+    for (sa, sb) in ra.streams.iter().zip(&rb.streams) {
+        prop_assert_eq!(sa.delivered, sb.delivered);
+        prop_assert_eq!(sa.offered, sb.offered);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any random scenario runs to completion and conserves packets.
-    /// (Zero warm-up: with a warm-up window, packets offered before the
-    /// boundary but delivered after it legitimately make delivered exceed
-    /// offered within the window.)
     #[test]
     fn random_scenarios_run_and_conserve(rs in arb_scenario()) {
-        let Some(sc) = build(&rs) else { return Ok(()) };
-        let r = sc.run(SimDuration::from_secs(30), SimDuration::ZERO).unwrap();
-        for s in &r.streams {
-            prop_assert!(s.delivered <= s.offered, "{}: {} > {}", s.name, s.delivered, s.offered);
-            prop_assert!(s.throughput_pps.is_finite());
-        }
-        let n = r.streams.len() as f64;
-        let j = r.jain_fairness();
-        prop_assert!(j >= 1.0 / n - 1e-9 && j <= 1.0 + 1e-9);
+        run_and_conserve(&rs)?;
     }
 
-    /// Replay determinism holds for random scenarios too.
     #[test]
     fn random_scenarios_replay(rs in arb_scenario()) {
-        let (Some(a), Some(b)) = (build(&rs), build(&rs)) else { return Ok(()) };
-        let ra = a.run(SimDuration::from_secs(15), SimDuration::from_secs(2)).unwrap();
-        let rb = b.run(SimDuration::from_secs(15), SimDuration::from_secs(2)).unwrap();
-        for (sa, sb) in ra.streams.iter().zip(&rb.streams) {
-            prop_assert_eq!(sa.delivered, sb.delivered);
-            prop_assert_eq!(sa.offered, sb.offered);
-        }
+        replay(&rs)?;
     }
+}
+
+/// A case real proptest once shrank to: two pads on CSMA, a 13.5 %
+/// receiver error rate on S0, a UDP stream S0 → S1 and a TCP stream
+/// S1 → S0.
+#[test]
+fn recorded_csma_noisy_receiver_case() {
+    let rs = RandomScenario {
+        seed: 761,
+        stations: vec![
+            (-14.736862290478323, 24.710782885211444, false),
+            (-10.856257680942008, 19.8958396108108, false),
+        ],
+        streams: vec![(6, 1, 21, false), (1, 2, 16, true)],
+        mac: 2,
+        error_rate: 0.13543209937794443,
+    };
+    run_and_conserve(&rs).unwrap();
+    replay(&rs).unwrap();
 }
