@@ -27,6 +27,7 @@
 //!
 //! [`SparseMedium`]: macaw_phy::SparseMedium
 
+use macaw_bench::floor_pps;
 use macaw_core::mobility::CampusConfig;
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
@@ -44,27 +45,12 @@ fn usage_and_exit(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Same per-stream offered-load taper as the `scale` bench, so the static
-/// (0% mobile) cells here are directly comparable to `BENCH_scale.json`'s
-/// floor rows.
-fn floor_pps(n: usize) -> u64 {
-    if n >= 16384 {
-        1
-    } else if n >= 4096 {
-        2
-    } else if n >= 1024 {
-        4
-    } else if n >= 256 {
-        8
-    } else {
-        16
-    }
-}
-
 /// The campus for one sweep cell. `speed <= 0` or `share <= 0` yields the
 /// static floor (no batches are scheduled).
 fn campus_config(n: usize, share: f64, speed: f64) -> CampusConfig {
     let mut cfg = CampusConfig::with_stations(n);
+    // The `scale` bench's taper, so the static (0% mobile) cells here are
+    // directly comparable to `BENCH_scale.json`'s floor rows.
     cfg.floor.pps = floor_pps(n);
     cfg.mobile_share = share;
     cfg.waypoint.speed_fps = speed;

@@ -26,25 +26,15 @@
 //! core) changes no byte, and `scripts/verify.sh` regenerates the file and
 //! compares it with the committed one byte for byte.
 //!
-//! `--timing` measures instead the three speeds perfbench does not: MACAW
-//! events/s of the run loop at every N, the sparse-vs-reference speed-up
-//! at N = 256, and the serial-vs-sharded speed-up at N ∈ {4096, 16384}.
-//! It runs one simulation at a time on the calling thread, [`K`] times
-//! each (pairs in alternating order), and writes min/median/max under a
-//! host header to `BENCH_scale_timing.json`. It asserts that repeats and
-//! pairs give identical reports, never a speed. It takes several minutes
-//! and is run by hand.
-//!
 //! Usage:
-//!   scale [--timing] [--seed N] [--out PATH] [--jobs N]
+//!   scale [--seed N] [--out PATH] [--jobs N]
 //!
 //! [`SparseMedium`]: macaw_phy::SparseMedium
 //! [`ReferenceMedium`]: macaw_phy::ReferenceMedium
 //! [`Medium::memory_footprint`]: macaw_phy::Medium::memory_footprint
 //! [`RunReport`]: macaw_core::stats::RunReport
 
-use macaw_bench::parse_jobs_arg;
-use macaw_bench::stopwatch::{time_once, Spread};
+use macaw_bench::{floor_pps, parse_jobs_arg};
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
 use macaw_core::Executor;
@@ -54,8 +44,6 @@ use macaw_sim::LadderFel;
 /// Shards of the serial-vs-sharded rows, fixed so `per_shard` does not
 /// depend on the host.
 const SHARDS: usize = 2;
-/// Repeats of every `--timing` measurement.
-const K: usize = 10;
 /// Station counts of the three-protocol sweep.
 const SIZES: [usize; 4] = [16, 64, 256, 1024];
 /// Station counts of the MACAW-only sweep cells. N = 65536 is the
@@ -75,16 +63,8 @@ fn die(e: &dyn std::fmt::Display) -> ! {
 
 fn usage_and_exit(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!("usage: scale [--timing] [--seed N] [--out PATH] [--jobs N]");
+    eprintln!("usage: scale [--seed N] [--out PATH] [--jobs N]");
     std::process::exit(2);
-}
-
-fn write_or_exit(path: &str, json: String) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
 }
 
 /// The protocols the sweep compares, in paper order.
@@ -96,22 +76,10 @@ fn protocols() -> Vec<(&'static str, MacKind)> {
     ]
 }
 
-/// The office floor for `n` stations. Offered load per stream shrinks as
-/// the floor grows so the largest cells stay bounded in wall time while
-/// every cell still runs thousands of frames.
+/// The office floor for `n` stations at the [`floor_pps`] offered load.
 fn floor_config(n: usize) -> ScaleConfig {
     let mut cfg = ScaleConfig::with_stations(n);
-    cfg.pps = if n >= 16384 {
-        1
-    } else if n >= 4096 {
-        2
-    } else if n >= 1024 {
-        4
-    } else if n >= 256 {
-        8
-    } else {
-        16
-    };
+    cfg.pps = floor_pps(n);
     cfg
 }
 
@@ -123,16 +91,6 @@ fn cellular_config(n: usize) -> ScaleConfig {
     cfg.room_inset_ft = 6.0;
     cfg.walker_share = 0.0;
     cfg
-}
-
-/// The `n`-station floor built on medium `M` with its warm-up set, ready
-/// for `run_until`.
-fn build<M: PhyMedium>(n: usize, mac: MacKind, seed: u64) -> Network<M> {
-    let mut net = scale_topology(&floor_config(n), mac, seed)
-        .build_with_queue::<M, LadderFel>()
-        .unwrap_or_else(|e| die(&e));
-    net.set_warmup(SimTime::ZERO + WARM);
-    net
 }
 
 struct Cell {
@@ -147,7 +105,10 @@ struct Cell {
 /// Build the floor on medium `M`, run it and collect its cell. The
 /// footprint is the built medium's, read before the run.
 fn run_cell<M: PhyMedium>(protocol: &'static str, n: usize, mac: MacKind, seed: u64) -> Cell {
-    let mut net = build::<M>(n, mac, seed);
+    let mut net = scale_topology(&floor_config(n), mac, seed)
+        .build_with_queue::<M, LadderFel>()
+        .unwrap_or_else(|e| die(&e));
+    net.set_warmup(SimTime::ZERO + WARM);
     let footprint = net.medium().memory_footprint();
     let end = SimTime::ZERO + DUR;
     net.run_until(end).unwrap_or_else(|e| die(&e));
@@ -231,14 +192,12 @@ enum Done {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut timing_mode = false;
     let mut seed = 1u64;
-    let mut out_path: Option<String> = None;
+    let mut out_path = "BENCH_scale.json".to_string();
     let mut jobs: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--timing" => timing_mode = true,
             "--seed" => {
                 i += 1;
                 seed = match args.get(i).map(|s| s.parse()) {
@@ -249,7 +208,7 @@ fn main() {
             "--out" => {
                 i += 1;
                 out_path = match args.get(i) {
-                    Some(p) => Some(p.clone()),
+                    Some(p) => p.clone(),
                     None => usage_and_exit("--out takes a path"),
                 };
             }
@@ -265,15 +224,6 @@ fn main() {
         }
         i += 1;
     }
-
-    if timing_mode {
-        timing(
-            seed,
-            out_path.as_deref().unwrap_or("BENCH_scale_timing.json"),
-        );
-        return;
-    }
-    let out_path = out_path.as_deref().unwrap_or("BENCH_scale.json");
 
     // Largest first: the N = 65536 cell alone takes about as long as every
     // other job together, so it starts at once and the rest fill the other
@@ -445,173 +395,16 @@ fn main() {
              \"bytes_n1024\": {m1024},\n    \
              \"growth_factor\": {growth:.2},\n    \
              \"quadratic_reference\": 256.0\n  }},\n  \
-           \"sharded_sweep_note\": \"cellular floor (room_inset_ft 6, walker_share 0) under MACAW: one coupling island per room, run serially and via run_with_shards on a fixed {SHARDS} shards — bitwise-identical reports; whole islands are the unit of parallelism (DESIGN.md 'Parallel DES'); the speed-ups are in BENCH_scale_timing.json (scale --timing)\",\n  \
+           \"sharded_sweep_note\": \"cellular floor (room_inset_ft 6, walker_share 0) under MACAW: one coupling island per room, run serially and via run_with_shards on a fixed {SHARDS} shards — bitwise-identical reports; whole islands are the unit of parallelism (DESIGN.md 'Parallel DES')\",\n  \
            \"sharded_sweep\": [\n{}\n  ]\n}}\n",
         sweep_json.join(",\n"),
         sparse.footprint,
         reference.footprint,
         shard_json.join(",\n")
     );
-    write_or_exit(out_path, json);
-}
-
-/// Keep the first report of a measurement and assert every later one is
-/// bitwise identical to it (`Debug` renders every f64 exactly).
-fn check_same(first: &mut Option<String>, report: &RunReport, what: &str) {
-    let text = format!("{report:?}");
-    match first {
-        Some(f) => assert!(
-            *f == text,
-            "{what}: every run must give the identical report"
-        ),
-        None => *first = Some(text),
+    if let Err(e) = std::fs::write(&out_path, json) {
+        eprintln!("cannot write {out_path}: {e}");
+        std::process::exit(1);
     }
-}
-
-/// Wall time of the run loop of the `n`-station MACAW floor on medium `M`,
-/// scenario build excluded.
-fn timed_run_loop<M: PhyMedium>(n: usize, seed: u64) -> (RunReport, f64) {
-    let mut net = build::<M>(n, MacKind::Macaw, seed);
-    let end = SimTime::ZERO + DUR;
-    let (res, secs) = time_once(|| net.run_until(end));
-    res.unwrap_or_else(|e| die(&e));
-    (net.report(end), secs)
-}
-
-/// [`K`] alternating pairs of `a` and `b` (pair i runs `a` first when i is
-/// even, `b` first when odd). Returns each side's walls; every report must
-/// be identical to the first.
-fn alternating_pairs(
-    what: &str,
-    a: &dyn Fn() -> (RunReport, f64),
-    b: &dyn Fn() -> (RunReport, f64),
-) -> (Vec<f64>, Vec<f64>) {
-    let mut first = None;
-    let (mut walls_a, mut walls_b) = (Vec::with_capacity(K), Vec::with_capacity(K));
-    for pair in 0..K {
-        for a_turn in [pair % 2 == 0, pair % 2 == 1] {
-            let (report, secs) = if a_turn { a() } else { b() };
-            check_same(&mut first, &report, what);
-            if a_turn {
-                walls_a.push(secs);
-            } else {
-                walls_b.push(secs);
-            }
-        }
-    }
-    (walls_a, walls_b)
-}
-
-/// `--timing`: the three speeds perfbench does not measure, K runs each.
-fn timing(seed: u64, out_path: &str) {
-    println!("scale --timing: K={K} runs per quantity, one simulation at a time");
-
-    // 1. MACAW events/s of the run loop (build excluded) at every N, in K
-    //    passes over the sizes: a slow spell of the host spreads over all
-    //    of them, and the process's cold start costs one sample.
-    let sizes: Vec<usize> = SIZES.iter().chain(&LARGE_SIZES).copied().collect();
-    let mut first = vec![None; sizes.len()];
-    let mut rates = vec![Vec::with_capacity(K); sizes.len()];
-    let mut events = vec![0u64; sizes.len()];
-    for _ in 0..K {
-        for (i, &n) in sizes.iter().enumerate() {
-            let (report, secs) = timed_run_loop::<SparseMedium>(n, seed);
-            check_same(&mut first[i], &report, &format!("MACAW N={n}"));
-            events[i] = report.events_processed;
-            rates[i].push(events[i] as f64 / secs);
-        }
-    }
-    let mut trajectory: Vec<(usize, u64, Spread)> = Vec::new();
-    for (i, &n) in sizes.iter().enumerate() {
-        let rate = Spread::of(&rates[i]);
-        println!(
-            "  MACAW N={n:<6} {:>9} events  {:.2} Mev/s median ({:.2}–{:.2})",
-            events[i],
-            rate.median / 1e6,
-            rate.min / 1e6,
-            rate.max / 1e6
-        );
-        trajectory.push((n, events[i], rate));
-    }
-    let base = trajectory
-        .iter()
-        .find(|t| t.0 == 1024)
-        .expect("trajectory covers N=1024")
-        .2
-        .median;
-
-    // 2. Sparse vs reference at N = 256, run loop only.
-    let (sparse, reference) = alternating_pairs(
-        "sparse vs reference N=256",
-        &|| timed_run_loop::<SparseMedium>(256, seed),
-        &|| timed_run_loop::<ReferenceMedium>(256, seed),
-    );
-    let (sparse, reference) = (Spread::of(&sparse), Spread::of(&reference));
-    let ref_speedup = reference.median / sparse.median;
-    println!(
-        "  N=256 sparse {:.1} ms vs reference {:.1} ms median: {ref_speedup:.2}x",
-        sparse.median * 1e3,
-        reference.median * 1e3
-    );
-
-    // 3. Serial vs sharded on the cellular floor, scenario generation and
-    //    build included.
-    let mut sharded_rows: Vec<String> = Vec::new();
-    for &n in &SHARD_SIZES {
-        let mk = || scale_topology(&cellular_config(n), MacKind::Macaw, seed);
-        let (serial, sharded) = alternating_pairs(
-            &format!("serial vs {SHARDS} shards N={n}"),
-            &|| time_once(|| mk().run(DUR, WARM).unwrap_or_else(|e| die(&e))),
-            &|| {
-                time_once(|| {
-                    mk().run_with_shards(DUR, WARM, SHARDS)
-                        .unwrap_or_else(|e| die(&e))
-                        .0
-                })
-            },
-        );
-        let wins = serial.iter().zip(&sharded).filter(|(s, p)| p < s).count();
-        let (serial, sharded) = (Spread::of(&serial), Spread::of(&sharded));
-        let speedup = serial.median / sharded.median;
-        println!(
-            "  N={n:<6} serial {:.1} ms vs {SHARDS} shards {:.1} ms median: {speedup:.2}x, \
-             sharded won {wins} of {K} pairs",
-            serial.median * 1e3,
-            sharded.median * 1e3
-        );
-        sharded_rows.push(format!(
-            "    {{ \"stations\": {n}, \"serial_wall_secs\": {}, \"sharded_wall_secs\": {}, \
-             \"speedup\": {speedup:.2}, \"sharded_wins\": {wins}, \"reports_identical\": true }}",
-            serial.to_json(6),
-            sharded.to_json(6)
-        ));
-    }
-
-    let trajectory_json: Vec<String> = trajectory
-        .iter()
-        .map(|(n, events, rate)| {
-            format!(
-                "    {{ \"stations\": {n}, \"events\": {events}, \"events_per_sec\": {}, \
-                 \"relative_to_n1024\": {:.4} }}",
-                rate.to_json(0),
-                rate.median / base
-            )
-        })
-        .collect();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"workload\": \"random office floor (topology::scale_topology), seed {seed}, 5 s sim with 1 s warm-up, MACAW; one simulation at a time on the calling thread\",\n  \
-           \"host_cores\": {host_cores},\n  \
-           \"shards\": {SHARDS},\n  \
-           \"k\": {K},\n  \
-           \"note\": \"each quantity is min/median/max over k runs; relative_to_n1024 and every speedup are ratios of medians; pairs run in alternating order and sharded_wins counts the pairs the sharded run won; events/s and the N=256 walls time the run loop only, the sharded rows include scenario generation and build\",\n  \
-           \"macaw_events_per_sec\": [\n{}\n  ],\n  \
-           \"reference_vs_sparse_n256_macaw\": {{ \"sparse_wall_secs\": {}, \"reference_wall_secs\": {}, \"speedup\": {ref_speedup:.2}, \"reports_identical\": true }},\n  \
-           \"sharded_sweep\": [\n{}\n  ]\n}}\n",
-        trajectory_json.join(",\n"),
-        sparse.to_json(6),
-        reference.to_json(6),
-        sharded_rows.join(",\n")
-    );
-    write_or_exit(out_path, json);
+    println!("wrote {out_path}");
 }

@@ -22,7 +22,6 @@ use macaw_mac::BackoffSharing;
 pub mod alloc_stats;
 pub mod faults;
 pub mod replicate;
-pub mod stopwatch;
 
 /// Parse a `--jobs` argument value shared by every bench binary.
 pub fn parse_jobs_arg(value: &str) -> Result<usize, String> {
@@ -35,6 +34,24 @@ pub fn parse_jobs_arg(value: &str) -> Result<usize, String> {
 /// Default experiment duration (the paper runs 500–2000 s).
 pub fn default_duration() -> SimDuration {
     SimDuration::from_secs(500)
+}
+
+/// Offered load per stream, in packets per second, of an `n`-station
+/// office floor in the `scale` and `mobility` benches: it shrinks as the
+/// floor grows, so the largest cells stay bounded in wall time while every
+/// cell still runs thousands of frames.
+pub fn floor_pps(n: usize) -> u64 {
+    if n >= 16384 {
+        1
+    } else if n >= 4096 {
+        2
+    } else if n >= 1024 {
+        4
+    } else if n >= 256 {
+        8
+    } else {
+        16
+    }
 }
 
 /// The paper's warm-up period.

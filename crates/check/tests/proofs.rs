@@ -255,8 +255,11 @@ fn macaw_delivers_on_mirrored_chains_despite_any_single_loss() {
 
 #[test]
 fn macaw_resolves_a_five_station_contended_cell() {
-    // Four senders contending for one receiver: delivery is probabilistic
-    // (as with hidden terminals), but every interleaving resolves cleanly.
+    // Four senders contending for one receiver. The S4 symmetry gives the
+    // senders one RNG seed, so they draw the same backoff and collide every
+    // round until their retries run out: nothing is delivered
+    // (`best_delivered` 0, one terminal). The theorem is that this lockstep
+    // ends cleanly, not that contention resolves.
     let mut cfg = CheckConfig::new(FaultClass::None, Expectation::ResolveAll);
     cfg.max_depth = 96;
     let report = check_macaw(Topology::contended_cell(), cfg.reduced());
@@ -279,7 +282,9 @@ fn macaw_resolves_a_five_station_contended_cell() {
 #[test]
 fn macaw_resolves_a_ring_of_contenders() {
     // A 5-cycle where every station both sends and receives; the rotation
-    // group C5 quotients the space.
+    // group C5 quotients the space. All five stations share one RNG seed,
+    // so neighbours collide in lockstep and nothing is delivered: as on the
+    // contended cell, the theorem covers a lockstep that ends cleanly.
     let mut cfg = CheckConfig::new(FaultClass::None, Expectation::ResolveAll);
     cfg.max_depth = 96;
     let report = check_macaw(Topology::ring(), cfg.reduced());

@@ -696,8 +696,8 @@ impl Scenario {
         // Stream `i` is `StreamId(i)` in every network, serial or shard.
         for (i, spec) in self.streams.iter().enumerate() {
             let source: Box<dyn TrafficSource> = match spec.source {
-                SourceKind::Cbr { pps } => Box::new(Cbr::pps(pps, spec.bytes)),
-                SourceKind::Poisson { pps } => Box::new(Poisson::pps(pps, spec.bytes)),
+                SourceKind::Cbr { pps } => Box::new(Cbr::pps(pps)),
+                SourceKind::Poisson { pps } => Box::new(Poisson::pps(pps)),
             };
             let rng = root.fork(0x5742_0000 + i as u64);
             match &spec.dst {

@@ -8,8 +8,8 @@
 //! bit patterns. Likewise the sharded engine: move batches are island-local
 //! events, so a two-campus scenario with independent mover populations
 //! merges back bitwise. And a batch is semantically the *sequence* of its
-//! entries — declaring the same motion as singleton `Move` actions or as
-//! one `MoveBatch` per tick yields the same run.
+//! entries — declaring the same motion as single moves (each a one-element
+//! `MoveBatch`) or as one `MoveBatch` per tick yields the same run.
 
 use macaw_core::mobility::{self, CampusConfig, WaypointConfig};
 use macaw_core::prelude::*;
@@ -108,9 +108,9 @@ fn two_moving_campuses_are_shard_count_invariant() {
 #[test]
 fn a_batch_matches_the_same_moves_applied_singly() {
     // The same hand-written motion, declared once as per-tick batches and
-    // once as singleton Move actions at the same instants. Batched moves
-    // defer interference re-folds to the end of the batch, so this checks
-    // the deferral is unobservable end to end.
+    // once as single moves (one-element batches) at the same instants.
+    // Batched moves defer interference re-folds to the end of the batch,
+    // so this checks the deferral is unobservable end to end.
     let build = |batched: bool| {
         let mut sc = Scenario::new(11);
         let base = sc.add_station("B", Point::new(5.0, 5.0, 6.0), MacKind::Macaw);
@@ -137,8 +137,9 @@ fn a_batch_matches_the_same_moves_applied_singly() {
     };
     let singles = build(false).run(RUN, WARM).unwrap();
     let batches = build(true).run(RUN, WARM).unwrap();
-    // Event accounting legitimately differs — one MoveBatch event replaces
-    // N Move events — so compare the behavioral fields, not the ledger.
+    // Event accounting legitimately differs — one N-move batch event
+    // replaces N one-move batch events — so compare the behavioral fields,
+    // not the ledger.
     assert_eq!(singles.streams, batches.streams, "stream rows must match");
     assert_eq!(
         format!("{:?}", singles.streams),

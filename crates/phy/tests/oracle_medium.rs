@@ -176,6 +176,7 @@ fn run_schedule<M: Medium>(seed: u64, points: Vec<Point>, ops: Vec<Op>) -> Resul
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    #[test]
     fn cached_medium_matches_reference_exactly(
         seed in 0u64..1_000_000,
         points in proptest::collection::vec(arb_point(), 2..9),
@@ -187,6 +188,7 @@ proptest! {
     /// Focused variant: no mobility or power ops, heavy start/end churn
     /// with per-packet noise draws, so the RNG streams must stay in
     /// lockstep across many deliveries.
+    #[test]
     fn cached_medium_matches_reference_under_churn(
         seed in 0u64..1_000_000,
         points in proptest::collection::vec(arb_point(), 3..7),

@@ -391,7 +391,9 @@ where
 }
 
 /// Define property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over generated inputs.
+/// becomes a function running the body over generated inputs. Attributes
+/// pass through unchanged, so, as in real proptest, each property carries
+/// its own `#[test]`.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -412,7 +414,6 @@ macro_rules! __proptest_impl {
         $($rest:tt)*
     ) => {
         $(#[$attr])*
-        #[test]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             $crate::run_cases(config, stringify!($name), |__proptest_rng| {
@@ -553,6 +554,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The macro end to end: params, prop_assert, early Ok return.
+        #[test]
         fn macro_roundtrip(x in 0u64..100, flip in any::<bool>()) {
             if flip {
                 return Ok(());

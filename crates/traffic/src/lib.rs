@@ -3,13 +3,14 @@
 //! The paper's experiments drive each stream with a constant-bit-rate source
 //! ("the devices generate data at a constant rate of either 32 or 64 packets
 //! per second. All data packets are 512 bytes"). [`Cbr`] reproduces that;
-//! [`Poisson`] and [`OnOff`] are provided for sensitivity studies beyond the
-//! paper's workloads.
+//! [`Poisson`] is provided for sensitivity studies beyond the paper's
+//! workloads.
 //!
 //! A generator is an iterator of inter-arrival gaps: the simulation core
 //! schedules the next application packet `next_gap()` after the previous
-//! one. Generators draw randomness only from the [`SimRng`] handed in, so
-//! runs stay reproducible.
+//! one. Packet sizes belong to the stream, not the generator. Generators
+//! draw randomness only from the [`SimRng`] handed in, so runs stay
+//! reproducible.
 
 use macaw_sim::{SimDuration, SimRng};
 
@@ -17,35 +18,24 @@ use macaw_sim::{SimDuration, SimRng};
 pub trait TrafficSource {
     /// Gap between the previous packet and the next one.
     fn next_gap(&mut self, rng: &mut SimRng) -> SimDuration;
-
-    /// Size of every generated packet, in bytes.
-    fn packet_bytes(&self) -> u32;
 }
 
 /// Constant bit rate: one packet every `interval` (the paper's workload).
 #[derive(Clone, Copy, Debug)]
 pub struct Cbr {
     interval: SimDuration,
-    bytes: u32,
 }
 
 impl Cbr {
-    /// A CBR source emitting `pps` packets of `bytes` bytes per second.
+    /// A CBR source emitting `pps` packets per second.
     ///
     /// # Panics
     /// Panics if `pps` is zero.
-    pub fn pps(pps: u64, bytes: u32) -> Self {
+    pub fn pps(pps: u64) -> Self {
         assert!(pps > 0, "rate must be positive");
         Cbr {
             interval: SimDuration::from_secs(1) / pps,
-            bytes,
         }
-    }
-
-    /// A CBR source with an explicit inter-packet interval.
-    pub fn with_interval(interval: SimDuration, bytes: u32) -> Self {
-        assert!(!interval.is_zero(), "interval must be positive");
-        Cbr { interval, bytes }
     }
 
     /// The configured inter-packet interval.
@@ -58,26 +48,20 @@ impl TrafficSource for Cbr {
     fn next_gap(&mut self, _rng: &mut SimRng) -> SimDuration {
         self.interval
     }
-
-    fn packet_bytes(&self) -> u32 {
-        self.bytes
-    }
 }
 
 /// Poisson arrivals with a given mean rate.
 #[derive(Clone, Copy, Debug)]
 pub struct Poisson {
     mean_interval_ns: f64,
-    bytes: u32,
 }
 
 impl Poisson {
     /// A Poisson source with mean rate `pps` packets per second.
-    pub fn pps(pps: f64, bytes: u32) -> Self {
+    pub fn pps(pps: f64) -> Self {
         assert!(pps > 0.0 && pps.is_finite(), "rate must be positive");
         Poisson {
             mean_interval_ns: 1e9 / pps,
-            bytes,
         }
     }
 }
@@ -88,54 +72,6 @@ impl TrafficSource for Poisson {
         let ns = rng.exponential(self.mean_interval_ns).round().max(1.0);
         SimDuration::from_nanos(ns as u64)
     }
-
-    fn packet_bytes(&self) -> u32 {
-        self.bytes
-    }
-}
-
-/// On-off bursts: CBR at `pps` during on-periods, silent during off-periods.
-/// Period lengths are exponentially distributed.
-#[derive(Clone, Copy, Debug)]
-pub struct OnOff {
-    cbr: Cbr,
-    mean_on_ns: f64,
-    mean_off_ns: f64,
-    /// Remaining packets in the current burst.
-    remaining: u64,
-}
-
-impl OnOff {
-    /// An on-off source: bursts of CBR traffic at `pps`, with mean on/off
-    /// period durations.
-    pub fn new(pps: u64, bytes: u32, mean_on: SimDuration, mean_off: SimDuration) -> Self {
-        assert!(!mean_on.is_zero() && !mean_off.is_zero());
-        OnOff {
-            cbr: Cbr::pps(pps, bytes),
-            mean_on_ns: mean_on.as_nanos() as f64,
-            mean_off_ns: mean_off.as_nanos() as f64,
-            remaining: 0,
-        }
-    }
-}
-
-impl TrafficSource for OnOff {
-    fn next_gap(&mut self, rng: &mut SimRng) -> SimDuration {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            return self.cbr.interval();
-        }
-        // Start a new burst after an off period.
-        let off_ns = rng.exponential(self.mean_off_ns).round().max(1.0) as u64;
-        let on_ns = rng.exponential(self.mean_on_ns).round().max(1.0);
-        let per_burst = (on_ns / self.cbr.interval().as_nanos() as f64).floor() as u64;
-        self.remaining = per_burst;
-        SimDuration::from_nanos(off_ns) + self.cbr.interval()
-    }
-
-    fn packet_bytes(&self) -> u32 {
-        self.cbr.packet_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -144,24 +80,23 @@ mod tests {
 
     #[test]
     fn cbr_interval_matches_rate() {
-        let c = Cbr::pps(64, 512);
+        let c = Cbr::pps(64);
         assert_eq!(c.interval(), SimDuration::from_nanos(15_625_000));
-        let c = Cbr::pps(32, 512);
+        let c = Cbr::pps(32);
         assert_eq!(c.interval(), SimDuration::from_nanos(31_250_000));
     }
 
     #[test]
     fn cbr_gap_is_constant() {
-        let mut c = Cbr::pps(64, 512);
+        let mut c = Cbr::pps(64);
         let mut rng = SimRng::new(1);
         let gaps: Vec<_> = (0..10).map(|_| c.next_gap(&mut rng)).collect();
         assert!(gaps.iter().all(|g| *g == gaps[0]));
-        assert_eq!(c.packet_bytes(), 512);
     }
 
     #[test]
     fn poisson_mean_rate_is_calibrated() {
-        let mut p = Poisson::pps(64.0, 512);
+        let mut p = Poisson::pps(64.0);
         let mut rng = SimRng::new(2);
         let n = 100_000;
         let total: u64 = (0..n).map(|_| p.next_gap(&mut rng).as_nanos()).sum();
@@ -172,32 +107,15 @@ mod tests {
 
     #[test]
     fn poisson_gaps_are_positive() {
-        let mut p = Poisson::pps(1000.0, 64);
+        let mut p = Poisson::pps(1000.0);
         let mut rng = SimRng::new(3);
         assert!((0..10_000).all(|_| !p.next_gap(&mut rng).is_zero()));
     }
 
     #[test]
-    fn onoff_long_run_rate_is_duty_cycled() {
-        let mut s = OnOff::new(
-            100,
-            512,
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(1),
-        );
-        let mut rng = SimRng::new(4);
-        let n = 50_000u64;
-        let total: u64 = (0..n).map(|_| s.next_gap(&mut rng).as_nanos()).sum();
-        let rate = n as f64 / (total as f64 / 1e9);
-        // ~50% duty cycle of 100 pps ⇒ ≈ 50 pps (loose tolerance: burst
-        // boundaries are stochastic).
-        assert!(rate > 35.0 && rate < 65.0, "rate = {rate}");
-    }
-
-    #[test]
     fn generators_are_deterministic_given_seed() {
-        let mut a = Poisson::pps(64.0, 512);
-        let mut b = Poisson::pps(64.0, 512);
+        let mut a = Poisson::pps(64.0);
+        let mut b = Poisson::pps(64.0);
         let mut ra = SimRng::new(9);
         let mut rb = SimRng::new(9);
         for _ in 0..100 {

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline release build, lint wall, rustdoc gate,
-# full test suite, the benchmark's output check, a smoke run of the
-# checker, and full runs of the faults, scale, mobility and replicate
-# binaries (replicate also as a serial == parallel smoke). Exits non-zero
-# if anything fails to build, clippy or rustdoc reports any warning (a
-# dangling or private doc link included), any test fails, a run panics
-# or breaks one of its asserts (non-finite throughput, MACAW not ahead of
-# MACA on a corrupting channel, sparse != reference, serial != sharded,
-# serial != parallel), or a fresh BENCH_faults.json, BENCH_scale.json,
-# BENCH_mobility.json or BENCH_replicate.json differs from the committed
-# file by a single byte.
+# full test suite, the benchmark's output check, and a full run of every
+# science binary (faults, scale, mobility, replicate and check), each
+# written to a temp dir and compared with its committed BENCH_*.json.
+# Exits non-zero if anything fails to build, clippy or rustdoc reports any
+# warning (a dangling or private doc link included), any test fails, a
+# run panics or breaks one of its asserts (non-finite throughput, MACAW
+# not ahead of MACA on a corrupting channel, sparse != reference, serial
+# != sharded, a proof that fails, an oracle verdict that disagrees with
+# the reduced one), or a fresh BENCH_faults.json, BENCH_scale.json,
+# BENCH_mobility.json, BENCH_replicate.json or BENCH_check.json differs
+# from the committed file by a single byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,8 +30,7 @@ echo "== queue backends agree (ladder vs heap: random traces + every table famil
 cargo test -q --release -p macaw-sim --test proptest_queue
 cargo test -q --release -p macaw-bench --test determinism ladder_and_heap
 
-echo "== model-checker smoke (exhaustive proofs + reduction-ratio guard + --jobs determinism + seeded-bug detection) =="
-cargo run --release -p macaw-bench --bin check -- --smoke
+echo "== model-checker proofs (exhaustive proofs + seeded-bug detection) =="
 cargo test -q --release -p macaw-check --test proofs
 cargo test -q --release -p macaw-check --test regression
 
@@ -73,13 +73,15 @@ cargo test -q --release -p macaw-phy --test churn_medium
 echo "== sharded-engine invariance suite =="
 cargo test -q --release -p macaw-bench --test sharding
 
-echo "== replicate smoke (executor + multi-seed sweep) =="
-cargo run --release -p macaw-bench --bin replicate -- --quick
+echo "== executor (serial == parallel on every worker count) =="
 cargo test -q --release -p macaw-bench --test executor
 
 echo "== replication sweep (full 480-simulation run, byte-compared with BENCH_replicate.json) =="
-cargo run --release -p macaw-bench --bin replicate -- --dur 500 --no-check \
-  --out "$out_dir/BENCH_replicate.json"
+cargo run --release -p macaw-bench --bin replicate -- --out "$out_dir/BENCH_replicate.json"
 cmp "$out_dir/BENCH_replicate.json" BENCH_replicate.json
+
+echo "== proof matrix (full run: every proof holds, oracle verdicts agree, byte-compared with BENCH_check.json) =="
+cargo run --release -p macaw-bench --bin check -- --out "$out_dir/BENCH_check.json"
+cmp "$out_dir/BENCH_check.json" BENCH_check.json
 
 echo "verify: OK"

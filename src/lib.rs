@@ -9,7 +9,7 @@
 //! * [`mac`] — the protocols: MACAW, MACA and CSMA, plus every backoff
 //!   algorithm and sharing scheme the paper discusses;
 //! * [`transport`] — UDP and the paper-era TCP with its 0.5 s minimum RTO;
-//! * [`traffic`] — CBR / Poisson / on-off workload generators;
+//! * [`traffic`] — CBR and Poisson workload generators;
 //! * [`core`] — scenario builder, the paper's Figure 1–11 topologies,
 //!   the simulation runner and statistics.
 //!
