@@ -84,11 +84,7 @@ fn gamma_sensitivity() {
     for gamma in [3.0, 4.0, 5.0, 6.0, 8.0] {
         for cutoff in [CutoffMode::Hard, CutoffMode::Physical] {
             let mut sc = figures::figure10(MacKind::Macaw, 1);
-            sc.propagation(PropagationConfig {
-                gamma,
-                cutoff,
-                ..PropagationConfig::default()
-            });
+            sc.propagation(PropagationConfig { gamma, cutoff });
             let r = run(sc);
             println!(
                 "  gamma {gamma:>3} {cutoff:?}: total {:6.2} pps, Jain {:.3}",

@@ -5,7 +5,7 @@
 //! `proof_matrix` workload.
 //!
 //! Usage:
-//!   check [--seed N] [--out PATH] [--jobs N]
+//!   check [--out PATH] [--jobs N]
 //!
 //! Every matrix row runs the **reduced** explorer (sleep-set partial
 //! order + symmetry quotient + reception-order filtering, split at a
@@ -23,12 +23,15 @@
 //! `scripts/verify.sh` compares the written file with the committed one
 //! byte for byte.
 
-use macaw_bench::parse_jobs_arg;
+use macaw_bench::cli::Cli;
 use macaw_check::{
     check, check_fan, CheckConfig, CheckReport, Expectation, FaultClass, SubtreeOut, Topology,
 };
 use macaw_core::Executor;
 use macaw_mac::{Addr, Csma, CsmaConfig, MacConfig, WMac};
+
+/// The checker seed of the committed `BENCH_check.json`.
+const SEED: u64 = 1;
 
 /// Oracle baseline cutoff, in applied transitions. Rows that exceed it are
 /// reported as infeasible for the oracle rather than run to the end. A
@@ -39,12 +42,6 @@ const ORACLE_STATE_BUDGET: u64 = 3_000_000;
 /// `--jobs` values — the split, not the worker count, defines the job
 /// set, so reports are bitwise identical for any parallelism.
 const SPLIT_DEPTH: u32 = 4;
-
-fn usage_and_exit(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!("usage: check [--seed N] [--out PATH] [--jobs N]");
-    std::process::exit(2);
-}
 
 /// Checker-sized protocol budgets (see `crates/check/tests/proofs.rs`:
 /// shrinking retries keeps the retry-bounded state space exhaustible
@@ -171,9 +168,9 @@ fn matrix() -> Vec<Run> {
     runs
 }
 
-fn base_cfg(run: &Run, seed: u64) -> CheckConfig {
+fn base_cfg(run: &Run) -> CheckConfig {
     let mut cfg = CheckConfig::new(run.fault, run.expectation);
-    cfg.seed = seed;
+    cfg.seed = SEED;
     cfg.max_depth = 96;
     cfg
 }
@@ -196,15 +193,15 @@ where
     }
 }
 
-fn run_reduced(run: &Run, seed: u64, executor: &Executor) -> CheckReport {
-    let mut cfg = base_cfg(run, seed);
+fn run_reduced(run: &Run, executor: &Executor) -> CheckReport {
+    let mut cfg = base_cfg(run);
     cfg.reduce = true;
     cfg.split_depth = SPLIT_DEPTH;
     run_with(run, &cfg, |n, f| executor.run(n, f))
 }
 
-fn run_oracle(run: &Run, seed: u64) -> CheckReport {
-    let mut cfg = base_cfg(run, seed);
+fn run_oracle(run: &Run) -> CheckReport {
+    let mut cfg = base_cfg(run);
     cfg.state_budget = Some(ORACLE_STATE_BUDGET);
     match run.protocol {
         "macaw" => check("macaw", &run.topo, &cfg, |i| {
@@ -227,8 +224,8 @@ struct RowOutcome {
     ratio: f64,
 }
 
-fn run_row(run: &Run, seed: u64, executor: &Executor) -> Result<RowOutcome, String> {
-    let report = run_reduced(run, seed, executor);
+fn run_row(run: &Run, executor: &Executor) -> Result<RowOutcome, String> {
+    let report = run_reduced(run, executor);
     if let Some(v) = &report.violation {
         return Err(format!("reduced run found a violation:\n{v}"));
     }
@@ -250,7 +247,7 @@ fn run_row(run: &Run, seed: u64, executor: &Executor) -> Result<RowOutcome, Stri
         });
     }
 
-    let oracle = run_oracle(run, seed);
+    let oracle = run_oracle(run);
     if oracle.exhausted {
         return Ok(RowOutcome {
             ratio: ORACLE_STATE_BUDGET as f64 / report.stats.states_explored.max(1) as f64,
@@ -280,35 +277,14 @@ fn run_row(run: &Run, seed: u64, executor: &Executor) -> Result<RowOutcome, Stri
 }
 
 fn main() {
-    let mut seed = 1u64;
-    let mut out_path = "BENCH_check.json".to_string();
-    let mut jobs: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = args.next().unwrap_or_else(|| usage_and_exit("--seed needs a value"));
-                seed = v.parse().unwrap_or_else(|_| usage_and_exit("--seed needs an integer"));
-            }
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| usage_and_exit("--out needs a value"));
-            }
-            "--jobs" => {
-                let v = args.next().unwrap_or_else(|| usage_and_exit("--jobs needs a value"));
-                jobs = Some(parse_jobs_arg(&v).unwrap_or_else(|e| usage_and_exit(&e)));
-            }
-            other => usage_and_exit(&format!("unknown argument: {other}")),
-        }
-    }
-
-    let executor = jobs.map(Executor::new).unwrap_or_else(Executor::per_core);
+    let cli = Cli::parse("check", "BENCH_check.json");
     let runs = matrix();
     let mut rows = String::new();
     let mut tot_states = 0u64;
     let mut failures = 0u32;
     let mut infeasible_rows = 0u32;
     for run in &runs {
-        let out = match run_row(run, seed, &executor) {
+        let out = match run_row(run, &cli.executor) {
             Ok(out) => out,
             Err(e) => {
                 eprintln!("{} on {} under {:?}: {e}", run.protocol, run.topo.name, run.fault);
@@ -386,15 +362,11 @@ fn main() {
     rows.pop(); // drop trailing ",\n"
     rows.push('\n');
     let json = format!(
-        "{{\n  \"workload\": \"exhaustive model check, full proof matrix (seed={seed}, \
+        "{{\n  \"workload\": \"exhaustive model check, full proof matrix (seed={SEED}, \
            reduced explorer, split_depth={SPLIT_DEPTH}, oracle budget {ORACLE_STATE_BUDGET})\",\n  \
            \"checks\": [\n{rows}  ],\n  \
            \"total\": {{ \"states_explored\": {tot_states}, \
            \"oracle_infeasible_rows\": {infeasible_rows} }}\n}}\n"
     );
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+    cli.write(&json);
 }

@@ -18,32 +18,25 @@
 //!    mobility study).
 //!
 //! Results land in `BENCH_mobility.json`. Every number is a pure function
-//! of the code and the seed: each cell is one job on
-//! [`Executor::per_core`], and `scripts/verify.sh` regenerates the file
-//! and compares it with the committed one byte for byte.
+//! of the code and [`SEED`]: each cell is one executor job, `--jobs N`
+//! (default: one worker per core) changes no byte, and `scripts/verify.sh`
+//! regenerates the file and compares it with the committed one byte for
+//! byte.
 //!
 //! Usage:
-//!   mobility [--seed N] [--out PATH]
+//!   mobility [--out PATH] [--jobs N]
 //!
 //! [`SparseMedium`]: macaw_phy::SparseMedium
 
+use macaw_bench::cli::{die, Cli};
 use macaw_bench::floor_pps;
 use macaw_core::mobility::CampusConfig;
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
-use macaw_core::Executor;
 use macaw_phy::Medium;
 
-fn die(e: &dyn std::fmt::Display) -> ! {
-    eprintln!("simulation failed: {e}");
-    std::process::exit(1);
-}
-
-fn usage_and_exit(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!("usage: mobility [--seed N] [--out PATH]");
-    std::process::exit(2);
-}
+/// The seed of the committed `BENCH_mobility.json`.
+const SEED: u64 = 1;
 
 /// The campus for one sweep cell. `speed <= 0` or `share <= 0` yields the
 /// static floor (no batches are scheduled).
@@ -74,12 +67,12 @@ struct Cell {
 }
 
 /// Build the campus on the sparse medium, run it and collect its cell.
-fn run_campus(job: Job, seed: u64, dur: SimDuration, warm: SimDuration) -> Cell {
+fn run_campus(job: Job, dur: SimDuration, warm: SimDuration) -> Cell {
     let sc = macaw_core::mobility::campus_topology(
         &campus_config(job.stations, job.share, job.speed),
         job.mac,
         dur,
-        seed,
+        SEED,
     );
     let mut net = sc.build().unwrap_or_else(|e| die(&e));
     let end = SimTime::ZERO + dur;
@@ -94,31 +87,7 @@ fn run_campus(job: Job, seed: u64, dur: SimDuration, warm: SimDuration) -> Cell 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 1u64;
-    let mut out_path = "BENCH_mobility.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = match args.get(i).map(|s| s.parse()) {
-                    Some(Ok(n)) => n,
-                    _ => usage_and_exit("--seed takes an integer"),
-                };
-            }
-            "--out" => {
-                i += 1;
-                out_path = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => usage_and_exit("--out takes a path"),
-                };
-            }
-            other => usage_and_exit(&format!("unknown argument {other}")),
-        }
-        i += 1;
-    }
-
+    let cli = Cli::parse("mobility", "BENCH_mobility.json");
     let dur = SimDuration::from_secs(5);
     let warm = SimDuration::from_secs(1);
     let sizes = [256usize, 4096, 16384];
@@ -155,7 +124,9 @@ fn main() {
             });
         }
     }
-    let mut cells = Executor::per_core().run(jobs.len(), |i| run_campus(jobs[i], seed, dur, warm));
+    let mut cells = cli
+        .executor
+        .run(jobs.len(), |i| run_campus(jobs[i], dur, warm));
     let ablation = cells.split_off(sweep_len);
 
     println!("mobility sweep: campus floor, {sizes:?} stations, 5 s runs with 1 s warm-up");
@@ -234,7 +205,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"workload\": \"random-waypoint campus (mobility::campus_topology), seed {seed}, 5 s sim with 1 s warm-up, one move batch per 500 ms tick\",\n  \
+        "{{\n  \"workload\": \"random-waypoint campus (mobility::campus_topology), seed {SEED}, 5 s sim with 1 s warm-up, one move batch per 500 ms tick\",\n  \
            \"sweep_note\": \"static (0%) cells share the scale bench's pps taper, so they are comparable to BENCH_scale.json's MACAW floor rows; move_noop_ops counts same-cube early-outs (paused movers); costs are op counts — perfbench's campus_walk workload is the clock for mobile runs\",\n  \
            \"sweep\": [\n{}\n  ],\n  \
            \"ablation_note\": \"BEB (MACA) vs MILD+per-destination backoff (MACAW) on a 25%-mobile N=256 campus across walking speeds; speed 0 is the static control (cf. arXiv:1007.0410)\",\n  \
@@ -242,9 +213,5 @@ fn main() {
         sweep_json.join(",\n"),
         ablation_json.join(",\n")
     );
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+    cli.write(&json);
 }

@@ -21,26 +21,28 @@
 //!    [`SHARDS`] shards. The two reports must be bitwise identical; the
 //!    JSON records island counts and the per-shard split.
 //!
-//! Every number in the file is a pure function of the code and the seed.
+//! Every number in the file is a pure function of the code and [`SEED`].
 //! Each cell is one executor job, `--jobs N` (default: one worker per
 //! core) changes no byte, and `scripts/verify.sh` regenerates the file and
 //! compares it with the committed one byte for byte.
 //!
 //! Usage:
-//!   scale [--seed N] [--out PATH] [--jobs N]
+//!   scale [--out PATH] [--jobs N]
 //!
 //! [`SparseMedium`]: macaw_phy::SparseMedium
 //! [`ReferenceMedium`]: macaw_phy::ReferenceMedium
 //! [`Medium::memory_footprint`]: macaw_phy::Medium::memory_footprint
 //! [`RunReport`]: macaw_core::stats::RunReport
 
-use macaw_bench::{floor_pps, parse_jobs_arg};
+use macaw_bench::cli::{die, Cli};
+use macaw_bench::floor_pps;
 use macaw_core::prelude::*;
 use macaw_core::stats::RunReport;
-use macaw_core::Executor;
 use macaw_phy::{Medium as PhyMedium, ReferenceMedium, SparseMedium};
 use macaw_sim::LadderFel;
 
+/// The seed of the committed `BENCH_scale.json`.
+const SEED: u64 = 1;
 /// Shards of the serial-vs-sharded rows, fixed so `per_shard` does not
 /// depend on the host.
 const SHARDS: usize = 2;
@@ -55,17 +57,6 @@ const SHARD_SIZES: [usize; 2] = [4096, 16384];
 /// Simulated length of every run, and its warm-up.
 const DUR: SimDuration = SimDuration::from_secs(5);
 const WARM: SimDuration = SimDuration::from_secs(1);
-
-fn die(e: &dyn std::fmt::Display) -> ! {
-    eprintln!("simulation failed: {e}");
-    std::process::exit(1);
-}
-
-fn usage_and_exit(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!("usage: scale [--seed N] [--out PATH] [--jobs N]");
-    std::process::exit(2);
-}
 
 /// The protocols the sweep compares, in paper order.
 fn protocols() -> Vec<(&'static str, MacKind)> {
@@ -104,8 +95,8 @@ struct Cell {
 
 /// Build the floor on medium `M`, run it and collect its cell. The
 /// footprint is the built medium's, read before the run.
-fn run_cell<M: PhyMedium>(protocol: &'static str, n: usize, mac: MacKind, seed: u64) -> Cell {
-    let mut net = scale_topology(&floor_config(n), mac, seed)
+fn run_cell<M: PhyMedium>(protocol: &'static str, n: usize, mac: MacKind) -> Cell {
+    let mut net = scale_topology(&floor_config(n), mac, SEED)
         .build_with_queue::<M, LadderFel>()
         .unwrap_or_else(|e| die(&e));
     net.set_warmup(SimTime::ZERO + WARM);
@@ -148,10 +139,10 @@ struct ShardCell {
 
 /// The cellular floor at `n` stations, serial and on [`SHARDS`] shards;
 /// asserts the reports bitwise identical.
-fn run_shard_cell(n: usize, seed: u64) -> ShardCell {
-    let mk = || scale_topology(&cellular_config(n), MacKind::Macaw, seed);
+fn run_shard_cell(n: usize) -> ShardCell {
+    let mk = || scale_topology(&cellular_config(n), MacKind::Macaw, SEED);
     let islands = mk().partition().unwrap_or_else(|e| die(&e)).n_islands;
-    let default_floor_islands = scale_topology(&floor_config(n), MacKind::Macaw, seed)
+    let default_floor_islands = scale_topology(&floor_config(n), MacKind::Macaw, SEED)
         .partition()
         .unwrap_or_else(|e| die(&e))
         .n_islands;
@@ -191,39 +182,7 @@ enum Done {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 1u64;
-    let mut out_path = "BENCH_scale.json".to_string();
-    let mut jobs: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = match args.get(i).map(|s| s.parse()) {
-                    Some(Ok(n)) => n,
-                    _ => usage_and_exit("--seed takes an integer"),
-                };
-            }
-            "--out" => {
-                i += 1;
-                out_path = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => usage_and_exit("--out takes a path"),
-                };
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = match args.get(i).map(|s| parse_jobs_arg(s)) {
-                    Some(Ok(n)) => Some(n),
-                    Some(Err(e)) => usage_and_exit(&e),
-                    None => usage_and_exit("--jobs takes a worker count"),
-                };
-            }
-            other => usage_and_exit(&format!("unknown argument {other}")),
-        }
-        i += 1;
-    }
+    let cli = Cli::parse("scale", "BENCH_scale.json");
 
     // Largest first: the N = 65536 cell alone takes about as long as every
     // other job together, so it starts at once and the rest fill the other
@@ -240,16 +199,10 @@ fn main() {
             job_list.push(Job::Sweep(name, mac, n));
         }
     }
-    let ex = jobs.map(Executor::new).unwrap_or_else(Executor::per_core);
-    let done = ex.run(job_list.len(), |i| match job_list[i] {
-        Job::Sweep(name, mac, n) => Done::Cell(run_cell::<SparseMedium>(name, n, mac, seed)),
-        Job::Reference => Done::Cell(run_cell::<ReferenceMedium>(
-            "MACAW",
-            256,
-            MacKind::Macaw,
-            seed,
-        )),
-        Job::Sharded(n) => Done::Sharded(run_shard_cell(n, seed)),
+    let done = cli.executor.run(job_list.len(), |i| match job_list[i] {
+        Job::Sweep(name, mac, n) => Done::Cell(run_cell::<SparseMedium>(name, n, mac)),
+        Job::Reference => Done::Cell(run_cell::<ReferenceMedium>("MACAW", 256, MacKind::Macaw)),
+        Job::Sharded(n) => Done::Sharded(run_shard_cell(n)),
     });
     let mut cells: Vec<Cell> = Vec::new();
     let mut reference: Option<Cell> = None;
@@ -384,7 +337,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"workload\": \"random office floor (topology::scale_topology), seed {seed}, 5 s sim with 1 s warm-up\",\n  \
+        "{{\n  \"workload\": \"random office floor (topology::scale_topology), seed {SEED}, 5 s sim with 1 s warm-up\",\n  \
            \"sweep\": [\n{}\n  ],\n  \
            \"reference_vs_sparse_n256_macaw\": {{\n    \
              \"sparse_medium_bytes\": {},\n    \
@@ -402,9 +355,5 @@ fn main() {
         reference.footprint,
         shard_json.join(",\n")
     );
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+    cli.write(&json);
 }

@@ -318,11 +318,9 @@ fn chaos_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, Sim
         corruption_windows: 8,
         crashes: 1,
         asymmetries: 4,
-        jitters: 2,
         // Caps jitter offsets at 0.75 ft per axis and keeps generated
         // noise emitters inside the cell.
         arena: 3.0,
-        ..FaultPlanConfig::default()
     };
     let mut sc = figures::figure3(mac, seed);
     let plan = FaultPlan::generate(seed, &cfg, sc.station_count());

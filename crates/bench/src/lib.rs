@@ -20,6 +20,7 @@ use macaw_core::Executor;
 use macaw_mac::BackoffSharing;
 
 pub mod alloc_stats;
+pub mod cli;
 pub mod faults;
 pub mod replicate;
 

@@ -66,6 +66,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use macaw_mac::config::TIMEOUT_MARGIN;
 use macaw_mac::context::MacFeedback;
 use macaw_mac::harness::Action;
 use macaw_mac::{MacInvariantViolation, MacProtocol, MacSnapshot};
@@ -89,6 +90,15 @@ pub enum Expectation {
     ResolveAll,
 }
 
+/// Concurrency window: deadlines within this epsilon of the earliest one
+/// are explored in every order. Half the MAC's [`TIMEOUT_MARGIN`], so
+/// strictly inside it: the margin exists precisely so that a response
+/// arriving on time is processed before the timeout that guards it, so
+/// deadlines a full margin apart are ordered even on real hardware —
+/// while anything closer (and in particular exact ties, like two stations
+/// drawing the same contention slot) is fair game for reordering.
+pub const TIE_EPSILON: SimDuration = SimDuration::from_nanos(TIMEOUT_MARGIN.as_nanos() / 2);
+
 /// Exploration parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckConfig {
@@ -104,15 +114,6 @@ pub struct CheckConfig {
     pub depth_step: u32,
     /// Terminal-state demand.
     pub expectation: Expectation,
-    /// Concurrency window: deadlines within this epsilon of the earliest
-    /// one are explored in every order. Must be strictly *inside* the
-    /// MAC's `timeout_margin`: the margin exists precisely so that a
-    /// response arriving on time is processed before the timeout that
-    /// guards it, so deadlines a full margin apart are ordered even on
-    /// real hardware — while anything closer (and in particular exact
-    /// ties, like two stations drawing the same contention slot) is fair
-    /// game for reordering.
-    pub tie_epsilon: SimDuration,
     /// Enable the sound reductions (sleep-set partial order, symmetry
     /// quotient, reception-order filtering). `false` is the historical
     /// explorer, kept bit-identical as the validation oracle.
@@ -132,8 +133,8 @@ pub struct CheckConfig {
 }
 
 impl CheckConfig {
-    /// Defaults: seed 1, depth 64 in steps of 8, tie window of half the
-    /// default 50 µs timeout margin, reductions off, serial, unbounded.
+    /// Defaults: seed 1, depth 64 in steps of 8, reductions off, serial,
+    /// unbounded.
     pub fn new(fault: FaultClass, expectation: Expectation) -> Self {
         CheckConfig {
             fault,
@@ -141,7 +142,6 @@ impl CheckConfig {
             max_depth: 64,
             depth_step: 8,
             expectation,
-            tie_epsilon: SimDuration::from_micros(25),
             reduce: false,
             split_depth: 0,
             state_budget: None,
@@ -303,7 +303,7 @@ where
     P: MacProtocol + MacSnapshot + Clone + Sync,
     F: Fn(usize, &(dyn Fn(usize) -> SubtreeOut + Sync)) -> Vec<SubtreeOut>,
 {
-    let band = TieBand::new(cfg.tie_epsilon);
+    let band = TieBand::new(TIE_EPSILON);
     let mut stats = CheckStats::default();
     let mut violation = None;
     let mut complete = false;

@@ -127,10 +127,11 @@ impl Hasher for Recorder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::TIE_EPSILON;
     use crate::topology::Topology;
     use crate::world::{CanonState, FaultClass, World};
     use macaw_mac::{Addr, MacConfig, WMac, WMacSnapshot};
-    use macaw_sim::{SimDuration, TieBand};
+    use macaw_sim::TieBand;
 
     /// The symmetry-minimal canonical state of every visit of an
     /// exhaustive search over the reduced choice set, revisits included:
@@ -140,7 +141,7 @@ mod tests {
         let mut cfg = MacConfig::macaw();
         cfg.max_retries = 2;
         cfg.bo_max = 4;
-        let band = TieBand::new(SimDuration::from_micros(25));
+        let band = TieBand::new(TIE_EPSILON);
         let mut root = World::new(topo, fault, band, 1, |i| WMac::new(Addr::Unicast(i), cfg));
         root.inject().unwrap();
         let mut seen = std::collections::HashSet::new();

@@ -7,7 +7,7 @@
 //!
 //! * **which near-simultaneous deadline fires first** — timer firings and
 //!   flight ends whose deadlines fall within one [`TieBand`] epsilon
-//!   (strictly inside the MAC's `timeout_margin`; see `CheckConfig`) are
+//!   (strictly inside the MAC's `TIMEOUT_MARGIN`; see `TIE_EPSILON`) are
 //!   concurrent and explored in every order; deadlines further apart keep
 //!   their physical order, so a contention slot never races a 16 ms data
 //!   packet and a margin-guarded timeout never races the response it
@@ -37,7 +37,7 @@ use macaw_mac::context::MacFeedback;
 use macaw_mac::harness::Action;
 use macaw_mac::{
     Addr, Frame, MacInvariantViolation, MacProtocol, MacSdu, MacSnapshot, Oracle, Relabeling,
-    Stimulus, StreamId, Timing,
+    Stimulus, StreamId,
 };
 use macaw_sim::{SimDuration, SimTime, TieBand};
 
@@ -174,7 +174,6 @@ pub struct World<P: MacProtocol + MacSnapshot> {
     /// Shared by every world of one check: children clone the pointer,
     /// not the hearing matrix and symmetry group.
     topo: Arc<Topology>,
-    timing: Timing,
     band: TieBand,
     fault: FaultClass,
     budget: u8,
@@ -244,7 +243,6 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
             clock: SimTime::ZERO,
             stations,
             topo,
-            timing: Timing::default(),
             band,
             fault,
             budget: fault.budget(),
@@ -349,7 +347,7 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
             dirty |= rx_bit(n, g.src);
             g.dirty |= rx_bit(n, src);
         }
-        let ends = self.clock + self.timing.frame_duration(&frame);
+        let ends = self.clock + frame.duration();
         self.flights.push(Flight {
             src,
             frame,
@@ -758,12 +756,13 @@ fn permutations(v: &[usize]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::TIE_EPSILON;
     use macaw_mac::{MacConfig, WMac};
 
     fn wmac_world(topo: Topology) -> World<WMac> {
         // Half the timeout margin: exact ties race, margin-guarded
         // timeout/response pairs stay ordered.
-        let band = TieBand::new(SimDuration::from_micros(25));
+        let band = TieBand::new(TIE_EPSILON);
         World::new(topo, FaultClass::None, band, 1, |i| {
             WMac::new(Addr::Unicast(i), MacConfig::macaw())
         })

@@ -23,6 +23,18 @@ use crate::scenario::Scenario;
 /// scenario builder uses for the medium and per-station/stream RNGs.
 const FAULT_FORK: u64 = 0xFA_5EED;
 
+/// Position jitters per generated plan.
+const JITTERS: usize = 2;
+/// Mean length of a generated corruption, noise or asymmetry window.
+const MEAN_WINDOW: SimDuration = SimDuration::from_millis(150);
+/// Minimum on-air time of a generated corruption window's victims: it
+/// spares control frames.
+const MIN_AIR: SimDuration = SimDuration::from_millis(2);
+/// Mean downtime of a generated crash. Every generated crash restarts
+/// with its queues kept; a plan with permanent deaths or lost queues is
+/// built by hand.
+const MEAN_DOWNTIME: SimDuration = SimDuration::from_secs(1);
+
 /// One injected fault.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Fault {
@@ -74,7 +86,10 @@ pub enum Fault {
     },
 }
 
-/// Knobs for [`FaultPlan::generate`].
+/// The knobs of [`FaultPlan::generate`] that callers vary: the horizon,
+/// the count of each drawn fault class but jitter, and the spatial scale.
+/// The jitter count, window and downtime means and `min_air` are the
+/// constants above.
 #[derive(Clone, Debug)]
 pub struct FaultPlanConfig {
     /// Horizon inside which every fault is placed.
@@ -84,19 +99,9 @@ pub struct FaultPlanConfig {
     pub corruption_windows: usize,
     pub crashes: usize,
     pub asymmetries: usize,
-    pub jitters: usize,
-    /// Mean length of a corruption / noise / asymmetry window.
-    pub mean_window: SimDuration,
-    /// Minimum on-air time for corruption windows (spares control frames).
-    pub min_air: SimDuration,
     /// Spatial scale (feet): noise emitters land within this radius of the
     /// origin, jitter offsets within a quarter of it.
     pub arena: f64,
-    /// Crashed stations restart after roughly this long (always set; a
-    /// plan with permanent deaths is built by hand).
-    pub mean_downtime: SimDuration,
-    /// Whether crashes keep their queues.
-    pub preserve_queues: bool,
 }
 
 impl Default for FaultPlanConfig {
@@ -107,12 +112,7 @@ impl Default for FaultPlanConfig {
             corruption_windows: 4,
             crashes: 1,
             asymmetries: 2,
-            jitters: 2,
-            mean_window: SimDuration::from_millis(150),
-            min_air: SimDuration::from_millis(2),
             arena: 20.0,
-            mean_downtime: SimDuration::from_secs(1),
-            preserve_queues: true,
         }
     }
 }
@@ -146,7 +146,7 @@ impl FaultPlan {
 
         let window = |rng: &mut SimRng| {
             let from = SimTime::ZERO + SimDuration::from_nanos(rng.uniform_inclusive(0, horizon));
-            let len = rng.exponential(cfg.mean_window.as_nanos() as f64).max(1.0);
+            let len = rng.exponential(MEAN_WINDOW.as_nanos() as f64).max(1.0);
             (from, from + SimDuration::from_nanos(len as u64))
         };
         // Distinct ordered pair of stations; None if the network is too
@@ -182,7 +182,7 @@ impl FaultPlan {
                     dst,
                     from,
                     until,
-                    min_air: cfg.min_air,
+                    min_air: MIN_AIR,
                 });
             }
         }
@@ -192,14 +192,12 @@ impl FaultPlan {
             }
             let station = rng.uniform_inclusive(0, n_stations as u64 - 1) as usize;
             let at = SimTime::ZERO + SimDuration::from_nanos(rng.uniform_inclusive(0, horizon));
-            let down = rng
-                .exponential(cfg.mean_downtime.as_nanos() as f64)
-                .max(1.0);
+            let down = rng.exponential(MEAN_DOWNTIME.as_nanos() as f64).max(1.0);
             faults.push(Fault::Crash {
                 station,
                 at,
                 restart_at: Some(at + SimDuration::from_nanos(down as u64)),
-                preserve_queues: cfg.preserve_queues,
+                preserve_queues: true,
             });
         }
         for _ in 0..cfg.asymmetries {
@@ -215,7 +213,7 @@ impl FaultPlan {
                 });
             }
         }
-        for _ in 0..cfg.jitters {
+        for _ in 0..JITTERS {
             if n_stations == 0 {
                 break;
             }

@@ -13,7 +13,6 @@ use macaw_phy::Point;
 use macaw_sim::SimTime;
 
 use crate::scenario::{Dest, MacKind, Scenario, SourceKind, StreamSpec, TransportKind};
-use macaw_transport::TcpConfig;
 
 /// Base-station height (ft).
 const BASE_Z: f64 = 6.0;
@@ -323,7 +322,7 @@ pub fn figure11(mac: MacKind, seed: u64, arrive_at: SimTime) -> Scenario {
         name: "P7-B4".to_string(),
         src: p7,
         dst: Dest::Station(b4),
-        transport: TransportKind::Tcp(TcpConfig::default()),
+        transport: TransportKind::Tcp,
         source: SourceKind::Cbr { pps: 32 },
         bytes: 512,
         start: arrive_at,

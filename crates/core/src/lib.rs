@@ -84,5 +84,4 @@ pub mod prelude {
     pub use macaw_mac::{BackoffAlgo, BackoffSharing, MacConfig, QueueMode};
     pub use macaw_phy::{CutoffMode, MediumStats, Point, PropagationConfig};
     pub use macaw_sim::{SimDuration, SimTime};
-    pub use macaw_transport::TcpConfig;
 }

@@ -32,7 +32,7 @@
 use std::collections::VecDeque;
 
 use macaw_mac::context::{MacContext, MacFeedback, MacProtocol, MacResult};
-use macaw_mac::frames::{Addr, Frame, MacSdu, StreamId, Timing};
+use macaw_mac::frames::{Addr, Frame, MacSdu, StreamId};
 use macaw_phy::{
     corrupt_deliveries, Delivery, LinkWindow, Medium, Point, SparseMedium, StationId, TxId,
 };
@@ -379,7 +379,6 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     /// every frame that ends on the air; see [`corrupt_deliveries`].
     windows: Vec<LinkWindow>,
     queue: EventQueue<Event, Q::Fel<Event>>,
-    timing: Timing,
     stations: Vec<StationSlot>,
     streams: Vec<StreamState>,
     /// MAC timer slot per station (dense). `timer_index` orders the
@@ -440,12 +439,11 @@ impl<M: Medium, Q: FelChoice> std::fmt::Debug for Network<M, Q> {
 }
 
 impl<M: Medium, Q: FelChoice> Network<M, Q> {
-    pub(crate) fn new(medium: M, timing: Timing) -> Self {
+    pub(crate) fn new(medium: M) -> Self {
         Network {
             medium,
             windows: Vec::new(),
             queue: EventQueue::new(),
-            timing,
             stations: Vec::new(),
             streams: Vec::new(),
             mac_timers: Vec::new(),
@@ -884,7 +882,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
 
         // Utilization accounting.
         if now >= self.warmup_end {
-            let dur = self.timing.frame_duration(&frame).as_nanos();
+            let dur = frame.duration().as_nanos();
             self.air_ns += dur;
             if frame.kind == macaw_mac::frames::FrameKind::Data {
                 self.data_air_ns += dur;
@@ -1037,7 +1035,6 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                 station,
                 epoch: slot.epoch,
                 island: self.island_of_station[station],
-                timing: self.timing,
                 queue: &mut self.queue,
                 medium: &mut self.medium,
                 rng: &mut slot.rng,
@@ -1339,7 +1336,6 @@ struct CoreMacCtx<'a, M: Medium, F: Fel<Event>> {
     epoch: u32,
     /// The station's island, for attributing scheduled TxEnds.
     island: u32,
-    timing: Timing,
     queue: &'a mut EventQueue<Event, F>,
     medium: &'a mut M,
     rng: &'a mut SimRng,
@@ -1373,7 +1369,7 @@ impl<M: Medium, F: Fel<Event>> MacContext for CoreMacCtx<'_, M, F> {
 
     fn transmit(&mut self, frame: Frame) {
         assert!(self.tx.is_none(), "station already transmitting");
-        let dur = self.timing.frame_duration(&frame);
+        let dur = frame.duration();
         let tx = self.medium.start_tx(StationId(self.station), self.now);
         self.queue.schedule_with_priority(
             self.now + dur,

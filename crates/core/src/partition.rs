@@ -57,7 +57,7 @@
 
 use std::ops::Range;
 
-use macaw_phy::{CutoffMode, MediumStats, Point};
+use macaw_phy::{CutoffMode, MediumStats, Point, THRESHOLD_DISTANCE_FT};
 
 use crate::network::ActionKind;
 use crate::scenario::Scenario;
@@ -421,14 +421,14 @@ fn compute_counted(sc: &Scenario) -> (Partition, u64) {
             }
         }
         // Stretched reception radius per station; the interference ball
-        // (exactly `threshold_distance_ft`, power-independent) is always
+        // (exactly `THRESHOLD_DISTANCE_FT`, power-independent) is always
         // covered because the effective multiplier is clamped at ≥ 1.
         let reach: Vec<f64> = sc
             .stations
             .iter()
             .map(|s| {
                 let eff = (s.tx_power * max_link).max(1.0);
-                cfg.threshold_distance_ft * eff.powf(1.0 / cfg.gamma)
+                THRESHOLD_DISTANCE_FT * eff.powf(1.0 / cfg.gamma)
             })
             .collect();
         // Every coupling radius fits in one cell edge, so two instances
@@ -440,7 +440,7 @@ fn compute_counted(sc: &Scenario) -> (Partition, u64) {
         // Noise emitters: chain every station that can ever enter the 10 ft
         // ball (any position instance; the ball is power-independent because
         // the cutoff tests the raw geometric gain).
-        let noise_reach = cfg.threshold_distance_ft + COUPLING_PAD_FT;
+        let noise_reach = THRESHOLD_DISTANCE_FT + COUPLING_PAD_FT;
         for (&(pos, _, _), h) in sc.noise.iter().zip(&mut first_hearer) {
             for i in grid.inst.iter().filter(|i| i.pos.distance(pos) <= noise_reach) {
                 let first = *h.get_or_insert(i.station);
@@ -674,7 +674,7 @@ mod tests {
                 .fold(1.0, f64::max);
             let reach = |s: u32| {
                 let eff = (sc.stations[s as usize].tx_power * max_link).max(1.0);
-                cfg.threshold_distance_ft * eff.powf(1.0 / cfg.gamma)
+                THRESHOLD_DISTANCE_FT * eff.powf(1.0 / cfg.gamma)
             };
             let inst: Vec<(u32, Point)> = position_instances(sc).collect();
             for (k, &(a, pa)) in inst.iter().enumerate() {
@@ -684,7 +684,7 @@ mod tests {
                     }
                 }
             }
-            let noise_reach = cfg.threshold_distance_ft + COUPLING_PAD_FT;
+            let noise_reach = THRESHOLD_DISTANCE_FT + COUPLING_PAD_FT;
             for (&(pos, _, _), h) in sc.noise.iter().zip(&mut hearer) {
                 for &(s, p) in &inst {
                     if p.distance(pos) <= noise_reach {

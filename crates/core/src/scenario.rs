@@ -8,14 +8,14 @@
 use macaw_mac::config::MacConfig;
 use macaw_mac::context::MacProtocol;
 use macaw_mac::csma::{Csma, CsmaConfig};
-use macaw_mac::frames::{Addr, Timing};
+use macaw_mac::frames::Addr;
 use macaw_mac::wmac::WMac;
 use macaw_phy::{
     LinkWindow, Medium, MediumStats, Point, Propagation, PropagationConfig, StationId,
 };
 use macaw_sim::{SimDuration, SimRng, SimTime};
 use macaw_traffic::{Cbr, Poisson, TrafficSource};
-use macaw_transport::{TcpConfig, TcpReceiver, TcpSender, Transport, UdpReceiver, UdpSender};
+use macaw_transport::{TcpReceiver, TcpSender, Transport, UdpReceiver, UdpSender};
 
 use crate::error::SimError;
 use crate::executor::Executor;
@@ -64,14 +64,6 @@ impl MacKind {
             MacKind::Csma(cfg) => Box::new(Csma::new(addr, cfg)),
         }
     }
-
-    fn timing(&self) -> Timing {
-        match self {
-            MacKind::Maca | MacKind::Macaw => Timing::default(),
-            MacKind::Custom(cfg) => cfg.timing,
-            MacKind::Csma(cfg) => cfg.timing,
-        }
-    }
 }
 
 /// Which transport a stream uses.
@@ -80,7 +72,7 @@ pub enum TransportKind {
     /// Fire-and-forget datagrams (most of the paper's experiments).
     Udp,
     /// The simplified TCP of §3.3.1 (Tables 4 and 11).
-    Tcp(TcpConfig),
+    Tcp,
 }
 
 /// The traffic model for a stream.
@@ -228,19 +220,13 @@ impl Scenario {
     }
 
     /// Override the propagation model (default: the paper's near-field
-    /// model with a hard out-of-range cutoff). `gamma` and
-    /// `threshold_distance_ft` must be finite and positive, and
-    /// `capture_margin_db` finite.
+    /// model with a hard out-of-range cutoff). `gamma` must be finite and
+    /// positive.
     pub fn propagation(&mut self, cfg: PropagationConfig) -> &mut Self {
-        let positive = |x: f64| x.is_finite() && x > 0.0;
-        if !(positive(cfg.gamma)
-            && positive(cfg.threshold_distance_ft)
-            && cfg.capture_margin_db.is_finite())
-        {
+        if !(cfg.gamma.is_finite() && cfg.gamma > 0.0) {
             self.note_defect(format!(
-                "propagation: gamma {} and threshold_distance_ft {} must be finite and \
-                 positive, capture_margin_db {} finite",
-                cfg.gamma, cfg.threshold_distance_ft, cfg.capture_margin_db
+                "propagation: gamma {} must be finite and positive",
+                cfg.gamma
             ));
         }
         self.prop = cfg;
@@ -251,27 +237,9 @@ impl Scenario {
     /// base stations conventionally at z = 6 and pads at z = 0 (the paper's
     /// "pads are 6 feet below the base station height"). Every coordinate
     /// must be finite. A custom or CSMA MAC config must have backoff bounds
-    /// `1 <= bo_min <= bo_max`. Every station shares one channel, so its
-    /// MAC's [`Timing`] must have a nonzero `ns_per_byte` and
-    /// `control_bytes` and equal the first station's: the network times
-    /// every frame on the air with that one timing.
+    /// `1 <= bo_min <= bo_max`.
     pub fn add_station(&mut self, name: &str, pos: Point, mac: MacKind) -> usize {
         self.check_point(pos, format_args!("add_station '{name}'"));
-        let timing = mac.timing();
-        if timing.ns_per_byte == 0 || timing.control_bytes == 0 {
-            self.note_defect(format!(
-                "add_station '{name}': timing {timing:?} needs a nonzero ns_per_byte and \
-                 control_bytes"
-            ));
-        } else if let Some(first) = self.stations.first() {
-            let channel = first.mac.timing();
-            if timing != channel {
-                self.note_defect(format!(
-                    "add_station '{name}': timing {timing:?} differs from the first \
-                     station's {channel:?}"
-                ));
-            }
-        }
         let bounds = match mac {
             MacKind::Custom(cfg) => Some((cfg.bo_min, cfg.bo_max)),
             MacKind::Csma(cfg) => Some((cfg.bo_min, cfg.bo_max)),
@@ -383,7 +351,7 @@ impl Scenario {
             name: name.to_string(),
             src,
             dst: Dest::Station(dst),
-            transport: TransportKind::Tcp(TcpConfig::default()),
+            transport: TransportKind::Tcp,
             source: SourceKind::Cbr { pps },
             bytes,
             start: SimTime::ZERO,
@@ -667,12 +635,6 @@ impl Scenario {
             }
         }
 
-        // `add_station` holds every station to the same timing.
-        let timing = self
-            .stations
-            .first()
-            .map(|s| s.mac.timing())
-            .unwrap_or_default();
         let mut medium = M::new(Propagation::new(self.prop), root.fork(0xA11CE));
         for (i, s) in self.stations.iter().enumerate() {
             let id = medium.add_station(s.pos);
@@ -686,7 +648,7 @@ impl Scenario {
             let idx = medium.add_noise_source(*pos, *power);
             medium.set_noise_active(idx, *active);
         }
-        let mut net = Network::new(medium, timing);
+        let mut net = Network::new(medium);
 
         for (i, s) in self.stations.iter().enumerate() {
             let mac = s.mac.build(Addr::Unicast(i), &s.groups);
@@ -707,9 +669,9 @@ impl Scenario {
                             TransportKind::Udp => {
                                 (Box::new(UdpSender::new()), Box::new(UdpReceiver::new()))
                             }
-                            TransportKind::Tcp(cfg) => (
-                                Box::new(TcpSender::new(cfg, spec.bytes)),
-                                Box::new(TcpReceiver::new(cfg)),
+                            TransportKind::Tcp => (
+                                Box::new(TcpSender::new(spec.bytes)),
+                                Box::new(TcpReceiver::new()),
                             ),
                         };
                     net.add_unicast_stream(
@@ -1027,7 +989,7 @@ mod tests {
                 group: 1,
                 members: vec![b],
             },
-            transport: TransportKind::Tcp(TcpConfig::default()),
+            transport: TransportKind::Tcp,
             source: SourceKind::Cbr { pps: 1 },
             bytes: 512,
             start: SimTime::ZERO,
@@ -1121,11 +1083,6 @@ mod tests {
         let cases = [
             ("gamma 0", prop(|c| c.gamma = 0.0)),
             ("gamma NaN", prop(|c| c.gamma = f64::NAN)),
-            ("threshold 0", prop(|c| c.threshold_distance_ft = 0.0)),
-            (
-                "capture margin NaN",
-                prop(|c| c.capture_margin_db = f64::NAN),
-            ),
             (
                 "MacConfig bounds [0, 0]",
                 mac(MacKind::Custom(MacConfig {
@@ -1145,50 +1102,6 @@ mod tests {
         for (what, sc) in cases {
             match sc.run(SimDuration::from_secs(5), SimDuration::from_secs(1)) {
                 Err(SimError::InvalidScenario(_)) => {}
-                other => panic!("{what}: want InvalidScenario, got {other:?}"),
-            }
-        }
-    }
-
-    /// One channel, one timing: a pad whose MAC runs at half the byte rate
-    /// used to leave the air time to the declaration order, and a zero
-    /// byte time put frames on the air for no time at all.
-    #[test]
-    fn mixed_or_zero_mac_timing_is_a_typed_error() {
-        let custom = |ns_per_byte| {
-            MacKind::Custom(MacConfig {
-                timing: Timing {
-                    ns_per_byte,
-                    ..Timing::default()
-                },
-                ..MacConfig::macaw()
-            })
-        };
-        // A base at (0, 0, 6) and a pad at (3, 0, 0) sending it 16 pps.
-        let cell = |base: MacKind, pad: MacKind, pad_first: bool| {
-            let mut sc = Scenario::new(3);
-            let (b_at, p_at) = (Point::new(0.0, 0.0, 6.0), Point::new(3.0, 0.0, 0.0));
-            let (b, p) = if pad_first {
-                let p = sc.add_station("P", p_at, pad);
-                (sc.add_station("B", b_at, base), p)
-            } else {
-                let b = sc.add_station("B", b_at, base);
-                (b, sc.add_station("P", p_at, pad))
-            };
-            sc.add_udp_stream("P-B", p, b, 16, 512);
-            sc
-        };
-        let (macaw, slow, zero) = (MacKind::Macaw, custom(62_500), custom(0));
-        let cases = [
-            ("slow pad after the base", cell(macaw, slow, false)),
-            ("slow pad before the base", cell(macaw, slow, true)),
-            ("zero byte time everywhere", cell(zero, zero, false)),
-        ];
-        for (what, sc) in cases {
-            match sc.run(SimDuration::from_secs(20), SimDuration::from_secs(2)) {
-                Err(SimError::InvalidScenario(msg)) => {
-                    assert!(msg.contains("timing"), "{what}: {msg}")
-                }
                 other => panic!("{what}: want InvalidScenario, got {other:?}"),
             }
         }

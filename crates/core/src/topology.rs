@@ -4,7 +4,7 @@
 //! module generates the *large* version of the same world: a floor of
 //! square rooms on a grid, each with one base station at ceiling height
 //! and a handful of pads, separated by corridors where roaming pads walk.
-//! Room pitch defaults to 16 ft, so a room's pads are all within the
+//! Rooms sit on a 16 ft pitch, so a room's pads are all within the
 //! 10 ft reception range of their base while neighboring rooms overlap
 //! just enough to contend at the edges — the regime MACAW's RRTS and
 //! backoff-copying are designed for.
@@ -21,23 +21,29 @@ use crate::scenario::{MacKind, Scenario};
 
 /// Base-station height (ft), matching the paper's figures.
 const BASE_Z: f64 = 6.0;
+/// Stations per room, its base included.
+const STATIONS_PER_ROOM: usize = 8;
+/// Center-to-center distance between adjacent rooms (ft).
+const ROOM_PITCH_FT: f64 = 16.0;
+/// Width of the corridor strip between room rows (ft).
+const CORRIDOR_WIDTH_FT: f64 = 8.0;
+/// Fraction of streaming pads that also receive a downlink stream from
+/// their base.
+const DOWNLINK_SHARE: f64 = 0.25;
+/// Packet size of every stream (bytes).
+const PACKET_BYTES: u32 = 512;
 
-/// Shape and load knobs for [`scale_topology`].
+/// The knobs of [`scale_topology`] that callers vary: size, pad inset,
+/// walkers and offered load. Room shape, corridor width, the downlink
+/// share and the packet size are the constants above.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleConfig {
     /// Total station count: bases + room pads + corridor walkers.
     pub stations: usize,
-    /// Stations per room including its base (≥ 2). Controls density:
-    /// smaller rooms mean more cells and less intra-cell contention.
-    pub stations_per_room: usize,
-    /// Center-to-center distance between adjacent rooms (ft).
-    pub room_pitch_ft: f64,
-    /// Width of the corridor strip between room rows (ft).
-    pub corridor_width_ft: f64,
     /// Minimum distance (ft) from a room's walls to its pads (≥ 1).
     /// Default 1 ft — the paper-style floor, where edge pads of adjacent
     /// rooms overhear each other and rooms contend at the boundaries.
-    /// Raising it to 6 ft on the default 16 ft pitch pulls every pad deep
+    /// Raising it to 6 ft on the 16 ft pitch pulls every pad deep
     /// enough into its room that adjacent rooms can no longer couple at
     /// all: with `walker_share = 0` the floor decomposes into one coupling
     /// island per room (see `crate::partition`), the regime where
@@ -48,28 +54,18 @@ pub struct ScaleConfig {
     /// Probability that a pad or walker sources an uplink stream to its
     /// base — the offered-load knob.
     pub stream_load: f64,
-    /// Fraction of streaming pads that additionally receive a downlink
-    /// stream from their base.
-    pub downlink_share: f64,
     /// Per-stream offered load (packets per second).
     pub pps: u64,
-    /// Packet size (bytes).
-    pub bytes: u32,
 }
 
 impl Default for ScaleConfig {
     fn default() -> Self {
         ScaleConfig {
             stations: 64,
-            stations_per_room: 8,
-            room_pitch_ft: 16.0,
-            corridor_width_ft: 8.0,
             room_inset_ft: 1.0,
             walker_share: 0.1,
             stream_load: 0.75,
-            downlink_share: 0.25,
             pps: 16,
-            bytes: 512,
         }
     }
 }
@@ -87,26 +83,22 @@ impl ScaleConfig {
 /// Generate a random office floor per `cfg`, every station running `mac`.
 ///
 /// Rooms fill a near-square grid row-major until the station budget is
-/// spent: one base per room plus up to `stations_per_room - 1` pads at
+/// spent: one base per room plus up to `STATIONS_PER_ROOM - 1` pads at
 /// random interior offsets. Walkers land in the corridor strips below
 /// their row and stream to the nearest room base. Positions use whole-foot
 /// offsets, which cube-snapping then leaves alone.
 pub fn scale_topology(cfg: &ScaleConfig, mac: MacKind, seed: u64) -> Scenario {
     assert!(cfg.stations >= 2, "a topology needs at least two stations");
-    assert!(
-        cfg.stations_per_room >= 2,
-        "a room is a base plus at least one pad"
-    );
     let mut rng = SimRng::new(seed ^ 0x0FF1_CE00);
     let mut sc = Scenario::new(seed);
 
     let walkers = ((cfg.stations as f64 * cfg.walker_share) as usize)
-        .min(cfg.stations.saturating_sub(cfg.stations_per_room));
+        .min(cfg.stations.saturating_sub(STATIONS_PER_ROOM));
     let roomed = cfg.stations - walkers;
-    let rooms = roomed.div_ceil(cfg.stations_per_room);
+    let rooms = roomed.div_ceil(STATIONS_PER_ROOM);
     let rooms_per_row = (1..).find(|&w| w * w >= rooms).unwrap_or(1);
-    let pitch = cfg.room_pitch_ft;
-    let row_pitch = pitch + cfg.corridor_width_ft;
+    let pitch = ROOM_PITCH_FT;
+    let row_pitch = pitch + CORRIDOR_WIDTH_FT;
 
     // Rooms row-major; remember each base so pads and walkers can stream
     // to it.
@@ -124,11 +116,11 @@ pub fn scale_topology(cfg: &ScaleConfig, mac: MacKind, seed: u64) -> Scenario {
         bases.push((base, center));
         placed += 1;
 
-        let pads = (cfg.stations_per_room - 1).min(roomed - placed);
+        let pads = (STATIONS_PER_ROOM - 1).min(roomed - placed);
         for p in 0..pads {
             // Random whole-foot offset in the room interior, at least
             // `room_inset_ft` from the walls; everything is within pitch/√2
-            // of the base, i.e. in range for the default 16 ft pitch. The
+            // of the base, i.e. in range on the 16 ft pitch. The
             // draw is `inset − 1` plus a roll over the remaining span, so
             // the default inset of 1 ft consumes the exact RNG sequence
             // (and produces the exact offsets) this generator always has.
@@ -140,10 +132,10 @@ pub fn scale_topology(cfg: &ScaleConfig, mac: MacKind, seed: u64) -> Scenario {
             let pad = sc.add_station(&format!("P{room}_{p}"), pos, mac);
             placed += 1;
             if rng.chance(cfg.stream_load) {
-                sc.add_udp_stream(&format!("u{room}_{p}"), pad, base, cfg.pps, cfg.bytes);
+                sc.add_udp_stream(&format!("u{room}_{p}"), pad, base, cfg.pps, PACKET_BYTES);
                 streams += 1;
-                if rng.chance(cfg.downlink_share) {
-                    sc.add_udp_stream(&format!("d{room}_{p}"), base, pad, cfg.pps, cfg.bytes);
+                if rng.chance(DOWNLINK_SHARE) {
+                    sc.add_udp_stream(&format!("d{room}_{p}"), base, pad, cfg.pps, PACKET_BYTES);
                     streams += 1;
                 }
             }
@@ -157,7 +149,7 @@ pub fn scale_topology(cfg: &ScaleConfig, mac: MacKind, seed: u64) -> Scenario {
     for w in 0..walkers {
         let row = w % corridor_rows.max(1);
         let x = rng.uniform_inclusive(1, floor_w as u64 - 1) as f64;
-        let y = row as f64 * row_pitch + pitch + cfg.corridor_width_ft / 2.0;
+        let y = row as f64 * row_pitch + pitch + CORRIDOR_WIDTH_FT / 2.0;
         let pos = Point::new(x, y, 0.0);
         let id = sc.add_station(&format!("W{w}"), pos, mac);
         let nearest = bases
@@ -170,7 +162,7 @@ pub fn scale_topology(cfg: &ScaleConfig, mac: MacKind, seed: u64) -> Scenario {
             .expect("at least one room exists")
             .0;
         if rng.chance(cfg.stream_load) {
-            sc.add_udp_stream(&format!("w{w}"), id, nearest, cfg.pps, cfg.bytes);
+            sc.add_udp_stream(&format!("w{w}"), id, nearest, cfg.pps, PACKET_BYTES);
             streams += 1;
         }
     }
@@ -181,7 +173,7 @@ pub fn scale_topology(cfg: &ScaleConfig, mac: MacKind, seed: u64) -> Scenario {
         let pad = (0..cfg.stations)
             .find(|&s| s != base)
             .expect("more than one station");
-        sc.add_udp_stream("u_floor", pad, base, cfg.pps, cfg.bytes);
+        sc.add_udp_stream("u_floor", pad, base, cfg.pps, PACKET_BYTES);
     }
     sc
 }
@@ -227,7 +219,7 @@ mod tests {
         let net = sc.build().expect("scale topology builds");
         let m = net.medium();
         // Base B0 is station 0; its room's pads follow it immediately.
-        for pad in 1..8 {
+        for pad in 1..STATIONS_PER_ROOM {
             assert!(
                 m.in_range(StationId(0), StationId(pad)),
                 "pad {pad} must hear its own base"

@@ -20,6 +20,10 @@
 
 use crate::frames::{Addr, BackoffHeader};
 
+/// ALPHA of Appendix B.2's retry escalation: each retry raises the
+/// estimate of the peer's backoff by this many slots.
+const ALPHA: u32 = 2;
+
 /// The backoff-counter adjustment algorithm.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BackoffAlgo {
@@ -89,8 +93,6 @@ pub struct Backoff {
     sharing: BackoffSharing,
     min: u32,
     max: u32,
-    /// ALPHA in Appendix B.2's retry escalation.
-    alpha: u32,
     /// `my_backoff`: the station-wide counter (the only counter in the
     /// `None`/`Copy` schemes).
     my: u32,
@@ -104,14 +106,13 @@ pub struct Backoff {
 
 impl Backoff {
     /// Create a backoff state starting at BO_min.
-    pub fn new(algo: BackoffAlgo, sharing: BackoffSharing, min: u32, max: u32, alpha: u32) -> Self {
+    pub fn new(algo: BackoffAlgo, sharing: BackoffSharing, min: u32, max: u32) -> Self {
         assert!(min >= 1 && min <= max, "bad backoff bounds [{min},{max}]");
         Backoff {
             algo,
             sharing,
             min,
             max,
-            alpha,
             my: min,
             peers: Vec::new(),
         }
@@ -229,10 +230,10 @@ impl Backoff {
                 self.my = self.algo.increase(self.my, self.min, self.max);
             }
             BackoffSharing::PerDestination => {
-                let (min, max, alpha) = (self.min, self.max, self.alpha);
+                let (min, max) = (self.min, self.max);
                 let p = self.peer(dst);
                 let base = p.remote.unwrap_or(min);
-                p.remote = Some((base + retry_count.max(1) * alpha).clamp(min, max));
+                p.remote = Some((base + retry_count.max(1) * ALPHA).clamp(min, max));
             }
         }
     }
@@ -279,19 +280,6 @@ impl Backoff {
     pub fn reset(&mut self) {
         self.my = self.min;
         self.peers.clear();
-    }
-
-    /// Evict everything learned about one peer (its congestion estimates
-    /// and exchange sequence numbers). Used when the *peer* is known to
-    /// have crashed: its ESN counter restarts from zero, so stale
-    /// `esn_in` state here would misclassify its fresh exchanges as
-    /// retransmissions forever.
-    pub fn forget_peer(&mut self, addr: Addr) {
-        if let Addr::Unicast(idx) = addr {
-            if let Ok(at) = self.peers.binary_search_by_key(&idx, |e| e.0) {
-                self.peers.remove(at);
-            }
-        }
     }
 
     /// Canonical snapshot of the learned congestion state, for state-space
@@ -364,7 +352,7 @@ impl Backoff {
                 self.my = h.local.clamp(self.min, self.max);
             }
             BackoffSharing::PerDestination => {
-                let (min, max, alpha) = (self.min, self.max, self.alpha);
+                let (min, max) = (self.min, self.max);
                 let my = self.my;
                 let Addr::Unicast(_) = src else { return };
                 let mut new_my = None;
@@ -393,7 +381,7 @@ impl Backoff {
                     // escalate the sender's estimate. The sum of the two
                     // ends is invariant to where the collision happened, so
                     // recover our own as (sum − sender's).
-                    let escalated = (h.local + p.retry_in * alpha).clamp(min, max);
+                    let escalated = (h.local + p.retry_in * ALPHA).clamp(min, max);
                     p.remote = Some(escalated);
                     if let Some(r) = h.remote {
                         let sum = h.local + r;
@@ -494,7 +482,7 @@ mod tests {
 
     #[test]
     fn copy_mode_adopts_overheard_counter() {
-        let mut b = Backoff::new(BackoffAlgo::Beb, BackoffSharing::Copy, MIN, MAX, 2);
+        let mut b = Backoff::new(BackoffAlgo::Beb, BackoffSharing::Copy, MIN, MAX);
         b.on_timeout(dst(1), 1);
         b.on_timeout(dst(1), 2);
         assert_eq!(b.window(dst(1)), 8);
@@ -513,7 +501,7 @@ mod tests {
 
     #[test]
     fn none_mode_ignores_overheard_counters() {
-        let mut b = Backoff::new(BackoffAlgo::Beb, BackoffSharing::None, MIN, MAX, 2);
+        let mut b = Backoff::new(BackoffAlgo::Beb, BackoffSharing::None, MIN, MAX);
         b.on_overhear(
             dst(2),
             dst(3),
@@ -531,13 +519,7 @@ mod tests {
     fn per_destination_isolates_an_unreachable_peer() {
         // The Figure-9 pathology: escalating against a dead peer must not
         // raise the window used for live peers.
-        let mut b = Backoff::new(
-            BackoffAlgo::Mild,
-            BackoffSharing::PerDestination,
-            MIN,
-            MAX,
-            2,
-        );
+        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
         b.begin_exchange(dst(9)); // the dead pad
         for retry in 1..=10 {
             b.on_timeout(dst(9), retry);
@@ -548,13 +530,7 @@ mod tests {
 
     #[test]
     fn per_destination_success_decreases_both_ends() {
-        let mut b = Backoff::new(
-            BackoffAlgo::Mild,
-            BackoffSharing::PerDestination,
-            MIN,
-            MAX,
-            2,
-        );
+        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
         b.begin_exchange(dst(1));
         b.on_timeout(dst(1), 1);
         b.on_timeout(dst(1), 2);
@@ -565,13 +541,7 @@ mod tests {
 
     #[test]
     fn per_destination_drop_marks_remote_unknown_and_local_max() {
-        let mut b = Backoff::new(
-            BackoffAlgo::Mild,
-            BackoffSharing::PerDestination,
-            MIN,
-            MAX,
-            2,
-        );
+        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
         b.begin_exchange(dst(1));
         b.on_drop(dst(1));
         // local = MAX, remote = unknown (treated as MIN in the sum).
@@ -588,13 +558,7 @@ mod tests {
 
     #[test]
     fn per_destination_ignores_rts_headers_when_overhearing() {
-        let mut b = Backoff::new(
-            BackoffAlgo::Mild,
-            BackoffSharing::PerDestination,
-            MIN,
-            MAX,
-            2,
-        );
+        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
         b.on_overhear(
             dst(2),
             dst(3),
@@ -626,13 +590,7 @@ mod tests {
 
     #[test]
     fn per_destination_receive_new_exchange_synchronizes() {
-        let mut b = Backoff::new(
-            BackoffAlgo::Mild,
-            BackoffSharing::PerDestination,
-            MIN,
-            MAX,
-            2,
-        );
+        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
         b.on_receive(
             dst(5),
             true,
@@ -648,13 +606,7 @@ mod tests {
 
     #[test]
     fn per_destination_retransmission_escalates_sender_estimate() {
-        let mut b = Backoff::new(
-            BackoffAlgo::Mild,
-            BackoffSharing::PerDestination,
-            MIN,
-            MAX,
-            2,
-        );
+        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
         let h = BackoffHeader {
             local: 10,
             remote: Some(4),
@@ -668,7 +620,7 @@ mod tests {
 
     #[test]
     fn esn_increments_per_exchange() {
-        let mut b = Backoff::new(BackoffAlgo::Beb, BackoffSharing::Copy, MIN, MAX, 2);
+        let mut b = Backoff::new(BackoffAlgo::Beb, BackoffSharing::Copy, MIN, MAX);
         assert_eq!(b.begin_exchange(dst(1)), 1);
         assert_eq!(b.begin_exchange(dst(1)), 2);
         assert_eq!(b.begin_exchange(dst(2)), 1);
@@ -677,14 +629,9 @@ mod tests {
 
     #[test]
     fn window_never_exceeds_twice_max() {
-        let mut b = Backoff::new(
-            BackoffAlgo::Mild,
-            BackoffSharing::PerDestination,
-            MIN,
-            MAX,
-            8,
-        );
+        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
         b.begin_exchange(dst(1));
+        // 100 retries escalate by 100 × ALPHA, far past MAX: the clamp acts.
         for retry in 1..=100 {
             b.on_timeout(dst(1), retry);
         }
@@ -711,7 +658,7 @@ mod tests {
         // §3.1: copying is unconditional — a station that has escalated to a
         // large counter adopts a *smaller* overheard value too. That is the
         // point of copying (one station's success resets the whole cell).
-        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::Copy, MIN, MAX, 2);
+        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::Copy, MIN, MAX);
         for retry in 1..=20 {
             b.on_timeout(dst(1), retry);
         }
@@ -742,13 +689,7 @@ mod tests {
 
     #[test]
     fn reset_wipes_station_state() {
-        let mut b = Backoff::new(
-            BackoffAlgo::Mild,
-            BackoffSharing::PerDestination,
-            MIN,
-            MAX,
-            2,
-        );
+        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
         b.begin_exchange(dst(1));
         for retry in 1..=10 {
             b.on_timeout(dst(1), retry);
@@ -762,53 +703,8 @@ mod tests {
     }
 
     #[test]
-    fn forget_peer_evicts_one_destination_only() {
-        let mut b = Backoff::new(
-            BackoffAlgo::Mild,
-            BackoffSharing::PerDestination,
-            MIN,
-            MAX,
-            2,
-        );
-        b.begin_exchange(dst(1));
-        b.begin_exchange(dst(2));
-        for retry in 1..=10 {
-            b.on_timeout(dst(1), retry);
-            b.on_timeout(dst(2), retry);
-        }
-        let w2 = b.window(dst(2));
-        b.forget_peer(dst(1));
-        // Evicted peer is back to the no-state window; the other keeps its
-        // escalated estimate.
-        assert_eq!(b.window(dst(1)), b.my_backoff() + MIN);
-        assert_eq!(b.window(dst(2)), w2);
-        // A crashed peer's ESN counter restarts at 1; with the table entry
-        // evicted its first fresh RTS is classified as a new exchange, not a
-        // retransmission of the pre-crash exchange.
-        b.on_receive(
-            dst(1),
-            true,
-            &BackoffHeader {
-                local: 5,
-                remote: None,
-                esn: 1,
-            },
-        );
-        assert_eq!(b.window(dst(1)), b.my_backoff() + 5);
-        // forget_peer on a never-seen or multicast address is a no-op.
-        b.forget_peer(dst(30));
-        b.forget_peer(Addr::Multicast(1));
-    }
-
-    #[test]
     fn multicast_exchanges_carry_no_peer_state() {
-        let mut b = Backoff::new(
-            BackoffAlgo::Mild,
-            BackoffSharing::PerDestination,
-            MIN,
-            MAX,
-            2,
-        );
+        let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
         assert_eq!(b.begin_exchange(Addr::Multicast(1)), 0);
         assert_eq!(b.window(Addr::Multicast(1)), b.my_backoff() + MIN);
     }

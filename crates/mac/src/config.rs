@@ -7,7 +7,12 @@
 use macaw_sim::SimDuration;
 
 use crate::backoff::{BackoffAlgo, BackoffSharing};
-use crate::frames::Timing;
+use crate::frames::{bytes_duration, slot};
+
+/// Extra guard added to every response timeout and deferral, covering
+/// processing/turnaround slop. Kept well under a slot so it never shifts
+/// contention alignment.
+pub const TIMEOUT_MARGIN: SimDuration = SimDuration::from_micros(50);
 
 /// Transmit-queue organisation (§3.2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -20,11 +25,11 @@ pub enum QueueMode {
     PerStream,
 }
 
-/// Complete MAC protocol configuration.
+/// Complete MAC protocol configuration. The channel timing
+/// ([`crate::frames`]), Appendix B.2's ALPHA and [`TIMEOUT_MARGIN`] are
+/// constants every station shares.
 #[derive(Clone, Copy, Debug)]
 pub struct MacConfig {
-    /// Channel timing (rate, control packet size).
-    pub timing: Timing,
     /// Append a link-layer ACK to the exchange (§3.3.1).
     pub use_ack: bool,
     /// Send a DS packet between CTS and DATA (§3.3.2).
@@ -49,20 +54,11 @@ pub struct MacConfig {
     /// Backoff counter bounds (paper: 2 and 64).
     pub bo_min: u32,
     pub bo_max: u32,
-    /// ALPHA of Appendix B.2's retry escalation.
-    pub alpha: u32,
     /// Retransmission attempts before a packet is discarded ("in MACAW we
     /// allow a certain number of retries on each packet before discarding").
     pub max_retries: u32,
     /// Transmit-queue capacity in packets (tail-drop beyond this).
     pub queue_capacity: usize,
-    /// Extra guard added to every response timeout and deferral, covering
-    /// processing/turnaround slop. Kept well under a slot so it never shifts
-    /// contention alignment.
-    pub timeout_margin: SimDuration,
-    /// Multicast uses the §3.3.4 RTS–DATA scheme when `true`; multicast
-    /// sends are rejected when `false`.
-    pub multicast: bool,
 }
 
 impl MacConfig {
@@ -70,7 +66,6 @@ impl MacConfig {
     /// binary exponential backoff, no sharing, one FIFO.
     pub fn maca() -> Self {
         MacConfig {
-            timing: Timing::default(),
             use_ack: false,
             use_ds: false,
             use_rrts: false,
@@ -81,15 +76,12 @@ impl MacConfig {
             queues: QueueMode::SingleFifo,
             bo_min: 2,
             bo_max: 64,
-            alpha: 2,
             max_retries: 8,
             // Effectively unbounded for the paper's workloads (the longest
             // run offers 128k packets per stream): throughput tables measure
             // the MAC's service rate, and a small tail-drop buffer phase-
             // locks against CBR arrivals, skewing per-stream shares.
             queue_capacity: 1 << 20,
-            timeout_margin: SimDuration::from_micros(50),
-            multicast: true,
         }
     }
 
@@ -107,24 +99,9 @@ impl MacConfig {
         }
     }
 
-    /// Slot time (one control-packet duration).
-    pub fn slot(&self) -> SimDuration {
-        self.timing.slot()
-    }
-
-    /// Duration of one control packet on the air.
-    pub fn control_duration(&self) -> SimDuration {
-        self.timing.slot()
-    }
-
-    /// Duration of a data packet of `bytes` bytes on the air.
-    pub fn data_duration(&self, bytes: u32) -> SimDuration {
-        self.timing.bytes_duration(bytes)
-    }
-
     /// How long a sender in WFCTS waits for the CTS after its RTS ends.
     pub fn wfcts_timeout(&self) -> SimDuration {
-        self.control_duration() + self.timeout_margin
+        slot() + TIMEOUT_MARGIN
     }
 
     /// How long a receiver waits for the DS (or DATA, when DS is disabled)
@@ -132,38 +109,38 @@ impl MacConfig {
     pub fn wfds_timeout(&self, data_bytes: u32) -> SimDuration {
         // Without DS the wait covers the whole data packet.
         if self.use_ds {
-            self.control_duration() + self.timeout_margin
+            slot() + TIMEOUT_MARGIN
         } else {
-            self.data_duration(data_bytes) + self.timeout_margin
+            bytes_duration(data_bytes) + TIMEOUT_MARGIN
         }
     }
 
     /// How long a receiver in WFDATA waits after the DS ends.
     pub fn wfdata_timeout(&self, data_bytes: u32) -> SimDuration {
-        self.data_duration(data_bytes) + self.timeout_margin
+        bytes_duration(data_bytes) + TIMEOUT_MARGIN
     }
 
     /// How long a sender in WFACK waits after its DATA ends.
     pub fn wfack_timeout(&self) -> SimDuration {
-        self.control_duration() + self.timeout_margin
+        slot() + TIMEOUT_MARGIN
     }
 
     /// Deferral after overhearing an RTS addressed elsewhere: long enough
     /// for the addressee's CTS to reach the requester (Appendix A Defer 1).
     pub fn defer_after_rts(&self) -> SimDuration {
-        self.control_duration() + self.timeout_margin
+        slot() + TIMEOUT_MARGIN
     }
 
     /// Deferral after overhearing a CTS addressed elsewhere: long enough for
     /// the granted data transmission (and its DS/ACK when enabled) to finish
     /// (Appendix A Defer 2 / Appendix B Defer 3).
     pub fn defer_after_cts(&self, data_bytes: u32) -> SimDuration {
-        let mut d = self.data_duration(data_bytes) + self.timeout_margin;
+        let mut d = bytes_duration(data_bytes) + TIMEOUT_MARGIN;
         if self.use_ds {
-            d += self.control_duration();
+            d += slot();
         }
         if self.use_ack {
-            d += self.control_duration();
+            d += slot();
         }
         d
     }
@@ -172,9 +149,9 @@ impl MacConfig {
     /// ("these overhearing stations defer all transmissions until after the
     /// ACK packet slot has passed", §3.3.2).
     pub fn defer_after_ds(&self, data_bytes: u32) -> SimDuration {
-        let mut d = self.data_duration(data_bytes) + self.timeout_margin;
+        let mut d = bytes_duration(data_bytes) + TIMEOUT_MARGIN;
         if self.use_ack {
-            d += self.control_duration();
+            d += slot();
         }
         d
     }
@@ -183,18 +160,18 @@ impl MacConfig {
     /// overhearing an RRTS defer for two slot times, long enough to hear if
     /// a successful RTS-CTS exchange occurs" (§3.3.3).
     pub fn defer_after_rrts(&self) -> SimDuration {
-        self.slot() * 2 + self.timeout_margin
+        slot() * 2 + TIMEOUT_MARGIN
     }
 
     /// Deferral after overhearing a multicast RTS: the whole announced data
     /// transmission (§3.3.4).
     pub fn defer_after_multicast_rts(&self, data_bytes: u32) -> SimDuration {
-        self.data_duration(data_bytes) + self.timeout_margin
+        bytes_duration(data_bytes) + TIMEOUT_MARGIN
     }
 
     /// How long the sender of an RRTS waits for the triggered RTS.
     pub fn wfrts_timeout(&self) -> SimDuration {
-        self.slot() * 2 + self.timeout_margin
+        slot() * 2 + TIMEOUT_MARGIN
     }
 }
 
@@ -225,7 +202,7 @@ mod tests {
     fn defer_after_cts_covers_full_macaw_exchange() {
         let c = MacConfig::macaw();
         // DS + DATA + ACK + margin.
-        let expect = c.slot() * 2 + c.data_duration(512) + c.timeout_margin;
+        let expect = slot() * 2 + bytes_duration(512) + TIMEOUT_MARGIN;
         assert_eq!(c.defer_after_cts(512), expect);
     }
 
@@ -235,23 +212,22 @@ mod tests {
         let c = MacConfig::maca();
         assert_eq!(
             c.defer_after_cts(512),
-            c.data_duration(512) + c.timeout_margin
+            bytes_duration(512) + TIMEOUT_MARGIN
         );
     }
 
     #[test]
     fn margin_stays_under_a_slot() {
         // Contention alignment arguments rely on the margin being small.
-        let c = MacConfig::macaw();
-        assert!(c.timeout_margin < c.slot() / 4);
+        assert!(TIMEOUT_MARGIN < slot() / 4);
     }
 
     #[test]
     fn wfds_timeout_waits_for_data_when_ds_disabled() {
         let mut c = MacConfig::macaw();
         c.use_ds = false;
-        assert_eq!(c.wfds_timeout(512), c.data_duration(512) + c.timeout_margin);
+        assert_eq!(c.wfds_timeout(512), bytes_duration(512) + TIMEOUT_MARGIN);
         c.use_ds = true;
-        assert_eq!(c.wfds_timeout(512), c.slot() + c.timeout_margin);
+        assert_eq!(c.wfds_timeout(512), slot() + TIMEOUT_MARGIN);
     }
 }

@@ -7,8 +7,9 @@
 //! the hidden-terminal scenario: carrier is sensed *at the sender*, but
 //! collisions happen *at the receiver*.
 //!
-//! Used by the Figure-1 example and the `fig01_hidden_exposed` bench to
-//! demonstrate the hidden/exposed-terminal behaviour that motivates MACA.
+//! Used by the `hidden_terminal` example and the Figure 1 row of the
+//! `tables` binary to demonstrate the hidden/exposed-terminal behaviour
+//! that motivates MACA.
 
 use std::collections::VecDeque;
 
@@ -18,13 +19,11 @@ use crate::backoff::BackoffAlgo;
 use crate::context::{
     MacContext, MacFeedback, MacInvariantViolation, MacProtocol, MacResult, MacSnapshot,
 };
-use crate::frames::{Addr, BackoffHeader, Frame, FrameKind, MacSdu, Timing};
+use crate::frames::{slot, Addr, BackoffHeader, Frame, FrameKind, MacSdu};
 
 /// CSMA configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct CsmaConfig {
-    /// Channel timing (shared with the other protocols).
-    pub timing: Timing,
     /// Backoff counter bounds (slots).
     pub bo_min: u32,
     pub bo_max: u32,
@@ -37,7 +36,6 @@ pub struct CsmaConfig {
 impl Default for CsmaConfig {
     fn default() -> Self {
         CsmaConfig {
-            timing: Timing::default(),
             bo_min: 2,
             bo_max: 64,
             max_attempts: 16,
@@ -121,7 +119,7 @@ impl Csma {
             self.bo = BackoffAlgo::Beb.increase(self.bo, self.cfg.bo_min, self.cfg.bo_max);
             let k = ctx.rng().uniform_inclusive(1, self.bo as u64);
             self.state = State::Backoff;
-            ctx.set_timer(self.cfg.timing.slot() * k);
+            ctx.set_timer(slot() * k);
         } else {
             self.state = State::Sending;
             self.sent += 1;

@@ -99,56 +99,39 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Size of this frame on the wire, in bytes. Control frames are the
-    /// paper's fixed 30 bytes; DATA frames are the payload size (the paper's
-    /// "data packets are 512 bytes" is the on-air size).
-    pub fn wire_bytes(&self, control_bytes: u32) -> u32 {
+    /// Size of this frame on the wire, in bytes: [`CONTROL_BYTES`] for a
+    /// control frame, the payload size for DATA (the paper's "data packets
+    /// are 512 bytes" is the on-air size).
+    pub fn wire_bytes(&self) -> u32 {
         match self.kind {
             FrameKind::Data => self.payload.map_or(self.data_bytes, |p| p.bytes),
-            _ => control_bytes,
+            _ => CONTROL_BYTES,
         }
     }
-}
 
-/// Channel timing: converts byte counts to on-air durations.
-///
-/// The paper's single channel runs at 256 kbps, so one byte takes exactly
-/// 31 250 ns. The slot time used by the backoff algorithms is the duration
-/// of one 30-byte control packet (§3: "The transmission time of these
-/// packets defines the 'slot' time for retransmissions").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Timing {
-    /// Nanoseconds per byte on the air.
-    pub ns_per_byte: u64,
-    /// Size of the fixed control packets (RTS/CTS/DS/ACK/RRTS) in bytes.
-    pub control_bytes: u32,
-}
-
-impl Default for Timing {
-    fn default() -> Self {
-        // 256 kbps, 30-byte control packets.
-        Timing {
-            ns_per_byte: 31_250,
-            control_bytes: 30,
-        }
+    /// On-air duration of this frame.
+    pub fn duration(&self) -> SimDuration {
+        bytes_duration(self.wire_bytes())
     }
 }
 
-impl Timing {
-    /// On-air duration of `bytes` bytes.
-    pub fn bytes_duration(&self, bytes: u32) -> SimDuration {
-        SimDuration::from_nanos(self.ns_per_byte * bytes as u64)
-    }
+/// Nanoseconds per byte on the air: the paper's single channel runs at
+/// 256 kbps, so one byte takes exactly 31 250 ns.
+pub const NS_PER_BYTE: u64 = 31_250;
 
-    /// On-air duration of one control packet — the contention slot time.
-    pub fn slot(&self) -> SimDuration {
-        self.bytes_duration(self.control_bytes)
-    }
+/// Size of the fixed control packets (RTS/CTS/DS/ACK/RRTS/NACK) in bytes.
+pub const CONTROL_BYTES: u32 = 30;
 
-    /// On-air duration of `frame`.
-    pub fn frame_duration(&self, frame: &Frame) -> SimDuration {
-        self.bytes_duration(frame.wire_bytes(self.control_bytes))
-    }
+/// On-air duration of `bytes` bytes.
+pub const fn bytes_duration(bytes: u32) -> SimDuration {
+    SimDuration::from_nanos(NS_PER_BYTE * bytes as u64)
+}
+
+/// On-air duration of one control packet: the slot time of the backoff
+/// algorithms (§3: "The transmission time of these packets defines the
+/// 'slot' time for retransmissions").
+pub const fn slot() -> SimDuration {
+    bytes_duration(CONTROL_BYTES)
 }
 
 #[cfg(test)]
@@ -169,13 +152,11 @@ mod tests {
     #[test]
     fn slot_time_matches_paper() {
         // 30 bytes at 256 kbps = 937.5 us.
-        let t = Timing::default();
-        assert_eq!(t.slot().as_nanos(), 937_500);
+        assert_eq!(slot().as_nanos(), 937_500);
     }
 
     #[test]
     fn control_frames_are_thirty_bytes() {
-        let t = Timing::default();
         for kind in [
             FrameKind::Rts,
             FrameKind::Cts,
@@ -184,22 +165,21 @@ mod tests {
             FrameKind::Rrts,
             FrameKind::Nack,
         ] {
-            assert_eq!(control(kind).wire_bytes(t.control_bytes), 30);
+            assert_eq!(control(kind).wire_bytes(), 30);
         }
     }
 
     #[test]
     fn data_frame_wire_size_is_payload_size() {
-        let t = Timing::default();
         let mut f = control(FrameKind::Data);
         f.payload = Some(MacSdu {
             stream: StreamId(0),
             transport_seq: 7,
             bytes: 512,
         });
-        assert_eq!(f.wire_bytes(t.control_bytes), 512);
+        assert_eq!(f.wire_bytes(), 512);
         // 512 bytes at 256 kbps = 16 ms.
-        assert_eq!(t.frame_duration(&f).as_nanos(), 16_000_000);
+        assert_eq!(f.duration().as_nanos(), 16_000_000);
     }
 
     #[test]
@@ -208,8 +188,7 @@ mod tests {
         // upper bound of ~56 pps before contention delay; the paper's 53.04
         // pps leaves ~1 slot of average contention overhead. Sanity-check
         // the arithmetic that DESIGN.md's calibration note relies on.
-        let t = Timing::default();
-        let cycle = t.slot() + t.slot() + t.bytes_duration(512);
+        let cycle = slot() + slot() + bytes_duration(512);
         assert_eq!(cycle.as_nanos(), 17_875_000);
         let max_pps = 1e9 / cycle.as_nanos() as f64;
         assert!(max_pps > 53.04 && max_pps < 57.0);

@@ -35,6 +35,6 @@ pub use context::{
     Relabeling,
 };
 pub use csma::{Csma, CsmaConfig, CsmaSnapshot};
-pub use frames::{Addr, BackoffHeader, Frame, FrameKind, MacSdu, StreamId, Timing};
+pub use frames::{Addr, BackoffHeader, Frame, FrameKind, MacSdu, StreamId};
 pub use oracle::{Oracle, StepObs, Stimulus};
 pub use wmac::{WMac, WMacSnapshot};

@@ -126,11 +126,6 @@ impl<P: MacProtocol> Oracle<P> {
         &self.mac
     }
 
-    /// Mutable access to the wrapped machine (group joins, test setup).
-    pub fn mac_mut(&mut self) -> &mut P {
-        &mut self.mac
-    }
-
     /// Drive one transition: deliver `stim`, return the drained
     /// observations. Each step starts with an empty action log, so the
     /// observations are exactly this transition's effects.

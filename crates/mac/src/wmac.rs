@@ -40,12 +40,12 @@ use std::collections::VecDeque;
 use macaw_sim::SimTime;
 
 use crate::backoff::{Backoff, BackoffSnapshot};
-use crate::config::{MacConfig, QueueMode};
+use crate::config::{MacConfig, QueueMode, TIMEOUT_MARGIN};
 use crate::context::{
     MacContext, MacFeedback, MacInvariantViolation, MacProtocol, MacResult, MacSnapshot,
     Relabeling,
 };
-use crate::frames::{Addr, Frame, FrameKind, MacSdu, StreamId};
+use crate::frames::{slot, Addr, Frame, FrameKind, MacSdu, StreamId};
 
 /// A queued upper-layer packet with its retransmission bookkeeping.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -176,13 +176,7 @@ impl WMac {
     /// Create a station with MAC address `addr` (must be unicast).
     pub fn new(addr: Addr, cfg: MacConfig) -> Self {
         assert!(!addr.is_multicast(), "station address must be unicast");
-        let backoff = Backoff::new(
-            cfg.backoff_algo,
-            cfg.backoff_sharing,
-            cfg.bo_min,
-            cfg.bo_max,
-            cfg.alpha,
-        );
+        let backoff = Backoff::new(cfg.backoff_algo, cfg.backoff_sharing, cfg.bo_min, cfg.bo_max);
         let slots = match cfg.queues {
             QueueMode::SingleFifo => vec![QueueSlot::default()],
             QueueMode::PerStream => Vec::new(),
@@ -363,7 +357,7 @@ impl WMac {
         }
         let Some((k, what)) = best else { return };
         self.state = State::Contend { what };
-        ctx.set_timer(self.cfg.slot() * k);
+        ctx.set_timer(slot() * k);
     }
 
     /// Enter / extend deferral until `until` (Defer rules; Appendix B
@@ -415,7 +409,7 @@ impl WMac {
         // the slot boundary means an exchange we could not otherwise detect
         // is in progress — defer one slot of clear air instead of firing.
         if self.cfg.use_carrier_sense && ctx.carrier_busy() {
-            let until = ctx.now() + self.cfg.slot() + self.cfg.timeout_margin;
+            let until = ctx.now() + slot() + TIMEOUT_MARGIN;
             self.state = State::Quiet { until };
             ctx.set_timer(until.since(ctx.now()));
             return;
@@ -547,9 +541,7 @@ impl WMac {
             // After an overheard DATA the receiver's ACK follows; give it a
             // slot of clear air (the §3.3.2 footnote on exposed terminals
             // clobbering returning ACKs).
-            FrameKind::Data if self.cfg.use_ack => {
-                Some(self.cfg.control_duration() + self.cfg.timeout_margin)
-            }
+            FrameKind::Data if self.cfg.use_ack => Some(slot() + TIMEOUT_MARGIN),
             FrameKind::Data | FrameKind::Ack => None,
         };
         if let Some(d) = defer_for {
@@ -807,9 +799,6 @@ impl WMac {
 
 impl MacProtocol for WMac {
     fn enqueue(&mut self, ctx: &mut dyn MacContext, dst: Addr, sdu: MacSdu) -> MacResult {
-        if !self.cfg.multicast && dst.is_multicast() {
-            return Err(self.violation("multicast enqueue with multicast disabled"));
-        }
         let slot = self.slot_for(dst, sdu.stream);
         if self.slots[slot].q.len() >= self.cfg.queue_capacity {
             self.stats.refused += 1;
@@ -1287,10 +1276,10 @@ mod tests {
         let mut ctx = ScriptedContext::new(1);
         mac.enqueue(&mut ctx, B, sdu(512, 1)).unwrap();
         let deadline = ctx.timer.expect("timer armed");
-        let slots = deadline.since(ctx.now()).as_nanos() / cfg.slot().as_nanos();
+        let slots = deadline.since(ctx.now()).as_nanos() / slot().as_nanos();
         // Fresh window is local(bo_min) + unknown remote (bo_min) = 4 slots.
         assert!((1..=4).contains(&slots), "drew {slots} slots");
-        assert_eq!(deadline.since(ctx.now()).as_nanos() % cfg.slot().as_nanos(), 0);
+        assert_eq!(deadline.since(ctx.now()).as_nanos() % slot().as_nanos(), 0);
     }
 
     #[test]

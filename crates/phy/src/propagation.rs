@@ -19,8 +19,16 @@
 //! them contribute nothing, matching the paper's stated simplification that
 //! interference from out-of-range stations is "rather rare in our
 //! environment, and we do not make it a major factor in our design".
-//! `Physical` keeps the raw `r^-γ` tail so the `ablation_gamma` bench can
-//! quantify how much that simplification matters.
+//! `Physical` keeps the raw `r^-γ` tail so the `ablations` bench's
+//! `gamma_sensitivity` can quantify how much that simplification matters.
+
+/// Distance (ft) at which the reception threshold is defined: the paper
+/// uses the signal strength at 10 ft.
+pub const THRESHOLD_DISTANCE_FT: f64 = 10.0;
+
+/// Required power ratio of signal over summed interference, in dB: the
+/// paper uses 10 dB.
+pub const CAPTURE_MARGIN_DB: f64 = 10.0;
 
 /// How signals beyond the reception range contribute to interference.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -42,12 +50,6 @@ pub struct PropagationConfig {
     /// 6.0 reproduces both the sharply-bounded nanocells and that capture
     /// ratio (10^(1/6) ≈ 1.47).
     pub gamma: f64,
-    /// Distance (ft) at which the reception threshold is defined; the paper
-    /// uses the signal strength at 10 ft.
-    pub threshold_distance_ft: f64,
-    /// Required power ratio of signal over summed interference, in dB.
-    /// The paper uses 10 dB.
-    pub capture_margin_db: f64,
     /// Out-of-range interference handling.
     pub cutoff: CutoffMode,
 }
@@ -56,8 +58,6 @@ impl Default for PropagationConfig {
     fn default() -> Self {
         PropagationConfig {
             gamma: 6.0,
-            threshold_distance_ft: 10.0,
-            capture_margin_db: 10.0,
             cutoff: CutoffMode::Hard,
         }
     }
@@ -75,15 +75,11 @@ impl Propagation {
     /// Build a model from `config`.
     ///
     /// # Panics
-    /// Panics on non-physical parameters (γ ≤ 0, distances ≤ 0).
+    /// Panics on a non-physical γ ≤ 0.
     pub fn new(config: PropagationConfig) -> Self {
         assert!(config.gamma > 0.0, "gamma must be positive");
-        assert!(
-            config.threshold_distance_ft > 0.0,
-            "threshold distance must be positive"
-        );
-        let threshold_power = (1.0 / config.threshold_distance_ft).powf(config.gamma);
-        let capture_factor = 10f64.powf(config.capture_margin_db / 10.0);
+        let threshold_power = (1.0 / THRESHOLD_DISTANCE_FT).powf(config.gamma);
+        let capture_factor = 10f64.powf(CAPTURE_MARGIN_DB / 10.0);
         Propagation {
             config,
             threshold_power,

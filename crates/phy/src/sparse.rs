@@ -90,7 +90,7 @@ use macaw_sim::{BucketGrid, FastHashMap, SimRng, SimTime};
 
 use crate::geometry::{cube_center, Point};
 use crate::medium::{Delivery, Medium, MediumStats, StationId, TxId};
-use crate::propagation::{CutoffMode, Propagation};
+use crate::propagation::{CutoffMode, Propagation, THRESHOLD_DISTANCE_FT};
 
 struct StationEntry {
     pos: Point,
@@ -237,7 +237,7 @@ pub struct SparseMedium {
 impl Medium for SparseMedium {
     fn new(prop: Propagation, rng: SimRng) -> Self {
         let physical = matches!(prop.config().cutoff, CutoffMode::Physical);
-        let cell_edge = (prop.config().threshold_distance_ft.ceil() as i64).max(1);
+        let cell_edge = (THRESHOLD_DISTANCE_FT.ceil() as i64).max(1);
         let self_gain = prop.interference_power(0.0);
         SparseMedium {
             prop,
@@ -848,8 +848,7 @@ impl SparseMedium {
         if effective <= 1.0 {
             return 1;
         }
-        let cfg = self.prop.config();
-        let reach = cfg.threshold_distance_ft * effective.powf(1.0 / cfg.gamma);
+        let reach = THRESHOLD_DISTANCE_FT * effective.powf(1.0 / self.prop.config().gamma);
         (reach / self.cell_edge as f64).ceil() as i64 + 1
     }
 

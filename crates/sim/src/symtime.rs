@@ -18,9 +18,9 @@
 //! (data completions preempting control slots).
 //!
 //! `epsilon = 0` degenerates to the simulator's own semantics: only exact
-//! ties (same nanosecond) are reorderable. The natural non-zero choice is
-//! the MAC's `timeout_margin` — the slop the protocol itself already treats
-//! as unordered.
+//! ties (same nanosecond) are reorderable. The checker's non-zero choice
+//! is half the MAC's `TIMEOUT_MARGIN`, strictly inside the slop the
+//! protocol itself already treats as unordered.
 
 use crate::time::{SimDuration, SimTime};
 

@@ -97,11 +97,6 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
-
-    /// Checked multiplication by an integer factor.
-    pub fn checked_mul(self, factor: u64) -> Option<SimDuration> {
-        self.0.checked_mul(factor).map(SimDuration)
-    }
 }
 
 impl Add<SimDuration> for SimTime {

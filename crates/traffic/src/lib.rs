@@ -37,11 +37,6 @@ impl Cbr {
             interval: SimDuration::from_secs(1) / pps,
         }
     }
-
-    /// The configured inter-packet interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
 }
 
 impl TrafficSource for Cbr {
@@ -80,10 +75,11 @@ mod tests {
 
     #[test]
     fn cbr_interval_matches_rate() {
-        let c = Cbr::pps(64);
-        assert_eq!(c.interval(), SimDuration::from_nanos(15_625_000));
-        let c = Cbr::pps(32);
-        assert_eq!(c.interval(), SimDuration::from_nanos(31_250_000));
+        let mut rng = SimRng::new(1);
+        let gap = SimDuration::from_nanos(15_625_000);
+        assert_eq!(Cbr::pps(64).next_gap(&mut rng), gap);
+        let gap = SimDuration::from_nanos(31_250_000);
+        assert_eq!(Cbr::pps(32).next_gap(&mut rng), gap);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod tcp;
 pub mod udp;
 
 pub use segment::Segment;
-pub use tcp::{TcpConfig, TcpReceiver, TcpSender};
+pub use tcp::{TcpReceiver, TcpSender};
 pub use udp::{UdpReceiver, UdpSender};
 
 use macaw_sim::{SimDuration, SimTime};

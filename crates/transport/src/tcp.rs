@@ -23,33 +23,17 @@ use macaw_sim::{SimDuration, SimTime};
 
 use crate::{Segment, Transport, TransportContext};
 
-/// TCP endpoint configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpConfig {
-    /// Maximum packets in flight.
-    pub window: u64,
-    /// Minimum retransmission timeout (the paper's 0.5 s).
-    pub min_rto: SimDuration,
-    /// Maximum retransmission timeout (backoff cap).
-    pub max_rto: SimDuration,
-    /// Wire size of an acknowledgement segment.
-    pub ack_bytes: u32,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            window: 8,
-            min_rto: SimDuration::from_millis(500),
-            max_rto: SimDuration::from_secs(60),
-            ack_bytes: 40,
-        }
-    }
-}
+/// Maximum packets in flight.
+pub const WINDOW: u64 = 8;
+/// Minimum retransmission timeout (the paper's 0.5 s).
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(500);
+/// Maximum retransmission timeout (backoff cap).
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+/// Wire size of an acknowledgement segment.
+pub const ACK_BYTES: u32 = 40;
 
 /// TCP sending endpoint.
 pub struct TcpSender {
-    cfg: TcpConfig,
     /// Size of every data packet on this stream (the paper's flows are
     /// constant-size).
     packet_bytes: u32,
@@ -79,17 +63,15 @@ pub struct TcpSender {
 
 impl TcpSender {
     /// Create a sender for packets of `packet_bytes` bytes.
-    pub fn new(cfg: TcpConfig, packet_bytes: u32) -> Self {
-        assert!(cfg.window >= 1, "window must be at least 1");
+    pub fn new(packet_bytes: u32) -> Self {
         TcpSender {
-            cfg,
             packet_bytes,
             submitted: 0,
             snd_una: 0,
             snd_nxt: 0,
             srtt: None,
             rttvar: SimDuration::ZERO,
-            rto: cfg.min_rto,
+            rto: MIN_RTO,
             backoff_shift: 0,
             timing: None,
             timer_armed: false,
@@ -115,21 +97,21 @@ impl TcpSender {
     fn base_rto(&self) -> SimDuration {
         let computed = match self.srtt {
             Some(srtt) => srtt + self.rttvar * 4,
-            None => self.cfg.min_rto,
+            None => MIN_RTO,
         };
-        computed.clamp(self.cfg.min_rto, self.cfg.max_rto)
+        computed.clamp(MIN_RTO, MAX_RTO)
     }
 
     fn current_rto(&self) -> SimDuration {
         let mut rto = self.base_rto();
         for _ in 0..self.backoff_shift {
-            rto = (rto * 2).min(self.cfg.max_rto);
+            rto = (rto * 2).min(MAX_RTO);
         }
         rto
     }
 
     fn fill_window(&mut self, ctx: &mut dyn TransportContext) {
-        while self.snd_nxt < self.submitted && self.snd_nxt < self.snd_una + self.cfg.window {
+        while self.snd_nxt < self.submitted && self.snd_nxt < self.snd_una + WINDOW {
             let seq = self.snd_nxt;
             self.snd_nxt += 1;
             if self.timing.is_none() {
@@ -246,8 +228,8 @@ impl Transport for TcpSender {
 }
 
 /// TCP receiving endpoint.
+#[derive(Debug, Default)]
 pub struct TcpReceiver {
-    cfg: TcpConfig,
     rcv_nxt: u64,
     /// Out-of-order segments held for reassembly (packet sizes).
     ooo: Vec<(u64, u32)>,
@@ -257,13 +239,8 @@ pub struct TcpReceiver {
 
 impl TcpReceiver {
     /// Create a receiver.
-    pub fn new(cfg: TcpConfig) -> Self {
-        TcpReceiver {
-            cfg,
-            rcv_nxt: 0,
-            ooo: Vec::new(),
-            segments_in: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Next expected sequence number.
@@ -302,7 +279,7 @@ impl Transport for TcpReceiver {
         // Acknowledge every arrival (cumulative).
         ctx.send_segment(Segment::Ack {
             ackno: self.rcv_nxt,
-            bytes: self.cfg.ack_bytes,
+            bytes: ACK_BYTES,
         });
     }
 
@@ -330,7 +307,7 @@ mod tests {
 
     #[test]
     fn sender_respects_window() {
-        let mut tx = TcpSender::new(TcpConfig::default(), 512);
+        let mut tx = TcpSender::new(512);
         let mut ctx = ScriptedContext::new();
         for _ in 0..20 {
             tx.on_app_send(&mut ctx, 512);
@@ -341,7 +318,7 @@ mod tests {
 
     #[test]
     fn acks_slide_the_window() {
-        let mut tx = TcpSender::new(TcpConfig::default(), 512);
+        let mut tx = TcpSender::new(512);
         let mut ctx = ScriptedContext::new();
         for _ in 0..20 {
             tx.on_app_send(&mut ctx, 512);
@@ -356,7 +333,7 @@ mod tests {
     fn rto_floor_is_half_a_second() {
         // Even with a 20 ms measured RTT the timeout must not drop below
         // the paper's 0.5 s minimum.
-        let mut tx = TcpSender::new(TcpConfig::default(), 512);
+        let mut tx = TcpSender::new(512);
         let mut ctx = ScriptedContext::new();
         tx.on_app_send(&mut ctx, 512);
         ctx.advance(SimDuration::from_millis(20));
@@ -368,7 +345,7 @@ mod tests {
 
     #[test]
     fn timeout_goes_back_n_and_doubles() {
-        let mut tx = TcpSender::new(TcpConfig::default(), 512);
+        let mut tx = TcpSender::new(512);
         let mut ctx = ScriptedContext::new();
         for _ in 0..8 {
             tx.on_app_send(&mut ctx, 512);
@@ -387,7 +364,7 @@ mod tests {
 
     #[test]
     fn new_ack_resets_backoff() {
-        let mut tx = TcpSender::new(TcpConfig::default(), 512);
+        let mut tx = TcpSender::new(512);
         let mut ctx = ScriptedContext::new();
         for _ in 0..8 {
             tx.on_app_send(&mut ctx, 512);
@@ -407,7 +384,7 @@ mod tests {
 
     #[test]
     fn link_drop_signal_triggers_immediate_go_back_n() {
-        let mut tx = TcpSender::new(TcpConfig::default(), 512);
+        let mut tx = TcpSender::new(512);
         let mut ctx = ScriptedContext::new();
         for _ in 0..8 {
             tx.on_app_send(&mut ctx, 512);
@@ -435,7 +412,7 @@ mod tests {
 
     #[test]
     fn receiver_delivers_in_order_and_acks_cumulatively() {
-        let mut rx = TcpReceiver::new(TcpConfig::default());
+        let mut rx = TcpReceiver::new();
         let mut ctx = ScriptedContext::new();
         rx.on_segment(&mut ctx, Segment::Data { seq: 0, bytes: 512 });
         rx.on_segment(&mut ctx, Segment::Data { seq: 2, bytes: 512 });
@@ -454,7 +431,7 @@ mod tests {
 
     #[test]
     fn receiver_ignores_duplicate_data_but_still_acks() {
-        let mut rx = TcpReceiver::new(TcpConfig::default());
+        let mut rx = TcpReceiver::new();
         let mut ctx = ScriptedContext::new();
         rx.on_segment(&mut ctx, Segment::Data { seq: 0, bytes: 512 });
         rx.on_segment(&mut ctx, Segment::Data { seq: 0, bytes: 512 });
@@ -466,9 +443,8 @@ mod tests {
     fn lossy_link_end_to_end_recovery() {
         // Simulate a 10%-loss link by dropping every 10th data segment and
         // checking the pipe still delivers everything in order.
-        let cfg = TcpConfig::default();
-        let mut tx = TcpSender::new(cfg, 512);
-        let mut rx = TcpReceiver::new(cfg);
+        let mut tx = TcpSender::new(512);
+        let mut rx = TcpReceiver::new();
         let mut tx_ctx = ScriptedContext::new();
         let mut rx_ctx = ScriptedContext::new();
         let total = 50u64;

@@ -4,15 +4,15 @@
 
 use macaw_sim::SimDuration;
 use macaw_transport::harness::ScriptedContext;
-use macaw_transport::{Segment, TcpConfig, TcpReceiver, TcpSender, Transport};
+use macaw_transport::tcp::WINDOW;
+use macaw_transport::{Segment, TcpReceiver, TcpSender, Transport};
 use proptest::prelude::*;
 
 /// Go-back-N over a lossy, reordering pipe: everything is eventually
 /// delivered in order, exactly once.
 fn lossy_pipe_delivers(total: u64, drop_pattern: &[bool], seed: u64) -> Result<(), TestCaseError> {
-    let cfg = TcpConfig::default();
-    let mut tx = TcpSender::new(cfg, 512);
-    let mut rx = TcpReceiver::new(cfg);
+    let mut tx = TcpSender::new(512);
+    let mut rx = TcpReceiver::new();
     let mut tx_ctx = ScriptedContext::new();
     let mut rx_ctx = ScriptedContext::new();
     for _ in 0..total {
@@ -55,7 +55,7 @@ fn lossy_pipe_delivers(total: u64, drop_pattern: &[bool], seed: u64) -> Result<(
                 tx.on_segment(&mut tx_ctx, seg);
             }
         }
-        prop_assert!(tx.outstanding() <= cfg.window, "window overrun");
+        prop_assert!(tx.outstanding() <= WINDOW, "window overrun");
         if rx.rcv_nxt() == total {
             break;
         }
@@ -81,8 +81,7 @@ proptest! {
     /// The receiver's cumulative ack never decreases, whatever arrives.
     #[test]
     fn ackno_is_monotone(seqs in proptest::collection::vec(0u64..40, 1..200)) {
-        let cfg = TcpConfig::default();
-        let mut rx = TcpReceiver::new(cfg);
+        let mut rx = TcpReceiver::new();
         let mut ctx = ScriptedContext::new();
         let mut last_ack = 0;
         for seq in seqs {

@@ -69,7 +69,7 @@ fn build(rs: &RandomScenario) -> Option<Scenario> {
             src,
             dst: Dest::Station(dst),
             transport: if *tcp {
-                TransportKind::Tcp(TcpConfig::default())
+                TransportKind::Tcp
             } else {
                 TransportKind::Udp
             },
