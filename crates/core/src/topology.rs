@@ -152,15 +152,7 @@ pub fn scale_topology(cfg: &ScaleConfig, mac: MacKind, seed: u64) -> Scenario {
         let y = row as f64 * row_pitch + pitch + CORRIDOR_WIDTH_FT / 2.0;
         let pos = Point::new(x, y, 0.0);
         let id = sc.add_station(&format!("W{w}"), pos, mac);
-        let nearest = bases
-            .iter()
-            .min_by(|a, b| {
-                a.1.distance(pos)
-                    .partial_cmp(&b.1.distance(pos))
-                    .expect("distances are finite")
-            })
-            .expect("at least one room exists")
-            .0;
+        let nearest = nearest_base(&bases, rooms_per_row, row, pos);
         if rng.chance(cfg.stream_load) {
             sc.add_udp_stream(&format!("w{w}"), id, nearest, cfg.pps, PACKET_BYTES);
             streams += 1;
@@ -178,10 +170,83 @@ pub fn scale_topology(cfg: &ScaleConfig, mac: MacKind, seed: u64) -> Scenario {
     sc
 }
 
+/// The first of `bases` (row-major, `rooms_per_row` to a row) nearest to
+/// `pos`, a walker in the corridor below room row `row`.
+///
+/// Only room rows `row − 1 ..= row + 1` can hold it. The walker is 12 ft
+/// in y from the bases of rows `row` and `row + 1`, 36 ft from row
+/// `row + 2`, and 36 and 60 ft from rows `row − 1` and `row − 2`; every
+/// base is 6 ft above it, and the bases of a full row leave no x more
+/// than 8 ft from one of them. A full row `row` therefore has a base
+/// within √244 ft (≈ 15.6), and a partial last row `row` has the full row
+/// `row − 1` within √1396 ft (≈ 37.4): closer, either way, than every row
+/// outside the slice. The scan runs over that contiguous slice of
+/// `bases`, so it keeps the full scan's first-minimum tie-break.
+fn nearest_base(bases: &[(usize, Point)], rooms_per_row: usize, row: usize, pos: Point) -> usize {
+    let lo = row.saturating_sub(1) * rooms_per_row;
+    let hi = ((row + 2) * rooms_per_row).min(bases.len());
+    bases[lo..hi]
+        .iter()
+        .min_by(|a, b| {
+            a.1.distance(pos)
+                .partial_cmp(&b.1.distance(pos))
+                .expect("distances are finite")
+        })
+        .expect("at least one room exists")
+        .0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Dest;
     use macaw_phy::{Medium, StationId};
+
+    /// Every walker's uplink goes to the base a scan over *all* bases
+    /// picks (first minimum on a tie), on floors with full and partial
+    /// last rows, both insets and sparse to walker-heavy floors.
+    #[test]
+    fn walkers_stream_to_the_nearest_of_all_bases() {
+        let mut walker_streams = 0;
+        let sizes = (2..=300).chain([1000, 4099]);
+        for n in sizes {
+            for inset in [1.0, 6.0] {
+                for walker_share in [0.1, 0.5, 0.9] {
+                    let cfg = ScaleConfig {
+                        stations: n,
+                        room_inset_ft: inset,
+                        walker_share,
+                        ..ScaleConfig::default()
+                    };
+                    let sc = scale_topology(&cfg, MacKind::Macaw, n as u64);
+                    let bases: Vec<(usize, Point)> = (0..sc.stations.len())
+                        .filter(|&s| sc.stations[s].name.starts_with('B'))
+                        .map(|s| (s, sc.stations[s].pos))
+                        .collect();
+                    for stream in sc.streams.iter().filter(|st| st.name.starts_with('w')) {
+                        let pos = sc.stations[stream.src].pos;
+                        let oracle = bases
+                            .iter()
+                            .min_by(|a, b| {
+                                a.1.distance(pos)
+                                    .partial_cmp(&b.1.distance(pos))
+                                    .expect("distances are finite")
+                            })
+                            .expect("at least one room exists")
+                            .0;
+                        assert!(
+                            matches!(stream.dst, Dest::Station(d) if d == oracle),
+                            "N = {n}, inset {inset}, share {walker_share}: {} -> {:?}, nearest {oracle}",
+                            stream.name,
+                            stream.dst
+                        );
+                        walker_streams += 1;
+                    }
+                }
+            }
+        }
+        assert!(walker_streams > 10_000, "{walker_streams} walker streams");
+    }
 
     #[test]
     fn station_budget_is_spent_exactly() {

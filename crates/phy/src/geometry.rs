@@ -24,10 +24,18 @@ impl Point {
 
     /// Euclidean distance to `other`, in feet.
     pub fn distance(self, other: Point) -> f64 {
+        self.distance_squared(other).sqrt()
+    }
+
+    /// Squared Euclidean distance to `other`, in square feet — the value
+    /// [`Point::distance`] takes the square root of. Between two cube
+    /// centres every coordinate delta is a whole number of feet, so this
+    /// is an exact integer.
+    pub(crate) fn distance_squared(self, other: Point) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         let dz = self.z - other.z;
-        (dx * dx + dy * dy + dz * dz).sqrt()
+        dx * dx + dy * dy + dz * dz
     }
 }
 

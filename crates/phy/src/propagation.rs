@@ -30,6 +30,10 @@ pub const THRESHOLD_DISTANCE_FT: f64 = 10.0;
 /// paper uses 10 dB.
 pub const CAPTURE_MARGIN_DB: f64 = 10.0;
 
+/// [`CAPTURE_MARGIN_DB`] as a power ratio, `10^(CAPTURE_MARGIN_DB / 10)`
+/// (a unit test pins the bits).
+const CAPTURE_FACTOR: f64 = 10.0;
+
 /// How signals beyond the reception range contribute to interference.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CutoffMode {
@@ -68,7 +72,6 @@ impl Default for PropagationConfig {
 pub struct Propagation {
     config: PropagationConfig,
     threshold_power: f64,
-    capture_factor: f64,
 }
 
 impl Propagation {
@@ -79,11 +82,9 @@ impl Propagation {
     pub fn new(config: PropagationConfig) -> Self {
         assert!(config.gamma > 0.0, "gamma must be positive");
         let threshold_power = (1.0 / THRESHOLD_DISTANCE_FT).powf(config.gamma);
-        let capture_factor = 10f64.powf(CAPTURE_MARGIN_DB / 10.0);
         Propagation {
             config,
             threshold_power,
-            capture_factor,
         }
     }
 
@@ -104,7 +105,15 @@ impl Propagation {
     /// Power contributed to *interference* computations at distance `r`,
     /// honoring the cutoff mode.
     pub fn interference_power(&self, r: f64) -> f64 {
-        let p = self.power_at_distance(r);
+        self.apply_cutoff(self.power_at_distance(r))
+    }
+
+    /// The interference share of received power `p`: `p` itself, or `0.0`
+    /// below the reception threshold under [`CutoffMode::Hard`]. Since
+    /// `interference_power(r)` is `apply_cutoff(power_at_distance(r))`, a
+    /// caller holding a path gain derives the interference gain without a
+    /// second `powf`.
+    pub(crate) fn apply_cutoff(&self, p: f64) -> f64 {
         match self.config.cutoff {
             CutoffMode::Hard if p < self.threshold_power => 0.0,
             _ => p,
@@ -125,7 +134,7 @@ impl Propagation {
     /// (summed power of all other overlapping signals plus ambient noise):
     /// above threshold and at least the capture margin over the interference.
     pub fn clean(&self, signal: f64, interference: f64) -> bool {
-        signal >= self.threshold_power && signal >= self.capture_factor * interference
+        signal >= self.threshold_power && signal >= CAPTURE_FACTOR * interference
     }
 }
 
@@ -163,6 +172,14 @@ mod tests {
         let ratio = m.power_at_distance(2.0) / m.power_at_distance(4.0);
         let far_field_ratio = 4.0; // r^-2 doubling = 6 dB = 4x
         assert!(ratio > far_field_ratio);
+    }
+
+    #[test]
+    fn capture_factor_is_the_margin_as_a_power_ratio() {
+        assert_eq!(
+            CAPTURE_FACTOR.to_bits(),
+            10f64.powf(CAPTURE_MARGIN_DB / 10.0).to_bits()
+        );
     }
 
     #[test]

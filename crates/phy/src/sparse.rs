@@ -12,14 +12,19 @@
 //! * A [`BucketGrid`] spatial hash over the paper's own 1 ft³ cube grid,
 //!   coarsened to the reception radius (10 ft cells): every station lives
 //!   in one bucket, and any ball of radius ≤ one cell edge is covered by
-//!   the 3³ ring of cells around its center. Stations sit at cube centers,
-//!   so pairwise coordinate deltas are integers and the one-ring bound is
-//!   exact even at the knife-edge 10.0 ft distance.
+//!   the 3³ ring of cells around its center (clipped to the occupied
+//!   bounds: 3² cells on a one-storey floor). Stations sit at cube
+//!   centers, so pairwise coordinate deltas are integers and the one-ring
+//!   bound is exact even at the knife-edge 10.0 ft distance.
 //! * `nbrs[b]` — the ascending list of stations within the cutoff ball of
 //!   `b`, with their path gains cached. Under the hard cutoff this is
 //!   *exactly* the set with nonzero interference gain at `b`, independent
 //!   of transmit powers and link factors (the cutoff tests the raw
-//!   geometric power before either multiplier is applied).
+//!   geometric power before either multiplier is applied). Integer deltas
+//!   also make every squared distance within one ring an integer ≤ 1083,
+//!   so inserts and moves take path gains from a per-medium table keyed
+//!   by it — the same `powf` of the same `d²`, computed once — and derive
+//!   each interference gain from its path gain.
 //! * Sparse per-station link-override lists replacing the reference's
 //!   `N×N` link matrix (absent entry ⇒ factor 1.0, a multiplicative
 //!   identity).
@@ -86,11 +91,21 @@
 //! [`CutoffMode::Physical`]: crate::propagation::CutoffMode::Physical
 //! [`BucketGrid`]: macaw_sim::BucketGrid
 
+use std::cell::Cell;
+
 use macaw_sim::{BucketGrid, FastHashMap, SimRng, SimTime};
 
 use crate::geometry::{cube_center, Point};
 use crate::medium::{Delivery, Medium, MediumStats, StationId, TxId};
 use crate::propagation::{CutoffMode, Propagation, THRESHOLD_DISTANCE_FT};
+
+/// Grid cell edge in feet: the reception radius, rounded up.
+const CELL_EDGE: i64 = THRESHOLD_DISTANCE_FT.ceil() as i64;
+
+/// Entries of the path-gain table, keyed by squared distance. Cube centres
+/// in adjacent cells differ by at most `2·CELL_EDGE − 1` ft per axis, so
+/// every pair a one-ring search finds has d² ≤ 3·(2·CELL_EDGE − 1)².
+const GAIN_TABLE_LEN: usize = 3 * (2 * CELL_EDGE as usize - 1).pow(2) + 1;
 
 struct StationEntry {
     pos: Point,
@@ -141,8 +156,6 @@ pub struct SparseMedium {
     /// `CutoffMode::Physical`: interference has no cutoff, so neighbor
     /// lists hold every station and ring searches enumerate all of them.
     physical: bool,
-    /// Grid cell edge in feet (the reception radius, rounded up).
-    cell_edge: i64,
     stations: Vec<StationEntry>,
     /// The active-transmission slab: `None` slots are free (chained through
     /// `free`), occupied slots hold stamp-carrying entries. Never iterated
@@ -199,9 +212,10 @@ pub struct SparseMedium {
     /// good (the `max_*` bounds cannot stand in, because a *sub*-1.0
     /// override leaves them at 1.0 while breaking uniformity). While set
     /// (and the cutoff is hard), audibility coincides exactly with the
-    /// interference ball — `int_gain > 0 ⟺ gain ≥ threshold` — so the
-    /// mover fast path derives audible-list deltas from the neighbor merge
-    /// instead of running ring searches.
+    /// interference ball — `int_gain > 0 ⟺ gain ≥ threshold` — so an
+    /// insert takes audibility from the newcomer's neighbor list and a
+    /// move derives audible-list deltas from the neighbor merge, instead
+    /// of running ring searches.
     uniform_radio: bool,
     /// Reusable candidate buffers (no steady-state allocation).
     scratch_a: Vec<usize>,
@@ -231,18 +245,20 @@ pub struct SparseMedium {
     /// Side-channel operation counters (updated through a `Cell` so the
     /// `&self` query paths can count too). Reported by
     /// [`Medium::medium_stats`]; never part of a `RunReport`.
-    stats: std::cell::Cell<MediumStats>,
+    stats: Cell<MediumStats>,
+    /// `power_at_distance(√k)` at index `k`, computed on first use (NaN
+    /// until then); see [`Self::gain_at_squared`]. A fixed array rather than a
+    /// heap table, so it adds nothing to `memory_footprint`.
+    gains: [Cell<f64>; GAIN_TABLE_LEN],
 }
 
 impl Medium for SparseMedium {
     fn new(prop: Propagation, rng: SimRng) -> Self {
         let physical = matches!(prop.config().cutoff, CutoffMode::Physical);
-        let cell_edge = (THRESHOLD_DISTANCE_FT.ceil() as i64).max(1);
         let self_gain = prop.interference_power(0.0);
         SparseMedium {
             prop,
             physical,
-            cell_edge,
             stations: Vec::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -273,7 +289,8 @@ impl Medium for SparseMedium {
             mark: Vec::new(),
             mark_stamp: 0,
             near_count: Vec::new(),
-            stats: std::cell::Cell::new(MediumStats::default()),
+            stats: Cell::new(MediumStats::default()),
+            gains: [const { Cell::new(f64::NAN) }; GAIN_TABLE_LEN],
         }
     }
 
@@ -291,7 +308,7 @@ impl Medium for SparseMedium {
             tx_power: 1.0,
         });
         let pos = self.stations[idx].pos;
-        self.grid.insert(self.cell_of(pos), idx);
+        self.grid.insert(cell_of(pos), idx);
         self.link_out.push(Vec::new());
 
         // Interference neighbors: symmetric, within the cutoff ball (one
@@ -304,10 +321,9 @@ impl Medium for SparseMedium {
             if o == idx {
                 continue;
             }
-            let d = pos.distance(self.stations[o].pos);
-            let ig = self.prop.interference_power(d);
+            let g = self.path_gain(pos, self.stations[o].pos);
+            let ig = self.prop.apply_cutoff(g);
             if self.physical || ig > 0.0 {
-                let g = self.prop.power_at_distance(d);
                 list.push(Neighbor {
                     idx: o,
                     gain: g,
@@ -330,25 +346,40 @@ impl Medium for SparseMedium {
         self.nbrs.push(list); // candidates were ascending, so this is too
 
         // Audibility: existing stations may hear the newcomer transmit and
-        // vice versa. Ring radius comes from the monotone power bound, so
-        // every source loud enough to reach the newcomer is enumerated.
-        let rings = self.rings_for(self.max_tx_power * self.max_link);
-        self.collect_candidates(pos, rings, &mut cands);
-        let threshold = self.prop.threshold_power();
-        for &src in &cands {
-            if src == idx {
-                continue;
-            }
-            let g = self
-                .prop
-                .power_at_distance(self.stations[src].pos.distance(pos));
-            if self.stations[src].tx_power * self.link_of(src, idx) * g >= threshold {
-                self.audible[src].push(idx); // largest index: stays ascending
-            }
-        }
-        self.scratch_a = cands;
+        // vice versa. The newcomer's index is the largest, so every push
+        // keeps its list ascending.
         self.audible.push(Vec::new());
-        self.rebuild_audible(idx);
+        if self.uniform_radio && !self.physical {
+            // Under a uniform radio audibility is the interference ball
+            // (see `uniform_radio`), whose members are already at hand.
+            // One push at a time, as a rebuild grows the list, so
+            // `memory_footprint` counts the same capacities.
+            for i in 0..self.nbrs[idx].len() {
+                let n = self.nbrs[idx][i].idx;
+                self.audible[n].push(idx);
+                self.audible[idx].push(n);
+            }
+            self.scratch_a = cands;
+            #[cfg(debug_assertions)]
+            self.assert_audible_mirrors_ball(idx);
+        } else {
+            // Ring radius comes from the monotone power bound, so every
+            // source loud enough to reach the newcomer is enumerated.
+            let rings = self.rings_for(self.max_tx_power * self.max_link);
+            self.collect_candidates(pos, rings, &mut cands);
+            let threshold = self.prop.threshold_power();
+            for &src in &cands {
+                if src == idx {
+                    continue;
+                }
+                let g = self.path_gain(self.stations[src].pos, pos);
+                if self.stations[src].tx_power * self.link_of(src, idx) * g >= threshold {
+                    self.audible[src].push(idx);
+                }
+            }
+            self.scratch_a = cands;
+            self.rebuild_audible(idx);
+        }
 
         self.ambient.push(0.0);
         self.rebuild_ambient_of(idx);
@@ -829,15 +860,42 @@ impl Medium for SparseMedium {
     }
 }
 
+/// The grid cell containing `p` (positions are cube-center snapped, so
+/// coordinate floors are exact integers).
+fn cell_of(p: Point) -> [i64; 3] {
+    [
+        (p.x.floor() as i64).div_euclid(CELL_EDGE),
+        (p.y.floor() as i64).div_euclid(CELL_EDGE),
+        (p.z.floor() as i64).div_euclid(CELL_EDGE),
+    ]
+}
+
 impl SparseMedium {
-    /// The grid cell containing `p` (positions are cube-center snapped, so
-    /// coordinate floors are exact integers).
-    fn cell_of(&self, p: Point) -> [i64; 3] {
-        [
-            (p.x.floor() as i64).div_euclid(self.cell_edge),
-            (p.y.floor() as i64).div_euclid(self.cell_edge),
-            (p.z.floor() as i64).div_euclid(self.cell_edge),
-        ]
+    /// Path gain `power_at_distance(a.distance(b))` between two cube
+    /// centres, bit for bit (see [`Self::gain_at_squared`]).
+    fn path_gain(&self, a: Point, b: Point) -> f64 {
+        self.gain_at_squared(a.distance_squared(b))
+    }
+
+    /// `power_at_distance(d2.sqrt())`, bit for bit. Cube centres make `d2`
+    /// an integer, so the gain of every pair within one grid ring comes
+    /// from `gains[d2]`, computed from the same `d2` on first use. A `d2`
+    /// the table does not hold exactly (beyond its range, or not a whole
+    /// number) takes the `powf` directly.
+    fn gain_at_squared(&self, d2: f64) -> f64 {
+        let k = d2 as usize;
+        match self.gains.get(k) {
+            Some(slot) if k as f64 == d2 => {
+                let cached = slot.get();
+                if !cached.is_nan() {
+                    return cached;
+                }
+                let g = self.prop.power_at_distance(d2.sqrt());
+                slot.set(g);
+                g
+            }
+            _ => self.prop.power_at_distance(d2.sqrt()),
+        }
     }
 
     /// Ring count covering a ball of radius `threshold_distance ·
@@ -849,7 +907,7 @@ impl SparseMedium {
             return 1;
         }
         let reach = THRESHOLD_DISTANCE_FT * effective.powf(1.0 / self.prop.config().gamma);
-        (reach / self.cell_edge as f64).ceil() as i64 + 1
+        (reach / CELL_EDGE as f64).ceil() as i64 + 1
     }
 
     /// Collect the ascending station indices within `rings` grid cells of
@@ -861,7 +919,7 @@ impl SparseMedium {
             return;
         }
         self.grid
-            .for_each_in_rings(self.cell_of(center), rings, |i| out.push(i));
+            .for_each_in_rings(cell_of(center), rings, |i| out.push(i));
         out.sort_unstable();
     }
 
@@ -878,15 +936,12 @@ impl SparseMedium {
     }
 
     /// Path gain `power_at_distance(d(a, b))` — cached when `b` is in `a`'s
-    /// cutoff ball, recomputed (same function, same inputs, same bits)
-    /// otherwise. `a == b` takes the recompute path (distance 0.0), exactly
-    /// as the reference computes it.
+    /// cutoff ball, recomputed (same bits) otherwise. `a == b` takes the
+    /// recompute path (distance 0.0), exactly as the reference computes it.
     fn gain_of(&self, a: usize, b: usize) -> f64 {
         match self.nbrs[a].binary_search_by_key(&b, |n| n.idx) {
             Ok(at) => self.nbrs[a][at].gain,
-            Err(_) => self
-                .prop
-                .power_at_distance(self.stations[a].pos.distance(self.stations[b].pos)),
+            Err(_) => self.path_gain(self.stations[a].pos, self.stations[b].pos),
         }
     }
 
@@ -1084,7 +1139,7 @@ impl SparseMedium {
         // would make an empty sum bitwise-differ from the reference's.
         let mut power = 0.0;
         for n in self.noise.iter().filter(|n| n.active) {
-            power += n.power * self.prop.interference_power(n.pos.distance(pos));
+            power += n.power * self.prop.apply_cutoff(self.path_gain(n.pos, pos));
         }
         self.ambient[b] = power;
     }
@@ -1121,13 +1176,33 @@ impl SparseMedium {
             if b == src {
                 continue;
             }
-            let g = self.prop.power_at_distance(pos.distance(self.stations[b].pos));
+            let g = self.path_gain(pos, self.stations[b].pos);
             if power * self.link_of(src, b) * g >= threshold {
                 list.push(b);
             }
         }
         self.audible[src] = list;
         self.scratch_a = cands;
+    }
+
+    /// Debug check of the uniform-radio audibility shortcut around `s`:
+    /// `s`'s own list equals its ring-search rebuild, and `s` is listed by
+    /// exactly the stations within ring reach that it can hear.
+    #[cfg(debug_assertions)]
+    fn assert_audible_mirrors_ball(&mut self, s: usize) {
+        let fast = self.audible[s].clone();
+        self.rebuild_audible(s);
+        assert_eq!(fast, self.audible[s], "fast audible list diverged");
+        let rings = self.rings_for(self.max_tx_power * self.max_link);
+        let mut cands = Vec::new();
+        self.collect_candidates(self.stations[s].pos, rings, &mut cands);
+        for src in cands.into_iter().filter(|&src| src != s) {
+            assert_eq!(
+                self.audible[src].binary_search(&s).is_ok(),
+                self.hears(StationId(s), StationId(src)),
+                "audible[{src}] diverged from the ball at {s}"
+            );
+        }
     }
 
     /// Apply one station move — the mover pipeline behind
@@ -1191,8 +1266,8 @@ impl SparseMedium {
         // Re-home the grid bucket only when the coarse cell changed (cells
         // are the 10 ft reception radius, cubes 1 ft — waypoint steps
         // mostly stay in cell).
-        let old_cell = self.cell_of(old_pos);
-        let new_cell = self.cell_of(new_pos);
+        let old_cell = cell_of(old_pos);
+        let new_cell = cell_of(new_pos);
         if old_cell != new_cell {
             st.move_cell_hops += 1;
             self.grid.remove(old_cell, moved);
@@ -1240,10 +1315,9 @@ impl SparseMedium {
                 continue;
             }
             let was_nbr = o == c;
-            let d = new_pos.distance(self.stations[c].pos);
-            let ig = self.prop.interference_power(d);
+            let g = self.path_gain(new_pos, self.stations[c].pos);
+            let ig = self.prop.apply_cutoff(g);
             if self.physical || ig > 0.0 {
-                let g = self.prop.power_at_distance(d);
                 new_list.push(Neighbor {
                     idx: c,
                     gain: g,
@@ -1325,11 +1399,7 @@ impl SparseMedium {
             list.extend(self.nbrs[moved].iter().map(|n| n.idx));
             self.audible[moved] = list;
             #[cfg(debug_assertions)]
-            {
-                let fast = self.audible[moved].clone();
-                self.rebuild_audible(moved);
-                assert_eq!(fast, self.audible[moved], "fast audible list diverged");
-            }
+            self.assert_audible_mirrors_ball(moved);
         } else {
             self.rebuild_audible(moved);
             let rings = self.rings_for(self.max_tx_power * self.max_link);
@@ -1636,6 +1706,100 @@ mod sparse_tests {
         assert_eq!(stats.slab_high_water, 2);
         assert_eq!(stats.start_tx_ops, 3);
         assert_eq!(stats.end_tx_ops, 3);
+    }
+
+    /// The gain table is exact: every in-range integer d², read once to
+    /// fill and once filled, and every d² the table must not serve, equals
+    /// `power_at_distance(d2.sqrt())` to the bit, and the derived
+    /// interference gain equals `interference_power`.
+    #[test]
+    fn gain_table_matches_powf_bit_for_bit() {
+        let models = [
+            (6.0, CutoffMode::Hard),
+            (5.7, CutoffMode::Hard),
+            (1e-9, CutoffMode::Hard),
+            (6.0, CutoffMode::Physical),
+            (5.7, CutoffMode::Physical),
+        ];
+        let off_table = [
+            0.25,
+            0.5,
+            2.000_000_000_000_000_4,
+            99.5,
+            1082.999,
+            GAIN_TABLE_LEN as f64 - 0.5,
+            GAIN_TABLE_LEN as f64,
+            GAIN_TABLE_LEN as f64 + 1.0,
+            1e6 + 0.5,
+            1e12,
+        ];
+        for (gamma, cutoff) in models {
+            let prop = Propagation::new(PropagationConfig { gamma, cutoff });
+            let m = SparseMedium::new(prop, SimRng::new(9));
+            let expect = |d2: f64| prop.power_at_distance(d2.sqrt());
+            for pass in 0..2 {
+                for k in 0..GAIN_TABLE_LEN {
+                    let d2 = k as f64;
+                    assert_eq!(
+                        m.gain_at_squared(d2).to_bits(),
+                        expect(d2).to_bits(),
+                        "gamma {gamma} {cutoff:?} d2 {k} pass {pass}"
+                    );
+                }
+                for d2 in off_table {
+                    assert_eq!(
+                        m.gain_at_squared(d2).to_bits(),
+                        expect(d2).to_bits(),
+                        "d2 {d2}"
+                    );
+                }
+            }
+            let mut rng = SimRng::new(10);
+            for _ in 0..500 {
+                let mut coord = || rng.uniform_inclusive(0, 40) as f64 - 20.0;
+                let a = cube_center(Point::new(coord(), coord(), coord()));
+                let b = cube_center(Point::new(coord(), coord(), coord()));
+                let d = a.distance(b);
+                let g = m.path_gain(a, b);
+                assert_eq!(g.to_bits(), prop.power_at_distance(d).to_bits());
+                assert_eq!(
+                    prop.apply_cutoff(g).to_bits(),
+                    prop.interference_power(d).to_bits()
+                );
+            }
+        }
+    }
+
+    /// Under a uniform radio, audibility is taken from the interference
+    /// ball on insert and on move; every station's audible list must equal
+    /// what a ring search rebuilds.
+    #[test]
+    fn uniform_radio_audible_lists_match_ring_searches() {
+        let mut m = mk(11);
+        let mut rng = SimRng::new(12);
+        let mut coord = |span: u64| rng.uniform_inclusive(0, span) as f64;
+        let mut ids = Vec::new();
+        for i in 0..160 {
+            // Dense clusters and scattered loners, on two storeys.
+            let span = if i % 3 == 0 { 80 } else { 24 };
+            let p = Point::new(coord(span), coord(span), coord(1) * 12.0);
+            ids.push(m.add_station(p));
+        }
+        let moves: Vec<_> = ids
+            .iter()
+            .step_by(4)
+            .map(|&id| (id, Point::new(coord(60), coord(60), 0.0)))
+            .collect();
+        m.set_positions(&moves);
+        assert!(m.uniform_radio);
+        let mut audible_somewhere = 0;
+        for s in 0..m.station_count() {
+            let fast = m.audible[s].clone();
+            m.rebuild_audible(s);
+            assert_eq!(fast, m.audible[s], "station {s}");
+            audible_somewhere += fast.len();
+        }
+        assert!(audible_somewhere > 0, "the layout must have audible pairs");
     }
 
     /// Mobility across many cells keeps grid and neighbor lists symmetric.

@@ -2,8 +2,10 @@
 //!
 //! [`BucketGrid`] maps 3-D cell indices to sorted buckets of item ids. It
 //! backs the sparse radio medium's neighbor searches: items (stations) are
-//! hashed by cell, and a range query visits the fixed `(2r+1)³` block of
-//! cells around a center in a deterministic order.
+//! hashed by cell, and a range query visits the `(2r+1)³` block of cells
+//! around a center in a deterministic order, clipped to the per-axis
+//! bounds of every cell ever occupied — a planar floor, one cell deep,
+//! probes 9 cells per one-ring query instead of 27.
 //!
 //! Two properties matter more than raw speed:
 //!
@@ -21,10 +23,26 @@
 use crate::hash::FastHashMap;
 
 /// Sorted buckets of item ids keyed by 3-D integer cell coordinates.
-#[derive(Default)]
 pub struct BucketGrid {
     cells: FastHashMap<[i64; 3], Vec<usize>>,
     len: usize,
+    /// Per-axis lowest and highest coordinate of every cell ever occupied.
+    /// `remove` never shrinks them: a stale bound only costs a few empty
+    /// probes, while a bound that shrank past an occupied cell would hide
+    /// its items.
+    lo: [i64; 3],
+    hi: [i64; 3],
+}
+
+impl Default for BucketGrid {
+    fn default() -> Self {
+        BucketGrid {
+            cells: FastHashMap::default(),
+            len: 0,
+            lo: [i64::MAX; 3],
+            hi: [i64::MIN; 3],
+        }
+    }
 }
 
 impl BucketGrid {
@@ -60,6 +78,10 @@ impl BucketGrid {
             Err(at) => bucket.insert(at, item),
         }
         self.len += 1;
+        for (axis, &c) in cell.iter().enumerate() {
+            self.lo[axis] = self.lo[axis].min(c);
+            self.hi[axis] = self.hi[axis].max(c);
+        }
     }
 
     /// Remove `item` from `cell`. Empty buckets are dropped so memory
@@ -93,13 +115,16 @@ impl BucketGrid {
     /// Visit every item within `rings` cells of `center` (Chebyshev
     /// distance on cell indices), in deterministic order: cells in
     /// ascending `(dx, dy, dz)` lexicographic order, items within each
-    /// bucket in ascending id order.
+    /// bucket in ascending id order. Each axis is clipped to the bounds of
+    /// the cells ever occupied, which skips only cells that cannot hold an
+    /// item and keeps the order of the rest.
     pub fn for_each_in_rings<F: FnMut(usize)>(&self, center: [i64; 3], rings: i64, mut f: F) {
-        for dx in -rings..=rings {
-            for dy in -rings..=rings {
-                for dz in -rings..=rings {
-                    let cell = [center[0] + dx, center[1] + dy, center[2] + dz];
-                    if let Some(bucket) = self.cells.get(&cell) {
+        let lo = |axis: usize| center[axis].saturating_sub(rings).max(self.lo[axis]);
+        let hi = |axis: usize| center[axis].saturating_add(rings).min(self.hi[axis]);
+        for x in lo(0)..=hi(0) {
+            for y in lo(1)..=hi(1) {
+                for z in lo(2)..=hi(2) {
+                    if let Some(bucket) = self.cells.get(&[x, y, z]) {
                         for &item in bucket {
                             f(item);
                         }
@@ -179,6 +204,50 @@ mod tests {
         let mut again = Vec::new();
         g.for_each_in_rings([0, 0, 0], 1, |i| again.push(i));
         assert_eq!(seen, again);
+    }
+
+    /// The unclipped `(2r+1)³` loop nest, the oracle for the clipped one.
+    fn unclipped(g: &BucketGrid, center: [i64; 3], rings: i64) -> Vec<usize> {
+        let mut seen = Vec::new();
+        for dx in -rings..=rings {
+            for dy in -rings..=rings {
+                for dz in -rings..=rings {
+                    let cell = [center[0] + dx, center[1] + dy, center[2] + dz];
+                    seen.extend_from_slice(g.bucket(cell));
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn clipped_rings_match_the_unclipped_loop() {
+        let mut rng = crate::SimRng::new(24);
+        let mut draw = |lo: i64, hi: i64| lo + rng.uniform_inclusive(0, (hi - lo) as u64) as i64;
+        for _ in 0..200 {
+            let mut g = BucketGrid::new();
+            let mut placed: Vec<([i64; 3], usize)> = Vec::new();
+            // Per-axis spread; a zero z spread is a planar floor.
+            let spread = [draw(0, 5), draw(0, 5), draw(0, 2)];
+            for item in 0..draw(1, 40) as usize {
+                if !placed.is_empty() && draw(0, 2) == 0 {
+                    let (cell, old) = placed.swap_remove(draw(0, placed.len() as i64 - 1) as usize);
+                    g.remove(cell, old);
+                } else {
+                    let cell = spread.map(|s| draw(-s, s));
+                    g.insert(cell, item);
+                    placed.push((cell, item));
+                }
+                for _ in 0..4 {
+                    // Centres up to two cells outside the occupied block.
+                    let center = spread.map(|s| draw(-s - 2, s + 2));
+                    let rings = draw(0, 3);
+                    let mut seen = Vec::new();
+                    g.for_each_in_rings(center, rings, |i| seen.push(i));
+                    assert_eq!(seen, unclipped(&g, center, rings), "{center:?} r={rings}");
+                }
+            }
+        }
     }
 
     #[test]
