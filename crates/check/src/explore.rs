@@ -74,7 +74,7 @@ use macaw_sim::{SimDuration, SimTime, TieBand};
 
 use crate::key::{KeyMap, StateKey};
 use crate::topology::Topology;
-use crate::world::{FaultClass, World, WorldEvent};
+use crate::world::{CanonBufs, FaultClass, World, WorldEvent};
 
 /// What the terminal states must satisfy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -433,6 +433,13 @@ struct Dfs<'a, P: MacProtocol + MacSnapshot> {
     path: Vec<StateKey>,
     /// Encoding buffer reused by every [`StateKey::new`].
     scratch: Vec<u8>,
+    /// Canonical-state buffers every visit refills.
+    canon: CanonBufs<P::Snap>,
+    /// Spare child worlds, one per depth below the visit in progress: a
+    /// visit pops one, refills it from its own world with `clone_from`
+    /// for each choice, and pushes it back, so each depth keeps reusing
+    /// the same buffers.
+    spare: Vec<World<P>>,
     trace: Vec<TraceStep>,
     stats: &'a mut CheckStats,
     expectation: Expectation,
@@ -487,6 +494,8 @@ where
             memo: KeyMap::default(),
             path: Vec::new(),
             scratch: Vec::new(),
+            canon: CanonBufs::default(),
+            spare: Vec::new(),
             trace: Vec::new(),
             stats,
             expectation: cfg.expectation,
@@ -547,13 +556,13 @@ where
         // Canonical state: symmetry-minimal when reducing (with `pi` the
         // minimizing group element, through which sleep sets are mapped
         // into canonical labels), plain otherwise.
-        let (canon, pi) = if self.reduce {
-            w.canon_min()
+        let pi = if self.reduce {
+            w.canon_min_into(&mut self.canon)
         } else {
-            (w.canon(), 0)
+            w.canon_into(&mut self.canon.min);
+            0
         };
-        let key = StateKey::new(&canon, &mut self.scratch);
-        drop(canon);
+        let key = StateKey::new(&self.canon.min, &mut self.scratch);
         if self.path.contains(&key) {
             return Err(self.violation(ViolationKind::Livelock));
         }
@@ -621,6 +630,7 @@ where
 
         let mut result = Ok(());
         let mut done: Vec<WorldEvent> = Vec::new();
+        let mut child = self.spare.pop().unwrap_or_else(|| w.clone());
         for ev in choices {
             if self.reduce && effective_sleep.contains(&ev) {
                 self.stats.sleep_skips += 1;
@@ -636,7 +646,7 @@ where
             } else {
                 Vec::new()
             };
-            let mut child = w.clone();
+            child.clone_from(w);
             match child.apply(&ev) {
                 Err(v) => {
                     self.trace.push(TraceStep {
@@ -675,6 +685,7 @@ where
                 }
             }
         }
+        self.spare.push(child);
 
         let key = self.path.pop().expect("this visit's key tops the path");
         if result.is_ok() && !self.exhausted {

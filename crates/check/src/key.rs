@@ -127,38 +127,20 @@ impl Hasher for Recorder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::TIE_EPSILON;
     use crate::topology::Topology;
-    use crate::world::{CanonState, FaultClass, World};
-    use macaw_mac::{Addr, MacConfig, WMac, WMacSnapshot};
-    use macaw_sim::TieBand;
+    use crate::world::tests::{small, visits};
+    use crate::world::{CanonState, FaultClass};
+    use macaw_mac::{MacConfig, WMacSnapshot};
 
     /// The symmetry-minimal canonical state of every visit of an
     /// exhaustive search over the reduced choice set, revisits included:
     /// a world reached along two paths, or a relabeling of one already
     /// seen, contributes an equal state.
     fn reachable(topo: Topology, fault: FaultClass) -> Vec<CanonState<WMacSnapshot>> {
-        let mut cfg = MacConfig::macaw();
-        cfg.max_retries = 2;
-        cfg.bo_max = 4;
-        let band = TieBand::new(TIE_EPSILON);
-        let mut root = World::new(topo, fault, band, 1, |i| WMac::new(Addr::Unicast(i), cfg));
-        root.inject().unwrap();
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(w) = stack.pop() {
-            out.push(w.canon_min().0);
-            if !seen.insert(w.canon()) {
-                continue;
-            }
-            for ev in w.choices_reduced() {
-                let mut child = w.clone();
-                child.apply(&ev).unwrap();
-                stack.push(child);
-            }
-        }
-        out
+        visits(topo, fault, small(MacConfig::macaw()))
+            .iter()
+            .map(|w| w.canon_min().0)
+            .collect()
     }
 
     /// `key(a) == key(b)` exactly when the canonical states are equal:

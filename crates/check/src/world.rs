@@ -31,6 +31,7 @@
 //! transmission overlaps it and the receiver itself never keys up while it
 //! is on the air; carrier sense reports any audible foreign transmission.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use macaw_mac::context::MacFeedback;
@@ -130,7 +131,7 @@ impl WorldEvent {
 }
 
 /// A transmission on the air.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct Flight {
     src: usize,
     frame: Frame,
@@ -166,8 +167,40 @@ pub struct CanonState<S> {
     resolved: u32,
 }
 
+impl<S> CanonState<S> {
+    /// A blank state for the `_into` fills.
+    fn empty() -> Self {
+        CanonState {
+            stations: Vec::new(),
+            flights: Vec::new(),
+            budget: 0,
+            delivered: 0,
+            resolved: 0,
+        }
+    }
+}
+
+/// The buffers [`World::canon_min_into`] refills on every call: the result,
+/// the un-relabeled state and the image under comparison. Once they have
+/// grown to a world's shape, canonicalizing allocates nothing.
+pub(crate) struct CanonBufs<S> {
+    /// The canonical state of the last fill.
+    pub(crate) min: CanonState<S>,
+    base: CanonState<S>,
+    cand: CanonState<S>,
+}
+
+impl<S> Default for CanonBufs<S> {
+    fn default() -> Self {
+        CanonBufs {
+            min: CanonState::empty(),
+            base: CanonState::empty(),
+            cand: CanonState::empty(),
+        }
+    }
+}
+
 /// The checker's transition system: stations + air + adversary.
-#[derive(Clone)]
 pub struct World<P: MacProtocol + MacSnapshot> {
     clock: SimTime,
     stations: Vec<Oracle<P>>,
@@ -191,6 +224,55 @@ pub struct World<P: MacProtocol + MacSnapshot> {
     /// Sender-side packet resolutions (`Sent`, `Dropped` or `Refused`
     /// feedback): a world is fully accounted when `resolved == offered`.
     pub resolved: u32,
+}
+
+/// By hand so that `clone_from` refills every station and the flight list
+/// in place: the explorer refills one spare child world per depth from its
+/// parent on every transition. Destructuring the source makes a new field a
+/// compile error here instead of a stale copy.
+impl<P: MacProtocol + MacSnapshot + Clone> Clone for World<P> {
+    fn clone(&self) -> Self {
+        World {
+            clock: self.clock,
+            stations: self.stations.clone(),
+            topo: Arc::clone(&self.topo),
+            band: self.band,
+            fault: self.fault,
+            budget: self.budget,
+            flights: self.flights.clone(),
+            closure: Arc::clone(&self.closure),
+            offered: self.offered,
+            delivered: self.delivered,
+            resolved: self.resolved,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let World {
+            clock,
+            stations,
+            topo,
+            band,
+            fault,
+            budget,
+            flights,
+            closure,
+            offered,
+            delivered,
+            resolved,
+        } = source;
+        self.clock = *clock;
+        self.stations.clone_from(stations);
+        self.topo.clone_from(topo);
+        self.band = *band;
+        self.fault = *fault;
+        self.budget = *budget;
+        self.flights.clone_from(flights);
+        self.closure.clone_from(closure);
+        self.offered = *offered;
+        self.delivered = *delivered;
+        self.resolved = *resolved;
+    }
 }
 
 impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
@@ -559,29 +641,53 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// flight *sets* are equal but were keyed up in different orders — the
     /// residue of commuted event orders — canonicalize equal.
     pub fn canon(&self) -> CanonState<P::Snap> {
-        let mut flights: Vec<(usize, Frame, SimDuration, u64)> = self
-            .flights
-            .iter()
-            .map(|f| (f.src, f.frame, f.ends.saturating_since(self.clock), f.dirty))
-            .collect();
-        flights.sort_by_key(|(src, ..)| *src);
-        CanonState {
-            stations: self
-                .stations
-                .iter()
-                .map(|s| {
-                    (
-                        s.mac().snapshot(self.clock),
-                        s.timer_deadline().map(|t| t.saturating_since(self.clock)),
-                        s.rng_digest(),
-                    )
-                })
-                .collect(),
+        let mut out = CanonState::empty();
+        self.canon_into(&mut out);
+        out
+    }
+
+    /// [`World::canon`] written into `out`, which may hold any earlier
+    /// state: station snapshots are refilled through
+    /// [`MacSnapshot::snapshot_into`] and the flight list in place.
+    pub(crate) fn canon_into(&self, out: &mut CanonState<P::Snap>) {
+        // Exhaustive, so a new field is an unused binding until it is
+        // either canonicalized or named here as outside the state.
+        let World {
+            clock,
+            stations,
+            topo: _,
+            band: _,
+            fault: _,
+            budget,
             flights,
-            budget: self.budget,
-            delivered: self.delivered,
-            resolved: self.resolved,
+            closure: _,
+            offered: _,
+            delivered,
+            resolved,
+        } = self;
+        out.stations.truncate(stations.len());
+        for (i, s) in stations.iter().enumerate() {
+            let timer = s.timer_deadline().map(|t| t.saturating_since(*clock));
+            let digest = s.rng_digest();
+            match out.stations.get_mut(i) {
+                Some(e) => {
+                    s.mac().snapshot_into(*clock, &mut e.0);
+                    e.1 = timer;
+                    e.2 = digest;
+                }
+                None => out.stations.push((s.mac().snapshot(*clock), timer, digest)),
+            }
         }
+        out.flights.clear();
+        out.flights.extend(
+            flights
+                .iter()
+                .map(|f| (f.src, f.frame, f.ends.saturating_since(*clock), f.dirty)),
+        );
+        out.flights.sort_by_key(|(src, ..)| *src);
+        out.budget = *budget;
+        out.delivered = *delivered;
+        out.resolved = *resolved;
     }
 
     /// Symmetry-reduced canonical state: the lexicographically-least image
@@ -590,59 +696,135 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// sets through it so they live in the same canonical label space).
     /// With the identity-only group this is exactly `canon()`.
     pub fn canon_min(&self) -> (CanonState<P::Snap>, usize) {
-        let base = self.canon();
-        if self.topo.sym.len() <= 1 {
-            return (base, 0);
-        }
-        let mut best: Option<(CanonState<P::Snap>, usize)> = None;
-        for (pi, p) in self.topo.sym.iter().enumerate() {
-            let cand = self.relabel_canon(&base, p);
-            match &best {
-                Some((b, _)) if *b <= cand => {}
-                _ => best = Some((cand, pi)),
-            }
-        }
-        best.expect("symmetry group is non-empty")
+        let mut bufs = CanonBufs::default();
+        let pi = self.canon_min_into(&mut bufs);
+        (bufs.min, pi)
     }
 
-    /// Rewrite a canonical state through one symmetry: station tuples move
-    /// to their images (snapshots internally relabeled — peer tables
-    /// re-sorted by the MAC's own `relabel`), flight dirty masks are
+    /// [`World::canon_min`] written into `bufs.min`, every image built in
+    /// `bufs`' reused buffers; returns the minimizing permutation's index.
+    /// Each image after the first is abandoned at its first station greater
+    /// than the best so far ([`World::image_beats`]), and a tie keeps the
+    /// earlier permutation, so the state and the index are exactly those
+    /// of the full-image minimum by `CanonState`'s derived `Ord`.
+    pub(crate) fn canon_min_into(&self, bufs: &mut CanonBufs<P::Snap>) -> usize {
+        let sym = &self.topo.sym;
+        if sym.len() <= 1 {
+            self.canon_into(&mut bufs.min);
+            return 0;
+        }
+        self.canon_into(&mut bufs.base);
+        self.image_into(&bufs.base, &sym[0], &mut bufs.min);
+        let mut best = 0;
+        for (pi, p) in sym.iter().enumerate().skip(1) {
+            if self.image_beats(&bufs.base, p, &bufs.min, &mut bufs.cand) {
+                std::mem::swap(&mut bufs.min, &mut bufs.cand);
+                best = pi;
+            }
+        }
+        best
+    }
+
+    /// The image of `c` under one symmetry, written into `out`: station
+    /// tuples move to their images (snapshots internally relabeled — peer
+    /// tables re-sorted by the MAC's own `relabel`), flight dirty masks are
     /// permuted, and flights re-sorted by their new transmitter. Applied
     /// to every orbit candidate, identity included, so the per-snapshot
     /// normalizations compare consistently.
-    fn relabel_canon(&self, c: &CanonState<P::Snap>, p: &SymPerm) -> CanonState<P::Snap> {
+    fn image_into(&self, c: &CanonState<P::Snap>, p: &SymPerm, out: &mut CanonState<P::Snap>) {
+        out.stations.truncate(self.topo.n);
+        for j in 0..self.topo.n {
+            Self::image_station(c, p, j, out);
+        }
+        self.image_rest(c, p, out);
+    }
+
+    /// Build the image of `c` under `p` into `cand` one station at a time,
+    /// in canonical order, and report whether it is less than `best` by
+    /// `CanonState`'s derived `Ord`. Stations are that order's first field
+    /// and every image has the same count, so the image loses at its first
+    /// station greater than `best`'s (the rest is never relabeled), and
+    /// wins at its first lesser one (and is then finished). Flights are
+    /// compared only when every station ties; a full tie loses, keeping
+    /// the earlier permutation. The budget and progress counters are the
+    /// same in every image of one state.
+    fn image_beats(
+        &self,
+        c: &CanonState<P::Snap>,
+        p: &SymPerm,
+        best: &CanonState<P::Snap>,
+        cand: &mut CanonState<P::Snap>,
+    ) -> bool {
+        let mut order = Ordering::Equal;
+        cand.stations.truncate(self.topo.n);
+        for j in 0..self.topo.n {
+            Self::image_station(c, p, j, cand);
+            if order == Ordering::Equal {
+                order = cand.stations[j].cmp(&best.stations[j]);
+                if order == Ordering::Greater {
+                    return false;
+                }
+            }
+        }
+        self.image_rest(c, p, cand);
+        order == Ordering::Less || cand.flights < best.flights
+    }
+
+    /// Write image station `j` of `c` under `p` — the relabeled tuple of
+    /// the station `p` sends to `j` — into `out`, which holds at least `j`
+    /// stations.
+    fn image_station(
+        c: &CanonState<P::Snap>,
+        p: &SymPerm,
+        j: usize,
+        out: &mut CanonState<P::Snap>,
+    ) {
         let map = Relabeling {
             station: &p.station,
             stream: &p.stream,
         };
-        type StationTuple<S> = (S, Option<SimDuration>, u64);
-        let mut stations: Vec<(usize, StationTuple<P::Snap>)> = c
-            .stations
+        let i = p
+            .station
             .iter()
-            .enumerate()
-            .map(|(i, (s, t, d))| (p.station[i], (P::relabel(s, &map), *t, *d)))
-            .collect();
-        stations.sort_by_key(|(i, _)| *i);
+            .position(|&to| to == j)
+            .expect("symmetries are permutations");
+        let (s, t, d) = &c.stations[i];
+        match out.stations.get_mut(j) {
+            Some(e) => {
+                P::relabel_into(s, &map, &mut e.0);
+                e.1 = *t;
+                e.2 = *d;
+            }
+            None => out.stations.push((P::relabel(s, &map), *t, *d)),
+        }
+    }
+
+    /// Write the image of `c`'s flights and counters under `p` into `out`.
+    fn image_rest(&self, c: &CanonState<P::Snap>, p: &SymPerm, out: &mut CanonState<P::Snap>) {
+        let CanonState {
+            stations: _, // written by `image_station`
+            flights,
+            budget,
+            delivered,
+            resolved,
+        } = c;
+        let map = Relabeling {
+            station: &p.station,
+            stream: &p.stream,
+        };
         let n = self.topo.n;
-        let mut flights: Vec<(usize, Frame, SimDuration, u64)> = c
-            .flights
-            .iter()
-            .map(|(src, frame, ends, dirty)| {
+        out.flights.clear();
+        out.flights
+            .extend(flights.iter().map(|(src, frame, ends, dirty)| {
                 let nd = (0..n)
                     .filter(|&r| dirty & rx_bit(n, r) != 0)
                     .fold(0, |m, r| m | rx_bit(n, p.station[r]));
                 (p.station[*src], map.frame(frame), *ends, nd)
-            })
-            .collect();
-        flights.sort_by_key(|(src, ..)| *src);
-        CanonState {
-            stations: stations.into_iter().map(|(_, v)| v).collect(),
-            flights,
-            budget: c.budget,
-            delivered: c.delivered,
-            resolved: c.resolved,
-        }
+            }));
+        out.flights.sort_by_key(|(src, ..)| *src);
+        out.budget = *budget;
+        out.delivered = *delivered;
+        out.resolved = *resolved;
     }
 
     /// The instant `ev` fires (its deadline; both events of an independent
@@ -754,10 +936,199 @@ fn permutations(v: &[usize]) -> Vec<Vec<usize>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::explore::TIE_EPSILON;
-    use macaw_mac::{MacConfig, WMac};
+    use macaw_mac::{MacConfig, WMac, WMacSnapshot};
+
+    /// `cfg` with the checker-sized budgets the exhaustive unit searches
+    /// use: two retries and a backoff cap of 4.
+    pub(crate) fn small(mut cfg: MacConfig) -> MacConfig {
+        cfg.max_retries = 2;
+        cfg.bo_max = 4;
+        cfg
+    }
+
+    /// The world at every visit of an exhaustive search over the reduced
+    /// choice set, revisits included, in depth-first order: consecutive
+    /// worlds after a backtrack come from different branches.
+    pub(crate) fn visits(topo: Topology, fault: FaultClass, cfg: MacConfig) -> Vec<World<WMac>> {
+        let band = TieBand::new(TIE_EPSILON);
+        let mut root = World::new(topo, fault, band, 1, |i| WMac::new(Addr::Unicast(i), cfg));
+        root.inject().unwrap();
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        let mut stack = vec![root];
+        while let Some(w) = stack.pop() {
+            if seen.insert(w.canon()) {
+                for ev in w.choices_reduced() {
+                    let mut child = w.clone();
+                    child.apply(&ev).unwrap();
+                    stack.push(child);
+                }
+            }
+            out.push(w);
+        }
+        out
+    }
+
+    /// Every visit of the searches on a symmetric family and on one
+    /// without symmetry, under the MACAW and the MACA configuration.
+    fn every_visit() -> Vec<Vec<World<WMac>>> {
+        let mut runs = Vec::new();
+        for cfg in [MacConfig::macaw(), MacConfig::maca()] {
+            let families = [
+                (
+                    Topology::mirrored_chain_burst(),
+                    FaultClass::Loss { budget: 1 },
+                ),
+                (
+                    Topology::exposed_terminal(),
+                    FaultClass::Noise { budget: 1 },
+                ),
+            ];
+            for (topo, fault) in families {
+                let run = visits(topo, fault, small(cfg));
+                assert!(run.len() > 100, "a non-trivial space: {}", run.len());
+                runs.push(run);
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn clone_from_refills_a_dirty_world_exactly() {
+        for run in every_visit() {
+            let mut dirty = run[run.len() - 1].clone();
+            for w in &run {
+                // `dirty` holds the previous visit's world, from another
+                // branch after every backtrack.
+                dirty.clone_from(w);
+                let fresh = w.clone();
+                assert_eq!(dirty.canon(), fresh.canon());
+                assert_eq!(dirty.clock, fresh.clock);
+                assert_eq!(dirty.flights, fresh.flights);
+                assert_eq!(dirty.budget, fresh.budget);
+                for (a, b) in dirty.stations.iter().zip(&fresh.stations) {
+                    assert_eq!(a.timer_deadline(), b.timer_deadline());
+                    assert_eq!(a.rng_digest(), b.rng_digest());
+                    assert_eq!(a.mac().stats(), b.mac().stats());
+                }
+                assert_eq!(
+                    (dirty.offered, dirty.delivered, dirty.resolved),
+                    (fresh.offered, fresh.delivered, fresh.resolved)
+                );
+                assert_eq!(dirty.choices(), fresh.choices());
+                // A second fill of the same shape keeps the station and
+                // flight buffers.
+                let buffers = (dirty.stations.as_ptr(), dirty.flights.as_ptr());
+                dirty.clone_from(w);
+                assert_eq!((dirty.stations.as_ptr(), dirty.flights.as_ptr()), buffers);
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_and_relabel_refill_dirty_buffers_exactly() {
+        for run in every_visit() {
+            // One buffer for both fills: it always holds the previous
+            // station's snapshot or image.
+            let mut buf = run[0].stations[1].mac().snapshot(SimTime::ZERO);
+            for w in &run {
+                for s in &w.stations {
+                    let fresh = s.mac().snapshot(w.clock);
+                    s.mac().snapshot_into(w.clock, &mut buf);
+                    assert_eq!(buf, fresh);
+                    for p in &w.topo.sym {
+                        let map = Relabeling {
+                            station: &p.station,
+                            stream: &p.stream,
+                        };
+                        WMac::relabel_into(&fresh, &map, &mut buf);
+                        assert_eq!(buf, WMac::relabel(&fresh, &map));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The image of `c` under `p`, built whole by the owned `relabel`: the
+    /// minimiser's oracle.
+    fn full_image(
+        w: &World<WMac>,
+        c: &CanonState<WMacSnapshot>,
+        p: &SymPerm,
+    ) -> CanonState<WMacSnapshot> {
+        let map = Relabeling {
+            station: &p.station,
+            stream: &p.stream,
+        };
+        let mut stations: Vec<_> = c
+            .stations
+            .iter()
+            .enumerate()
+            .map(|(i, (s, t, d))| (p.station[i], (WMac::relabel(s, &map), *t, *d)))
+            .collect();
+        stations.sort_by_key(|(i, _)| *i);
+        let n = w.topo.n;
+        let mut flights: Vec<_> = c
+            .flights
+            .iter()
+            .map(|(src, frame, ends, dirty)| {
+                let nd = (0..n)
+                    .filter(|&r| dirty & rx_bit(n, r) != 0)
+                    .fold(0, |m, r| m | rx_bit(n, p.station[r]));
+                (p.station[*src], map.frame(frame), *ends, nd)
+            })
+            .collect();
+        flights.sort_by_key(|(src, ..)| *src);
+        CanonState {
+            stations: stations.into_iter().map(|(_, v)| v).collect(),
+            flights,
+            budget: c.budget,
+            delivered: c.delivered,
+            resolved: c.resolved,
+        }
+    }
+
+    /// Every image built whole, the least kept, a tie keeping the earlier
+    /// permutation: the early-exit minimiser's oracle.
+    fn full_image_min(w: &World<WMac>) -> (CanonState<WMacSnapshot>, usize) {
+        let base = w.canon();
+        if w.topo.sym.len() <= 1 {
+            return (base, 0);
+        }
+        let mut best: Option<(CanonState<WMacSnapshot>, usize)> = None;
+        for (pi, p) in w.topo.sym.iter().enumerate() {
+            let cand = full_image(w, &base, p);
+            match &best {
+                Some((b, _)) if *b <= cand => {}
+                _ => best = Some((cand, pi)),
+            }
+        }
+        best.expect("symmetry group is non-empty")
+    }
+
+    #[test]
+    fn early_exit_minimiser_matches_the_full_image_loop() {
+        let (mut ties, mut moved) = (0, 0);
+        for run in every_visit() {
+            // One set of buffers across the run: each fill starts dirty.
+            let mut bufs = CanonBufs::default();
+            for w in &run {
+                let (min, pi) = full_image_min(w);
+                assert_eq!(w.canon_min_into(&mut bufs), pi);
+                assert_eq!(bufs.min, min);
+                let base = w.canon();
+                let images = w.topo.sym.iter().filter(|p| full_image(w, &base, p) == min);
+                ties += usize::from(images.count() > 1);
+                moved += usize::from(pi != 0);
+            }
+        }
+        // Both rules are exercised: some minimum is a later permutation's
+        // image, and some is reached by more than one permutation.
+        assert!(moved > 0 && ties > 0, "{moved} moved, {ties} tied");
+    }
 
     fn wmac_world(topo: Topology) -> World<WMac> {
         // Half the timeout margin: exact ties race, margin-guarded

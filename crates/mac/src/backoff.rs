@@ -87,7 +87,6 @@ struct Peer {
 }
 
 /// A station's complete backoff state.
-#[derive(Clone)]
 pub struct Backoff {
     algo: BackoffAlgo,
     sharing: BackoffSharing,
@@ -102,6 +101,38 @@ pub struct Backoff {
     /// station-indexed table would cost O(stations) memory *per station*
     /// (quadratic fleet-wide) and realloc-churn on every new high index.
     peers: Vec<(usize, Peer)>,
+}
+
+/// By hand so that `clone_from` refills the peer table in place: the
+/// explorer refills a child world from its parent on every transition.
+impl Clone for Backoff {
+    fn clone(&self) -> Self {
+        Backoff {
+            algo: self.algo,
+            sharing: self.sharing,
+            min: self.min,
+            max: self.max,
+            my: self.my,
+            peers: self.peers.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Backoff {
+            algo,
+            sharing,
+            min,
+            max,
+            my,
+            peers,
+        } = source;
+        self.algo = *algo;
+        self.sharing = *sharing;
+        self.min = *min;
+        self.max = *max;
+        self.my = *my;
+        self.peers.clone_from(peers);
+    }
 }
 
 impl Backoff {
@@ -283,17 +314,24 @@ impl Backoff {
     }
 
     /// Canonical snapshot of the learned congestion state, for state-space
-    /// exploration: the station-wide counter plus every live per-peer entry
+    /// exploration, written into `out` (any earlier snapshot; its buffer is
+    /// reused): the station-wide counter plus every live per-peer entry
     /// (congestion estimates *and* exchange sequence numbers — both steer
     /// future frames). Entries are keyed by peer index and absent slots are
     /// dropped, so a peer learned and later forgotten canonicalizes the
     /// same as one never seen.
-    pub fn snapshot(&self) -> BackoffSnapshot {
-        BackoffSnapshot {
-            my: self.my,
-            // Already keyed ascending by peer index with only live entries.
-            peers: self.peers.clone(),
-        }
+    pub fn snapshot_into(&self, out: &mut BackoffSnapshot) {
+        let Backoff {
+            algo: _,
+            sharing: _,
+            min: _,
+            max: _,
+            my,
+            peers,
+        } = self;
+        out.my = *my;
+        // Already keyed ascending by peer index with only live entries.
+        out.peers.clone_from(peers);
     }
 
     /// A frame from `src` to `dst` (neither end is this station) was
@@ -397,26 +435,33 @@ impl Backoff {
 }
 
 /// Canonical snapshot of a [`Backoff`]'s learned state (see
-/// [`Backoff::snapshot`]). Opaque: used only for equality, hashing and
+/// [`Backoff::snapshot_into`]). Opaque: used only for equality, hashing and
 /// counterexample printing by state-space explorers.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct BackoffSnapshot {
     my: u32,
     peers: Vec<(usize, Peer)>,
 }
 
 impl BackoffSnapshot {
-    /// Rewrite the peer-index keys through a station permutation and
-    /// restore the ascending-key order the snapshot promises. Counters and
-    /// sequence numbers are per-exchange scalars and survive unchanged.
-    pub(crate) fn relabel(&self, map: &crate::context::Relabeling<'_>) -> BackoffSnapshot {
-        let mut peers: Vec<(usize, Peer)> = self
-            .peers
-            .iter()
-            .map(|(i, p)| (map.station.get(*i).copied().unwrap_or(*i), *p))
-            .collect();
-        peers.sort_by_key(|(i, _)| *i);
-        BackoffSnapshot { my: self.my, peers }
+    /// Write into `out` this snapshot with the peer-index keys rewritten
+    /// through a station permutation, in the ascending-key order the
+    /// snapshot promises. Counters and sequence numbers are per-exchange
+    /// scalars and survive unchanged.
+    pub(crate) fn relabel_into(
+        &self,
+        map: &crate::context::Relabeling<'_>,
+        out: &mut BackoffSnapshot,
+    ) {
+        let BackoffSnapshot { my, peers } = self;
+        out.my = *my;
+        out.peers.clear();
+        out.peers.extend(
+            peers
+                .iter()
+                .map(|(i, p)| (map.station.get(*i).copied().unwrap_or(*i), *p)),
+        );
+        out.peers.sort_by_key(|(i, _)| *i);
     }
 }
 
@@ -700,6 +745,23 @@ mod tests {
         assert_eq!(b.window(dst(1)), b.my_backoff() + MIN);
         // ESNs restart too: the next exchange is number 1 again.
         assert_eq!(b.begin_exchange(dst(1)), 1);
+    }
+
+    #[test]
+    fn clone_from_refills_the_peer_table_in_place() {
+        let mut src = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
+        src.begin_exchange(dst(1));
+        src.begin_exchange(dst(3));
+        src.on_timeout(dst(3), 1);
+        // The target starts with other settings and no peers.
+        let mut b = Backoff::new(BackoffAlgo::Beb, BackoffSharing::Copy, 1, 8);
+        b.clone_from(&src);
+        let settings = |b: &Backoff| (b.algo, b.sharing, b.min, b.max, b.my);
+        assert_eq!(settings(&b), settings(&src));
+        assert_eq!(b.peers, src.peers);
+        let peers = b.peers.as_ptr();
+        b.clone_from(&src);
+        assert_eq!(b.peers.as_ptr(), peers);
     }
 
     #[test]

@@ -14,6 +14,43 @@ use crate::frames::{bytes_duration, slot};
 /// contention alignment.
 pub const TIMEOUT_MARGIN: SimDuration = SimDuration::from_micros(50);
 
+/// `d` plus [`TIMEOUT_MARGIN`], in a `const` context.
+const fn plus_margin(d: SimDuration) -> SimDuration {
+    SimDuration::from_nanos(d.as_nanos() + TIMEOUT_MARGIN.as_nanos())
+}
+
+/// Two control slots, in a `const` context.
+const TWO_SLOTS: SimDuration = SimDuration::from_nanos(2 * slot().as_nanos());
+
+/// How long a sender in WFCTS waits for the CTS after its RTS ends.
+pub const WFCTS_TIMEOUT: SimDuration = plus_margin(slot());
+
+/// How long a sender in WFACK waits after its DATA ends.
+pub const WFACK_TIMEOUT: SimDuration = plus_margin(slot());
+
+/// How long the sender of an RRTS waits for the triggered RTS.
+pub const WFRTS_TIMEOUT: SimDuration = plus_margin(TWO_SLOTS);
+
+/// Deferral after overhearing an RTS addressed elsewhere: long enough for
+/// the addressee's CTS to reach the requester (Appendix A Defer 1).
+pub const DEFER_AFTER_RTS: SimDuration = plus_margin(slot());
+
+/// Deferral after overhearing an RRTS addressed elsewhere: "Stations
+/// overhearing an RRTS defer for two slot times, long enough to hear if a
+/// successful RTS-CTS exchange occurs" (§3.3.3).
+pub const DEFER_AFTER_RRTS: SimDuration = plus_margin(TWO_SLOTS);
+
+/// How long a receiver in WFDATA waits after the DS ends.
+pub const fn wfdata_timeout(data_bytes: u32) -> SimDuration {
+    plus_margin(bytes_duration(data_bytes))
+}
+
+/// Deferral after overhearing a multicast RTS: the whole announced data
+/// transmission (§3.3.4).
+pub const fn defer_after_multicast_rts(data_bytes: u32) -> SimDuration {
+    plus_margin(bytes_duration(data_bytes))
+}
+
 /// Transmit-queue organisation (§3.2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum QueueMode {
@@ -99,11 +136,6 @@ impl MacConfig {
         }
     }
 
-    /// How long a sender in WFCTS waits for the CTS after its RTS ends.
-    pub fn wfcts_timeout(&self) -> SimDuration {
-        slot() + TIMEOUT_MARGIN
-    }
-
     /// How long a receiver waits for the DS (or DATA, when DS is disabled)
     /// after its CTS ends.
     pub fn wfds_timeout(&self, data_bytes: u32) -> SimDuration {
@@ -113,22 +145,6 @@ impl MacConfig {
         } else {
             bytes_duration(data_bytes) + TIMEOUT_MARGIN
         }
-    }
-
-    /// How long a receiver in WFDATA waits after the DS ends.
-    pub fn wfdata_timeout(&self, data_bytes: u32) -> SimDuration {
-        bytes_duration(data_bytes) + TIMEOUT_MARGIN
-    }
-
-    /// How long a sender in WFACK waits after its DATA ends.
-    pub fn wfack_timeout(&self) -> SimDuration {
-        slot() + TIMEOUT_MARGIN
-    }
-
-    /// Deferral after overhearing an RTS addressed elsewhere: long enough
-    /// for the addressee's CTS to reach the requester (Appendix A Defer 1).
-    pub fn defer_after_rts(&self) -> SimDuration {
-        slot() + TIMEOUT_MARGIN
     }
 
     /// Deferral after overhearing a CTS addressed elsewhere: long enough for
@@ -154,24 +170,6 @@ impl MacConfig {
             d += slot();
         }
         d
-    }
-
-    /// Deferral after overhearing an RRTS addressed elsewhere: "Stations
-    /// overhearing an RRTS defer for two slot times, long enough to hear if
-    /// a successful RTS-CTS exchange occurs" (§3.3.3).
-    pub fn defer_after_rrts(&self) -> SimDuration {
-        slot() * 2 + TIMEOUT_MARGIN
-    }
-
-    /// Deferral after overhearing a multicast RTS: the whole announced data
-    /// transmission (§3.3.4).
-    pub fn defer_after_multicast_rts(&self, data_bytes: u32) -> SimDuration {
-        bytes_duration(data_bytes) + TIMEOUT_MARGIN
-    }
-
-    /// How long the sender of an RRTS waits for the triggered RTS.
-    pub fn wfrts_timeout(&self) -> SimDuration {
-        slot() * 2 + TIMEOUT_MARGIN
     }
 }
 
@@ -214,6 +212,21 @@ mod tests {
             c.defer_after_cts(512),
             bytes_duration(512) + TIMEOUT_MARGIN
         );
+    }
+
+    #[test]
+    fn config_free_timeouts_and_deferrals_keep_their_values() {
+        // One control slot is 30 bytes at 31.25 µs per byte; the margin is
+        // 50 µs; a 512-byte packet is 16 ms on the air.
+        assert_eq!(slot().as_nanos(), 937_500);
+        assert_eq!(WFCTS_TIMEOUT.as_nanos(), 987_500);
+        assert_eq!(WFACK_TIMEOUT.as_nanos(), 987_500);
+        assert_eq!(DEFER_AFTER_RTS.as_nanos(), 987_500);
+        assert_eq!(WFRTS_TIMEOUT.as_nanos(), 1_925_000);
+        assert_eq!(DEFER_AFTER_RRTS.as_nanos(), 1_925_000);
+        assert_eq!(wfdata_timeout(512).as_nanos(), 16_050_000);
+        assert_eq!(defer_after_multicast_rts(512).as_nanos(), 16_050_000);
+        assert_eq!(wfdata_timeout(0), TIMEOUT_MARGIN);
     }
 
     #[test]

@@ -214,6 +214,22 @@ pub trait MacSnapshot {
     /// `relabel(snapshot(a)) == snapshot(b)` holds exactly.
     fn relabel(snap: &Self::Snap, map: &Relabeling<'_>) -> Self::Snap;
 
+    /// [`MacSnapshot::snapshot`] written into `out`, which may hold any
+    /// earlier snapshot. An implementation that overrides this reuses
+    /// `out`'s buffers, so an explorer that refills one snapshot per
+    /// station allocates nothing per visit. `out` must end equal to
+    /// `self.snapshot(now)`.
+    fn snapshot_into(&self, now: SimTime, out: &mut Self::Snap) {
+        *out = self.snapshot(now);
+    }
+
+    /// [`MacSnapshot::relabel`] written into `out`, which may hold any
+    /// earlier snapshot, reusing its buffers where overridden. `out` must
+    /// end equal to `Self::relabel(snap, map)`.
+    fn relabel_into(snap: &Self::Snap, map: &Relabeling<'_>, out: &mut Self::Snap) {
+        *out = Self::relabel(snap, map);
+    }
+
     /// Short name of the current protocol state (e.g. `"WfCts"`), for
     /// counterexample traces and stuck-state reporting.
     fn state_kind(&self) -> &'static str;

@@ -77,10 +77,26 @@ pub struct StepObs {
 
 /// A single station as a deterministic `step(stimulus) -> observations`
 /// transition function. See the module docs.
-#[derive(Clone)]
 pub struct Oracle<P> {
     mac: P,
     ctx: ScriptedContext,
+}
+
+/// By hand so that `clone_from` forwards to the protocol's own
+/// `clone_from`, which may refill its buffers in place.
+impl<P: Clone> Clone for Oracle<P> {
+    fn clone(&self) -> Self {
+        Oracle {
+            mac: self.mac.clone(),
+            ctx: self.ctx.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Oracle { mac, ctx } = source;
+        self.mac.clone_from(mac);
+        self.ctx.clone_from(ctx);
+    }
 }
 
 impl<P: MacProtocol> Oracle<P> {

@@ -40,7 +40,10 @@ use std::collections::VecDeque;
 use macaw_sim::SimTime;
 
 use crate::backoff::{Backoff, BackoffSnapshot};
-use crate::config::{MacConfig, QueueMode, TIMEOUT_MARGIN};
+use crate::config::{
+    defer_after_multicast_rts, wfdata_timeout, MacConfig, QueueMode, DEFER_AFTER_RRTS,
+    DEFER_AFTER_RTS, TIMEOUT_MARGIN, WFACK_TIMEOUT, WFCTS_TIMEOUT, WFRTS_TIMEOUT,
+};
 use crate::context::{
     MacContext, MacFeedback, MacInvariantViolation, MacProtocol, MacResult, MacSnapshot,
     Relabeling,
@@ -70,10 +73,47 @@ struct Packet {
 
 /// One transmit queue (the whole station in `SingleFifo` mode, one stream in
 /// `PerStream` mode).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+#[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 struct QueueSlot {
     key: Option<(Addr, StreamId)>,
     q: VecDeque<Packet>,
+}
+
+/// By hand so that `clone_from` refills the queue's buffer in place.
+impl Clone for QueueSlot {
+    fn clone(&self) -> Self {
+        QueueSlot {
+            key: self.key,
+            q: self.q.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let QueueSlot { key, q } = source;
+        self.key = *key;
+        self.q.clone_from(q);
+    }
+}
+
+/// Overwrite `dst` with the `(peer, window)` entries of `src`, refilling
+/// `dst`'s windows in place: a tuple's `clone_from` would reallocate each
+/// window.
+fn fill_windows<'a>(
+    dst: &mut Vec<(usize, VecDeque<u64>)>,
+    src: impl IntoIterator<Item = (usize, &'a VecDeque<u64>)>,
+) {
+    let mut len = 0;
+    for (peer, w) in src {
+        match dst.get_mut(len) {
+            Some(d) => {
+                d.0 = peer;
+                d.1.clone_from(w);
+            }
+            None => dst.push((peer, w.clone())),
+        }
+        len += 1;
+    }
+    dst.truncate(len);
 }
 
 /// What the station decided to transmit when the contention timer fires.
@@ -143,7 +183,6 @@ pub struct MacStats {
 }
 
 /// The MACA/MACAW station state machine. See the module docs.
-#[derive(Clone)]
 pub struct WMac {
     addr: Addr,
     cfg: MacConfig,
@@ -170,6 +209,55 @@ pub struct WMac {
     /// Multicast groups this station belongs to.
     groups: Vec<u32>,
     stats: MacStats,
+}
+
+/// By hand so that `clone_from` refills every queue, window and table in
+/// place: the explorer refills a child world from its parent on every
+/// transition. Destructuring the source makes a new field a compile error
+/// here instead of a stale buffer.
+impl Clone for WMac {
+    fn clone(&self) -> Self {
+        WMac {
+            addr: self.addr,
+            cfg: self.cfg,
+            backoff: self.backoff.clone(),
+            slots: self.slots.clone(),
+            state: self.state,
+            current: self.current,
+            rrts_pending: self.rrts_pending,
+            acked: self.acked.clone(),
+            nack_cache: self.nack_cache,
+            groups: self.groups.clone(),
+            stats: self.stats,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let WMac {
+            addr,
+            cfg,
+            backoff,
+            slots,
+            state,
+            current,
+            rrts_pending,
+            acked,
+            nack_cache,
+            groups,
+            stats,
+        } = source;
+        self.addr = *addr;
+        self.cfg = *cfg;
+        self.backoff.clone_from(backoff);
+        self.slots.clone_from(slots);
+        self.state = *state;
+        self.current = *current;
+        self.rrts_pending = *rrts_pending;
+        fill_windows(&mut self.acked, acked.iter().map(|(peer, w)| (*peer, w)));
+        self.nack_cache = *nack_cache;
+        self.groups.clone_from(groups);
+        self.stats = *stats;
+    }
 }
 
 impl WMac {
@@ -530,14 +618,14 @@ impl WMac {
         }
         let defer_for = match frame.kind {
             FrameKind::Rts if frame.dst.is_multicast() => {
-                Some(self.cfg.defer_after_multicast_rts(frame.data_bytes))
+                Some(defer_after_multicast_rts(frame.data_bytes))
             }
-            FrameKind::Rts => Some(self.cfg.defer_after_rts()),
+            FrameKind::Rts => Some(DEFER_AFTER_RTS),
             FrameKind::Cts => Some(self.cfg.defer_after_cts(frame.data_bytes)),
             FrameKind::Ds => Some(self.cfg.defer_after_ds(frame.data_bytes)),
-            FrameKind::Rrts => Some(self.cfg.defer_after_rrts()),
+            FrameKind::Rrts => Some(DEFER_AFTER_RRTS),
             // A NACK invites an immediate retransmission attempt.
-            FrameKind::Nack => Some(self.cfg.defer_after_rts()),
+            FrameKind::Nack => Some(DEFER_AFTER_RTS),
             // After an overheard DATA the receiver's ACK follows; give it a
             // slot of clear air (the §3.3.2 footnote on exposed terminals
             // clobbering returning ACKs).
@@ -632,7 +720,7 @@ impl WMac {
         if let State::WfDs { peer, bytes, esn } = self.state {
             if frame.src == peer {
                 self.state = State::WfData { peer, bytes, esn };
-                ctx.set_timer(self.cfg.wfdata_timeout(bytes));
+                ctx.set_timer(wfdata_timeout(bytes));
             }
         }
     }
@@ -792,7 +880,7 @@ impl WMac {
                 bytes: frame.data_bytes,
                 esn: frame.backoff.esn,
             };
-            ctx.set_timer(self.cfg.wfdata_timeout(frame.data_bytes));
+            ctx.set_timer(wfdata_timeout(frame.data_bytes));
         }
     }
 }
@@ -909,7 +997,7 @@ impl MacProtocol for WMac {
         match self.state {
             State::SendRts => {
                 self.state = State::WfCts;
-                ctx.set_timer(self.cfg.wfcts_timeout());
+                ctx.set_timer(WFCTS_TIMEOUT);
             }
             State::SendCts { peer, bytes, esn } => {
                 if self.cfg.use_ds {
@@ -923,7 +1011,7 @@ impl MacProtocol for WMac {
             State::SendData => {
                 if self.cfg.use_ack {
                     self.state = State::WfAck;
-                    ctx.set_timer(self.cfg.wfack_timeout());
+                    ctx.set_timer(WFACK_TIMEOUT);
                 } else {
                     // Without a link ACK the MAC's responsibility ends
                     // here; in NACK mode, keep the packet resurrectable.
@@ -944,7 +1032,7 @@ impl MacProtocol for WMac {
             }
             State::SendRrts { peer } => {
                 self.state = State::WfRts { peer };
-                ctx.set_timer(self.cfg.wfrts_timeout());
+                ctx.set_timer(WFRTS_TIMEOUT);
             }
             State::SendMcastRts => self.send_data(ctx)?,
             State::SendMcastData => {
@@ -1022,11 +1110,55 @@ pub struct WMacSnapshot {
     backoff: BackoffSnapshot,
 }
 
+impl WMacSnapshot {
+    /// A blank snapshot for the `_into` forms to fill.
+    fn empty() -> WMacSnapshot {
+        WMacSnapshot {
+            state: State::Idle,
+            current: None,
+            rrts_pending: None,
+            slots: Vec::new(),
+            acked: Vec::new(),
+            nack_cache: None,
+            groups: Vec::new(),
+            backoff: BackoffSnapshot::default(),
+        }
+    }
+}
+
 impl MacSnapshot for WMac {
     type Snap = WMacSnapshot;
 
     fn snapshot(&self, now: SimTime) -> WMacSnapshot {
-        let state = match self.state {
+        let mut out = WMacSnapshot::empty();
+        self.snapshot_into(now, &mut out);
+        out
+    }
+
+    fn relabel(snap: &WMacSnapshot, map: &Relabeling<'_>) -> WMacSnapshot {
+        let mut out = WMacSnapshot::empty();
+        Self::relabel_into(snap, map, &mut out);
+        out
+    }
+
+    // Both `_into` forms destructure their source exhaustively, so a new
+    // field is an unused binding (denied by the lint gate) until it is
+    // written to `out`, instead of a stale value in a reused buffer.
+    fn snapshot_into(&self, now: SimTime, out: &mut WMacSnapshot) {
+        let WMac {
+            addr: _,
+            cfg: _,
+            backoff,
+            slots,
+            state,
+            current,
+            rrts_pending,
+            acked,
+            nack_cache,
+            groups,
+            stats: _,
+        } = self;
+        out.state = match *state {
             // Rebase the absolute deadline so the same residual deferral
             // reached at different absolute times dedups.
             State::Quiet { until } => State::Quiet {
@@ -1034,30 +1166,38 @@ impl MacSnapshot for WMac {
             },
             s => s,
         };
-        WMacSnapshot {
-            state,
-            current: self.current,
-            rrts_pending: self.rrts_pending,
-            slots: self.slots.clone(),
-            acked: self
-                .acked
+        out.current = *current;
+        out.rrts_pending = *rrts_pending;
+        out.slots.clone_from(slots);
+        fill_windows(
+            &mut out.acked,
+            acked
                 .iter()
                 .filter(|(_, w)| !w.is_empty())
-                .cloned()
-                .collect(),
-            nack_cache: self.nack_cache,
-            groups: self.groups.clone(),
-            backoff: self.backoff.snapshot(),
-        }
+                .map(|(peer, w)| (*peer, w)),
+        );
+        out.nack_cache = *nack_cache;
+        out.groups.clone_from(groups);
+        backoff.snapshot_into(&mut out.backoff);
     }
 
-    fn relabel(snap: &WMacSnapshot, map: &Relabeling<'_>) -> WMacSnapshot {
+    fn relabel_into(snap: &WMacSnapshot, map: &Relabeling<'_>, out: &mut WMacSnapshot) {
+        let WMacSnapshot {
+            state,
+            current,
+            rrts_pending,
+            slots,
+            acked,
+            nack_cache,
+            groups,
+            backoff,
+        } = snap;
         let packet = |p: &Packet| Packet {
             dst: map.addr(p.dst),
             sdu: map.sdu(p.sdu),
             ..*p
         };
-        let state = match snap.state {
+        out.state = match *state {
             State::Contend {
                 what: ContendFor::Rrts { peer },
             } => State::Contend {
@@ -1094,36 +1234,34 @@ impl MacSnapshot for WMac {
         // `current` follows its slot to the new position. The explorer
         // relabels *every* orbit candidate, identity permutation included,
         // so the sort applies uniformly and comparisons stay consistent.
-        let mut slots: Vec<(QueueSlot, bool)> = snap
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mapped = QueueSlot {
-                    key: s.key.map(|(a, st)| (map.addr(a), map.stream_id(st))),
-                    q: s.q.iter().map(packet).collect(),
-                };
-                (mapped, snap.current == Some(i))
-            })
-            .collect();
-        slots.sort_by_key(|(s, _)| s.key);
-        let current = slots.iter().position(|(_, cur)| *cur);
-        let mut acked: Vec<(usize, VecDeque<u64>)> = snap
-            .acked
-            .iter()
-            .map(|(peer, w)| (map.station.get(*peer).copied().unwrap_or(*peer), w.clone()))
-            .collect();
-        acked.sort_by_key(|(peer, _)| *peer);
-        WMacSnapshot {
-            state,
-            current,
-            rrts_pending: snap.rrts_pending.map(|a| map.addr(a)),
-            slots: slots.into_iter().map(|(s, _)| s).collect(),
-            acked,
-            nack_cache: snap.nack_cache.as_ref().map(packet),
-            groups: snap.groups.clone(),
-            backoff: snap.backoff.relabel(map),
+        out.slots.resize_with(slots.len(), QueueSlot::default);
+        for (o, s) in out.slots.iter_mut().zip(slots) {
+            o.key = s.key.map(|(a, st)| (map.addr(a), map.stream_id(st)));
+            o.q.clear();
+            o.q.extend(s.q.iter().map(packet));
         }
+        // The stable sort below moves slot `c` past exactly the keys less
+        // than its own and the equal keys before it.
+        out.current = current.map(|c| {
+            let key = out.slots[c].key;
+            out.slots
+                .iter()
+                .enumerate()
+                .filter(|&(j, s)| s.key < key || (s.key == key && j < c))
+                .count()
+        });
+        out.slots.sort_by_key(|s| s.key);
+        fill_windows(
+            &mut out.acked,
+            acked
+                .iter()
+                .map(|(peer, w)| (map.station.get(*peer).copied().unwrap_or(*peer), w)),
+        );
+        out.acked.sort_by_key(|(peer, _)| *peer);
+        out.rrts_pending = rrts_pending.map(|a| map.addr(a));
+        out.nack_cache = nack_cache.as_ref().map(packet);
+        out.groups.clone_from(groups);
+        backoff.relabel_into(map, &mut out.backoff);
     }
 
     fn state_kind(&self) -> &'static str {
@@ -1228,6 +1366,144 @@ mod tests {
         assert_eq!(rts.kind, FrameKind::Rts);
         assert_eq!(rts.dst, B);
         rts
+    }
+
+    /// A MACAW station with every buffer in use: two per-stream queues, a
+    /// re-ACK window for each of two peers, a multicast group and a
+    /// per-destination backoff table.
+    fn busy_station() -> (WMac, ScriptedContext) {
+        let mut mac = WMac::new(A, MacConfig::macaw());
+        let mut ctx = ScriptedContext::new(42);
+        mac.join_group(4);
+        mac.enqueue(&mut ctx, B, sdu(512, 1)).unwrap();
+        let other = MacSdu {
+            stream: StreamId(8),
+            transport_seq: 1,
+            bytes: 512,
+        };
+        mac.enqueue(&mut ctx, C, other).unwrap();
+        for (peer, esn) in [(B, 3), (C, 5)] {
+            mac.on_receive(&mut ctx, &frame(FrameKind::Data, peer, A, 512, esn))
+                .unwrap();
+            mac.on_tx_end(&mut ctx).unwrap(); // the ACK
+        }
+        assert_eq!((mac.slots.len(), mac.acked.len()), (2, 2));
+        (mac, ctx)
+    }
+
+    /// The heap buffers behind a station's or a snapshot's queues, re-ACK
+    /// windows and groups, as a set.
+    fn buffers(
+        slots: &[QueueSlot],
+        acked: &[(usize, VecDeque<u64>)],
+        groups: &[u32],
+    ) -> Vec<*const ()> {
+        let mut v: Vec<*const ()> = vec![
+            slots.as_ptr().cast(),
+            acked.as_ptr().cast(),
+            groups.as_ptr().cast(),
+        ];
+        v.extend(
+            slots
+                .iter()
+                .map(|s| s.q.as_slices().0.as_ptr().cast::<()>()),
+        );
+        v.extend(
+            acked
+                .iter()
+                .map(|(_, w)| w.as_slices().0.as_ptr().cast::<()>()),
+        );
+        v.sort();
+        v
+    }
+
+    /// Snapshots with every optional field set between them: the busy
+    /// station deferring with an RRTS owed, a sender waiting for its CTS
+    /// (`current`), and a NACK-mode sender holding the packet it presumes
+    /// delivered (`nack_cache`). Every slot and window is in key order.
+    fn varied_snapshots() -> Vec<WMacSnapshot> {
+        let (mut busy, mut ctx) = busy_station();
+        busy.on_receive(&mut ctx, &frame(FrameKind::Ds, B, C, 512, 1))
+            .unwrap(); // overheard: defer
+        busy.on_receive(&mut ctx, &frame(FrameKind::Rts, C, A, 512, 9))
+            .unwrap();
+        assert!(busy.rrts_pending.is_some());
+        let mut snaps = vec![busy.snapshot(ctx.now())];
+
+        let mut waiting = WMac::new(A, MacConfig::macaw());
+        let mut ctx = ScriptedContext::new(43);
+        drive_to_rts(&mut waiting, &mut ctx);
+        waiting.on_tx_end(&mut ctx).unwrap();
+        assert!(waiting.current.is_some());
+        snaps.push(waiting.snapshot(ctx.now()));
+
+        let mut cfg = MacConfig::maca();
+        cfg.use_nack = true;
+        let mut nacking = WMac::new(A, cfg);
+        let mut ctx = ScriptedContext::new(44);
+        let rts = drive_to_rts(&mut nacking, &mut ctx);
+        nacking.on_tx_end(&mut ctx).unwrap();
+        let cts = frame(FrameKind::Cts, B, A, 512, rts.backoff.esn);
+        nacking.on_receive(&mut ctx, &cts).unwrap();
+        nacking.on_tx_end(&mut ctx).unwrap();
+        assert!(nacking.nack_cache.is_some());
+        snaps.push(nacking.snapshot(ctx.now()));
+        snaps
+    }
+
+    #[test]
+    fn identity_relabel_of_a_key_ordered_snapshot_is_the_snapshot() {
+        // An oracle that shares no code with `relabel_into`: with every
+        // slot and window already in key order, the identity relabeling
+        // must reproduce every field, whatever the buffer held before.
+        let (station, stream) = ([0, 1, 2], [0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        let id = Relabeling {
+            station: &station,
+            stream: &stream,
+        };
+        let snaps = varied_snapshots();
+        let mut image = snaps[snaps.len() - 1].clone();
+        for s in &snaps {
+            assert_eq!(WMac::relabel(s, &id), *s);
+            WMac::relabel_into(s, &id, &mut image);
+            assert_eq!(image, *s);
+        }
+    }
+
+    #[test]
+    fn clone_from_and_snapshot_fills_reuse_every_buffer() {
+        let (src, ctx) = busy_station();
+        let now = ctx.now();
+        // Each target starts as a station or snapshot of another shape.
+        let blank = || WMac::new(B, MacConfig::maca());
+        let mut mac = blank();
+        mac.clone_from(&src);
+        assert_eq!(mac.snapshot(now), src.snapshot(now));
+        assert_eq!((mac.addr, mac.stats), (src.addr, src.stats));
+        let held = buffers(&mac.slots, &mac.acked, &mac.groups);
+        mac.clone_from(&src);
+        assert_eq!(buffers(&mac.slots, &mac.acked, &mac.groups), held);
+
+        let mut snap = blank().snapshot(SimTime::ZERO);
+        src.snapshot_into(now, &mut snap);
+        assert_eq!(snap, src.snapshot(now));
+        let held = buffers(&snap.slots, &snap.acked, &snap.groups);
+        src.snapshot_into(now, &mut snap);
+        assert_eq!(buffers(&snap.slots, &snap.acked, &snap.groups), held);
+
+        // Swap A and C: the queues and the windows both change order.
+        let (station, stream) = ([2, 1, 0], [0, 1, 2, 3, 4, 5, 6, 8, 7]);
+        let map = Relabeling {
+            station: &station,
+            stream: &stream,
+        };
+        let mut image = blank().snapshot(SimTime::ZERO);
+        WMac::relabel_into(&snap, &map, &mut image);
+        assert_eq!(image, WMac::relabel(&snap, &map));
+        assert_ne!(image, snap);
+        let held = buffers(&image.slots, &image.acked, &image.groups);
+        WMac::relabel_into(&snap, &map, &mut image);
+        assert_eq!(buffers(&image.slots, &image.acked, &image.groups), held);
     }
 
     #[test]
@@ -1431,14 +1707,13 @@ mod tests {
 
     #[test]
     fn overheard_rts_defers_one_cts_time() {
-        let cfg = MacConfig::macaw();
-        let mut mac = WMac::new(C, cfg);
+        let mut mac = WMac::new(C, MacConfig::macaw());
         let mut ctx = ScriptedContext::new(10);
         mac.on_receive(&mut ctx, &frame(FrameKind::Rts, A, B, 512, 1)).unwrap();
         let deadline = ctx.timer.expect("quiet timer armed");
         assert_eq!(
             deadline.since(ctx.now()),
-            cfg.defer_after_rts(),
+            DEFER_AFTER_RTS,
             "defer covers the returning CTS"
         );
     }
@@ -1527,12 +1802,11 @@ mod tests {
 
     #[test]
     fn overheard_rrts_defers_two_slots() {
-        let cfg = MacConfig::macaw();
-        let mut mac = WMac::new(C, cfg);
+        let mut mac = WMac::new(C, MacConfig::macaw());
         let mut ctx = ScriptedContext::new(17);
         mac.on_receive(&mut ctx, &frame(FrameKind::Rrts, B, A, 0, 0)).unwrap();
         let deadline = ctx.timer.expect("quiet timer armed");
-        assert_eq!(deadline.since(ctx.now()), cfg.defer_after_rrts());
+        assert_eq!(deadline.since(ctx.now()), DEFER_AFTER_RRTS);
     }
 
     #[test]
@@ -1565,15 +1839,11 @@ mod tests {
 
     #[test]
     fn non_member_defers_for_multicast_data_length() {
-        let cfg = MacConfig::macaw();
-        let mut mac = WMac::new(C, cfg);
+        let mut mac = WMac::new(C, MacConfig::macaw());
         let mut ctx = ScriptedContext::new(20);
         mac.on_receive(&mut ctx, &frame(FrameKind::Rts, A, Addr::Multicast(4), 512, 1)).unwrap();
         let deadline = ctx.timer.expect("quiet timer armed");
-        assert_eq!(
-            deadline.since(ctx.now()),
-            cfg.defer_after_multicast_rts(512)
-        );
+        assert_eq!(deadline.since(ctx.now()), defer_after_multicast_rts(512));
     }
 
     #[test]
@@ -1703,12 +1973,11 @@ mod tests {
 
     #[test]
     fn overheard_nack_defers_one_slot() {
-        let cfg = MacConfig::macaw();
-        let mut mac = WMac::new(C, cfg);
+        let mut mac = WMac::new(C, MacConfig::macaw());
         let mut ctx = ScriptedContext::new(34);
         mac.on_receive(&mut ctx, &frame(FrameKind::Nack, B, A, 512, 1)).unwrap();
         let deadline = ctx.timer.expect("quiet timer armed");
-        assert_eq!(deadline.since(ctx.now()), cfg.defer_after_rts());
+        assert_eq!(deadline.since(ctx.now()), DEFER_AFTER_RTS);
     }
 
     #[test]

@@ -789,7 +789,7 @@ impl Medium for SparseMedium {
             self.near_count[n] -= 1;
         }
 
-        // The ordered removal deleted one fold term and left every other
+        // Vacating the slot deleted one fold term and left every other
         // term in place. The deleted term is exactly `+0.0` outside the
         // ended source's neighborhood — and dropping a `+0.0` term from a
         // non-negative left-to-right fold changes no partial sums — so only

@@ -11,7 +11,9 @@
 # never invalidate the plain release build in target/release. Records one
 # run under gprofng (falling back to perf when gprofng is absent) and
 # prints the top-N functions by *inclusive* CPU time — the view that
-# answers "which subsystem is the run spending its wall clock under?".
+# answers "which subsystem is the run spending its wall clock under?" —
+# then the callers of every glibc function in that table that gprofng
+# names only by address (malloc's internals are the usual ones).
 # The raw experiment directory is left in target/profile/ for deeper
 # digging (gprofng display text / perf report).
 #
@@ -52,8 +54,38 @@ if command -v gprofng >/dev/null 2>&1; then
   gprofng collect app -o "$expdir" "$exe" "$@"
   echo
   echo "== top $top functions by inclusive CPU time ($expdir) =="
-  gprofng display text -metrics i.totalcpu:e.totalcpu \
-    -sort i.totalcpu -limit "$top" -functions "$expdir"
+  table="$(gprofng display text -metrics i.totalcpu:e.totalcpu \
+    -sort i.totalcpu -limit "$top" -functions "$expdir")"
+  echo "$table"
+  # gprofng names glibc's internal functions (malloc's among them) only by
+  # address, so an allocator-bound run shows up above as anonymous
+  # `<static>@0x… (<libc.so.6>)` rows. Name them by their callers.
+  # -callers-callees takes no function argument: it prints one block per
+  # function, callers above the starred function and callees below it,
+  # and awk keeps the caller lines of each wanted block.
+  statics="$(grep -o '<static>@0x[0-9a-f]* (<libc\.so\.[0-9]*>)' <<<"$table" | sort -u || true)"
+  if [ -n "$statics" ]; then
+    cc="$(gprofng display text -metrics i.totalcpu -callers-callees "$expdir")"
+    while IFS= read -r fn; do
+      echo
+      echo "== callers of $fn (attributed CPU s) =="
+      awk -v f="$fn" 'BEGIN { RS = ""; FS = "\n" }
+        {
+          # Lines 1-3 of a block are the column header. A name may carry
+          # a note ("-- no functions found"), so match it as a prefix.
+          for (i = 4; i <= NF; i++) {
+            name = $i
+            sub(/^[0-9.]+ +/, "", name)
+            if (substr(name, 1, length(f) + 1) == "*" f) {
+              found = 1
+              for (j = 4; j < i; j++) print $j
+              if (i == 4) print "(no callers recorded)"
+            }
+          }
+        }
+        END { if (!found) print "(no block for it in -callers-callees)" }' <<<"$cc"
+    done <<<"$statics"
+  fi
 elif command -v perf >/dev/null 2>&1; then
   data="target/profile/$bin-$stamp.perf.data"
   echo "== perf record: $exe $* =="
