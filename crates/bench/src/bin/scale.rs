@@ -14,12 +14,6 @@
 //! 3. **Memory** — [`Medium::memory_footprint`] of the built sparse medium.
 //!    A 16x station growth (64 → 1024) must cost well under 256x the bytes
 //!    (sub-quadratic; the cube grid is O(N·k)).
-//! 4. **Sharded sweep** — the *cellular* floor variant (pads inset 6 ft,
-//!    no corridor walkers, so the partition decomposes into one island
-//!    per room — see `macaw_core::partition`) at N ∈ {4096, 16384},
-//!    MACAW, run serially and via [`Scenario::run_with_shards`] on
-//!    [`SHARDS`] shards. The two reports must be bitwise identical; the
-//!    JSON records island counts and the per-shard split.
 //!
 //! Every number in the file is a pure function of the code and [`SEED`].
 //! Each cell is one executor job, `--jobs N` (default: one worker per
@@ -43,17 +37,12 @@ use macaw_sim::LadderFel;
 
 /// The seed of the committed `BENCH_scale.json`.
 const SEED: u64 = 1;
-/// Shards of the serial-vs-sharded rows, fixed so `per_shard` does not
-/// depend on the host.
-const SHARDS: usize = 2;
 /// Station counts of the three-protocol sweep.
 const SIZES: [usize; 4] = [16, 64, 256, 1024];
 /// Station counts of the MACAW-only sweep cells. N = 65536 is the
 /// stamp-ordered slab's headline: before it, the O(active) scans in
 /// `end_tx` made this size untenable.
 const LARGE_SIZES: [usize; 3] = [4096, 16384, 65536];
-/// Station counts of the sharded rows.
-const SHARD_SIZES: [usize; 2] = [4096, 16384];
 /// Simulated length of every run, and its warm-up.
 const DUR: SimDuration = SimDuration::from_secs(5);
 const WARM: SimDuration = SimDuration::from_secs(1);
@@ -71,16 +60,6 @@ fn protocols() -> Vec<(&'static str, MacKind)> {
 fn floor_config(n: usize) -> ScaleConfig {
     let mut cfg = ScaleConfig::with_stations(n);
     cfg.pps = floor_pps(n);
-    cfg
-}
-
-/// The cellular large-floor variant: pads pulled 6 ft into their rooms,
-/// no corridor walkers, so rooms stop coupling and the partition yields
-/// one island per room — the regime `run_with_shards` accelerates.
-fn cellular_config(n: usize) -> ScaleConfig {
-    let mut cfg = floor_config(n);
-    cfg.room_inset_ft = 6.0;
-    cfg.walker_share = 0.0;
     cfg
 }
 
@@ -123,48 +102,6 @@ fn terms_per_end(m: &MediumStats) -> f64 {
     }
 }
 
-/// One row of the serial-vs-sharded large-floor sweep.
-struct ShardCell {
-    stations: usize,
-    streams: usize,
-    /// Coupling islands of the cellular floor actually run.
-    islands: usize,
-    /// Islands the *default* (coupled) floor would decompose into at the
-    /// same size — context for why the cellular variant is the one that
-    /// scales.
-    default_floor_islands: usize,
-    events: u64,
-    stats: ShardRunStats,
-}
-
-/// The cellular floor at `n` stations, serial and on [`SHARDS`] shards;
-/// asserts the reports bitwise identical.
-fn run_shard_cell(n: usize) -> ShardCell {
-    let mk = || scale_topology(&cellular_config(n), MacKind::Macaw, SEED);
-    let islands = mk().partition().unwrap_or_else(|e| die(&e)).n_islands;
-    let default_floor_islands = scale_topology(&floor_config(n), MacKind::Macaw, SEED)
-        .partition()
-        .unwrap_or_else(|e| die(&e))
-        .n_islands;
-    let serial = mk().run(DUR, WARM).unwrap_or_else(|e| die(&e));
-    let (sharded, stats) = mk()
-        .run_with_shards(DUR, WARM, SHARDS)
-        .unwrap_or_else(|e| die(&e));
-    assert_eq!(
-        format!("{serial:?}"),
-        format!("{sharded:?}"),
-        "N={n}: sharded report must be bitwise identical to serial"
-    );
-    ShardCell {
-        stations: n,
-        streams: serial.streams.len(),
-        islands,
-        default_floor_islands,
-        events: serial.events_processed,
-        stats,
-    }
-}
-
 /// One executor job of the science run.
 #[derive(Clone, Copy)]
 enum Job {
@@ -172,13 +109,6 @@ enum Job {
     Sweep(&'static str, MacKind, usize),
     /// The N = 256 MACAW cell on the reference oracle.
     Reference,
-    /// A serial-vs-sharded row.
-    Sharded(usize),
-}
-
-enum Done {
-    Cell(Cell),
-    Sharded(ShardCell),
 }
 
 fn main() {
@@ -192,7 +122,6 @@ fn main() {
         .rev()
         .map(|&n| Job::Sweep("MACAW", MacKind::Macaw, n))
         .collect();
-    job_list.extend(SHARD_SIZES.iter().rev().map(|&n| Job::Sharded(n)));
     job_list.push(Job::Reference);
     for &n in SIZES.iter().rev() {
         for (name, mac) in protocols() {
@@ -200,23 +129,19 @@ fn main() {
         }
     }
     let done = cli.executor.run(job_list.len(), |i| match job_list[i] {
-        Job::Sweep(name, mac, n) => Done::Cell(run_cell::<SparseMedium>(name, n, mac)),
-        Job::Reference => Done::Cell(run_cell::<ReferenceMedium>("MACAW", 256, MacKind::Macaw)),
-        Job::Sharded(n) => Done::Sharded(run_shard_cell(n)),
+        Job::Sweep(name, mac, n) => run_cell::<SparseMedium>(name, n, mac),
+        Job::Reference => run_cell::<ReferenceMedium>("MACAW", 256, MacKind::Macaw),
     });
     let mut cells: Vec<Cell> = Vec::new();
     let mut reference: Option<Cell> = None;
-    let mut shard_cells: Vec<ShardCell> = Vec::new();
-    for (job, d) in job_list.iter().zip(done) {
-        match (job, d) {
-            (Job::Reference, Done::Cell(c)) => reference = Some(c),
-            (_, Done::Cell(c)) => cells.push(c),
-            (_, Done::Sharded(s)) => shard_cells.push(s),
+    for (job, c) in job_list.iter().zip(done) {
+        match job {
+            Job::Reference => reference = Some(c),
+            Job::Sweep(..) => cells.push(c),
         }
     }
     // Protocol names sort in paper order (CSMA < MACA < MACAW).
     cells.sort_by_key(|c| (c.stations, c.protocol));
-    shard_cells.sort_by_key(|c| c.stations);
     let reference = reference.expect("the reference job ran");
 
     println!(
@@ -297,45 +222,6 @@ fn main() {
         "medium memory grew quadratically: {growth:.1}x"
     );
 
-    // Serial vs sharded at large N, on the cellular floor (one island per
-    // room). The default floor's edge coupling welds almost everything
-    // into one island — recorded per row as `default_floor_islands` — so
-    // it cannot parallelize; the cellular variant is the decomposable
-    // regime. Reports are asserted bitwise identical inside each job.
-    println!("\nsharded sweep: cellular floor, MACAW, serial == {SHARDS} shards");
-    let mut shard_json: Vec<String> = Vec::new();
-    for c in &shard_cells {
-        let per_shard: Vec<String> = c
-            .stats
-            .per_shard
-            .iter()
-            .map(|s| {
-                format!(
-                    "        {{ \"islands\": {}, \"stations\": {}, \"streams\": {}, \"events\": {} }}",
-                    s.islands, s.stations, s.streams, s.events
-                )
-            })
-            .collect();
-        println!(
-            "  N={:<6} {:>5} streams  {:>5} islands (default floor: {})  {} events",
-            c.stations, c.streams, c.islands, c.default_floor_islands, c.events
-        );
-        shard_json.push(format!(
-            "    {{\n      \"stations\": {}, \"streams\": {}, \"events\": {},\n      \
-             \"islands\": {}, \"default_floor_islands\": {}, \"largest_island\": {},\n      \
-             \"shards\": {}, \"reports_identical\": true,\n      \
-             \"per_shard\": [\n{}\n      ]\n    }}",
-            c.stations,
-            c.streams,
-            c.events,
-            c.islands,
-            c.default_floor_islands,
-            c.stats.largest_island,
-            c.stats.shards,
-            per_shard.join(",\n")
-        ));
-    }
-
     let json = format!(
         "{{\n  \"workload\": \"random office floor (topology::scale_topology), seed {SEED}, 5 s sim with 1 s warm-up\",\n  \
            \"sweep\": [\n{}\n  ],\n  \
@@ -347,13 +233,10 @@ fn main() {
              \"bytes_n64\": {m64},\n    \
              \"bytes_n1024\": {m1024},\n    \
              \"growth_factor\": {growth:.2},\n    \
-             \"quadratic_reference\": 256.0\n  }},\n  \
-           \"sharded_sweep_note\": \"cellular floor (room_inset_ft 6, walker_share 0) under MACAW: one coupling island per room, run serially and via run_with_shards on a fixed {SHARDS} shards — bitwise-identical reports; whole islands are the unit of parallelism (DESIGN.md 'Parallel DES')\",\n  \
-           \"sharded_sweep\": [\n{}\n  ]\n}}\n",
+             \"quadratic_reference\": 256.0\n  }}\n}}\n",
         sweep_json.join(",\n"),
         sparse.footprint,
-        reference.footprint,
-        shard_json.join(",\n")
+        reference.footprint
     );
     cli.write(&json);
 }

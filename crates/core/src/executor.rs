@@ -3,9 +3,8 @@
 //! Every parallel fan-out runs through [`Executor::run`]: `n` independent
 //! jobs, each a pure function of its index, executed on a fixed pool of
 //! scoped workers. The bench binaries fan out paper tables, fault
-//! ladders, replication sweeps and model-checker subtrees on it, and
-//! [`Scenario::run_with_shards`](crate::scenario::Scenario::run_with_shards)
-//! runs its shards as its jobs. Determinism is structural, not
+//! ladders, replication sweeps and model-checker subtrees on it; a
+//! simulation itself runs on one event loop. Determinism is structural, not
 //! scheduled: job `i` writes its result into slot `i` of a pre-sized
 //! output vector, so the returned `Vec` is identical no matter which
 //! worker ran which job or in what order. The scheduler only decides

@@ -17,15 +17,13 @@
 //!   position jitter, applied to a scenario before it is built.
 //! * [`mobility`] — campus workloads: a [`topology`] floor whose pads roam
 //!   under seeded random-waypoint motion, emitted as batched move actions
-//!   so mobility composes with fault plans and sharding.
+//!   so mobility composes with fault plans.
 //! * [`partition`] — the conservative coupling partition
-//!   ([`partition::Partition`]) behind [`scenario::Scenario::run_with_shards`]:
-//!   islands of stations that can ever interact, run in parallel with a
-//!   bitwise-identical merged [`stats::RunReport`].
+//!   ([`partition::Partition`]): islands of stations that can ever
+//!   interact, which label events for the report's queue high-water mark.
 //! * [`executor`] — the [`Executor`], the one thread pool: a batch of
 //!   independent jobs on a shared cursor, results in index order. The
-//!   bench binaries fan their simulations out on it, and
-//!   [`scenario::Scenario::run_with_shards`] runs its shards as its jobs.
+//!   bench binaries fan their simulations out on it.
 //! * [`error`] — [`error::SimError`], the typed failure every fallible entry
 //!   point returns instead of panicking.
 //!
@@ -65,7 +63,7 @@ pub use executor::Executor;
 pub use faults::{Fault, FaultPlan, FaultPlanConfig};
 pub use mobility::{campus_topology, CampusConfig, WaypointConfig};
 pub use network::Network;
-pub use partition::{Partition, ShardRunStats, ShardStats};
+pub use partition::Partition;
 pub use scenario::{Dest, MacKind, Scenario, SourceKind, StreamSpec, TransportKind};
 pub use stats::{RunReport, StreamReport};
 pub use topology::{scale_topology, ScaleConfig};
@@ -77,7 +75,7 @@ pub mod prelude {
     pub use crate::figures;
     pub use crate::network::Network;
     pub use crate::mobility::{campus_topology, CampusConfig, WaypointConfig};
-    pub use crate::partition::{Partition, ShardRunStats, ShardStats};
+    pub use crate::partition::Partition;
     pub use crate::scenario::{Dest, MacKind, Scenario, SourceKind, StreamSpec, TransportKind};
     pub use crate::stats::{RunReport, StreamReport};
     pub use crate::topology::{scale_topology, ScaleConfig};

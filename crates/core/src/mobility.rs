@@ -12,8 +12,8 @@
 //! [`Scenario::move_stations_at`] batch per tick, so mobility flows through
 //! the same scheduled-action path as every fault plan. That keeps the whole
 //! determinism story intact for free — the batches are part of the
-//! scenario, so every shard of a sharded run builds them, and the coupling
-//! partition folds their targets into its position instances.
+//! scenario, and the coupling partition folds their targets into its
+//! position instances.
 //!
 //! Everything derives from `SimRng` streams forked off the caller's seed:
 //! the same `(config, seed, duration)` triple always yields the identical

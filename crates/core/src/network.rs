@@ -415,9 +415,8 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     /// are not counted — exactly as in [`EventQueue`]'s accounting.
     island_live: Vec<usize>,
     /// Per-island high-water mark of `island_live`, updated on schedule
-    /// only (the queue's own high-water is too). The report sums these, so
-    /// the figure decomposes over islands and is identical whether the
-    /// islands ran in one event loop or one loop per shard.
+    /// only (the queue's own high-water is too). The report sums these
+    /// (see [`Network::queue_stats`]).
     island_high: Vec<usize>,
     /// Optional hard cap on total events processed (fault-run safety net).
     watchdog: Option<u64>,
@@ -607,16 +606,10 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         self.island_high = vec![0; p.n_islands];
     }
 
-    /// Prime the first arrival of every stream and every scheduled action
-    /// whose island `owns` accepts. Called once before running: the serial
-    /// build owns every island, a shard of
-    /// [`Scenario::run_with_shards`](crate::scenario::Scenario::run_with_shards)
-    /// only its own.
-    pub(crate) fn prime(&mut self, owns: impl Fn(u32) -> bool) {
+    /// Prime the first arrival of every stream and every scheduled action.
+    /// Called once before running.
+    pub(crate) fn prime(&mut self) {
         for i in 0..self.streams.len() {
-            if !owns(self.island_of_stream[i]) {
-                continue;
-            }
             let st = &mut self.streams[i];
             // Random initial phase so same-rate CBR streams are not
             // pathologically synchronized (the paper's generators are
@@ -633,9 +626,6 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             );
         }
         for (i, a) in self.actions.iter().enumerate() {
-            if !owns(self.island_of_action[i]) {
-                continue;
-            }
             self.queue.schedule(a.at, Event::Action { index: i as u32 });
             note_island_schedule(
                 &mut self.island_live,
@@ -823,12 +813,11 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
 
     /// Operation counters of the underlying future-event list, with the
     /// live-depth high-water mark replaced by the **sum of per-island
-    /// high-water marks**. Islands never exchange events, so each island's
-    /// mark is a pure function of its own trajectory and the sum is
-    /// identical whether the islands share one event loop (serial run) or
-    /// run one loop per shard — which is what lets the sharded engine
-    /// reproduce this report field bitwise. For a single-island scenario
-    /// the sum *is* the queue's own global mark.
+    /// high-water marks** ([`crate::partition`]). Islands never exchange
+    /// events, so each island's mark is a pure function of its own
+    /// trajectory. For a single-island scenario the sum *is* the queue's
+    /// own global mark; with several islands it can exceed it, because
+    /// their peaks need not coincide.
     pub fn queue_stats(&self) -> QueueStats {
         let mut stats = self.queue.stats();
         stats.high_water = self.island_high.iter().sum();
@@ -1286,14 +1275,6 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             events_processed: self.events_processed,
             queue_stats: self.queue_stats(),
         }
-    }
-
-    /// Raw post-warm-up air-time totals `(data_ns, all_ns)`. The sharded
-    /// runner sums these integers across shards *before* the one conversion
-    /// to seconds, so the merged report's air fields are bitwise identical
-    /// to the serial engine's single-accumulator result.
-    pub(crate) fn air_totals_ns(&self) -> (u64, u64) {
-        (self.data_air_ns, self.air_ns)
     }
 
     /// Number of stations.

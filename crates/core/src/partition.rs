@@ -1,17 +1,18 @@
 //! Conservative coupling partition: the islands a scenario decomposes into.
 //!
+//! The labels exist only for the event list's high-water mark in
+//! [`Network::queue_stats`], which is a sum of one mark per island. That
+//! figure is part of every [`RunReport`], so every build computes the
+//! partition; it goes when the report takes the event list's own mark.
+//!
 //! The paper's near-field radio propagates *instantaneously* in the model
-//! (zero propagation delay, per §2.1 and the paper's own simulator): a
-//! carrier raised at station A is sensed by every in-range station at the
-//! same simulated instant. Two stations that can ever hear — or interfere
-//! with — each other therefore have **zero lookahead** between them, and no
-//! conservative window, however derived, can let their event loops drift
-//! apart. Conversely, under the hard interference cutoff a transmission
-//! contributes *exactly* `+0.0` power beyond the 10 ft reception ball, so
-//! two stations that can never reach each other share no observable state
-//! at all. The sound unit of parallelism is thus the connected component of
-//! the "can ever couple" graph — an **island** — and this module computes
-//! that graph conservatively from the declarative [`Scenario`]:
+//! (zero propagation delay, per §2.1 and the paper's own simulator), and
+//! under the hard interference cutoff a transmission contributes *exactly*
+//! `+0.0` power beyond the 10 ft reception ball. Two stations that can
+//! never reach each other therefore share no observable state at all. An
+//! **island** is a connected component of the "can ever couple" graph,
+//! which this module computes conservatively from the declarative
+//! [`Scenario`]:
 //!
 //! * **Geometry** — stations couple when any pair of their position
 //!   instances (initial placement plus every scheduled move target) comes
@@ -39,11 +40,10 @@
 //! never are cannot exchange a single frame — the sender's futile RTS
 //! attempts play out entirely inside its own island. A corruption window
 //! needs no island either: it only touches frames its source station
-//! sends, so it acts wherever that station's island runs and nowhere else.
+//! sends, so it acts inside that station's island.
 //!
 //! Under [`CutoffMode::Physical`] every station interferes with every other
-//! at any distance, so the whole scenario is one island and a sharded run
-//! degenerates (correctly) to the serial engine.
+//! at any distance, so the whole scenario is one island.
 //!
 //! The geometric rule is evaluated on a grid of cells one coupling radius
 //! on a side. The position instances are sorted by (cell, union-find root,
@@ -54,10 +54,12 @@
 //! once.
 //!
 //! [`CutoffMode::Physical`]: macaw_phy::CutoffMode::Physical
+//! [`Network::queue_stats`]: crate::network::Network::queue_stats
+//! [`RunReport`]: crate::stats::RunReport
 
 use std::ops::Range;
 
-use macaw_phy::{CutoffMode, MediumStats, Point, THRESHOLD_DISTANCE_FT};
+use macaw_phy::{CutoffMode, Point, THRESHOLD_DISTANCE_FT};
 
 use crate::network::ActionKind;
 use crate::scenario::Scenario;
@@ -65,8 +67,8 @@ use crate::scenario::Scenario;
 /// Slack added to every conservative coupling radius, in feet. The medium
 /// snaps station and noise positions to 1 ft³ cube centers, displacing each
 /// endpoint by at most √3/2 ft; 2.0 ft covers both endpoints of any pair
-/// with margin. Padding only ever *merges* islands, so it can cost
-/// parallelism but never correctness.
+/// with margin. Padding only ever *merges* islands, so it can coarsen the
+/// partition but never split a coupled pair.
 const COUPLING_PAD_FT: f64 = 2.0;
 
 /// The island decomposition of a scenario (see module docs). Island ids are
@@ -88,90 +90,17 @@ pub struct Partition {
     pub noise_island: Vec<u32>,
 }
 
+#[cfg(test)]
 impl Partition {
     /// Stations per island (station islands only; synthetic islands are
     /// empty by construction and report zero).
-    pub fn island_sizes(&self) -> Vec<usize> {
+    fn island_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.n_islands];
         for &i in &self.station_island {
             sizes[i as usize] += 1;
         }
         sizes
     }
-
-    /// Deterministic longest-processing-time assignment of islands to
-    /// `shards` bins, balancing an event-volume proxy (streams dominate,
-    /// stations and actions tie-break). Returns the shard of each island.
-    /// Islands sort by (weight desc, id asc); ties in bin load go to the
-    /// lowest-numbered shard, so the mapping is a pure function of the
-    /// partition and the shard count.
-    pub fn assign_shards(&self, shards: usize) -> Vec<u32> {
-        let shards = shards.max(1);
-        let mut weight = vec![1u64; self.n_islands];
-        for &i in &self.station_island {
-            weight[i as usize] += 1;
-        }
-        for &i in &self.stream_island {
-            weight[i as usize] += 64;
-        }
-        for &i in &self.action_island {
-            weight[i as usize] += 4;
-        }
-        let mut order: Vec<usize> = (0..self.n_islands).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(weight[i]), i));
-        let mut load = vec![0u64; shards];
-        let mut shard_of = vec![0u32; self.n_islands];
-        for i in order {
-            let mut best = 0;
-            for s in 1..shards {
-                if load[s] < load[best] {
-                    best = s;
-                }
-            }
-            shard_of[i] = best as u32;
-            load[best] += weight[i];
-        }
-        shard_of
-    }
-}
-
-/// Per-shard execution record of one sharded run.
-#[derive(Clone, Debug)]
-pub struct ShardStats {
-    /// Islands this shard owned.
-    pub islands: usize,
-    /// Stations in those islands (every shard *replicates* all stations,
-    /// but only these ever process an event).
-    pub stations: usize,
-    /// Streams this shard drove.
-    pub streams: usize,
-    /// Simulation events the shard's loop processed.
-    pub events: u64,
-}
-
-/// Execution statistics of a [`Scenario::run_with_shards`] call. Kept
-/// *outside* [`RunReport`](crate::stats::RunReport) on purpose: the report
-/// is bitwise-identical to the serial engine's, while these numbers (the
-/// load split) depend on the shard count.
-///
-/// [`Scenario::run_with_shards`]: crate::scenario::Scenario::run_with_shards
-#[derive(Clone, Debug)]
-pub struct ShardRunStats {
-    /// Shards requested. A shard that owns no island (shard 0 excepted)
-    /// builds nothing, and its [`ShardStats`] row is all zero.
-    pub shards: usize,
-    /// Islands in the scenario's coupling partition.
-    pub islands: usize,
-    /// Stations in the largest island — the serial floor no shard count
-    /// can break through.
-    pub largest_island: usize,
-    /// Medium operation counters merged across the shards that ran (ops
-    /// and fold terms sum; slab high-water is the per-shard max). Like the rest of this
-    /// struct they live outside [`RunReport`](crate::stats::RunReport) so
-    /// instrumentation can never perturb the bitwise-identity contract.
-    pub medium: MediumStats,
-    /// Per-shard records, by shard index.
-    pub per_shard: Vec<ShardStats>,
 }
 
 /// Union-find over station indices.
@@ -612,29 +541,6 @@ mod tests {
         sc.add_station("A", Point::new(0.0, 0.0, 0.0), MacKind::Macaw);
         sc.add_station("B", Point::new(1000.0, 0.0, 0.0), MacKind::Macaw);
         assert_eq!(sc.partition().unwrap().n_islands, 1);
-    }
-
-    #[test]
-    fn shard_assignment_is_deterministic_and_balanced() {
-        let mut sc = Scenario::new(1);
-        // Eight well-separated pairs, one stream each.
-        for i in 0..8 {
-            let x = i as f64 * 50.0;
-            let a = sc.add_station(&format!("A{i}"), Point::new(x, 0.0, 0.0), MacKind::Macaw);
-            let b = sc.add_station(&format!("B{i}"), Point::new(x + 5.0, 0.0, 0.0), MacKind::Macaw);
-            sc.add_udp_stream(&format!("s{i}"), a, b, 16, 512);
-        }
-        let p = sc.partition().unwrap();
-        assert_eq!(p.n_islands, 8);
-        let s4 = p.assign_shards(4);
-        assert_eq!(s4, p.assign_shards(4), "assignment is a pure function");
-        let mut counts = [0usize; 4];
-        for &s in &s4 {
-            counts[s as usize] += 1;
-        }
-        assert_eq!(counts, [2, 2, 2, 2], "equal islands spread evenly");
-        // One shard: everything lands in shard 0.
-        assert!(p.assign_shards(1).iter().all(|&s| s == 0));
     }
 
     /// The coupling rules stated directly: every pair of position

@@ -10,18 +10,15 @@ use macaw_mac::context::MacProtocol;
 use macaw_mac::csma::{Csma, CsmaConfig};
 use macaw_mac::frames::Addr;
 use macaw_mac::wmac::WMac;
-use macaw_phy::{
-    LinkWindow, Medium, MediumStats, Point, Propagation, PropagationConfig, StationId,
-};
+use macaw_phy::{LinkWindow, Medium, Point, Propagation, PropagationConfig, StationId, MAX_GAMMA};
 use macaw_sim::{SimDuration, SimRng, SimTime};
 use macaw_traffic::{Cbr, Poisson, TrafficSource};
 use macaw_transport::{TcpReceiver, TcpSender, Transport, UdpReceiver, UdpSender};
 
 use crate::error::SimError;
-use crate::executor::Executor;
 use crate::network::{ActionKind, Network, ScheduledAction};
-use crate::partition::{Partition, ShardRunStats, ShardStats};
-use crate::stats::{RunReport, StreamReport};
+use crate::partition::Partition;
+use crate::stats::RunReport;
 
 /// Which MAC protocol a station runs.
 #[derive(Clone, Copy, Debug)]
@@ -141,7 +138,6 @@ pub(crate) struct StationSpec {
 /// [`SimError::InvalidScenario`] when [`Scenario::build`] or
 /// [`Scenario::run`] is called, so misconfiguration surfaces as a typed
 /// error instead of a crash mid-construction.
-#[derive(Clone)]
 pub struct Scenario {
     pub(crate) seed: u64,
     pub(crate) prop: PropagationConfig,
@@ -220,12 +216,12 @@ impl Scenario {
     }
 
     /// Override the propagation model (default: the paper's near-field
-    /// model with a hard out-of-range cutoff). `gamma` must be finite and
-    /// positive.
+    /// model with a hard out-of-range cutoff). `gamma` must be positive and
+    /// at most [`MAX_GAMMA`].
     pub fn propagation(&mut self, cfg: PropagationConfig) -> &mut Self {
-        if !(cfg.gamma.is_finite() && cfg.gamma > 0.0) {
+        if !(cfg.gamma > 0.0 && cfg.gamma <= MAX_GAMMA) {
             self.note_defect(format!(
-                "propagation: gamma {} must be finite and positive",
+                "propagation: gamma {} must be positive and at most {MAX_GAMMA}",
                 cfg.gamma
             ));
         }
@@ -237,7 +233,8 @@ impl Scenario {
     /// base stations conventionally at z = 6 and pads at z = 0 (the paper's
     /// "pads are 6 feet below the base station height"). Every coordinate
     /// must be finite. A custom or CSMA MAC config must have backoff bounds
-    /// `1 <= bo_min <= bo_max`.
+    /// `1 <= bo_min <= bo_max <= u32::MAX / 2`: the MAC sums two estimates
+    /// and doubles the upper bound in `u32`.
     pub fn add_station(&mut self, name: &str, pos: Point, mac: MacKind) -> usize {
         self.check_point(pos, format_args!("add_station '{name}'"));
         let bounds = match mac {
@@ -249,6 +246,11 @@ impl Scenario {
             if !(1..=max).contains(&min) {
                 self.note_defect(format!(
                     "add_station '{name}': backoff bounds [{min}, {max}] need 1 <= bo_min <= bo_max"
+                ));
+            } else if max > u32::MAX / 2 {
+                self.note_defect(format!(
+                    "add_station '{name}': bo_max {max} exceeds {}",
+                    u32::MAX / 2
                 ));
             }
         }
@@ -604,23 +606,16 @@ impl Scenario {
         if let Some(msg) = self.defect.take() {
             return Err(SimError::InvalidScenario(msg));
         }
-        // Island labels for the per-island event accounting.
+        // Island labels for the per-island high-water accounting.
         let part = crate::partition::compute(&self);
-        Ok(self.assemble(&part, |_| true))
+        Ok(self.assemble(&part))
     }
 
-    /// The one network builder behind [`Scenario::build_with_queue`] and
-    /// every shard of [`Scenario::run_with_shards`]. `part` is this
-    /// scenario's coupling partition; only the stream arrivals and actions
-    /// of islands `owns` accepts are primed. Everything else is built but
-    /// stays inert: a MAC acts only when driven by traffic, a timer or a
-    /// received frame, and nothing outside the owned islands can produce
-    /// any of the three.
-    fn assemble<M: Medium, Q: macaw_sim::FelChoice>(
-        mut self,
-        part: &Partition,
-        owns: impl Fn(u32) -> bool,
-    ) -> Network<M, Q> {
+    /// Build the network of this defect-free scenario and prime every
+    /// stream arrival and scheduled action. `part` is the scenario's
+    /// coupling partition, whose island labels define
+    /// [`Network::queue_stats`]' high-water mark.
+    fn assemble<M: Medium, Q: macaw_sim::FelChoice>(mut self, part: &Partition) -> Network<M, Q> {
         let root = SimRng::new(self.seed);
         // Multicast group membership comes from both explicit joins and
         // stream declarations.
@@ -655,7 +650,7 @@ impl Scenario {
             net.add_station(s.name.clone(), mac, root.fork(0x57A7_0000 + i as u64));
         }
 
-        // Stream `i` is `StreamId(i)` in every network, serial or shard.
+        // Stream `i` is `StreamId(i)`.
         for (i, spec) in self.streams.iter().enumerate() {
             let source: Box<dyn TrafficSource> = match spec.source {
                 SourceKind::Cbr { pps } => Box::new(Cbr::pps(pps)),
@@ -712,15 +707,15 @@ impl Scenario {
             net.add_corruption_window(w);
         }
         net.set_islands(part);
-        net.prime(owns);
+        net.prime();
         net
     }
 
     /// The conservative coupling partition of this scenario: the islands
     /// of stations that can ever interact, plus the island of every
     /// stream, action and noise emitter. See [`crate::partition`] for the
-    /// coupling rules and [`Scenario::run_with_shards`] for the engine
-    /// built on top of it.
+    /// coupling rules; every build computes it for
+    /// [`Network::queue_stats`]' high-water mark.
     pub fn partition(&self) -> Result<Partition, SimError> {
         if let Some(msg) = &self.defect {
             return Err(SimError::InvalidScenario(msg.clone()));
@@ -753,137 +748,6 @@ impl Scenario {
         net.set_warmup(warmup_end);
         net.run_until(end)?;
         Ok(net.report(end))
-    }
-
-    /// Run the scenario **sharded**: decompose it into coupling islands
-    /// (see [`crate::partition`]), assign whole islands to `shards` shards,
-    /// run each shard as an independent event loop, one [`Executor`] job
-    /// per shard, and merge the per-shard results into a [`RunReport`]
-    /// that is bitwise identical to [`Scenario::run`]'s — the serial
-    /// engine stays the oracle, exactly as for the reference-vs-sparse
-    /// media and heap-vs-ladder FELs.
-    ///
-    /// Only shard 0 and the shards that own an island run, so a
-    /// one-island scenario runs inline with one build whatever `shards`
-    /// is. A shard that runs builds the whole scenario, on the default
-    /// medium and event list, through the same builder as
-    /// [`Scenario::build`], and primes only the stream arrivals and actions
-    /// of the islands it owns. Station and stream indices, RNG forks and
-    /// the medium are therefore identical to the serial build; the rest of
-    /// the network stays inert. Each stream and station row of the report
-    /// comes from the shard that owns its island.
-    ///
-    /// The model's zero propagation delay leaves zero conservative
-    /// lookahead *within* an island and unbounded lookahead *between*
-    /// islands, so there are no epochs or cross-shard inboxes to manage:
-    /// each shard runs its islands to completion and the only barrier is
-    /// the end of the batch (DESIGN.md "Parallel DES" derives this). The
-    /// attainable speed-up is therefore bounded by the island structure —
-    /// a scenario that is one big island (every paper-table topology) runs
-    /// serially whatever the shard count, which the returned
-    /// [`ShardRunStats`] makes visible.
-    pub fn run_with_shards(
-        mut self,
-        duration: SimDuration,
-        warmup: SimDuration,
-        shards: usize,
-    ) -> Result<(RunReport, ShardRunStats), SimError> {
-        if warmup >= duration {
-            return Err(SimError::InvalidScenario(
-                "warmup must end before the run does".to_string(),
-            ));
-        }
-        if let Some(msg) = self.defect.take() {
-            return Err(SimError::InvalidScenario(msg));
-        }
-        let part = crate::partition::compute(&self);
-        let n_shards = shards.max(1);
-        let shard_of = part.assign_shards(n_shards);
-        let owner = |island: u32| shard_of[island as usize] as usize;
-        // The shards that run, one job each, in shard order.
-        let ran: Vec<usize> = (0..n_shards)
-            .filter(|&s| s == 0 || shard_of.contains(&(s as u32)))
-            .collect();
-        let job_of = |shard: usize| ran.binary_search(&shard).ok();
-
-        let warmup_end = SimTime::ZERO + warmup;
-        let end = SimTime::ZERO + duration;
-        let results = Executor::new(ran.len()).try_run(ran.len(), |j| {
-            let mut net: Network = self.clone().assemble(&part, |i| owner(i) == ran[j]);
-            net.set_warmup(warmup_end);
-            net.run_until(end)?;
-            let medium = net.medium().medium_stats();
-            Ok::<_, SimError>((net.report(end), net.air_totals_ns(), medium))
-        })?;
-        let (mut data_ns, mut air_ns) = (0u64, 0u64);
-        let mut medium = MediumStats::default();
-        let mut reports = Vec::with_capacity(ran.len());
-        for (rep, (d, a), med) in results {
-            data_ns += d;
-            air_ns += a;
-            medium.merge(med);
-            reports.push(rep);
-        }
-        let report_of = |island: u32| &reports[job_of(owner(island)).expect("an owner runs")];
-
-        // Merge, field by field, into exactly what the serial engine
-        // reports. Per-stream and per-station rows come verbatim from the
-        // shard that owns their island (each shard computed its rates from
-        // the same `measured` value below, so the f64s are bit-identical);
-        // air totals are summed as integer nanoseconds *before* the single
-        // conversion to seconds; queue counters sum because every event
-        // belongs to exactly one island, and the high-water field was
-        // redefined as an island sum for precisely this reason (see
-        // [`Network::queue_stats`](crate::network::Network::queue_stats)).
-        let measured = end.saturating_since(warmup_end).as_secs_f64();
-        let streams: Vec<StreamReport> = part
-            .stream_island
-            .iter()
-            .enumerate()
-            .map(|(i, &isl)| report_of(isl).streams[i].clone())
-            .collect();
-        let mut mac_stats = Vec::with_capacity(part.station_island.len());
-        let mut mac_drops = Vec::with_capacity(part.station_island.len());
-        for (i, &isl) in part.station_island.iter().enumerate() {
-            mac_stats.push(report_of(isl).mac_stats[i]);
-            mac_drops.push(report_of(isl).mac_drops[i]);
-        }
-        let mut queue_stats = macaw_sim::QueueStats::default();
-        for rep in &reports {
-            queue_stats.scheduled += rep.queue_stats.scheduled;
-            queue_stats.popped += rep.queue_stats.popped;
-            queue_stats.cancelled += rep.queue_stats.cancelled;
-            queue_stats.high_water += rep.queue_stats.high_water;
-        }
-        let report = RunReport {
-            measured_secs: measured,
-            streams,
-            station_names: reports[0].station_names.clone(),
-            mac_stats,
-            mac_drops,
-            data_air_secs: data_ns as f64 / 1e9,
-            total_air_secs: air_ns as f64 / 1e9,
-            events_processed: reports.iter().map(|r| r.events_processed).sum(),
-            queue_stats,
-        };
-
-        let count = |islands: &[u32], s: usize| islands.iter().filter(|&&i| owner(i) == s).count();
-        let per_shard = (0..n_shards)
-            .map(|s| ShardStats {
-                islands: shard_of.iter().filter(|&&o| o as usize == s).count(),
-                stations: count(&part.station_island, s),
-                streams: count(&part.stream_island, s),
-                events: job_of(s).map_or(0, |j| reports[j].events_processed),
-            })
-            .collect();
-        let stats = ShardRunStats {
-            shards: n_shards,
-            islands: part.n_islands,
-            largest_island: part.island_sizes().into_iter().max().unwrap_or(0),
-            medium,
-            per_shard,
-        };
-        Ok((report, stats))
     }
 }
 
@@ -1083,6 +947,7 @@ mod tests {
         let cases = [
             ("gamma 0", prop(|c| c.gamma = 0.0)),
             ("gamma NaN", prop(|c| c.gamma = f64::NAN)),
+            ("gamma 330", prop(|c| c.gamma = 330.0)),
             (
                 "MacConfig bounds [0, 0]",
                 mac(MacKind::Custom(MacConfig {
@@ -1098,6 +963,13 @@ mod tests {
                     ..Default::default()
                 })),
             ),
+            (
+                "MacConfig bo_max 2^31",
+                mac(MacKind::Custom(MacConfig {
+                    bo_max: 1 << 31,
+                    ..MacConfig::macaw()
+                })),
+            ),
         ];
         for (what, sc) in cases {
             match sc.run(SimDuration::from_secs(5), SimDuration::from_secs(1)) {
@@ -1105,6 +977,18 @@ mod tests {
                 other => panic!("{what}: want InvalidScenario, got {other:?}"),
             }
         }
+        // The largest accepted bounds and γ run without overflow.
+        let widest = u32::MAX / 2;
+        mac(MacKind::Custom(MacConfig {
+            bo_min: widest,
+            bo_max: widest,
+            ..MacConfig::macaw()
+        }))
+        .run(SimDuration::from_secs(5), SimDuration::from_secs(1))
+        .unwrap();
+        prop(|c| c.gamma = MAX_GAMMA)
+            .run(SimDuration::from_secs(5), SimDuration::from_secs(1))
+            .unwrap();
     }
 
     #[test]
@@ -1266,30 +1150,17 @@ mod tests {
         assert!(s.delivered <= 2 * s.offered);
     }
 
-    /// Shard 0 always runs, so a scenario with no island (no stations) or
-    /// whose one island no station can hear (a lone noise emitter) still
-    /// merges into the serial report; the other shards own nothing, build
-    /// nothing and keep all-zero rows.
+    /// A scenario with no island (no stations) runs, and so does one
+    /// whose one island no station can hear (a lone noise emitter).
     #[test]
-    fn island_free_and_noise_only_scenarios_shard_like_serial() {
+    fn island_free_and_noise_only_scenarios_run() {
         let (dur, warm) = (SimDuration::from_secs(5), SimDuration::from_secs(1));
-        let noise_only = || {
-            let mut sc = Scenario::new(4);
-            sc.add_noise_source(Point::new(0.0, 0.0, 0.0), 1.0, true);
-            sc.set_noise_at(SimTime::ZERO + SimDuration::from_secs(2), 0, false);
-            sc
-        };
-        let empty = || Scenario::new(4);
-        for (mk, islands) in [(&empty as &dyn Fn() -> Scenario, 0), (&noise_only, 1)] {
-            let serial = mk().run(dur, warm).unwrap();
-            let (sharded, stats) = mk().run_with_shards(dur, warm, 4).unwrap();
-            assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
-            assert_eq!((stats.shards, stats.islands), (4, islands));
-            assert_eq!(stats.per_shard[0].events, serial.events_processed);
-            let idle = |r: &ShardStats| r.islands + r.stations + r.streams == 0 && r.events == 0;
-            assert!(stats.per_shard[1..].iter().all(idle));
-        }
+        let empty = Scenario::new(4).run(dur, warm).unwrap();
+        assert_eq!(empty.events_processed, 0);
+        let mut noise_only = Scenario::new(4);
+        noise_only.add_noise_source(Point::new(0.0, 0.0, 0.0), 1.0, true);
+        noise_only.set_noise_at(SimTime::ZERO + SimDuration::from_secs(2), 0, false);
         // The emitter's toggle is the noise-only run's one event.
-        assert_eq!(noise_only().run(dur, warm).unwrap().events_processed, 1);
+        assert_eq!(noise_only.run(dur, warm).unwrap().events_processed, 1);
     }
 }

@@ -56,9 +56,9 @@ pub struct RunReport {
     /// always-zero cancellation count, depth high-water mark). Pure
     /// functions of the event trajectory, so they are identical across FEL
     /// backends — the queue-equivalence tests compare them bitwise along
-    /// with everything else. The high-water mark is the **sum of per-island high-water
-    /// marks** (see `Network::queue_stats`), which makes it decompose over
-    /// coupling islands and reproduce bitwise under the sharded engine too.
+    /// with everything else. The high-water mark is the **sum of per-island
+    /// high-water marks** over the coupling partition (see
+    /// `Network::queue_stats`).
     pub queue_stats: QueueStats,
 }
 

@@ -37,6 +37,8 @@ pub mod sparse;
 pub use chaos::{corrupt_deliveries, LinkWindow};
 pub use geometry::{cube_center, Point};
 pub use medium::{Delivery, Medium, MediumStats, StationId, TxId};
-pub use propagation::{CutoffMode, Propagation, PropagationConfig, THRESHOLD_DISTANCE_FT};
+pub use propagation::{
+    CutoffMode, Propagation, PropagationConfig, MAX_GAMMA, THRESHOLD_DISTANCE_FT,
+};
 pub use reference::ReferenceMedium;
 pub use sparse::SparseMedium;

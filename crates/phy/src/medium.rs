@@ -68,9 +68,7 @@ impl TxId {
 /// the FEL vs the MAC machines.
 ///
 /// Implementations that don't track counters return the all-zero default.
-/// [`SparseMedium`](crate::sparse::SparseMedium) tracks all fields. Under
-/// the sharded engine the per-shard counters are summed, so totals stay
-/// comparable (each shard replays its islands' exact serial schedule).
+/// [`SparseMedium`](crate::sparse::SparseMedium) tracks all fields.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MediumStats {
     /// Transmissions started.
@@ -100,10 +98,10 @@ pub struct MediumStats {
 }
 
 impl MediumStats {
-    /// Fold another medium's counters into this one. The sharded engine
-    /// builds one medium per shard: operation and fold counters sum, the
-    /// slab high-water takes the per-medium max (each shard's slab is its
-    /// own allocation), and `slab_slots` sums into a total footprint.
+    /// Fold another medium's counters into this one, as a caller summing
+    /// several runs does: operation and fold counters sum, the slab
+    /// high-water takes the per-medium max (each medium's slab is its own
+    /// allocation), and `slab_slots` sums into a total footprint.
     pub fn merge(&mut self, o: MediumStats) {
         self.start_tx_ops += o.start_tx_ops;
         self.end_tx_ops += o.end_tx_ops;

@@ -26,6 +26,12 @@
 /// uses the signal strength at 10 ft.
 pub const THRESHOLD_DISTANCE_FT: f64 = 10.0;
 
+/// The largest decay exponent γ a scenario accepts. The reception
+/// threshold `(1 / THRESHOLD_DISTANCE_FT)^γ` is a normal f64 up to
+/// γ ≈ 307.65; above that it rounds toward 0, and sub-threshold gains start
+/// to pass the threshold test.
+pub const MAX_GAMMA: f64 = 307.0;
+
 /// Required power ratio of signal over summed interference, in dB: the
 /// paper uses 10 dB.
 pub const CAPTURE_MARGIN_DB: f64 = 10.0;

@@ -290,8 +290,8 @@ impl Medium for ReferenceMedium {
         // order, so interference folds depend only on the relative start
         // order of the transmissions that are actually audible at a station
         // — never on when unrelated, far-away transmissions end. That makes
-        // every fold a function of its own radio neighborhood, which the
-        // sharded engine relies on (see macaw-core's parallel run docs).
+        // every fold a function of its own radio neighborhood, as the sparse
+        // medium's stamp-ordered folds are.
         self.active.remove(idx);
         debug_assert_eq!(self.stations[source.0].transmitting, Some(tx));
         self.stations[source.0].transmitting = None;

@@ -66,9 +66,7 @@
 //! * `end_tx` vacates the slot, deleting one term — refold around the ended
 //!   source only. Stamp order makes every fold a function of the station's
 //!   own radio neighborhood: the active sub-sequence visible at a station
-//!   never depends on when unrelated transmissions elsewhere end, which is
-//!   what lets the sharded run in `macaw-core` reproduce the serial
-//!   trajectory island by island.
+//!   never depends on when unrelated transmissions elsewhere end.
 //! * A move changes terms involving the mover only — refold the mover,
 //!   plus its old and new neighborhoods if it is mid-transmission, once per
 //!   `set_positions` batch (a single `set_position` is a batch of one).
@@ -902,12 +900,14 @@ impl SparseMedium {
     /// effective^(1/γ)` — the audible radius at an effective (power · link)
     /// product. One ring always covers the unstretched radius; the `+ 1` on
     /// the stretched path insures against `powf` rounding at cell borders.
+    /// A reach beyond `i64` saturates: the grid clips rings to its occupied
+    /// cells.
     fn rings_for(&self, effective: f64) -> i64 {
         if effective <= 1.0 {
             return 1;
         }
         let reach = THRESHOLD_DISTANCE_FT * effective.powf(1.0 / self.prop.config().gamma);
-        (reach / CELL_EDGE as f64).ceil() as i64 + 1
+        ((reach / CELL_EDGE as f64).ceil() as i64).saturating_add(1)
     }
 
     /// Collect the ascending station indices within `rings` grid cells of

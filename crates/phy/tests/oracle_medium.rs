@@ -203,3 +203,26 @@ proptest! {
         run_schedule::<macaw_phy::SparseMedium>(seed, points, ops)?;
     }
 }
+
+/// A station so loud (tx power 1e120 at γ = 6) that its stretched reach
+/// spans more grid rings than `i64` holds: the sparse medium must still
+/// find the stations 40 ft away that the reference hears it at.
+#[test]
+fn a_loud_station_matches_reference_exactly() -> Result<(), TestCaseError> {
+    let points = vec![
+        Point::new(0.0, 0.0, 6.0),
+        Point::new(3.0, 0.0, 0.0),
+        Point::new(40.0, 0.0, 6.0),
+        Point::new(43.0, 0.0, 0.0),
+    ];
+    let ops = vec![
+        Op::SetPower(0, 1e120),
+        Op::Start(0),
+        Op::End(0),
+        Op::Start(3),
+        Op::Start(0),
+        Op::End(0),
+        Op::End(0),
+    ];
+    run_schedule::<macaw_phy::SparseMedium>(3, points, ops)
+}

@@ -6,9 +6,8 @@
 # Exits non-zero if anything fails to build, clippy or rustdoc reports any
 # warning (a dangling or private doc link included), any test fails, a
 # run panics or breaks one of its asserts (non-finite throughput, MACAW
-# not ahead of MACA on a corrupting channel, sparse != reference, serial
-# != sharded, a proof that fails, an oracle verdict that disagrees with
-# the reduced one), or a fresh BENCH_faults.json, BENCH_scale.json,
+# not ahead of MACA on a corrupting channel, sparse != reference, a proof
+# that fails, an oracle verdict that disagrees with the reduced one), or a fresh BENCH_faults.json, BENCH_scale.json,
 # BENCH_mobility.json, BENCH_replicate.json or BENCH_check.json differs
 # from the committed file by a single byte.
 set -euo pipefail
@@ -59,7 +58,7 @@ trap 'rm -rf "$out_dir"' EXIT
 cargo run --release -p macaw-bench --bin faults -- --out "$out_dir/BENCH_faults.json"
 cmp "$out_dir/BENCH_faults.json" BENCH_faults.json
 
-echo "== scaling sweep (full run: sparse == reference, serial == 2 shards, byte-compared with BENCH_scale.json) =="
+echo "== scaling sweep (full run: sparse == reference, byte-compared with BENCH_scale.json) =="
 cargo run --release -p macaw-bench --bin scale -- --out "$out_dir/BENCH_scale.json"
 cmp "$out_dir/BENCH_scale.json" BENCH_scale.json
 
@@ -69,9 +68,6 @@ cmp "$out_dir/BENCH_mobility.json" BENCH_mobility.json
 
 echo "== medium churn suite (slab vs reference oracle under end_tx-heavy schedules) =="
 cargo test -q --release -p macaw-phy --test churn_medium
-
-echo "== sharded-engine invariance suite =="
-cargo test -q --release -p macaw-bench --test sharding
 
 echo "== executor (serial == parallel on every worker count) =="
 cargo test -q --release -p macaw-bench --test executor
