@@ -17,9 +17,14 @@
 //! detection is on-path: because the canonical state embeds monotone
 //! progress counters, revisiting a state on the current path means a
 //! progress-free control-frame cycle — a livelock. Memo and path hold each
-//! state as a flat byte key, encoded and hashed once per visit; keys are
-//! equal exactly when the canonical states are, so the encoding never
-//! changes what the search finds.
+//! state as a flat byte key, encoded and hashed in one walk per visit into
+//! the memo's arena; keys are equal exactly when the canonical states are,
+//! so the encoding never changes what the search finds.
+//!
+//! The search keeps its choices and sleep sets in per-depth buffers and
+//! remembers only which event it chose at each depth. A violation's trace
+//! is rebuilt by replaying those events from the pass root, so no step
+//! records actions or state names until a counterexample needs them.
 //!
 //! # Reductions
 //!
@@ -57,11 +62,12 @@
 //! surviving subtree. Jobs run through a caller-supplied fan (the bench
 //! crate passes `macaw_core::Executor`, the shared-cursor pool) and merge
 //! in job-index order — stats are summed over *all* jobs and the first
-//! violating job supplies the counterexample, so the report is bitwise
-//! identical for any worker count. The one behavioral seam: a
-//! progress-free cycle that crosses the split boundary is caught one full
-//! cycle later, inside the job's own path set, which can require one extra
-//! `depth_step` of bound — the same for every worker count.
+//! violating job supplies the counterexample (replayed through the job's
+//! prefix, the events from the pass root to its split node), so the
+//! report is bitwise identical for any worker count. The one behavioral
+//! seam: a progress-free cycle that crosses the split boundary is caught
+//! one full cycle later, inside the job's own path set, which can require
+//! one extra `depth_step` of bound — the same for every worker count.
 
 use std::fmt;
 use std::sync::Arc;
@@ -74,7 +80,7 @@ use macaw_sim::{SimDuration, SimTime, TieBand};
 
 use crate::key::{KeyMap, StateKey};
 use crate::topology::Topology;
-use crate::world::{CanonBufs, FaultClass, World, WorldEvent};
+use crate::world::{CanonBufs, EventBuf, FaultClass, World, WorldEvent};
 
 /// What the terminal states must satisfy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -266,7 +272,7 @@ impl CheckReport {
 /// and merged by [`check_fan`], transported by the caller's fan function.
 pub struct SubtreeOut {
     stats: CheckStats,
-    violation: Option<Violation>,
+    violation: Option<Found>,
     pass_bound_hits: u64,
     exhausted: bool,
 }
@@ -320,15 +326,18 @@ where
         let mut root = World::new(Arc::clone(&topo), cfg.fault, band, cfg.seed, &make);
         let mut dfs = Dfs::new(&mut stats, cfg, split_at);
         let outcome = match root.inject() {
-            Err(v) => Err(dfs.violation(ViolationKind::Invariant(v))),
-            Ok(()) => dfs.visit(&root, depth, Vec::new()),
+            Err(v) => Err(Found {
+                kind: ViolationKind::Invariant(v),
+                events: Vec::new(),
+            }),
+            Ok(()) => dfs.search(&root, depth, &[]),
         };
         let mut pass_bound_hits = dfs.bound_hits_this_pass;
         exhausted |= dfs.exhausted;
         let jobs = std::mem::take(&mut dfs.jobs);
         drop(dfs);
-        if let Err(v) = outcome {
-            violation = Some(v);
+        if let Err(found) = outcome {
+            violation = Some(replay(&root, found.kind, &found.events));
             break;
         }
 
@@ -349,16 +358,14 @@ where
                 pass_bound_hits += out.pass_bound_hits;
                 exhausted |= out.exhausted;
             }
-            if let Some((job, out)) = jobs
+            if let Some((job, found)) = jobs
                 .iter()
-                .zip(&outs)
-                .find(|(_, out)| out.violation.is_some())
+                .zip(outs)
+                .find_map(|(job, out)| Some((job, out.violation?)))
             {
-                let v = out.violation.clone().expect("found violating job");
-                violation = Some(Violation {
-                    kind: v.kind,
-                    trace: job.prefix.iter().cloned().chain(v.trace).collect(),
-                });
+                let events: Vec<WorldEvent> =
+                    job.prefix.iter().cloned().chain(found.events).collect();
+                violation = Some(replay(&root, found.kind, &events));
                 break;
             }
         }
@@ -389,13 +396,13 @@ where
 }
 
 /// One split-frontier subtree: the world at the split node, the sleep set
-/// it was reached with, the remaining depth, and the trace prefix that
-/// led there (rebases job-local counterexamples and depths).
+/// it was reached with, the remaining depth, and the events that led there
+/// from the pass root (rebases job-local depths and counterexamples).
 struct Job<P: MacProtocol + MacSnapshot> {
     world: World<P>,
     sleep: Vec<WorldEvent>,
     depth_left: u32,
-    prefix: Vec<TraceStep>,
+    prefix: Vec<WorldEvent>,
 }
 
 fn run_job<P>(job: &Job<P>, cfg: &CheckConfig) -> SubtreeOut
@@ -404,7 +411,7 @@ where
 {
     let mut stats = CheckStats::default();
     let mut dfs = Dfs::new(&mut stats, cfg, None);
-    let outcome = dfs.visit(&job.world, job.depth_left, job.sleep.clone());
+    let outcome = dfs.search(&job.world, job.depth_left, &job.sleep);
     let pass_bound_hits = dfs.bound_hits_this_pass;
     let exhausted = dfs.exhausted;
     drop(dfs);
@@ -416,23 +423,77 @@ where
     }
 }
 
+/// A violation as a search finds it: its kind and the events that lead to
+/// it from the search's root. [`replay`] turns it into a [`Violation`].
+struct Found {
+    kind: ViolationKind,
+    events: Vec<WorldEvent>,
+}
+
+/// Rebuild a counterexample by replaying `events` from `root`: each step
+/// records its time, the stations' actions and their states after it. A
+/// transition that breaks a MAC invariant ends the trace with no actions
+/// and the states the failure left.
+fn replay<P>(root: &World<P>, kind: ViolationKind, events: &[WorldEvent]) -> Violation
+where
+    P: MacProtocol + MacSnapshot + Clone,
+{
+    let mut w = root.clone();
+    let mut trace = Vec::with_capacity(events.len());
+    for event in events {
+        let mut actions = Vec::new();
+        let applied = w.apply(event, |s, a| actions.push((s, *a)));
+        if applied.is_err() {
+            actions.clear();
+        }
+        trace.push(TraceStep {
+            at: w.clock(),
+            event: event.clone(),
+            actions,
+            states: w.state_kinds(),
+        });
+        if applied.is_err() {
+            break;
+        }
+    }
+    Violation { kind, trace }
+}
+
 /// Memo value: the remaining depth a canonical state was explored under
 /// and the sleep set (canonical labels, sorted) it was explored *with*.
 /// The state's outgoing events not in that sleep set are covered to that
 /// depth; a revisit is prunable only if its own sleep set would skip at
-/// most what the stored visit skipped.
+/// most what the stored visit skipped. An empty set owns no heap block.
 struct MemoEntry {
     depth: u32,
-    sleep: Vec<WorldEvent>,
+    sleep: Box<[WorldEvent]>,
+}
+
+/// The buffers of one search depth, refilled by every visit at that
+/// depth and left alone below it.
+#[derive(Default)]
+struct Level {
+    /// The visit's enabled events.
+    choices: EventBuf,
+    /// The index in `choices` of the event explored below this depth.
+    chosen: usize,
+    /// The sleep set the visit arrived with, in the world's own labels
+    /// (the parent fills it); after a partially covering memo hit, the
+    /// events this visit may skip.
+    sleep: EventBuf,
+    /// In canonical labels and sorted, what the memo will claim was
+    /// skipped.
+    key: EventBuf,
+    /// The events already explored from this visit.
+    done: EventBuf,
 }
 
 struct Dfs<'a, P: MacProtocol + MacSnapshot> {
+    /// The memo; its arena also holds the keys on the path.
     memo: KeyMap<MemoEntry>,
     /// Keys of the states on the current path, root first. At most one
     /// per level of the depth bound; a scan compares stored hashes first.
     path: Vec<StateKey>,
-    /// Encoding buffer reused by every [`StateKey::new`].
-    scratch: Vec<u8>,
     /// Canonical-state buffers every visit refills.
     canon: CanonBufs<P::Snap>,
     /// Spare child worlds, one per depth below the visit in progress: a
@@ -440,7 +501,10 @@ struct Dfs<'a, P: MacProtocol + MacSnapshot> {
     /// for each choice, and pushes it back, so each depth keeps reusing
     /// the same buffers.
     spare: Vec<World<P>>,
-    trace: Vec<TraceStep>,
+    /// Per-depth choices and sleep sets, indexed by the visit's depth
+    /// below the search root. The chosen events of `levels[..d]` are the
+    /// path to a visit at depth `d`.
+    levels: Vec<Level>,
     stats: &'a mut CheckStats,
     expectation: Expectation,
     reduce: bool,
@@ -467,22 +531,21 @@ fn subset(a: &[WorldEvent], b: &[WorldEvent]) -> bool {
     true
 }
 
-/// `a ∩ b` for sorted event lists.
-fn intersect(a: &[WorldEvent], b: &[WorldEvent]) -> Vec<WorldEvent> {
+/// `a ∩ b` for sorted event lists, refilled into `out`.
+fn intersect(a: &[WorldEvent], b: &[WorldEvent], out: &mut EventBuf) {
     let (mut i, mut j) = (0, 0);
-    let mut out = Vec::new();
+    out.clear();
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                out.push(a[i].clone());
+                out.push_clone(&a[i]);
                 i += 1;
                 j += 1;
             }
         }
     }
-    out
 }
 
 impl<'a, P> Dfs<'a, P>
@@ -493,10 +556,9 @@ where
         Dfs {
             memo: KeyMap::default(),
             path: Vec::new(),
-            scratch: Vec::new(),
             canon: CanonBufs::default(),
             spare: Vec::new(),
-            trace: Vec::new(),
+            levels: vec![Level::default()],
             stats,
             expectation: cfg.expectation,
             reduce: cfg.reduce,
@@ -508,42 +570,59 @@ where
         }
     }
 
-    /// Explore `w` with `depth_left` remaining depth. `sleep` is the
-    /// sleep set in the world's own station labels: events already covered
-    /// below an independent sibling of the path that led here.
-    fn visit(
+    /// Explore `root` with `depth_left` remaining depth, reached with the
+    /// sleep set `sleep` (world labels).
+    fn search(
         &mut self,
-        w: &World<P>,
+        root: &World<P>,
         depth_left: u32,
-        sleep: Vec<WorldEvent>,
-    ) -> Result<(), Violation> {
+        sleep: &[WorldEvent],
+    ) -> Result<(), Found> {
+        let first = &mut self.levels[0].sleep;
+        first.clear();
+        for e in sleep {
+            first.push_clone(e);
+        }
+        self.visit(root, depth_left, 0)
+    }
+
+    /// Explore `w`, `d` transitions below the search root, with
+    /// `depth_left` remaining depth. `levels[d].sleep` holds the sleep set
+    /// in the world's own station labels: events already covered below an
+    /// independent sibling of the path that led here.
+    fn visit(&mut self, w: &World<P>, depth_left: u32, d: usize) -> Result<(), Found> {
         if self.exhausted {
             self.bound_hits_this_pass += 1;
             self.stats.bound_hits += 1;
             return Ok(());
         }
         if let Some((station, detail)) = w.stuck() {
-            return Err(self.violation(ViolationKind::StuckWait { station, detail }));
+            return Err(self.found(ViolationKind::StuckWait { station, detail }, d));
         }
-        let choices = if self.reduce {
-            w.choices_reduced()
-        } else {
-            w.choices()
-        };
-        if choices.is_empty() {
+        if self.levels.len() < d + 2 {
+            self.levels.resize_with(d + 2, Level::default);
+        }
+        w.choices_into(self.reduce, &mut self.levels[d].choices);
+        if self.levels[d].choices.as_slice().is_empty() {
             self.stats.terminals += 1;
             self.stats.best_delivered = self.stats.best_delivered.max(w.delivered);
             if w.resolved < w.offered {
-                return Err(self.violation(ViolationKind::Deadlock {
-                    resolved: w.resolved,
-                    offered: w.offered,
-                }));
+                return Err(self.found(
+                    ViolationKind::Deadlock {
+                        resolved: w.resolved,
+                        offered: w.offered,
+                    },
+                    d,
+                ));
             }
             if self.expectation == Expectation::DeliverAll && w.delivered < w.offered {
-                return Err(self.violation(ViolationKind::Undelivered {
-                    delivered: w.delivered,
-                    offered: w.offered,
-                }));
+                return Err(self.found(
+                    ViolationKind::Undelivered {
+                        delivered: w.delivered,
+                        offered: w.offered,
+                    },
+                    d,
+                ));
             }
             return Ok(());
         }
@@ -555,155 +634,155 @@ where
 
         // Canonical state: symmetry-minimal when reducing (with `pi` the
         // minimizing group element, through which sleep sets are mapped
-        // into canonical labels), plain otherwise.
+        // into canonical labels), plain otherwise. Without reduction every
+        // sleep set is empty.
         let pi = if self.reduce {
             w.canon_min_into(&mut self.canon)
         } else {
             w.canon_into(&mut self.canon.min);
             0
         };
-        let key = StateKey::new(&self.canon.min, &mut self.scratch);
-        if self.path.contains(&key) {
-            return Err(self.violation(ViolationKind::Livelock));
+        let mut key = self.memo.encode(&self.canon.min);
+        if self.path.iter().any(|&k| self.memo.same(k, key)) {
+            return Err(self.found(ViolationKind::Livelock, d));
         }
 
-        let mut sleep_key: Vec<WorldEvent> = if self.reduce {
-            let p = &w.topology().sym[pi];
-            sleep.iter().map(|e| e.relabel(p)).collect()
-        } else {
-            sleep.clone()
-        };
-        sleep_key.sort();
-
-        // In the world's own labels, the events this visit may skip.
-        let mut effective_sleep = sleep;
-        // In canonical labels, what the memo will claim was skipped.
-        let mut store_sleep = sleep_key;
-        match self.memo.get(&key) {
-            Some(entry) if entry.depth >= depth_left => {
-                if subset(&entry.sleep, &store_sleep) {
+        let to_canon = &w.topology().sym[pi].station;
+        let level = &mut self.levels[d];
+        level.key.clear();
+        for e in level.sleep.as_slice() {
+            level.key.push_relabeled(e, to_canon);
+        }
+        level.key.sort();
+        if let Some((stored, entry)) = self.memo.get(key) {
+            if entry.depth >= depth_left {
+                if subset(&entry.sleep, level.key.as_slice()) {
                     // The stored visit skipped at most what we would skip:
                     // everything we would explore is already covered.
                     self.stats.dedup_hits += 1;
+                    self.memo.release(key);
                     return Ok(());
                 }
                 // Partially covered: re-enter sleeping only on events both
                 // visits agree to skip, and record that (conservatively at
                 // this visit's depth — a single entry cannot express
                 // mixed-depth coverage).
-                let inter = intersect(&entry.sleep, &store_sleep);
-                effective_sleep = if self.reduce {
-                    let inv = w.topology().sym[pi].inverse();
-                    inter.iter().map(|e| e.relabel(&inv)).collect()
-                } else {
-                    inter.clone()
-                };
-                store_sleep = inter;
+                intersect(&entry.sleep, level.key.as_slice(), &mut level.sleep);
+                std::mem::swap(&mut level.key, &mut level.sleep);
+                let mut to_world = [0; 64];
+                for (i, &j) in to_canon.iter().enumerate() {
+                    to_world[j] = i;
+                }
+                level.sleep.clear();
+                for e in level.key.as_slice() {
+                    level.sleep.push_relabeled(e, &to_world);
+                }
             }
-            _ => {}
+            // The state is stored: use the stored bytes.
+            self.memo.release(key);
+            key = stored;
         }
 
         // Split node: hand the subtree to a job instead of descending.
         // The memo entry dedups later expansion paths into this state;
         // the job re-explores with its own fresh memo and path, so a
         // cycle crossing the boundary is still caught (one lap later).
-        if let Some(split) = self.split_at {
-            if self.trace.len() as u32 == split {
-                self.memo.insert(
-                    key,
-                    MemoEntry {
-                        depth: depth_left,
-                        sleep: store_sleep,
-                    },
-                );
-                self.jobs.push(Job {
-                    world: w.clone(),
-                    sleep: effective_sleep,
-                    depth_left,
-                    prefix: self.trace.clone(),
-                });
-                return Ok(());
-            }
+        if self.split_at == Some(d as u32) {
+            let level = &self.levels[d];
+            let sleep = level.key.as_slice().into();
+            let job_sleep = level.sleep.as_slice().to_vec();
+            self.memo.insert(
+                key,
+                MemoEntry {
+                    depth: depth_left,
+                    sleep,
+                },
+            );
+            let prefix = self.path_events(d);
+            self.jobs.push(Job {
+                world: w.clone(),
+                sleep: job_sleep,
+                depth_left,
+                prefix,
+            });
+            return Ok(());
         }
 
         self.path.push(key);
 
         let mut result = Ok(());
-        let mut done: Vec<WorldEvent> = Vec::new();
+        self.levels[d].done.clear();
         let mut child = self.spare.pop().unwrap_or_else(|| w.clone());
-        for ev in choices {
-            if self.reduce && effective_sleep.contains(&ev) {
+        for i in 0..self.levels[d].choices.as_slice().len() {
+            let (upper, lower) = self.levels.split_at_mut(d + 1);
+            let level = &mut upper[d];
+            let ev = &level.choices.as_slice()[i];
+            if self.reduce && level.sleep.as_slice().contains(ev) {
                 self.stats.sleep_skips += 1;
                 continue;
             }
-            let child_sleep = if self.reduce {
-                effective_sleep
-                    .iter()
-                    .chain(done.iter())
-                    .filter(|f| w.independent(f, &ev))
-                    .cloned()
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let child_sleep = &mut lower[0].sleep;
+            child_sleep.clear();
+            if self.reduce {
+                for f in level.sleep.as_slice().iter().chain(level.done.as_slice()) {
+                    if w.independent(f, ev) {
+                        child_sleep.push_clone(f);
+                    }
+                }
+            }
+            level.chosen = i;
             child.clone_from(w);
-            match child.apply(&ev) {
-                Err(v) => {
-                    self.trace.push(TraceStep {
-                        at: child.clock(),
-                        event: ev,
-                        actions: Vec::new(),
-                        states: child.state_kinds(),
-                    });
-                    result = Err(self.violation(ViolationKind::Invariant(v)));
-                    break;
+            if let Err(v) = child.apply(ev, |_, _| {}) {
+                result = Err(self.found(ViolationKind::Invariant(v), d + 1));
+                break;
+            }
+            self.stats.states_explored += 1;
+            if let Some(budget) = self.state_budget {
+                if self.stats.states_explored >= budget {
+                    self.exhausted = true;
                 }
-                Ok(actions) => {
-                    self.stats.states_explored += 1;
-                    if let Some(budget) = self.state_budget {
-                        if self.stats.states_explored >= budget {
-                            self.exhausted = true;
-                        }
-                    }
-                    self.trace.push(TraceStep {
-                        at: child.clock(),
-                        event: ev.clone(),
-                        actions,
-                        states: child.state_kinds(),
-                    });
-                    self.stats.max_depth_reached =
-                        self.stats.max_depth_reached.max(self.trace.len() as u32);
-                    let r = self.visit(&child, depth_left - 1, child_sleep);
-                    self.trace.pop();
-                    if r.is_err() {
-                        result = r;
-                        break;
-                    }
-                    if self.reduce {
-                        done.push(ev);
-                    }
-                }
+            }
+            self.stats.max_depth_reached = self.stats.max_depth_reached.max(d as u32 + 1);
+            let r = self.visit(&child, depth_left - 1, d + 1);
+            if r.is_err() {
+                result = r;
+                break;
+            }
+            if self.reduce {
+                let level = &mut self.levels[d];
+                level.done.push_clone(&level.choices.as_slice()[i]);
             }
         }
         self.spare.push(child);
 
         let key = self.path.pop().expect("this visit's key tops the path");
         if result.is_ok() && !self.exhausted {
+            let sleep = self.levels[d].key.as_slice().into();
             self.memo.insert(
                 key,
                 MemoEntry {
                     depth: depth_left,
-                    sleep: store_sleep,
+                    sleep,
                 },
             );
         }
         result
     }
 
-    fn violation(&self, kind: ViolationKind) -> Violation {
-        Violation {
+    /// The events chosen on the path to a visit at depth `d`.
+    fn path_events(&self, d: usize) -> Vec<WorldEvent> {
+        self.levels[..d]
+            .iter()
+            .map(|l| l.choices.as_slice()[l.chosen].clone())
+            .collect()
+    }
+
+    /// A violation at a visit at depth `d` (for an invariant, the depth
+    /// the failing transition leads to).
+    fn found(&self, kind: ViolationKind, d: usize) -> Found {
+        Found {
             kind,
-            trace: self.trace.clone(),
+            events: self.path_events(d),
         }
     }
 }

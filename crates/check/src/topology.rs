@@ -32,21 +32,6 @@ impl SymPerm {
             stream: (0..flows as u32).collect(),
         }
     }
-
-    /// The inverse permutation (the group is closed under inversion, so
-    /// this is always another element; computing it directly avoids a
-    /// group search).
-    pub fn inverse(&self) -> SymPerm {
-        let mut station = vec![0; self.station.len()];
-        for (i, &j) in self.station.iter().enumerate() {
-            station[j] = i;
-        }
-        let mut stream = vec![0u32; self.stream.len()];
-        for (i, &j) in self.stream.iter().enumerate() {
-            stream[j as usize] = i as u32;
-        }
-        SymPerm { station, stream }
-    }
 }
 
 /// A station topology: who hears whom, and who sends what to whom.
@@ -500,20 +485,6 @@ mod tests {
         assert_eq!(t.seed_class, vec![0, 1, 0, 0, 0]);
         for p in &t.sym {
             assert_eq!(p.station[1], 1, "the receiver is fixed by every element");
-        }
-    }
-
-    #[test]
-    fn inverse_composes_to_identity() {
-        let t = Topology::contended_cell();
-        for p in &t.sym {
-            let inv = p.inverse();
-            for i in 0..t.n {
-                assert_eq!(inv.station[p.station[i]], i);
-            }
-            for f in 0..t.flows.len() {
-                assert_eq!(inv.stream[p.stream[f] as usize] as usize, f);
-            }
         }
     }
 

@@ -92,33 +92,6 @@ pub enum WorldEvent {
 }
 
 impl WorldEvent {
-    /// Rewrite every station index through `p`, producing the event the
-    /// relabeled world would take. `order` is an ordered delivery sequence
-    /// and keeps its order; `lost` is a set and is re-sorted.
-    pub fn relabel(&self, p: &SymPerm) -> WorldEvent {
-        match self {
-            WorldEvent::Fire { station, blind } => WorldEvent::Fire {
-                station: p.station[*station],
-                blind: *blind,
-            },
-            WorldEvent::FlightEnd {
-                src,
-                order,
-                lost,
-                noise,
-            } => {
-                let mut lost: Vec<usize> = lost.iter().map(|&r| p.station[r]).collect();
-                lost.sort_unstable();
-                WorldEvent::FlightEnd {
-                    src: p.station[*src],
-                    order: order.iter().map(|&r| p.station[r]).collect(),
-                    lost,
-                    noise: *noise,
-                }
-            }
-        }
-    }
-
     /// `true` iff this event spends adversary budget. Two budget-spending
     /// events are never independent: the shared budget couples their
     /// enabledness.
@@ -126,6 +99,127 @@ impl WorldEvent {
         match self {
             WorldEvent::Fire { blind, .. } => *blind,
             WorldEvent::FlightEnd { lost, noise, .. } => *noise || !lost.is_empty(),
+        }
+    }
+}
+
+/// A list of events refilled in place, one per search depth: the explorer
+/// fills its choices and sleep sets into these. Entries past the live
+/// length are kept, and a `FlightEnd` written over an entry reuses the
+/// `order` and `lost` vectors of a spare `FlightEnd`, so a fill no larger
+/// than an earlier one allocates nothing.
+#[derive(Default)]
+pub(crate) struct EventBuf {
+    events: Vec<WorldEvent>,
+    len: usize,
+}
+
+impl EventBuf {
+    /// Empty the list, keeping every entry's buffers.
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The live events.
+    pub(crate) fn as_slice(&self) -> &[WorldEvent] {
+        &self.events[..self.len]
+    }
+
+    /// Sort the live events (no allocation: an unstable sort, and equal
+    /// events are identical).
+    pub(crate) fn sort(&mut self) {
+        self.events[..self.len].sort_unstable();
+    }
+
+    /// The entry to overwrite next, holding a `FlightEnd` iff `flight`:
+    /// a spare entry of that kind is swapped in when there is one, so a
+    /// `Fire` never overwrites (and drops) a `FlightEnd`'s vectors.
+    fn next_slot(&mut self, flight: bool) -> &mut WorldEvent {
+        let is_flight = |e: &WorldEvent| matches!(e, WorldEvent::FlightEnd { .. });
+        match (self.len..self.events.len()).find(|&j| is_flight(&self.events[j]) == flight) {
+            Some(j) => self.events.swap(self.len, j),
+            None => {
+                self.events.push(if flight {
+                    WorldEvent::FlightEnd {
+                        src: 0,
+                        order: Vec::new(),
+                        lost: Vec::new(),
+                        noise: false,
+                    }
+                } else {
+                    WorldEvent::Fire {
+                        station: 0,
+                        blind: false,
+                    }
+                });
+                let last = self.events.len() - 1;
+                self.events.swap(self.len, last);
+            }
+        }
+        self.len += 1;
+        &mut self.events[self.len - 1]
+    }
+
+    pub(crate) fn push_fire(&mut self, station: usize, blind: bool) {
+        *self.next_slot(false) = WorldEvent::Fire { station, blind };
+    }
+
+    pub(crate) fn push_flight_end(
+        &mut self,
+        src: usize,
+        order: impl IntoIterator<Item = usize>,
+        lost: impl IntoIterator<Item = usize>,
+        noise: bool,
+    ) {
+        let WorldEvent::FlightEnd {
+            src: s,
+            order: o,
+            lost: l,
+            noise: z,
+        } = self.next_slot(true)
+        else {
+            unreachable!("next_slot(true) yields a FlightEnd");
+        };
+        *s = src;
+        o.clear();
+        o.extend(order);
+        l.clear();
+        l.extend(lost);
+        *z = noise;
+    }
+
+    /// Append a copy of `ev`.
+    pub(crate) fn push_clone(&mut self, ev: &WorldEvent) {
+        match ev {
+            WorldEvent::Fire { station, blind } => self.push_fire(*station, *blind),
+            WorldEvent::FlightEnd {
+                src,
+                order,
+                lost,
+                noise,
+            } => self.push_flight_end(*src, order.iter().copied(), lost.iter().copied(), *noise),
+        }
+    }
+
+    /// Append the event the relabeled world would take: `ev` with every
+    /// station index `s` rewritten to `station[s]`. `order` is a delivery
+    /// sequence and keeps its order; `lost` is a set and is re-sorted.
+    pub(crate) fn push_relabeled(&mut self, ev: &WorldEvent, station: &[usize]) {
+        match ev {
+            WorldEvent::Fire { station: s, blind } => self.push_fire(station[*s], *blind),
+            WorldEvent::FlightEnd {
+                src,
+                order,
+                lost,
+                noise,
+            } => {
+                let at = |&r: &usize| station[r];
+                let (order, lost) = (order.iter().map(at), lost.iter().map(at));
+                self.push_flight_end(station[*src], order, lost, *noise);
+                if let WorldEvent::FlightEnd { lost, .. } = &mut self.events[self.len - 1] {
+                    lost.sort_unstable();
+                }
+            }
         }
     }
 }
@@ -349,11 +443,11 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
             self.offered += 1;
             let busy = self.carrier_busy(src);
             self.stations[src].set_carrier(busy);
-            let obs = self.stations[src].step(Stimulus::Enqueue {
+            let enqueue = Stimulus::Enqueue {
                 dst: Addr::Unicast(dst),
                 sdu,
-            })?;
-            self.absorb(obs.actions);
+            };
+            self.step_station(src, enqueue, &mut |_, _| {})?;
         }
         Ok(())
     }
@@ -388,12 +482,25 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
         }
     }
 
-    /// Fold one step's observations into the world: transmissions key up
-    /// flights, deliveries and feedback advance the progress counters.
-    fn absorb(&mut self, actions: Vec<Action>) -> Vec<Action> {
-        for a in &actions {
+    /// Step station `i` and fold what it did into the world: transmissions
+    /// key up flights, deliveries and feedback advance the progress
+    /// counters, and `log` sees each action. Carriers are refreshed once
+    /// after the step: no station steps in between, so no MAC reads them
+    /// earlier.
+    fn step_station(
+        &mut self,
+        i: usize,
+        stim: Stimulus,
+        log: &mut impl FnMut(usize, &Action),
+    ) -> Result<(), MacInvariantViolation> {
+        let obs = self.stations[i].step(stim)?;
+        let mut keyed = false;
+        for a in obs.actions {
             match a {
-                Action::Transmit(f) => self.start_flight(*f),
+                Action::Transmit(f) => {
+                    Self::start_flight(&mut self.flights, &self.topo, self.clock, *f);
+                    keyed = true;
+                }
                 Action::DeliverUp { .. } => self.delivered += 1,
                 Action::Feedback(
                     MacFeedback::Sent { .. }
@@ -401,25 +508,29 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                     | MacFeedback::Refused { .. },
                 ) => self.resolved += 1,
             }
+            log(i, a);
         }
-        actions
+        if keyed {
+            self.refresh_carriers();
+        }
+        Ok(())
     }
 
-    fn start_flight(&mut self, frame: Frame) {
+    fn start_flight(flights: &mut Vec<Flight>, topo: &Topology, clock: SimTime, frame: Frame) {
         let Addr::Unicast(src) = frame.src else {
             unreachable!("stations transmit from unicast addresses");
         };
         debug_assert!(
-            self.flights.iter().all(|f| f.src != src),
+            flights.iter().all(|f| f.src != src),
             "station {src} keyed up while already transmitting"
         );
-        let n = self.topo.n;
+        let n = topo.n;
         let mut dirty = rx_bit(n, src); // own transmission is never a reception
-        for g in &mut self.flights {
+        for g in flights.iter_mut() {
             for r in 0..n {
                 // Overlap: a station hearing both transmitters decodes
                 // neither.
-                if self.topo.hears[src][r] && self.topo.hears[g.src][r] {
+                if topo.hears[src][r] && topo.hears[g.src][r] {
                     dirty |= rx_bit(n, r);
                     g.dirty |= rx_bit(n, r);
                 }
@@ -429,21 +540,22 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
             dirty |= rx_bit(n, g.src);
             g.dirty |= rx_bit(n, src);
         }
-        let ends = self.clock + frame.duration();
-        self.flights.push(Flight {
+        let ends = clock + frame.duration();
+        flights.push(Flight {
             src,
             frame,
             ends,
             dirty,
         });
-        self.refresh_carriers();
     }
 
     /// Every enabled transition from this state, in deterministic order:
     /// for each deadline in the current [`TieBand`], one event per
     /// adversary choice attached to it. Empty iff the world is quiescent.
     pub fn choices(&self) -> Vec<WorldEvent> {
-        self.choices_in(false)
+        let mut out = EventBuf::default();
+        self.choices_into(false, &mut out);
+        out.as_slice().to_vec()
     }
 
     /// [`World::choices`] with the reception-order reduction: delivery
@@ -454,98 +566,136 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// included), so every order is equivalent to the kept ascending
     /// representative of its commutation class.
     pub fn choices_reduced(&self) -> Vec<WorldEvent> {
-        self.choices_in(true)
+        let mut out = EventBuf::default();
+        self.choices_into(true, &mut out);
+        out.as_slice().to_vec()
     }
 
-    fn choices_in(&self, reduce: bool) -> Vec<WorldEvent> {
-        enum Tag {
-            Timer(usize),
-            Flight(usize),
-        }
-        let mut deadlines = Vec::new();
-        let mut tags = Vec::new();
-        for (i, s) in self.stations.iter().enumerate() {
-            if let Some(t) = s.timer_deadline() {
-                deadlines.push(t);
-                tags.push(Tag::Timer(i));
-            }
-        }
-        for (fi, f) in self.flights.iter().enumerate() {
-            deadlines.push(f.ends);
-            tags.push(Tag::Flight(fi));
-        }
-        let mut out = Vec::new();
-        for idx in self.band.enabled(&deadlines) {
-            match tags[idx] {
-                Tag::Timer(station) => {
-                    out.push(WorldEvent::Fire {
-                        station,
-                        blind: false,
-                    });
-                    if matches!(self.fault, FaultClass::CarrierBlind { .. })
-                        && self.budget > 0
-                        && self.carrier_busy(station)
-                    {
-                        out.push(WorldEvent::Fire {
-                            station,
-                            blind: true,
-                        });
-                    }
-                }
-                Tag::Flight(fi) => {
-                    let f = &self.flights[fi];
-                    let clean: Vec<usize> = (0..self.topo.n)
-                        .filter(|&r| {
-                            r != f.src
-                                && self.topo.hears[f.src][r]
-                                && f.dirty & rx_bit(self.topo.n, r) == 0
-                                && self.flights.iter().all(|g| g.src != r)
-                        })
-                        .collect();
-                    let loss_budget = match self.fault {
-                        FaultClass::Loss { .. } => self.budget as usize,
-                        _ => 0,
-                    };
-                    for lost in subsets_up_to(&clean, loss_budget) {
-                        let surviving: Vec<usize> =
-                            clean.iter().copied().filter(|r| !lost.contains(r)).collect();
-                        for order in permutations(&surviving) {
-                            if reduce && !self.foata_minimal(&order) {
-                                continue;
-                            }
-                            out.push(WorldEvent::FlightEnd {
-                                src: f.src,
-                                order,
-                                lost: lost.clone(),
-                                noise: false,
-                            });
-                        }
-                    }
-                    if matches!(self.fault, FaultClass::Noise { .. })
-                        && self.budget > 0
-                        && !clean.is_empty()
-                    {
-                        out.push(WorldEvent::FlightEnd {
-                            src: f.src,
-                            order: Vec::new(),
-                            lost: Vec::new(),
-                            noise: true,
-                        });
-                    }
+    /// [`World::choices`] (or, with `reduce`, [`World::choices_reduced`])
+    /// refilled into `out`. The deadlines [`TieBand::enabled`] would pick
+    /// are taken in its order: armed timers by station, then flights in
+    /// keying order.
+    pub(crate) fn choices_into(&self, reduce: bool, out: &mut EventBuf) {
+        out.clear();
+        let timers = self.stations.iter().filter_map(|s| s.timer_deadline());
+        let ends = self.flights.iter().map(|f| f.ends);
+        let Some(earliest) = timers.chain(ends).min() else {
+            return;
+        };
+        let cutoff = earliest + self.band.epsilon;
+        for (station, s) in self.stations.iter().enumerate() {
+            if s.timer_deadline().is_some_and(|t| t <= cutoff) {
+                out.push_fire(station, false);
+                if matches!(self.fault, FaultClass::CarrierBlind { .. })
+                    && self.budget > 0
+                    && self.carrier_busy(station)
+                {
+                    out.push_fire(station, true);
                 }
             }
         }
-        out
+        for f in self.flights.iter().filter(|f| f.ends <= cutoff) {
+            self.flight_end_choices(f, reduce, out);
+        }
     }
 
-    /// Apply one transition; returns the per-station actions it produced
-    /// (for counterexample traces). `Err` carries a MAC invariant
-    /// violation — itself a checkable outcome, not a crash.
+    /// The events that end flight `f`: for each loss subset of its clean
+    /// receivers within the budget (smallest mask first), every delivery
+    /// order of the survivors, then the noise burst if one is allowed.
+    ///
+    /// # Panics
+    /// Panics on 32 or more clean receivers: loss subsets are walked as
+    /// `u32` masks, and a wrapped shift would silently yield only the
+    /// empty subset, dropping every `Loss` choice.
+    fn flight_end_choices(&self, f: &Flight, reduce: bool, out: &mut EventBuf) {
+        let n = self.topo.n;
+        let mut clean = [0; 64];
+        let mut k = 0;
+        for r in 0..n {
+            if r != f.src
+                && self.topo.hears[f.src][r]
+                && f.dirty & rx_bit(n, r) == 0
+                && self.flights.iter().all(|g| g.src != r)
+            {
+                clean[k] = r;
+                k += 1;
+            }
+        }
+        assert!(
+            k < 32,
+            "{k} clean receivers: loss subsets are enumerated as u32 masks (at most 31)"
+        );
+        let clean = &clean[..k];
+        let loss_budget = match self.fault {
+            FaultClass::Loss { .. } => self.budget,
+            _ => 0,
+        };
+        let mut surviving = [0; 64];
+        let mut order = [0; 64];
+        for mask in 0u32..(1 << k) {
+            if mask.count_ones() > u32::from(loss_budget) {
+                continue;
+            }
+            let mut m = 0;
+            for (i, &r) in clean.iter().enumerate() {
+                if mask & (1 << i) == 0 {
+                    surviving[m] = r;
+                    m += 1;
+                }
+            }
+            let lost = (0..k).filter(|i| mask & (1 << i) != 0).map(|i| clean[i]);
+            self.delivery_orders(&surviving[..m], reduce, 0, &mut order, 0, &mut |o| {
+                out.push_flight_end(f.src, o.iter().copied(), lost.clone(), false);
+            });
+        }
+        if matches!(self.fault, FaultClass::Noise { .. }) && self.budget > 0 && k > 0 {
+            out.push_flight_end(f.src, [], [], true);
+        }
+    }
+
+    /// Call `emit` with every order of the receivers `v` (ascending) that
+    /// extends `order[..len]` without using the indices in `used`, in
+    /// lexicographic order. With `reduce`, a prefix is dropped at its
+    /// first descending, mutually inaudible adjacent pair: every order
+    /// through it fails [`World::choices_reduced`]'s Foata test, and every
+    /// order kept has passed it pair by pair.
+    fn delivery_orders(
+        &self,
+        v: &[usize],
+        reduce: bool,
+        used: u64,
+        order: &mut [usize; 64],
+        len: usize,
+        emit: &mut impl FnMut(&[usize]),
+    ) {
+        if len == v.len() {
+            emit(&order[..len]);
+            return;
+        }
+        for (i, &r) in v.iter().enumerate() {
+            if used & (1 << i) != 0 {
+                continue;
+            }
+            if reduce && len > 0 {
+                let prev = order[len - 1];
+                if prev > r && !self.topo.hears[prev][r] && !self.topo.hears[r][prev] {
+                    continue;
+                }
+            }
+            order[len] = r;
+            self.delivery_orders(v, reduce, used | 1 << i, order, len + 1, emit);
+        }
+    }
+
+    /// Apply one transition, passing each station's actions to `log` in
+    /// the order they happened (counterexample traces record them; the
+    /// search passes a sink that ignores them). `Err` carries a MAC
+    /// invariant violation — itself a checkable outcome, not a crash.
     pub fn apply(
         &mut self,
         ev: &WorldEvent,
-    ) -> Result<Vec<(usize, Action)>, MacInvariantViolation> {
-        let mut log = Vec::new();
+        mut log: impl FnMut(usize, &Action),
+    ) -> Result<(), MacInvariantViolation> {
         match ev {
             WorldEvent::Fire { station, blind } => {
                 let deadline = self.stations[*station]
@@ -559,10 +709,7 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                     self.budget -= 1;
                     self.stations[*station].set_carrier(false);
                 }
-                let obs = self.stations[*station].step(Stimulus::Timer)?;
-                for a in self.absorb(obs.actions) {
-                    log.push((*station, a));
-                }
+                self.step_station(*station, Stimulus::Timer, &mut log)?;
                 if *blind {
                     // Restore the true carrier state after the blinded query.
                     self.refresh_carriers();
@@ -593,19 +740,13 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                     // own continuation — same discipline as the simulation
                     // core's event loop.
                     for &r in order {
-                        let obs = self.stations[r].step(Stimulus::Receive(f.frame))?;
-                        for a in self.absorb(obs.actions) {
-                            log.push((r, a));
-                        }
+                        self.step_station(r, Stimulus::Receive(f.frame), &mut log)?;
                     }
                 }
-                let obs = self.stations[*src].step(Stimulus::TxEnd)?;
-                for a in self.absorb(obs.actions) {
-                    log.push((*src, a));
-                }
+                self.step_station(*src, Stimulus::TxEnd, &mut log)?;
             }
         }
-        Ok(log)
+        Ok(())
     }
 
     fn advance(&mut self, t: SimTime) {
@@ -876,63 +1017,6 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
         }
         self.footprint(a) & self.footprint(b) == 0
     }
-
-    /// Reception-order reduction predicate: keep `order` iff no adjacent
-    /// pair is descending *and* mutually inaudible. Each commutation class
-    /// of delivery orders keeps exactly its ascending-sorted
-    /// representatives.
-    fn foata_minimal(&self, order: &[usize]) -> bool {
-        order.windows(2).all(|w| {
-            w[0] < w[1] || self.topo.hears[w[0]][w[1]] || self.topo.hears[w[1]][w[0]]
-        })
-    }
-}
-
-/// All subsets of `v` with at most `k` elements, smallest masks first
-/// (deterministic enumeration order). `k = 0` yields just the empty set.
-///
-/// # Panics
-/// Panics if `v` has 32 or more elements: the enumeration walks `u32`
-/// masks, and a wrapped shift would silently yield only the empty subset,
-/// dropping every `Loss` choice.
-fn subsets_up_to(v: &[usize], k: usize) -> Vec<Vec<usize>> {
-    assert!(
-        v.len() < 32,
-        "{} clean receivers: loss subsets are enumerated as u32 masks (at most 31)",
-        v.len()
-    );
-    let mut out = Vec::new();
-    for mask in 0u32..(1 << v.len()) {
-        if (mask.count_ones() as usize) <= k {
-            out.push(
-                v.iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, &r)| r)
-                    .collect(),
-            );
-        }
-    }
-    out
-}
-
-/// All permutations of `v` in lexicographic index order. `v` holds one
-/// flight's clean receivers, at most `n - 1` of them: four in the
-/// five-station cell and star families, so at most 24 orders.
-fn permutations(v: &[usize]) -> Vec<Vec<usize>> {
-    if v.len() <= 1 {
-        return vec![v.to_vec()];
-    }
-    let mut out = Vec::new();
-    for i in 0..v.len() {
-        let mut rest = v.to_vec();
-        let head = rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, head);
-            out.push(tail);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -963,7 +1047,7 @@ pub(crate) mod tests {
             if seen.insert(w.canon()) {
                 for ev in w.choices_reduced() {
                     let mut child = w.clone();
-                    child.apply(&ev).unwrap();
+                    child.apply(&ev, |_, _| {}).unwrap();
                     stack.push(child);
                 }
             }
@@ -1164,7 +1248,7 @@ pub(crate) mod tests {
                 .cloned();
             match fire {
                 Some(ev) => {
-                    w.apply(&ev).unwrap();
+                    w.apply(&ev, |_, _| {}).unwrap();
                 }
                 None => break, // flights ended before both keyed up
             }
@@ -1191,6 +1275,167 @@ pub(crate) mod tests {
         assert_eq!(c1, w.canon());
     }
 
+    /// All subsets of `v` with at most `k` elements, smallest masks first.
+    fn subsets_up_to(v: &[usize], k: usize) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        for mask in 0u32..(1 << v.len()) {
+            if (mask.count_ones() as usize) <= k {
+                out.push(
+                    v.iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, &r)| r)
+                        .collect(),
+                );
+            }
+        }
+        out
+    }
+
+    /// All permutations of `v` in lexicographic index order.
+    fn permutations(v: &[usize]) -> Vec<Vec<usize>> {
+        if v.len() <= 1 {
+            return vec![v.to_vec()];
+        }
+        let mut out = Vec::new();
+        for i in 0..v.len() {
+            let mut rest = v.to_vec();
+            let head = rest.remove(i);
+            for mut tail in permutations(&rest) {
+                tail.insert(0, head);
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    /// Keep `order` iff no adjacent pair is descending and mutually
+    /// inaudible.
+    fn foata_minimal(w: &World<WMac>, order: &[usize]) -> bool {
+        order
+            .windows(2)
+            .all(|p| p[0] < p[1] || w.topo.hears[p[0]][p[1]] || w.topo.hears[p[1]][p[0]])
+    }
+
+    /// Every enabled event, enumerated by building each list whole: the
+    /// deadlines through [`TieBand::enabled`], every loss subset and every
+    /// permutation of the survivors, Foata-filtered after the fact. The
+    /// buffered enumeration's oracle.
+    fn choices_oracle(w: &World<WMac>, reduce: bool) -> Vec<WorldEvent> {
+        enum Tag {
+            Timer(usize),
+            Flight(usize),
+        }
+        let mut deadlines = Vec::new();
+        let mut tags = Vec::new();
+        for (i, s) in w.stations.iter().enumerate() {
+            if let Some(t) = s.timer_deadline() {
+                deadlines.push(t);
+                tags.push(Tag::Timer(i));
+            }
+        }
+        for (fi, f) in w.flights.iter().enumerate() {
+            deadlines.push(f.ends);
+            tags.push(Tag::Flight(fi));
+        }
+        let mut out = Vec::new();
+        for idx in w.band.enabled(&deadlines) {
+            match tags[idx] {
+                Tag::Timer(station) => {
+                    out.push(WorldEvent::Fire {
+                        station,
+                        blind: false,
+                    });
+                    if matches!(w.fault, FaultClass::CarrierBlind { .. })
+                        && w.budget > 0
+                        && w.carrier_busy(station)
+                    {
+                        out.push(WorldEvent::Fire {
+                            station,
+                            blind: true,
+                        });
+                    }
+                }
+                Tag::Flight(fi) => {
+                    let f = &w.flights[fi];
+                    let clean: Vec<usize> = (0..w.topo.n)
+                        .filter(|&r| {
+                            r != f.src
+                                && w.topo.hears[f.src][r]
+                                && f.dirty & rx_bit(w.topo.n, r) == 0
+                                && w.flights.iter().all(|g| g.src != r)
+                        })
+                        .collect();
+                    let loss_budget = match w.fault {
+                        FaultClass::Loss { .. } => w.budget as usize,
+                        _ => 0,
+                    };
+                    for lost in subsets_up_to(&clean, loss_budget) {
+                        let surviving: Vec<usize> = clean
+                            .iter()
+                            .copied()
+                            .filter(|r| !lost.contains(r))
+                            .collect();
+                        for order in permutations(&surviving) {
+                            if reduce && !foata_minimal(w, &order) {
+                                continue;
+                            }
+                            out.push(WorldEvent::FlightEnd {
+                                src: f.src,
+                                order,
+                                lost: lost.clone(),
+                                noise: false,
+                            });
+                        }
+                    }
+                    if matches!(w.fault, FaultClass::Noise { .. })
+                        && w.budget > 0
+                        && !clean.is_empty()
+                    {
+                        out.push(WorldEvent::FlightEnd {
+                            src: f.src,
+                            order: Vec::new(),
+                            lost: Vec::new(),
+                            noise: true,
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn buffered_choices_match_the_allocating_enumeration() {
+        let (mut orders, mut pruned) = (0, 0);
+        for run in every_visit() {
+            // One buffer per mode across the run: each fill starts dirty.
+            let mut bufs = [EventBuf::default(), EventBuf::default()];
+            for w in &run {
+                for (reduce, buf) in [false, true].into_iter().zip(&mut bufs) {
+                    w.choices_into(reduce, buf);
+                    assert_eq!(buf.as_slice(), choices_oracle(w, reduce));
+                }
+                let longest = |evs: &[WorldEvent]| {
+                    evs.iter()
+                        .map(|e| match e {
+                            WorldEvent::FlightEnd { order, .. } => order.len(),
+                            WorldEvent::Fire { .. } => 0,
+                        })
+                        .max()
+                };
+                orders += usize::from(longest(bufs[0].as_slice()) >= Some(2));
+                pruned += usize::from(bufs[1].as_slice().len() < bufs[0].as_slice().len());
+            }
+        }
+        // Both rules are exercised: visits with several delivery orders,
+        // and visits where the Foata filter drops some.
+        assert!(
+            orders > 0 && pruned > 0,
+            "{orders} with orders, {pruned} pruned"
+        );
+    }
+
     #[test]
     fn subset_and_permutation_enumeration_is_deterministic() {
         assert_eq!(subsets_up_to(&[7, 8], 1), vec![vec![], vec![7], vec![8]]);
@@ -1211,7 +1456,16 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "loss subsets are enumerated as u32 masks")]
     fn loss_subsets_beyond_31_receivers_are_rejected() {
-        let receivers: Vec<usize> = (0..32).collect();
-        let _ = subsets_up_to(&receivers, 1);
+        // Station 0 keys up an RTS that 32 idle stations hear cleanly.
+        let links: Vec<(usize, usize)> = (1..33).map(|r| (0, r)).collect();
+        let mut w = wmac_world(Topology::from_links("wide", 33, &links, &[], &[(0, 1)]));
+        w.inject().unwrap();
+        let fire = WorldEvent::Fire {
+            station: 0,
+            blind: false,
+        };
+        w.apply(&fire, |_, _| {}).unwrap();
+        assert_eq!(w.flights.len(), 1);
+        let _ = w.choices();
     }
 }

@@ -27,7 +27,6 @@ pub enum Action {
 /// `Clone` clones the full context — clock, RNG position, timer, recorded
 /// actions — so a state-space explorer can fork a station mid-run and
 /// drive the copies down different interleavings.
-#[derive(Clone)]
 pub struct ScriptedContext {
     now: SimTime,
     rng: SimRng,
@@ -43,6 +42,42 @@ pub struct ScriptedContext {
     pub timer_sets: u64,
     /// Number of `clear_timer` calls (whether or not a timer was armed).
     pub timer_clears: u64,
+}
+
+/// By hand so that `clone_from` refills the action buffer in place: the
+/// checker refills every child world's stations from their parent's on
+/// every transition.
+impl Clone for ScriptedContext {
+    fn clone(&self) -> Self {
+        ScriptedContext {
+            now: self.now,
+            rng: self.rng.clone(),
+            timer: self.timer,
+            carrier: self.carrier,
+            actions: self.actions.clone(),
+            timer_sets: self.timer_sets,
+            timer_clears: self.timer_clears,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let ScriptedContext {
+            now,
+            rng,
+            timer,
+            carrier,
+            actions,
+            timer_sets,
+            timer_clears,
+        } = source;
+        self.now = *now;
+        self.rng.clone_from(rng);
+        self.timer = *timer;
+        self.carrier = *carrier;
+        self.actions.clone_from(actions);
+        self.timer_sets = *timer_sets;
+        self.timer_clears = *timer_clears;
+    }
 }
 
 impl ScriptedContext {
@@ -172,6 +207,7 @@ impl MacContext for ScriptedContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frames::StreamId;
 
     #[test]
     fn timer_write_counters_track_every_call() {
@@ -188,5 +224,24 @@ mod tests {
         ctx.set_timer(SimDuration::from_micros(5));
         assert!(ctx.fire_timer());
         assert_eq!((ctx.timer_sets, ctx.timer_clears), (3, 2));
+    }
+
+    #[test]
+    fn clone_from_refills_the_action_buffer_in_place() {
+        let mut src = ScriptedContext::new(3);
+        let sdu = MacSdu {
+            stream: StreamId(0),
+            transport_seq: 1,
+            bytes: 512,
+        };
+        src.deliver_up(Addr::Unicast(1), sdu);
+        src.deliver_up(Addr::Unicast(2), sdu);
+        let mut dst = src.clone();
+        dst.actions.clear();
+        let buffer = dst.actions.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst.actions, src.actions);
+        assert_eq!(dst.actions.as_ptr(), buffer, "the buffer is kept");
+        assert_eq!(dst.rng_digest(), src.rng_digest());
     }
 }

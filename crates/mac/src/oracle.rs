@@ -67,10 +67,11 @@ impl Stimulus {
 
 /// Everything a station did in response to one stimulus.
 #[derive(Clone, Debug)]
-pub struct StepObs {
+pub struct StepObs<'a> {
     /// Upcalls made during the step, in order (transmissions, deliveries,
-    /// feedback events).
-    pub actions: Vec<Action>,
+    /// feedback events). Borrowed from the station's action buffer, which
+    /// the next step clears and refills.
+    pub actions: &'a [Action],
     /// The timer deadline left armed after the step, if any.
     pub timer: Option<SimTime>,
 }
@@ -142,19 +143,16 @@ impl<P: MacProtocol> Oracle<P> {
         &self.mac
     }
 
-    /// Drive one transition: deliver `stim`, return the drained
-    /// observations. Each step starts with an empty action log, so the
+    /// Drive one transition: deliver `stim`, return the observations. Each
+    /// step starts by clearing the action log (keeping its buffer), so the
     /// observations are exactly this transition's effects.
     ///
     /// # Panics
     /// Panics if `stim` is [`Stimulus::Timer`] and no timer is armed — that
     /// is a harness bug (the driver must only offer enabled stimuli), not a
     /// protocol outcome.
-    pub fn step(&mut self, stim: Stimulus) -> Result<StepObs, MacInvariantViolation> {
-        debug_assert!(
-            self.ctx.actions.is_empty(),
-            "observations from a previous step were not drained"
-        );
+    pub fn step(&mut self, stim: Stimulus) -> Result<StepObs<'_>, MacInvariantViolation> {
+        self.ctx.actions.clear();
         match stim {
             Stimulus::Enqueue { dst, sdu } => self.mac.enqueue(&mut self.ctx, dst, sdu)?,
             Stimulus::Timer => {
@@ -172,7 +170,7 @@ impl<P: MacProtocol> Oracle<P> {
             Stimulus::Receive(frame) => self.mac.on_receive(&mut self.ctx, &frame)?,
         }
         Ok(StepObs {
-            actions: std::mem::take(&mut self.ctx.actions),
+            actions: &self.ctx.actions,
             timer: self.ctx.timer,
         })
     }

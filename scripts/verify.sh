@@ -29,9 +29,10 @@ echo "== queue backends agree (ladder vs heap: random traces + every table famil
 cargo test -q --release -p macaw-sim --test proptest_queue
 cargo test -q --release -p macaw-bench --test determinism ladder_and_heap
 
-echo "== model-checker proofs (exhaustive proofs + seeded-bug detection) =="
+echo "== model-checker proofs (exhaustive proofs + seeded-bug detection + allocation census) =="
 cargo test -q --release -p macaw-check --test proofs
 cargo test -q --release -p macaw-check --test regression
+cargo test -q --release -p macaw-check --test allocations
 
 echo "== reduction soundness (reduced explorer vs oracle + parallel split determinism) =="
 cargo test -q --release -p macaw-check --test reduction
