@@ -19,7 +19,7 @@
 //! * `asymmetry` — a deep one-directional fade silences the pads'
 //!   replies for a stretch (Figure-6 two-cell); streams must stall
 //!   cleanly and recover, not deadlock.
-//! * `chaos` — a [`FaultPlan::generate`] schedule (every fault class at
+//! * `chaos` — an [`add_random_faults`] schedule (every fault class at
 //!   once) on the Figure-3 six-pad cell.
 
 use macaw_core::prelude::*;
@@ -304,8 +304,8 @@ fn asymmetry_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario,
     Ok(sc)
 }
 
-/// Every fault class at once: a [`FaultPlan::generate`] schedule scaled
-/// to the run length, applied identically to each protocol's copy of the
+/// Every fault class at once: an [`add_random_faults`] schedule scaled
+/// to the run length, declared identically on each protocol's copy of the
 /// Figure-3 six-pad cell. That topology's 7.2 ft pad-base links leave
 /// ~2.8 ft of slack against the 10 ft hard cutoff, so position jitters
 /// (which quantize to the 1 ft cube grid) degrade links without severing
@@ -323,8 +323,7 @@ fn chaos_cell(mac: MacKind, seed: u64, dur: SimDuration) -> Result<Scenario, Sim
         arena: 3.0,
     };
     let mut sc = figures::figure3(mac, seed);
-    let plan = FaultPlan::generate(seed, &cfg, sc.station_count());
-    plan.apply(&mut sc)?;
+    add_random_faults(&mut sc, seed, &cfg);
     Ok(sc)
 }
 

@@ -210,12 +210,12 @@ fn ladder_and_heap_agree_on_the_scale_floor() {
     assert_eq!(format!("{ladder:?}"), format!("{heap:?}"));
 }
 
-/// A chaos run is still a pure function of (topology, plan, seed): the
-/// same generated `FaultPlan` applied to the same scenario produces a
-/// bitwise-identical report, crashes and corruption windows included.
+/// A chaos run is still a pure function of (topology, seed): the same
+/// random faults declared on the same scenario produce a bitwise-identical
+/// report, crashes and corruption windows included.
 #[test]
 fn fault_plan_runs_are_bitwise_deterministic() {
-    use macaw_core::prelude::{FaultPlan, FaultPlanConfig};
+    use macaw_core::prelude::{add_random_faults, FaultPlanConfig};
     let dur = SimDuration::from_secs(20);
     let warm = SimDuration::from_secs(4);
     let cfg = FaultPlanConfig {
@@ -225,8 +225,7 @@ fn fault_plan_runs_are_bitwise_deterministic() {
     for seed in [2, 9] {
         let go = || {
             let mut sc = figures::figure10(MacKind::Macaw, seed);
-            let plan = FaultPlan::generate(seed, &cfg, sc.station_count());
-            plan.apply(&mut sc).unwrap();
+            add_random_faults(&mut sc, seed, &cfg);
             sc.run(dur, warm).unwrap()
         };
         let a = go();
@@ -244,7 +243,7 @@ fn fault_plan_runs_are_bitwise_deterministic() {
 /// run of the same scenario and seed, so the test above is not vacuous.
 #[test]
 fn fault_plan_changes_the_trajectory() {
-    use macaw_core::prelude::{FaultPlan, FaultPlanConfig};
+    use macaw_core::prelude::{add_random_faults, FaultPlanConfig};
     let dur = SimDuration::from_secs(20);
     let warm = SimDuration::from_secs(4);
     let cfg = FaultPlanConfig {
@@ -255,8 +254,7 @@ fn fault_plan_changes_the_trajectory() {
     };
     let clean = figures::figure10(MacKind::Macaw, 5).run(dur, warm).unwrap();
     let mut sc = figures::figure10(MacKind::Macaw, 5);
-    let plan = FaultPlan::generate(5, &cfg, sc.station_count());
-    plan.apply(&mut sc).unwrap();
+    add_random_faults(&mut sc, 5, &cfg);
     let faulted = sc.run(dur, warm).unwrap();
-    assert_ne!(clean, faulted, "fault plan had no observable effect");
+    assert_ne!(clean, faulted, "random faults had no observable effect");
 }

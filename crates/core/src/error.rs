@@ -2,12 +2,12 @@
 //!
 //! Scenario construction and the run loop return [`SimError`] instead of
 //! panicking: a misconfigured scenario (dangling station index, TCP
-//! multicast, inverted warm-up), an invalid fault schedule, or a run that
-//! trips the watchdog all surface as values the caller — in particular the
-//! `tables` / `faults` / `replicate` binaries — can print and exit on. Internal
-//! invariants (states unreachable from any public API) remain
-//! `debug_assert!`s; `SimError` is strictly for conditions a user can
-//! cause from outside.
+//! multicast, inverted warm-up, a restart with no crash before it) or a
+//! run that trips the watchdog surfaces as a value the caller — in
+//! particular the `tables` / `faults` / `replicate` binaries — can print
+//! and exit on. Internal invariants (states unreachable from any public
+//! API) remain `debug_assert!`s; `SimError` is strictly for conditions a
+//! user can cause from outside.
 
 use std::fmt;
 
@@ -21,9 +21,6 @@ pub enum SimError {
     /// invalid stream, bad parameter). The message names the offending
     /// element.
     InvalidScenario(String),
-    /// A fault schedule references stations or times that do not exist or
-    /// make no sense (crash of an unknown station, inverted window).
-    InvalidFaultPlan(String),
     /// The run exceeded its event budget or looped at a single instant;
     /// `diagnostic` is a human-readable snapshot of the stuck network.
     WatchdogTripped {
@@ -50,7 +47,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::InvalidScenario(msg) => write!(f, "invalid scenario: {msg}"),
-            SimError::InvalidFaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
             SimError::WatchdogTripped { at, events, diagnostic } => write!(
                 f,
                 "watchdog tripped at t={at} after {events} events\n{diagnostic}"

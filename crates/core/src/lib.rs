@@ -12,12 +12,12 @@
 //!   table's two columns differ by exactly one toggle.
 //! * [`stats`] — per-stream throughput, Jain's fairness index, and the run
 //!   report the benches print.
-//! * [`faults`] — the deterministic fault-injection plan ([`faults::FaultPlan`]):
+//! * [`faults`] — seeded random fault injection ([`faults::add_random_faults`]):
 //!   noise bursts, corruption windows, station crashes, link asymmetry and
-//!   position jitter, applied to a scenario before it is built.
+//!   position jitter, drawn straight into a scenario's fault builders.
 //! * [`mobility`] — campus workloads: a [`topology`] floor whose pads roam
 //!   under seeded random-waypoint motion, emitted as batched move actions
-//!   so mobility composes with fault plans.
+//!   through the same builders as random faults.
 //! * [`partition`] — the conservative coupling partition
 //!   ([`partition::Partition`]): islands of stations that can ever
 //!   interact, which label events for the report's queue high-water mark.
@@ -60,7 +60,7 @@ pub mod topology;
 
 pub use error::SimError;
 pub use executor::Executor;
-pub use faults::{Fault, FaultPlan, FaultPlanConfig};
+pub use faults::{add_random_faults, FaultPlanConfig};
 pub use mobility::{campus_topology, CampusConfig, WaypointConfig};
 pub use network::Network;
 pub use partition::Partition;
@@ -71,7 +71,7 @@ pub use topology::{scale_topology, ScaleConfig};
 /// The commonly used names in one import.
 pub mod prelude {
     pub use crate::error::SimError;
-    pub use crate::faults::{Fault, FaultPlan, FaultPlanConfig};
+    pub use crate::faults::{add_random_faults, FaultPlanConfig};
     pub use crate::figures;
     pub use crate::network::Network;
     pub use crate::mobility::{campus_topology, CampusConfig, WaypointConfig};

@@ -10,7 +10,8 @@
 //! Motion is *declared*, not simulated ad hoc: the driver samples every
 //! mover's position once per tick and emits one
 //! [`Scenario::move_stations_at`] batch per tick, so mobility flows through
-//! the same scheduled-action path as every fault plan. That keeps the whole
+//! the same builders and scheduled-action path as
+//! [`crate::faults::add_random_faults`]. That keeps the whole
 //! determinism story intact for free — the batches are part of the
 //! scenario, and the coupling partition folds their targets into its
 //! position instances.

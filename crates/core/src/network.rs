@@ -34,16 +34,20 @@ use std::collections::VecDeque;
 use macaw_mac::context::{MacContext, MacFeedback, MacProtocol, MacResult};
 use macaw_mac::frames::{Addr, Frame, MacSdu, StreamId};
 use macaw_phy::{
-    corrupt_deliveries, Delivery, LinkWindow, Medium, Point, SparseMedium, StationId, TxId,
+    corrupt_deliveries, Delivery, LinkWindow, Medium, Point, Propagation, SparseMedium, StationId,
+    TxId,
 };
 use macaw_sim::{
     EventQueue, Fel, FelChoice, LadderFel, NextFire, QueueStats, SimDuration, SimRng, SimTime,
 };
-use macaw_traffic::TrafficSource;
-use macaw_transport::{Segment, Transport, TransportContext};
+use macaw_traffic::{Cbr, Poisson, TrafficSource};
+use macaw_transport::{
+    Segment, TcpReceiver, TcpSender, Transport, TransportContext, UdpReceiver, UdpSender,
+};
 
 use crate::error::SimError;
 use crate::partition::Partition;
+use crate::scenario::{Dest, Scenario, SourceKind, TransportKind};
 use crate::stats::{RunReport, StreamReport};
 
 /// A trace record emitted by [`Network::set_tracer`] hooks. Useful for
@@ -129,7 +133,6 @@ const TIMER_ARITY: usize = 4;
 /// [`EventQueue::alloc_key`]'s globally unique counter, so the minimum is
 /// unambiguous and fire order is identical to a full linear scan (kept as
 /// the `scan_timers` debug oracle).
-#[derive(Default)]
 struct TimerIndex {
     /// Heap nodes `(deadline, sort key, slot)`, minimum at index 0.
     heap: Vec<(SimTime, u64, u32)>,
@@ -140,15 +143,14 @@ struct TimerIndex {
 }
 
 impl TimerIndex {
-    /// Register one MAC timer slot (a new station).
-    fn add_mac_slot(&mut self) {
-        self.pos_mac.push(TIMER_ABSENT);
-    }
-
-    /// Register `n` transport timer slots (a new stream adds two).
-    fn add_tp_slots(&mut self, n: usize) {
-        let len = self.pos_tp.len() + n;
-        self.pos_tp.resize(len, TIMER_ABSENT);
+    /// An index over `mac` station slots and `tp` transport slots, none
+    /// of them armed.
+    fn new(mac: usize, tp: usize) -> Self {
+        TimerIndex {
+            heap: Vec::new(),
+            pos_mac: vec![TIMER_ABSENT; mac],
+            pos_tp: vec![TIMER_ABSENT; tp],
+        }
     }
 
     /// The earliest pending timer across every slot, O(1).
@@ -293,10 +295,10 @@ pub(crate) enum ActionKind {
     /// re-folds across the batch. The table lives outside this enum so the
     /// action stays `Copy`.
     MoveBatch { start: u32, len: u32 },
-    /// Power a station off (the Figure-9 "pad is turned off").
+    /// Power a station off for good (the Figure-9 "pad is turned off"):
+    /// a frame in flight finishes on the air, but the station hears
+    /// nothing more and its timer is cleared.
     PowerOff { station: usize },
-    /// Power a station back on.
-    PowerOn { station: usize },
     /// Toggle a spatial noise emitter.
     SetNoise { index: usize, active: bool },
     /// Crash a station: any frame in flight is truncated on the air, the
@@ -306,8 +308,9 @@ pub(crate) enum ActionKind {
         station: usize,
         preserve_queues: bool,
     },
-    /// Bring a crashed (or powered-off) station back up and kick its MAC
-    /// so preserved queues resume contention.
+    /// Bring a crashed station back up and kick its MAC so preserved
+    /// queues resume contention. The builder only schedules one after a
+    /// crash of the same station, which reset the MAC the kick wakes.
     Restart { station: usize },
     /// Scale one directional link's gain (asymmetry fault).
     SetLinkGain { src: usize, dst: usize, factor: f64 },
@@ -405,8 +408,7 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     /// delivery allocates nothing in steady state.
     delivery_buf: Vec<Delivery>,
     /// Island of each station / stream / scheduled action under the
-    /// scenario's coupling partition ([`crate::partition`]), installed by
-    /// the builder before [`Network::prime`].
+    /// scenario's coupling partition ([`crate::partition`]).
     island_of_station: Vec<u32>,
     island_of_stream: Vec<u32>,
     island_of_action: Vec<u32>,
@@ -438,33 +440,139 @@ impl<M: Medium, Q: FelChoice> std::fmt::Debug for Network<M, Q> {
 }
 
 impl<M: Medium, Q: FelChoice> Network<M, Q> {
-    pub(crate) fn new(medium: M) -> Self {
-        Network {
+    /// Build the network of a defect-free scenario and prime every stream
+    /// arrival and scheduled action. `part` is the scenario's coupling
+    /// partition, whose island labels define [`Network::queue_stats`]'
+    /// high-water mark.
+    pub(crate) fn new(sc: Scenario, part: Partition) -> Self {
+        let Scenario {
+            seed,
+            prop,
+            mut stations,
+            streams,
+            noise,
+            actions,
+            moves,
+            windows,
+            ..
+        } = sc;
+        let root = SimRng::new(seed);
+        // Multicast group membership comes from both explicit joins and
+        // stream declarations.
+        for spec in &streams {
+            if let Dest::Group { group, members } = &spec.dst {
+                for &m in members {
+                    if !stations[m].groups.contains(group) {
+                        stations[m].groups.push(*group);
+                    }
+                }
+            }
+        }
+
+        let mut medium = M::new(Propagation::new(prop), root.fork(0xA11CE));
+        for (i, s) in stations.iter().enumerate() {
+            let id = medium.add_station(s.pos);
+            debug_assert_eq!(id, StationId(i));
+            medium.set_rx_error_rate(id, s.rx_error_rate);
+            if s.tx_power != 1.0 {
+                medium.set_tx_power(id, s.tx_power);
+            }
+        }
+        for &(pos, power, active) in &noise {
+            let idx = medium.add_noise_source(pos, power);
+            medium.set_noise_active(idx, active);
+        }
+
+        let (n_stations, n_streams) = (stations.len(), streams.len());
+        let stations = stations
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| StationSlot {
+                mac: Some(s.mac.build(Addr::Unicast(i), &s.groups)),
+                name: s.name,
+                rng: root.fork(0x57A7_0000 + i as u64),
+                tx: None,
+                on: true,
+                epoch: 0,
+                mac_drops: 0,
+            })
+            .collect();
+        // Stream `i` is `StreamId(i)`.
+        let streams = streams
+            .into_iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let source: Box<dyn TrafficSource> = match spec.source {
+                    SourceKind::Cbr { pps } => Box::new(Cbr::pps(pps)),
+                    SourceKind::Poisson { pps } => Box::new(Poisson::pps(pps)),
+                };
+                let (sender, dst): (Box<dyn Transport>, _) = match spec.dst {
+                    Dest::Station(station) => {
+                        let (sender, receiver): (Box<dyn Transport>, Box<dyn Transport>) =
+                            match spec.transport {
+                                TransportKind::Udp => {
+                                    (Box::new(UdpSender::new()), Box::new(UdpReceiver::new()))
+                                }
+                                TransportKind::Tcp => (
+                                    Box::new(TcpSender::new(spec.bytes)),
+                                    Box::new(TcpReceiver::new()),
+                                ),
+                            };
+                        let endpoint = Some(receiver);
+                        (sender, StreamDst::Unicast { station, endpoint })
+                    }
+                    Dest::Group { group, members } => (
+                        Box::new(UdpSender::new()),
+                        StreamDst::Multicast { group, members },
+                    ),
+                };
+                StreamState {
+                    name: spec.name,
+                    src: spec.src,
+                    dst,
+                    bytes: spec.bytes,
+                    source,
+                    rng: root.fork(0x5742_0000 + i as u64),
+                    start: spec.start,
+                    stop: spec.stop,
+                    sender: Some(sender),
+                    offered: 0,
+                    delivered: 0,
+                    offered_measured: 0,
+                    delivered_measured: 0,
+                    delivered_bytes_measured: 0,
+                }
+            })
+            .collect();
+
+        let mut net = Network {
             medium,
-            windows: Vec::new(),
+            windows,
             queue: EventQueue::new(),
-            stations: Vec::new(),
-            streams: Vec::new(),
-            mac_timers: Vec::new(),
-            tp_timers: Vec::new(),
-            timer_index: TimerIndex::default(),
-            actions: Vec::new(),
-            moves: Vec::new(),
+            stations,
+            streams,
+            mac_timers: vec![NO_TIMER; n_stations],
+            tp_timers: vec![NO_TIMER; 2 * n_streams],
+            timer_index: TimerIndex::new(n_stations, 2 * n_streams),
+            actions,
+            moves,
             effects: VecDeque::new(),
             warmup_end: SimTime::ZERO,
             data_air_ns: 0,
             air_ns: 0,
             events_processed: 0,
             delivery_buf: Vec::new(),
-            island_of_station: Vec::new(),
-            island_of_stream: Vec::new(),
-            island_of_action: Vec::new(),
-            island_live: Vec::new(),
-            island_high: Vec::new(),
+            island_of_station: part.station_island,
+            island_of_stream: part.stream_island,
+            island_of_action: part.action_island,
+            island_live: vec![0; part.n_islands],
+            island_high: vec![0; part.n_islands],
             watchdog: None,
             instant: (SimTime::ZERO, 0),
             tracer: None,
-        }
+        };
+        net.prime();
+        net
     }
 
     /// Cap the total number of events this network may process; exceeding
@@ -475,140 +583,15 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         self.watchdog = Some(max_events);
     }
 
-    /// Schedule a deterministic corruption window (fault injection):
-    /// frames from `w.src` that overlap the window on the air for at least
-    /// `w.min_air` arrive dirty at `w.dst`.
-    pub fn add_corruption_window(&mut self, w: LinkWindow) {
-        self.windows.push(w);
-    }
-
     /// Install a tracer receiving a [`TraceEvent`] per frame and MAC timer.
     pub fn set_tracer(&mut self, tracer: Box<dyn FnMut(TraceEvent)>) {
         self.tracer = Some(tracer);
     }
 
-    pub(crate) fn add_station(
-        &mut self,
-        name: String,
-        mac: Box<dyn MacProtocol>,
-        rng: SimRng,
-    ) -> usize {
-        self.stations.push(StationSlot {
-            name,
-            mac: Some(mac),
-            rng,
-            tx: None,
-            on: true,
-            epoch: 0,
-            mac_drops: 0,
-        });
-        self.mac_timers.push(NO_TIMER);
-        self.timer_index.add_mac_slot();
-        self.stations.len() - 1
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn add_unicast_stream(
-        &mut self,
-        name: String,
-        src: usize,
-        dst: usize,
-        bytes: u32,
-        source: Box<dyn TrafficSource>,
-        rng: SimRng,
-        start: SimTime,
-        stop: Option<SimTime>,
-        sender: Box<dyn Transport>,
-        receiver: Box<dyn Transport>,
-    ) -> usize {
-        self.streams.push(StreamState {
-            name,
-            src,
-            dst: StreamDst::Unicast {
-                station: dst,
-                endpoint: Some(receiver),
-            },
-            bytes,
-            source,
-            rng,
-            start,
-            stop,
-            sender: Some(sender),
-            offered: 0,
-            delivered: 0,
-            offered_measured: 0,
-            delivered_measured: 0,
-            delivered_bytes_measured: 0,
-        });
-        self.tp_timers.push(NO_TIMER);
-        self.tp_timers.push(NO_TIMER);
-        self.timer_index.add_tp_slots(2);
-        self.streams.len() - 1
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn add_multicast_stream(
-        &mut self,
-        name: String,
-        src: usize,
-        group: u32,
-        members: Vec<usize>,
-        bytes: u32,
-        source: Box<dyn TrafficSource>,
-        rng: SimRng,
-        start: SimTime,
-        stop: Option<SimTime>,
-        sender: Box<dyn Transport>,
-    ) -> usize {
-        self.streams.push(StreamState {
-            name,
-            src,
-            dst: StreamDst::Multicast { group, members },
-            bytes,
-            source,
-            rng,
-            start,
-            stop,
-            sender: Some(sender),
-            offered: 0,
-            delivered: 0,
-            offered_measured: 0,
-            delivered_measured: 0,
-            delivered_bytes_measured: 0,
-        });
-        self.tp_timers.push(NO_TIMER);
-        self.tp_timers.push(NO_TIMER);
-        self.timer_index.add_tp_slots(2);
-        self.streams.len() - 1
-    }
-
-    pub(crate) fn schedule_action(&mut self, action: ScheduledAction) {
-        self.actions.push(action);
-    }
-
-    /// Install the move table [`ActionKind::MoveBatch`] actions slice into.
-    pub(crate) fn set_moves(&mut self, moves: Vec<(StationId, Point)>) {
-        self.moves = moves;
-    }
-
-    /// Install the coupling partition's island labels (station, stream and
-    /// action rows must match what was added). Called by the builder before
-    /// [`Network::prime`] so every queued event can be attributed to its
-    /// island for the decomposable high-water accounting.
-    pub(crate) fn set_islands(&mut self, p: &Partition) {
-        debug_assert_eq!(p.station_island.len(), self.stations.len());
-        debug_assert_eq!(p.stream_island.len(), self.streams.len());
-        debug_assert_eq!(p.action_island.len(), self.actions.len());
-        self.island_of_station = p.station_island.clone();
-        self.island_of_stream = p.stream_island.clone();
-        self.island_of_action = p.action_island.clone();
-        self.island_live = vec![0; p.n_islands];
-        self.island_high = vec![0; p.n_islands];
-    }
-
-    /// Prime the first arrival of every stream and every scheduled action.
-    /// Called once before running.
-    pub(crate) fn prime(&mut self) {
+    /// Prime the first arrival of every stream, then every scheduled
+    /// action. The order fixes the queue's insertion keys, which break
+    /// same-instant ties in every run.
+    fn prime(&mut self) {
         for i in 0..self.streams.len() {
             let st = &mut self.streams[i];
             // Random initial phase so same-rate CBR streams are not
@@ -953,9 +936,6 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                 self.stations[station].on = false;
                 self.mac_timers[station] = NO_TIMER;
                 self.timer_index.note_write(station as u32, NO_TIMER);
-            }
-            ActionKind::PowerOn { station } => {
-                self.stations[station].on = true;
             }
             ActionKind::SetNoise { index, active } => {
                 self.medium.set_noise_active(index, active);

@@ -422,7 +422,6 @@ fn label(sc: &Scenario, dsu: &mut Dsu, first_hearer: &[Option<u32>]) -> Partitio
         .iter()
         .map(|a| match a.kind {
             ActionKind::PowerOff { station }
-            | ActionKind::PowerOn { station }
             | ActionKind::Crash { station, .. }
             | ActionKind::Restart { station } => station_island[station],
             ActionKind::SetLinkGain { src, .. } => station_island[src],
@@ -695,7 +694,7 @@ mod tests {
             sc.corrupt_link(src, dst, at(1), at(5), SimDuration::from_millis(1));
         }
         let s = pick(&mut rng);
-        sc.power_off_at(at(6), s).power_on_at(at(7), s);
+        sc.power_off_at(at(6), s);
         let s = pick(&mut rng);
         sc.crash_at(at(6), s, true).restart_at(at(7), s);
         sc

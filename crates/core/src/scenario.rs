@@ -10,10 +10,8 @@ use macaw_mac::context::MacProtocol;
 use macaw_mac::csma::{Csma, CsmaConfig};
 use macaw_mac::frames::Addr;
 use macaw_mac::wmac::WMac;
-use macaw_phy::{LinkWindow, Medium, Point, Propagation, PropagationConfig, StationId, MAX_GAMMA};
-use macaw_sim::{SimDuration, SimRng, SimTime};
-use macaw_traffic::{Cbr, Poisson, TrafficSource};
-use macaw_transport::{TcpReceiver, TcpSender, Transport, UdpReceiver, UdpSender};
+use macaw_phy::{LinkWindow, Medium, Point, PropagationConfig, StationId, MAX_GAMMA};
+use macaw_sim::{SimDuration, SimTime};
 
 use crate::error::SimError;
 use crate::network::{ActionKind, Network, ScheduledAction};
@@ -35,31 +33,18 @@ pub enum MacKind {
 }
 
 impl MacKind {
-    fn build(self, addr: Addr, groups: &[u32]) -> Box<dyn MacProtocol> {
-        match self {
-            MacKind::Maca => {
-                let mut m = WMac::new(addr, MacConfig::maca());
-                for g in groups {
-                    m.join_group(*g);
-                }
-                Box::new(m)
-            }
-            MacKind::Macaw => {
-                let mut m = WMac::new(addr, MacConfig::macaw());
-                for g in groups {
-                    m.join_group(*g);
-                }
-                Box::new(m)
-            }
-            MacKind::Custom(cfg) => {
-                let mut m = WMac::new(addr, cfg);
-                for g in groups {
-                    m.join_group(*g);
-                }
-                Box::new(m)
-            }
-            MacKind::Csma(cfg) => Box::new(Csma::new(addr, cfg)),
+    pub(crate) fn build(self, addr: Addr, groups: &[u32]) -> Box<dyn MacProtocol> {
+        let cfg = match self {
+            MacKind::Maca => MacConfig::maca(),
+            MacKind::Macaw => MacConfig::macaw(),
+            MacKind::Custom(cfg) => cfg,
+            MacKind::Csma(cfg) => return Box::new(Csma::new(addr, cfg)),
+        };
+        let mut m = WMac::new(addr, cfg);
+        for g in groups {
+            m.join_group(*g);
         }
+        Box::new(m)
     }
 }
 
@@ -409,22 +394,26 @@ impl Scenario {
     }
 
     /// Schedule a station power-off at time `at` (the Figure-9 experiment).
+    /// A frame in flight finishes on the air, but the station hears
+    /// nothing more and its MAC timer is cleared. The power-off is
+    /// permanent: a restart at or after it is a defect.
+    /// [`Scenario::crash_at`] and [`Scenario::restart_at`] are the power
+    /// cycle.
     pub fn power_off_at(&mut self, at: SimTime, station: usize) -> &mut Self {
-        if self.check_station(station, "power_off_at") {
+        if !self.check_station(station, "power_off_at") {
+            return self;
+        }
+        let restarted = self.actions.iter().any(|a| {
+            matches!(a.kind, ActionKind::Restart { station: s } if s == station) && a.at >= at
+        });
+        if restarted {
+            self.note_defect(format!(
+                "power_off_at: station {station} restarts at or after {at}, but a power-off is permanent"
+            ));
+        } else {
             self.actions.push(ScheduledAction {
                 at,
                 kind: ActionKind::PowerOff { station },
-            });
-        }
-        self
-    }
-
-    /// Schedule a station power-on at time `at`.
-    pub fn power_on_at(&mut self, at: SimTime, station: usize) -> &mut Self {
-        if self.check_station(station, "power_on_at") {
-            self.actions.push(ScheduledAction {
-                at,
-                kind: ActionKind::PowerOn { station },
             });
         }
         self
@@ -463,9 +452,32 @@ impl Scenario {
         self
     }
 
-    /// Schedule a crashed station's restart at time `at`.
+    /// Schedule a crashed station's restart at time `at`. An earlier
+    /// [`Scenario::crash_at`] call must crash `station` strictly before
+    /// `at`: the crash truncates the station's frame and resets its MAC,
+    /// which the restart's kick relies on. A restart at or after a
+    /// [`Scenario::power_off_at`] of the station is a defect too.
     pub fn restart_at(&mut self, at: SimTime, station: usize) -> &mut Self {
-        if self.check_station(station, "restart_at") {
+        if !self.check_station(station, "restart_at") {
+            return self;
+        }
+        let (mut crashed, mut powered_off) = (false, false);
+        for a in &self.actions {
+            match a.kind {
+                ActionKind::Crash { station: s, .. } if s == station => crashed |= a.at < at,
+                ActionKind::PowerOff { station: s } if s == station => powered_off |= a.at <= at,
+                _ => {}
+            }
+        }
+        if powered_off {
+            self.note_defect(format!(
+                "restart_at: station {station} is powered off at or before {at}, and a power-off is permanent"
+            ));
+        } else if !crashed {
+            self.note_defect(format!(
+                "restart_at: no earlier crash_at of station {station} before {at}"
+            ));
+        } else {
             self.actions.push(ScheduledAction {
                 at,
                 kind: ActionKind::Restart { station },
@@ -608,107 +620,7 @@ impl Scenario {
         }
         // Island labels for the per-island high-water accounting.
         let part = crate::partition::compute(&self);
-        Ok(self.assemble(&part))
-    }
-
-    /// Build the network of this defect-free scenario and prime every
-    /// stream arrival and scheduled action. `part` is the scenario's
-    /// coupling partition, whose island labels define
-    /// [`Network::queue_stats`]' high-water mark.
-    fn assemble<M: Medium, Q: macaw_sim::FelChoice>(mut self, part: &Partition) -> Network<M, Q> {
-        let root = SimRng::new(self.seed);
-        // Multicast group membership comes from both explicit joins and
-        // stream declarations.
-        for si in 0..self.streams.len() {
-            if let Dest::Group { group, members } = &self.streams[si].dst {
-                let (g, ms) = (*group, members.clone());
-                for m in ms {
-                    if !self.stations[m].groups.contains(&g) {
-                        self.stations[m].groups.push(g);
-                    }
-                }
-            }
-        }
-
-        let mut medium = M::new(Propagation::new(self.prop), root.fork(0xA11CE));
-        for (i, s) in self.stations.iter().enumerate() {
-            let id = medium.add_station(s.pos);
-            debug_assert_eq!(id, StationId(i));
-            medium.set_rx_error_rate(id, s.rx_error_rate);
-            if s.tx_power != 1.0 {
-                medium.set_tx_power(id, s.tx_power);
-            }
-        }
-        for (pos, power, active) in &self.noise {
-            let idx = medium.add_noise_source(*pos, *power);
-            medium.set_noise_active(idx, *active);
-        }
-        let mut net = Network::new(medium);
-
-        for (i, s) in self.stations.iter().enumerate() {
-            let mac = s.mac.build(Addr::Unicast(i), &s.groups);
-            net.add_station(s.name.clone(), mac, root.fork(0x57A7_0000 + i as u64));
-        }
-
-        // Stream `i` is `StreamId(i)`.
-        for (i, spec) in self.streams.iter().enumerate() {
-            let source: Box<dyn TrafficSource> = match spec.source {
-                SourceKind::Cbr { pps } => Box::new(Cbr::pps(pps)),
-                SourceKind::Poisson { pps } => Box::new(Poisson::pps(pps)),
-            };
-            let rng = root.fork(0x5742_0000 + i as u64);
-            match &spec.dst {
-                Dest::Station(dst) => {
-                    let (sender, receiver): (Box<dyn Transport>, Box<dyn Transport>) =
-                        match spec.transport {
-                            TransportKind::Udp => {
-                                (Box::new(UdpSender::new()), Box::new(UdpReceiver::new()))
-                            }
-                            TransportKind::Tcp => (
-                                Box::new(TcpSender::new(spec.bytes)),
-                                Box::new(TcpReceiver::new()),
-                            ),
-                        };
-                    net.add_unicast_stream(
-                        spec.name.clone(),
-                        spec.src,
-                        *dst,
-                        spec.bytes,
-                        source,
-                        rng,
-                        spec.start,
-                        spec.stop,
-                        sender,
-                        receiver,
-                    );
-                }
-                Dest::Group { group, members } => {
-                    net.add_multicast_stream(
-                        spec.name.clone(),
-                        spec.src,
-                        *group,
-                        members.clone(),
-                        spec.bytes,
-                        source,
-                        rng,
-                        spec.start,
-                        spec.stop,
-                        Box::new(UdpSender::new()),
-                    );
-                }
-            }
-        }
-
-        net.set_moves(std::mem::take(&mut self.moves));
-        for a in self.actions.drain(..) {
-            net.schedule_action(a);
-        }
-        for w in self.windows.drain(..) {
-            net.add_corruption_window(w);
-        }
-        net.set_islands(part);
-        net.prime();
-        net
+        Ok(Network::new(self, part))
     }
 
     /// The conservative coupling partition of this scenario: the islands
@@ -905,11 +817,6 @@ mod tests {
         let err = sc.build().unwrap_err();
         assert!(err.to_string().contains("power_off_at"), "got: {err}");
 
-        let (mut sc, ..) = two_station_scenario();
-        sc.power_on_at(SimTime::ZERO, 9);
-        let err = sc.build().unwrap_err();
-        assert!(err.to_string().contains("power_on_at"), "got: {err}");
-
         let (mut sc, a2, _) = two_station_scenario();
         sc.set_link_gain_at(SimTime::ZERO, a2, a2, 0.5);
         let err = sc.build().unwrap_err();
@@ -925,6 +832,72 @@ mod tests {
         );
         let err = sc.build().unwrap_err();
         assert!(err.to_string().contains("empty window"), "got: {err}");
+    }
+
+    /// A restart must follow a crash of its station and no power-off. A
+    /// powered-off station skips its frame's `on_tx_end`, so its MAC stays
+    /// in a send state, and a restart's kick then fired the MAC timer
+    /// mid-transmission: the run failed with `MacInvariant`. The crash
+    /// truncates the frame and resets the MAC, which the kick relies on.
+    #[test]
+    fn a_restart_needs_an_earlier_crash_and_no_power_off() {
+        let t = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
+        // P sends to B at 64 pps; 38.47 ms is half-way through P's fourth
+        // frame.
+        let cell = || {
+            let (mut sc, b, p) = two_station_scenario();
+            sc.add_udp_stream("P-B", p, b, 64, 512);
+            (sc, p)
+        };
+        let (off, back) = (t(38_470), t(1_038_470));
+        let cases = [
+            ("restart after a power-off", "restart_at", {
+                let (mut sc, p) = cell();
+                sc.power_off_at(off, p).restart_at(back, p);
+                sc
+            }),
+            ("restart declared before its crash", "restart_at", {
+                let (mut sc, p) = cell();
+                sc.restart_at(back, p).crash_at(off, p, true);
+                sc
+            }),
+            ("restart timed before its crash", "restart_at", {
+                let (mut sc, p) = cell();
+                sc.crash_at(back, p, true).restart_at(off, p);
+                sc
+            }),
+            ("restart at its crash's instant", "restart_at", {
+                let (mut sc, p) = cell();
+                sc.crash_at(off, p, true).restart_at(off, p);
+                sc
+            }),
+            ("restart after a cycle then a power-off", "restart_at", {
+                let (mut sc, p) = cell();
+                sc.crash_at(t(1_000), p, true).restart_at(t(2_000), p);
+                sc.power_off_at(off, p).restart_at(back, p);
+                sc
+            }),
+            ("power-off before a declared restart", "power_off_at", {
+                let (mut sc, p) = cell();
+                sc.crash_at(t(1_000), p, true).restart_at(back, p);
+                sc.power_off_at(off, p);
+                sc
+            }),
+        ];
+        for (what, builder, sc) in cases {
+            match sc.build() {
+                Err(SimError::InvalidScenario(msg)) => {
+                    assert!(msg.contains(builder), "{what}: {msg}")
+                }
+                other => panic!("{what}: want InvalidScenario, got {other:?}"),
+            }
+        }
+        let (mut sc, p) = cell();
+        sc.crash_at(off, p, true).restart_at(back, p);
+        let r = sc
+            .run(SimDuration::from_secs(5), SimDuration::ZERO)
+            .unwrap();
+        assert!(r.stream("P-B").delivered > 100, "{:?}", r.stream("P-B"));
     }
 
     #[test]

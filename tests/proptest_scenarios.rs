@@ -1,6 +1,7 @@
 //! Whole-system property tests: randomly generated topologies and
 //! workloads run to completion without panics, and the conservation
-//! invariants hold regardless of geometry, protocol mix or noise.
+//! invariants hold regardless of geometry, protocol mix, noise or random
+//! faults.
 
 use macaw::mac::BackoffSharing;
 use macaw::prelude::*;
@@ -13,6 +14,9 @@ struct RandomScenario {
     streams: Vec<(usize, usize, u64, bool)>, // (src, dst, pps, tcp)
     mac: u8,
     error_rate: f64,
+    /// Declare `add_random_faults` (crashes and restarts, corruption,
+    /// asymmetry, jitter and noise bursts) drawn from `seed`.
+    faults: bool,
 }
 
 fn arb_scenario() -> impl Strategy<Value = RandomScenario> {
@@ -23,14 +27,18 @@ fn arb_scenario() -> impl Strategy<Value = RandomScenario> {
         proptest::collection::vec((0usize..8, 0usize..8, 1u64..80, any::<bool>()), 1..6),
         0u8..4,
         0.0f64..0.3,
+        any::<bool>(),
     )
-        .prop_map(|(seed, stations, streams, mac, error_rate)| RandomScenario {
-            seed,
-            stations,
-            streams,
-            mac,
-            error_rate,
-        })
+        .prop_map(
+            |(seed, stations, streams, mac, error_rate, faults)| RandomScenario {
+                seed,
+                stations,
+                streams,
+                mac,
+                error_rate,
+                faults,
+            },
+        )
 }
 
 fn build(rs: &RandomScenario) -> Option<Scenario> {
@@ -78,6 +86,13 @@ fn build(rs: &RandomScenario) -> Option<Scenario> {
             start: SimTime::ZERO,
             stop: None,
         });
+    }
+    if rs.faults {
+        let cfg = FaultPlanConfig {
+            duration: SimDuration::from_secs(30),
+            ..FaultPlanConfig::default()
+        };
+        add_random_faults(&mut sc, rs.seed, &cfg);
     }
     any_stream.then_some(sc)
 }
@@ -153,6 +168,7 @@ fn recorded_csma_noisy_receiver_case() {
         streams: vec![(6, 1, 21, false), (1, 2, 16, true)],
         mac: 2,
         error_rate: 0.13543209937794443,
+        faults: false,
     };
     run_and_conserve(&rs).unwrap();
     replay(&rs).unwrap();
