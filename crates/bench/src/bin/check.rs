@@ -25,10 +25,11 @@
 
 use macaw_bench::cli::Cli;
 use macaw_check::{
-    check, check_fan, CheckConfig, CheckReport, Expectation, FaultClass, SubtreeOut, Topology,
+    check_fan, proof_csma, proof_wmac, CheckConfig, CheckReport, Expectation, FaultClass,
+    SubtreeOut, Topology,
 };
 use macaw_core::Executor;
-use macaw_mac::{Addr, Csma, CsmaConfig, MacConfig, WMac};
+use macaw_mac::{Addr, Csma, MacConfig, WMac};
 
 /// The checker seed of the committed `BENCH_check.json`.
 const SEED: u64 = 1;
@@ -42,31 +43,6 @@ const ORACLE_STATE_BUDGET: u64 = 3_000_000;
 /// `--jobs` values — the split, not the worker count, defines the job
 /// set, so reports are bitwise identical for any parallelism.
 const SPLIT_DEPTH: u32 = 4;
-
-/// Checker-sized protocol budgets (see `crates/check/tests/proofs.rs`:
-/// shrinking retries keeps the retry-bounded state space exhaustible
-/// without changing the machinery under test).
-fn macaw_cfg() -> MacConfig {
-    let mut cfg = MacConfig::macaw();
-    cfg.max_retries = 2;
-    cfg.bo_max = 4;
-    cfg
-}
-
-fn maca_cfg() -> MacConfig {
-    let mut cfg = MacConfig::maca();
-    cfg.max_retries = 2;
-    cfg.bo_max = 4;
-    cfg
-}
-
-fn csma_cfg() -> CsmaConfig {
-    CsmaConfig {
-        bo_max: 4,
-        max_attempts: 3,
-        ..CsmaConfig::default()
-    }
-}
 
 /// One cell of the proof matrix.
 struct Run {
@@ -175,20 +151,18 @@ fn base_cfg(run: &Run) -> CheckConfig {
     cfg
 }
 
+/// Run `run`'s protocol, at the proof matrix's budgets
+/// ([`proof_wmac`], [`proof_csma`]), with `fan` for the split jobs.
 fn run_with<F>(run: &Run, cfg: &CheckConfig, fan: F) -> CheckReport
 where
     F: Fn(usize, &(dyn Fn(usize) -> SubtreeOut + Sync)) -> Vec<SubtreeOut>,
 {
+    let wmac = |cfg: MacConfig| move |i| WMac::new(Addr::Unicast(i), proof_wmac(cfg));
+    let csma = |i| Csma::new(Addr::Unicast(i), proof_csma());
     match run.protocol {
-        "macaw" => check_fan("macaw", &run.topo, cfg, |i| {
-            WMac::new(Addr::Unicast(i), macaw_cfg())
-        }, fan),
-        "maca" => check_fan("maca", &run.topo, cfg, |i| {
-            WMac::new(Addr::Unicast(i), maca_cfg())
-        }, fan),
-        "csma" => check_fan("csma", &run.topo, cfg, |i| {
-            Csma::new(Addr::Unicast(i), csma_cfg())
-        }, fan),
+        "macaw" => check_fan("macaw", &run.topo, cfg, wmac(MacConfig::macaw()), fan),
+        "maca" => check_fan("maca", &run.topo, cfg, wmac(MacConfig::maca()), fan),
+        "csma" => check_fan("csma", &run.topo, cfg, csma, fan),
         other => unreachable!("unknown protocol {other}"),
     }
 }
@@ -200,21 +174,11 @@ fn run_reduced(run: &Run, executor: &Executor) -> CheckReport {
     run_with(run, &cfg, |n, f| executor.run(n, f))
 }
 
+/// The unreduced serial oracle: `check`'s own serial fan.
 fn run_oracle(run: &Run) -> CheckReport {
     let mut cfg = base_cfg(run);
     cfg.state_budget = Some(ORACLE_STATE_BUDGET);
-    match run.protocol {
-        "macaw" => check("macaw", &run.topo, &cfg, |i| {
-            WMac::new(Addr::Unicast(i), macaw_cfg())
-        }),
-        "maca" => check("maca", &run.topo, &cfg, |i| {
-            WMac::new(Addr::Unicast(i), maca_cfg())
-        }),
-        "csma" => check("csma", &run.topo, &cfg, |i| {
-            Csma::new(Addr::Unicast(i), csma_cfg())
-        }),
-        other => unreachable!("unknown protocol {other}"),
-    }
+    run_with(run, &cfg, |n, f| (0..n).map(f).collect())
 }
 
 struct RowOutcome {

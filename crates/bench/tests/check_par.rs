@@ -4,16 +4,11 @@
 //! defines the job set, and the executor returns job outputs in index
 //! order, so the merged statistics and verdict cannot depend on `--jobs`.
 
-use macaw_check::{check_fan, CheckConfig, CheckReport, Expectation, FaultClass, Topology};
+use macaw_check::{
+    check_fan, proof_wmac, CheckConfig, CheckReport, Expectation, FaultClass, Topology,
+};
 use macaw_core::Executor;
 use macaw_mac::{Addr, MacConfig, WMac};
-
-fn macaw_cfg() -> MacConfig {
-    let mut cfg = MacConfig::macaw();
-    cfg.max_retries = 2;
-    cfg.bo_max = 4;
-    cfg
-}
 
 fn run(topo: &Topology, fault: FaultClass, jobs: usize) -> CheckReport {
     let mut cfg = CheckConfig::new(fault, Expectation::ResolveAll);
@@ -25,7 +20,7 @@ fn run(topo: &Topology, fault: FaultClass, jobs: usize) -> CheckReport {
         "macaw",
         topo,
         &cfg,
-        |i| WMac::new(Addr::Unicast(i), macaw_cfg()),
+        |i| WMac::new(Addr::Unicast(i), proof_wmac(MacConfig::macaw())),
         |n, f| executor.run(n, f),
     )
 }

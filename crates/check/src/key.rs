@@ -243,8 +243,9 @@ impl Hasher for Recorder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proof_wmac;
     use crate::topology::Topology;
-    use crate::world::tests::{small, visits};
+    use crate::world::tests::visits;
     use crate::world::{CanonState, FaultClass};
     use macaw_mac::{MacConfig, WMacSnapshot};
 
@@ -253,7 +254,7 @@ mod tests {
     /// a world reached along two paths, or a relabeling of one already
     /// seen, contributes an equal state.
     fn reachable(topo: Topology, fault: FaultClass) -> Vec<CanonState<WMacSnapshot>> {
-        visits(topo, fault, small(MacConfig::macaw()))
+        visits(topo, fault, proof_wmac(MacConfig::macaw()))
             .iter()
             .map(|w| w.canon_min().0)
             .collect()

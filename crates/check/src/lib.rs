@@ -54,3 +54,28 @@ pub use explore::{
 };
 pub use topology::{SymPerm, Topology};
 pub use world::{CanonState, FaultClass, World, WorldEvent};
+
+use macaw_mac::{CsmaConfig, MacConfig};
+
+/// `cfg` with the proof matrix's MACA/MACAW budgets: two retries and a
+/// backoff cap of 4. They keep the retry-bounded state spaces small
+/// enough to explore to completion, which turns each bounded search into
+/// a proof; the full RTS-CTS-DS-DATA-ACK machinery with contention,
+/// deferral and recovery still runs.
+pub fn proof_wmac(cfg: MacConfig) -> MacConfig {
+    MacConfig {
+        max_retries: 2,
+        bo_max: 4,
+        ..cfg
+    }
+}
+
+/// CSMA with the proof matrix's budgets: a backoff cap of 4 and three
+/// attempts per packet.
+pub fn proof_csma() -> CsmaConfig {
+    CsmaConfig {
+        bo_max: 4,
+        max_attempts: 3,
+        ..CsmaConfig::default()
+    }
+}

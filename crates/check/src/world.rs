@@ -1025,14 +1025,6 @@ pub(crate) mod tests {
     use crate::explore::TIE_EPSILON;
     use macaw_mac::{MacConfig, WMac, WMacSnapshot};
 
-    /// `cfg` with the checker-sized budgets the exhaustive unit searches
-    /// use: two retries and a backoff cap of 4.
-    pub(crate) fn small(mut cfg: MacConfig) -> MacConfig {
-        cfg.max_retries = 2;
-        cfg.bo_max = 4;
-        cfg
-    }
-
     /// The world at every visit of an exhaustive search over the reduced
     /// choice set, revisits included, in depth-first order: consecutive
     /// worlds after a backtrack come from different branches.
@@ -1072,7 +1064,7 @@ pub(crate) mod tests {
                 ),
             ];
             for (topo, fault) in families {
-                let run = visits(topo, fault, small(cfg));
+                let run = visits(topo, fault, crate::proof_wmac(cfg));
                 assert!(run.len() > 100, "a non-trivial space: {}", run.len());
                 runs.push(run);
             }

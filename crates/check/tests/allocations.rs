@@ -11,8 +11,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use macaw_check::{check, CheckConfig, CheckReport, Expectation, FaultClass, Topology};
-use macaw_mac::{Addr, Csma, CsmaConfig, MacConfig, WMac};
+use macaw_check::{
+    check, proof_csma, proof_wmac, CheckConfig, CheckReport, Expectation, FaultClass, Topology,
+};
+use macaw_mac::{Addr, Csma, MacConfig, WMac};
 
 thread_local! {
     /// Allocations and reallocations made by this thread. A `const`
@@ -64,23 +66,13 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Checker-sized MAC budgets, as in the proof matrix.
+/// The proof matrix's MAC budgets.
 fn wmac(cfg: MacConfig) -> impl Fn(usize) -> WMac {
-    move |i| {
-        let mut cfg = cfg;
-        cfg.max_retries = 2;
-        cfg.bo_max = 4;
-        WMac::new(Addr::Unicast(i), cfg)
-    }
+    move |i| WMac::new(Addr::Unicast(i), proof_wmac(cfg))
 }
 
 fn csma(i: usize) -> Csma {
-    let cfg = CsmaConfig {
-        bo_max: 4,
-        max_attempts: 3,
-        ..CsmaConfig::default()
-    };
-    Csma::new(Addr::Unicast(i), cfg)
+    Csma::new(Addr::Unicast(i), proof_csma())
 }
 
 /// The proof matrix's reduced explorer: depth 96, frontier split at

@@ -9,47 +9,28 @@
 //! the shrunk configurations still run the full RTS-CTS-DS-DATA-ACK
 //! machinery with contention, deferral and recovery.
 
-use macaw_check::{check, CheckConfig, CheckReport, CheckStats, Expectation, FaultClass, Topology};
-use macaw_mac::{Addr, Csma, CsmaConfig, MacConfig, WMac};
-
-/// MACAW with a checker-sized retry budget.
-fn macaw_cfg() -> MacConfig {
-    let mut cfg = MacConfig::macaw();
-    cfg.max_retries = 2;
-    cfg.bo_max = 4;
-    cfg
-}
-
-/// MACA (no ACK, no DS, no RRTS) with the same shrunken budget.
-fn maca_cfg() -> MacConfig {
-    let mut cfg = MacConfig::maca();
-    cfg.max_retries = 2;
-    cfg.bo_max = 4;
-    cfg
-}
-
-fn csma_cfg() -> CsmaConfig {
-    CsmaConfig {
-        bo_max: 4,
-        max_attempts: 3,
-        ..CsmaConfig::default()
-    }
-}
+use macaw_check::{
+    check, proof_csma, proof_wmac, CheckConfig, CheckReport, CheckStats, Expectation, FaultClass,
+    Topology,
+};
+use macaw_mac::{Addr, Csma, MacConfig, WMac};
 
 fn check_macaw(topo: Topology, cfg: CheckConfig) -> CheckReport {
     check("macaw", &topo, &cfg, |i| {
-        WMac::new(Addr::Unicast(i), macaw_cfg())
+        WMac::new(Addr::Unicast(i), proof_wmac(MacConfig::macaw()))
     })
 }
 
 fn check_maca(topo: Topology, cfg: CheckConfig) -> CheckReport {
     check("maca", &topo, &cfg, |i| {
-        WMac::new(Addr::Unicast(i), maca_cfg())
+        WMac::new(Addr::Unicast(i), proof_wmac(MacConfig::maca()))
     })
 }
 
 fn check_csma(topo: Topology, cfg: CheckConfig) -> CheckReport {
-    check("csma", &topo, &cfg, |i| Csma::new(Addr::Unicast(i), csma_cfg()))
+    check("csma", &topo, &cfg, |i| {
+        Csma::new(Addr::Unicast(i), proof_csma())
+    })
 }
 
 /// Fail with the full counterexample rendering if the report is bad.

@@ -3,15 +3,12 @@
 //! holding. The checker is the auditor of the protocol crates — this file
 //! audits the auditor.
 
-use macaw_check::{check, CheckConfig, Expectation, FaultClass, Topology};
+use macaw_check::{check, proof_wmac, CheckConfig, Expectation, FaultClass, Topology};
 use macaw_mac::{Addr, MacConfig, WMac};
 use proptest::prelude::*;
 
 fn macaw_cfg() -> MacConfig {
-    let mut cfg = MacConfig::macaw();
-    cfg.max_retries = 2;
-    cfg.bo_max = 4;
-    cfg
+    proof_wmac(MacConfig::macaw())
 }
 
 proptest! {

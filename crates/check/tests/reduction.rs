@@ -6,16 +6,14 @@
 //! the declared-symmetry 5-station families.
 
 use macaw_check::{
-    check, check_fan, CheckConfig, CheckReport, Expectation, FaultClass, Topology, ViolationKind,
+    check, check_fan, proof_wmac, CheckConfig, CheckReport, Expectation, FaultClass, Topology,
+    ViolationKind,
 };
 use macaw_mac::{Addr, MacConfig, WMac};
 use proptest::prelude::*;
 
 fn macaw_cfg() -> MacConfig {
-    let mut cfg = MacConfig::macaw();
-    cfg.max_retries = 2;
-    cfg.bo_max = 4;
-    cfg
+    proof_wmac(MacConfig::macaw())
 }
 
 fn run(topo: &Topology, cfg: &CheckConfig) -> CheckReport {

@@ -6,7 +6,9 @@
 //! detection, fault branching or deepening schedule breaks, this test goes
 //! red before any protocol bug would be missed in the field.
 
-use macaw_check::{check, CheckConfig, Expectation, FaultClass, Topology, ViolationKind, WorldEvent};
+use macaw_check::{
+    check, proof_wmac, CheckConfig, Expectation, FaultClass, Topology, ViolationKind, WorldEvent,
+};
 use macaw_mac::context::{MacContext, MacInvariantViolation, MacResult};
 use macaw_mac::{
     Addr, Frame, FrameKind, MacConfig, MacProtocol, MacSdu, MacSnapshot, Relabeling, WMac,
@@ -248,10 +250,7 @@ fn the_unmodified_protocol_passes_the_same_check() {
     cfg.depth_step = 1;
     cfg.max_depth = 96;
     let report = check("macaw", &Topology::shared_cell(2), &cfg, |i| {
-        let mut mc = MacConfig::macaw();
-        mc.max_retries = 2;
-        mc.bo_max = 4;
-        WMac::new(Addr::Unicast(i), mc)
+        WMac::new(Addr::Unicast(i), proof_wmac(MacConfig::macaw()))
     });
     assert!(report.ok(), "{report}");
     assert!(report.complete);

@@ -21,6 +21,15 @@
 //! overheard frame ends processes the frame — and defers — before its own
 //! timer would let it transmit.
 //!
+//! # Machine tables
+//!
+//! Every machine the loop drives sits in a dense table indexed like its
+//! timer. Station `i` runs `macs[i]` and owns timer slot `i`. Stream `s`
+//! has transport endpoints `2·s` (sender) and `2·s + 1` (receiver, absent
+//! for a multicast stream), and endpoint `e` owns timer slot
+//! `stations + e`. A handler borrows its machine in place, beside a
+//! context built from the network's other fields.
+//!
 //! # Re-entrancy
 //!
 //! A received DATA packet can make a TCP receiver emit an ACK segment,
@@ -71,13 +80,6 @@ const PRIO_TX_END: u8 = 0;
 /// Same-instant priority for every kind of timer.
 const PRIO_TIMER: u8 = 128;
 
-/// Which endpoint of a stream.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Side {
-    Sender,
-    Receiver,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Event {
     /// A station's transmission ends; deliver to everyone in range. The
@@ -102,76 +104,91 @@ const LIVELOCK_SAME_INSTANT_CAP: u64 = 100_000;
 /// A pending timer held outside the event queue: fire time plus the sort
 /// key ([`EventQueue::alloc_key`]) that orders it against queued events.
 /// "No timer" is the [`NO_TIMER`] sentinel rather than an `Option` so the
-/// per-event min scan over all timer slots stays branch-light: the sentinel
-/// compares greater than every real timer (real sort keys fit in 8+56 bits,
-/// so they never reach `u64::MAX`).
+/// debug oracle's min scan over all timer slots stays branch-light: the
+/// sentinel compares greater than every real timer (real sort keys fit in
+/// 8+56 bits, so they never reach `u64::MAX`).
 type PendingTimer = (SimTime, u64);
 
 /// Sentinel for an idle timer slot; loses every `<` comparison.
 const NO_TIMER: PendingTimer = (SimTime::from_nanos(u64::MAX), u64::MAX);
 
-/// Bit marking a [`TimerIndex`] slot index as a transport (not MAC) slot.
-const TP_SLOT: u32 = 1 << 31;
-
 /// Marker for "this slot has no heap node" in the [`TimerIndex`] position
-/// maps.
+/// map.
 const TIMER_ABSENT: u32 = u32::MAX;
 
 /// [`TimerIndex`] heap arity (same fan-out as the simulator's FEL heaps).
 const TIMER_ARITY: usize = 4;
 
-/// Incremental index of pending timers: an array-backed 4-ary min-heap
+/// Every MAC and transport timer, one slot per owner (station `i` owns
+/// slot `i`, transport endpoint `e` slot `stations + e`), and an
+/// incremental index of the pending ones: an array-backed 4-ary min-heap
 /// with decrease-key support. Each armed slot owns at most one heap node,
-/// found through a dense position map (`pos_mac` by station, `pos_tp` by
-/// transport slot), so re-arming a timer moves its node in place and
-/// clearing one deletes it — [`TimerIndex::peek`] is O(1) and exact, with
-/// no stale entries to drain. The lazy-deletion predecessor of this index
-/// pushed a fresh node on every write and left the superseded one to be
-/// popped later; with a busy MAC re-arming its defer timer on nearly
-/// every overheard frame, that cost ~1.6 pushes plus ~0.9 dead pops per
-/// simulation event and dominated the run loop. Sort keys come from
-/// [`EventQueue::alloc_key`]'s globally unique counter, so the minimum is
-/// unambiguous and fire order is identical to a full linear scan (kept as
-/// the `scan_timers` debug oracle).
+/// found through the dense position map, so re-arming a timer moves its
+/// node in place and clearing one deletes it — [`TimerIndex::peek`] is
+/// O(1) and exact, with no stale entries to drain. The lazy-deletion
+/// predecessor of this index pushed a fresh node on every write and left
+/// the superseded one to be popped later; with a busy MAC re-arming its
+/// defer timer on nearly every overheard frame, that cost ~1.6 pushes
+/// plus ~0.9 dead pops per simulation event and dominated the run loop.
+/// Sort keys come from [`EventQueue::alloc_key`]'s globally unique
+/// counter, so the minimum is unambiguous and fire order is identical to
+/// a full linear scan of the slots (kept as the `scan_timers` debug
+/// oracle).
 struct TimerIndex {
+    /// The pending timer of each slot, or [`NO_TIMER`].
+    slots: Vec<PendingTimer>,
     /// Heap nodes `(deadline, sort key, slot)`, minimum at index 0.
     heap: Vec<(SimTime, u64, u32)>,
-    /// Station index → heap position, or [`TIMER_ABSENT`].
-    pos_mac: Vec<u32>,
-    /// Transport slot index → heap position, or [`TIMER_ABSENT`].
-    pos_tp: Vec<u32>,
+    /// Slot → heap position, or [`TIMER_ABSENT`].
+    pos: Vec<u32>,
 }
 
 impl TimerIndex {
-    /// An index over `mac` station slots and `tp` transport slots, none
-    /// of them armed.
-    fn new(mac: usize, tp: usize) -> Self {
+    /// `slots` timer slots, none of them armed.
+    fn new(slots: usize) -> Self {
         TimerIndex {
+            slots: vec![NO_TIMER; slots],
             heap: Vec::new(),
-            pos_mac: vec![TIMER_ABSENT; mac],
-            pos_tp: vec![TIMER_ABSENT; tp],
+            pos: vec![TIMER_ABSENT; slots],
         }
     }
 
-    /// The earliest pending timer across every slot, O(1).
+    /// The earliest pending timer across every slot, O(1) and always
+    /// exact (every armed slot owns exactly one node).
     #[inline]
     fn peek(&self) -> Option<(SimTime, u64, u32)> {
-        self.heap.first().copied()
-    }
-
-    #[inline]
-    fn pos(&mut self, slot: u32) -> &mut u32 {
-        if slot & TP_SLOT != 0 {
-            &mut self.pos_tp[(slot & !TP_SLOT) as usize]
-        } else {
-            &mut self.pos_mac[slot as usize]
+        let head = self.heap.first().copied();
+        match head {
+            None => debug_assert!(
+                self.scan_timers().0 == NO_TIMER,
+                "timer index lost a pending timer"
+            ),
+            Some((t, k, slot)) => debug_assert!(
+                ((t, k), slot) == self.scan_timers(),
+                "timer index diverged from a full scan"
+            ),
         }
+        head
     }
 
-    /// Account for `slot` being overwritten with `tk` (possibly
-    /// [`NO_TIMER`]): insert, move, or delete the slot's node in place.
-    fn note_write(&mut self, slot: u32, tk: PendingTimer) {
-        let p = *self.pos(slot);
+    /// Debug oracle for [`TimerIndex::peek`]: the full linear min scan
+    /// the heap replaced.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    fn scan_timers(&self) -> (PendingTimer, u32) {
+        let mut best = (NO_TIMER, 0);
+        for (slot, &tk) in self.slots.iter().enumerate() {
+            if tk < best.0 {
+                best = (tk, slot as u32);
+            }
+        }
+        best
+    }
+
+    /// Overwrite `slot` with `tk` (possibly [`NO_TIMER`]) and insert,
+    /// move, or delete the slot's heap node in place.
+    fn set(&mut self, slot: usize, tk: PendingTimer) {
+        self.slots[slot] = tk;
+        let p = self.pos[slot];
         if tk == NO_TIMER {
             if p != TIMER_ABSENT {
                 self.remove(p as usize);
@@ -182,9 +199,9 @@ impl TimerIndex {
             self.heap[i].1 = tk.1;
             self.restore(i);
         } else {
-            self.heap.push((tk.0, tk.1, slot));
+            self.heap.push((tk.0, tk.1, slot as u32));
             let i = self.heap.len() - 1;
-            *self.pos(slot) = i as u32;
+            self.pos[slot] = i as u32;
             self.sift_up(i);
         }
     }
@@ -197,8 +214,7 @@ impl TimerIndex {
     /// Point the position map at the node currently sitting at `i`.
     #[inline]
     fn place(&mut self, i: usize) {
-        let slot = self.heap[i].2;
-        *self.pos(slot) = i as u32;
+        self.pos[self.heap[i].2 as usize] = i as u32;
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -247,8 +263,7 @@ impl TimerIndex {
     }
 
     fn remove(&mut self, i: usize) {
-        let slot = self.heap[i].2;
-        *self.pos(slot) = TIMER_ABSENT;
+        self.pos[self.heap[i].2 as usize] = TIMER_ABSENT;
         let last = self.heap.len() - 1;
         if i != last {
             self.heap.swap(i, last);
@@ -272,8 +287,7 @@ enum Effect {
         sdu: MacSdu,
     },
     SendSegment {
-        stream: usize,
-        side: Side,
+        endpoint: usize,
         seg: Segment,
     },
     AppDeliver {
@@ -322,9 +336,9 @@ pub(crate) struct ScheduledAction {
     pub kind: ActionKind,
 }
 
+/// A station's state beside its MAC (which lives in `Network::macs`).
 struct StationSlot {
     name: String,
-    mac: Option<Box<dyn MacProtocol>>,
     rng: SimRng,
     /// The in-flight own transmission, if any.
     tx: Option<(TxId, Frame)>,
@@ -336,31 +350,19 @@ struct StationSlot {
     mac_drops: u64,
 }
 
-/// Where the packets of a stream go.
-enum StreamDst {
-    /// A single receiving station with a transport endpoint.
-    Unicast {
-        station: usize,
-        endpoint: Option<Box<dyn Transport>>,
-    },
-    /// A multicast group (§3.3.4): members just count deliveries.
-    Multicast { group: u32, members: Vec<usize> },
-}
-
 /// A declared stream; its index in `Network::streams` is its
-/// [`StreamId`].
+/// [`StreamId`], and its transport endpoints live in `Network::endpoints`.
+/// A multicast group's members (§3.3.4) have no endpoint: they just count
+/// deliveries.
 struct StreamState {
     name: String,
     src: usize,
-    dst: StreamDst,
+    dst: Dest,
     bytes: u32,
     source: Box<dyn TrafficSource>,
     rng: SimRng,
     start: SimTime,
     stop: Option<SimTime>,
-    sender: Option<Box<dyn Transport>>,
-    offered: u64,
-    delivered: u64,
     offered_measured: u64,
     delivered_measured: u64,
     delivered_bytes_measured: u64,
@@ -383,15 +385,15 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     windows: Vec<LinkWindow>,
     queue: EventQueue<Event, Q::Fel<Event>>,
     stations: Vec<StationSlot>,
+    /// The MAC of each station, indexed like `stations`.
+    macs: Vec<Box<dyn MacProtocol>>,
     streams: Vec<StreamState>,
-    /// MAC timer slot per station (dense). `timer_index` orders the
-    /// pending ones; only the debug oracle `scan_timers` scans them all.
-    mac_timers: Vec<PendingTimer>,
-    /// Transport timer slots, two per stream (`2*stream + side`, sender
-    /// first). Multicast streams' receiver slots simply stay idle.
-    tp_timers: Vec<PendingTimer>,
-    /// Earliest-pending-timer index over `mac_timers` + `tp_timers`.
-    timer_index: TimerIndex,
+    /// Transport endpoints, two per stream: `2·stream` is the sender and
+    /// `2·stream + 1` the receiver, `None` for a multicast stream.
+    endpoints: Vec<Option<Box<dyn Transport>>>,
+    /// Every timer slot: `stations.len()` MAC slots, then one per
+    /// endpoint. A multicast stream's receiver slot simply stays idle.
+    timers: TimerIndex,
     actions: Vec<ScheduledAction>,
     /// Flat move table for [`ActionKind::MoveBatch`]: each batch action
     /// names a `start..start + len` slice of this vector.
@@ -483,12 +485,31 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             medium.set_noise_active(idx, active);
         }
 
-        let (n_stations, n_streams) = (stations.len(), streams.len());
-        let stations = stations
+        let macs = stations
+            .iter()
+            .enumerate()
+            .map(|(i, s)| s.mac.build(Addr::Unicast(i), &s.groups))
+            .collect();
+        let endpoints: Vec<Option<Box<dyn Transport>>> = streams
+            .iter()
+            .flat_map(|spec| -> [Option<Box<dyn Transport>>; 2] {
+                match (&spec.dst, spec.transport) {
+                    (Dest::Group { .. }, _) => [Some(Box::new(UdpSender::new())), None],
+                    (Dest::Station(_), TransportKind::Udp) => [
+                        Some(Box::new(UdpSender::new())),
+                        Some(Box::new(UdpReceiver::new())),
+                    ],
+                    (Dest::Station(_), TransportKind::Tcp) => [
+                        Some(Box::new(TcpSender::new(spec.bytes))),
+                        Some(Box::new(TcpReceiver::new())),
+                    ],
+                }
+            })
+            .collect();
+        let stations: Vec<StationSlot> = stations
             .into_iter()
             .enumerate()
             .map(|(i, s)| StationSlot {
-                mac: Some(s.mac.build(Addr::Unicast(i), &s.groups)),
                 name: s.name,
                 rng: root.fork(0x57A7_0000 + i as u64),
                 tx: None,
@@ -506,38 +527,15 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                     SourceKind::Cbr { pps } => Box::new(Cbr::pps(pps)),
                     SourceKind::Poisson { pps } => Box::new(Poisson::pps(pps)),
                 };
-                let (sender, dst): (Box<dyn Transport>, _) = match spec.dst {
-                    Dest::Station(station) => {
-                        let (sender, receiver): (Box<dyn Transport>, Box<dyn Transport>) =
-                            match spec.transport {
-                                TransportKind::Udp => {
-                                    (Box::new(UdpSender::new()), Box::new(UdpReceiver::new()))
-                                }
-                                TransportKind::Tcp => (
-                                    Box::new(TcpSender::new(spec.bytes)),
-                                    Box::new(TcpReceiver::new()),
-                                ),
-                            };
-                        let endpoint = Some(receiver);
-                        (sender, StreamDst::Unicast { station, endpoint })
-                    }
-                    Dest::Group { group, members } => (
-                        Box::new(UdpSender::new()),
-                        StreamDst::Multicast { group, members },
-                    ),
-                };
                 StreamState {
                     name: spec.name,
                     src: spec.src,
-                    dst,
+                    dst: spec.dst,
                     bytes: spec.bytes,
                     source,
                     rng: root.fork(0x5742_0000 + i as u64),
                     start: spec.start,
                     stop: spec.stop,
-                    sender: Some(sender),
-                    offered: 0,
-                    delivered: 0,
                     offered_measured: 0,
                     delivered_measured: 0,
                     delivered_bytes_measured: 0,
@@ -549,11 +547,11 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             medium,
             windows,
             queue: EventQueue::new(),
+            timers: TimerIndex::new(stations.len() + endpoints.len()),
             stations,
+            macs,
             streams,
-            mac_timers: vec![NO_TIMER; n_stations],
-            tp_timers: vec![NO_TIMER; 2 * n_streams],
-            timer_index: TimerIndex::new(n_stations, 2 * n_streams),
+            endpoints,
             actions,
             moves,
             effects: VecDeque::new(),
@@ -651,7 +649,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             // resolves the race and advances the queue's "now" in one
             // descent instead of the peek-compare-pop double traversal the
             // loop used to do.
-            let timer = self.peek_timer();
+            let timer = self.timers.peek();
             match self.queue.pop_next(timer.map(|(t, k, _)| (t, k)), end) {
                 NextFire::Queued(t, ev) => {
                     self.check_watchdog(t)?;
@@ -712,86 +710,37 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             .filter(|s| s.tx.is_some())
             .map(|s| s.name.as_str())
             .collect();
-        let armed_mac = self.mac_timers.iter().filter(|&&t| t != NO_TIMER).count();
-        let armed_tp = self.tp_timers.iter().filter(|&&t| t != NO_TIMER).count();
+        let (mac, tp) = self.timers.slots.split_at(self.stations.len());
+        let armed = |slots: &[PendingTimer]| slots.iter().filter(|&&t| t != NO_TIMER).count();
         format!(
             "in flight: {:?}, armed timers: {} MAC + {} transport, queue length: {}",
             transmitting,
-            armed_mac,
-            armed_tp,
+            armed(mac),
+            armed(tp),
             self.queue.len()
         )
     }
 
-    /// The earliest pending timer across all stations and transport
-    /// endpoints: the head of the decrease-key [`TimerIndex`], O(1) and
-    /// always exact (every armed slot owns exactly one node).
-    fn peek_timer(&self) -> Option<(SimTime, u64, u32)> {
-        let head = self.timer_index.peek();
-        match head {
-            None => debug_assert!(
-                self.scan_timers().0 == NO_TIMER,
-                "timer index lost a pending timer"
-            ),
-            Some((t, k, slot)) => debug_assert!(
-                ((t, k), slot) == self.scan_timers(),
-                "timer index diverged from a full scan"
-            ),
-        }
-        head
-    }
-
-    /// Debug oracle for [`Network::peek_timer`]: the full linear min scan
-    /// the lazy heap replaced.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    fn scan_timers(&self) -> (PendingTimer, u32) {
-        let mut best = NO_TIMER;
-        let mut slot = 0u32;
-        for (i, &tk) in self.mac_timers.iter().enumerate() {
-            if tk < best {
-                best = tk;
-                slot = i as u32;
-            }
-        }
-        for (i, &tk) in self.tp_timers.iter().enumerate() {
-            if tk < best {
-                best = tk;
-                slot = TP_SLOT | i as u32;
-            }
-        }
-        (best, slot)
-    }
-
-    /// Fire the timer living in `slot` (a [`TimerIndex`] slot id): clear
-    /// the slot, then dispatch to the owning MAC or transport endpoint.
+    /// Fire the timer living in `slot`: clear the slot, then dispatch to
+    /// the owning MAC or transport endpoint.
     fn fire_timer(&mut self, slot: u32) -> Result<(), SimError> {
-        if slot & TP_SLOT != 0 {
-            let i = (slot & !TP_SLOT) as usize;
-            self.tp_timers[i] = NO_TIMER;
-            self.timer_index.note_write(slot, NO_TIMER);
-            let side = if i.is_multiple_of(2) {
-                Side::Sender
-            } else {
-                Side::Receiver
-            };
-            self.with_transport(i / 2, side, |tp, ctx| tp.on_timer(ctx));
-            Ok(())
-        } else {
-            let station = slot as usize;
-            self.mac_timers[station] = NO_TIMER;
-            self.timer_index.note_write(slot, NO_TIMER);
-            debug_assert!(
-                self.stations[station].on,
-                "powered-off stations have their timer cleared"
-            );
-            if let Some(t) = self.tracer.as_mut() {
-                t(TraceEvent::MacTimer {
-                    at: self.queue.now(),
-                    station,
-                });
-            }
-            self.with_mac(station, |mac, ctx| mac.on_timer(ctx))
+        let slot = slot as usize;
+        self.timers.set(slot, NO_TIMER);
+        if let Some(endpoint) = slot.checked_sub(self.stations.len()) {
+            self.with_transport(endpoint, |tp, ctx| tp.on_timer(ctx));
+            return Ok(());
         }
+        debug_assert!(
+            self.stations[slot].on,
+            "powered-off stations have their timer cleared"
+        );
+        if let Some(t) = self.tracer.as_mut() {
+            t(TraceEvent::MacTimer {
+                at: self.queue.now(),
+                station: slot,
+            });
+        }
+        self.with_mac(slot, |mac, ctx| mac.on_timer(ctx))
     }
 
     /// Operation counters of the underlying future-event list, with the
@@ -916,13 +865,11 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         );
 
         let st = &mut self.streams[stream];
-        st.offered += 1;
         if now >= self.warmup_end {
             st.offered_measured += 1;
         }
-        let src_on = self.stations[st.src].on;
-        if src_on {
-            self.with_transport(stream, Side::Sender, |tp, ctx| tp.on_app_send(ctx, bytes));
+        if self.stations[st.src].on {
+            self.with_transport(2 * stream, |tp, ctx| tp.on_app_send(ctx, bytes));
         }
     }
 
@@ -934,8 +881,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             }
             ActionKind::PowerOff { station } => {
                 self.stations[station].on = false;
-                self.mac_timers[station] = NO_TIMER;
-                self.timer_index.note_write(station as u32, NO_TIMER);
+                self.timers.set(station, NO_TIMER);
             }
             ActionKind::SetNoise { index, active } => {
                 self.medium.set_noise_active(index, active);
@@ -959,11 +905,8 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                     deliveries.clear();
                     self.delivery_buf = deliveries;
                 }
-                self.mac_timers[station] = NO_TIMER;
-                self.timer_index.note_write(station as u32, NO_TIMER);
-                if let Some(mac) = self.stations[station].mac.as_mut() {
-                    mac.reset(preserve_queues);
-                }
+                self.timers.set(station, NO_TIMER);
+                self.macs[station].reset(preserve_queues);
             }
             ActionKind::Restart { station } => {
                 if !self.stations[station].on {
@@ -983,8 +926,8 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     }
 
     // ------------------------------------------------------------------
-    // Borrow juggling: take the state machine out of its slot, build a
-    // context from the remaining disjoint fields, call, put back.
+    // Machines are borrowed in place: each context is built from the
+    // network's fields other than the machine's own table.
     // ------------------------------------------------------------------
 
     fn with_mac(
@@ -992,74 +935,43 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         station: usize,
         f: impl FnOnce(&mut dyn MacProtocol, &mut CoreMacCtx<M, Q::Fel<Event>>) -> MacResult,
     ) -> Result<(), SimError> {
-        let mut mac = self.stations[station]
-            .mac
-            .take()
-            .expect("MAC re-entered while borrowed");
         let now = self.queue.now();
-        let result = {
-            let slot = &mut self.stations[station];
-            let mut ctx = CoreMacCtx {
-                now,
-                station,
-                epoch: slot.epoch,
-                island: self.island_of_station[station],
-                queue: &mut self.queue,
-                medium: &mut self.medium,
-                rng: &mut slot.rng,
-                mac_timer: &mut self.mac_timers[station],
-                timer_index: &mut self.timer_index,
-                tx: &mut slot.tx,
-                island_live: &mut self.island_live,
-                island_high: &mut self.island_high,
-                effects: &mut self.effects,
-            };
-            f(mac.as_mut(), &mut ctx)
+        let slot = &mut self.stations[station];
+        let mut ctx = CoreMacCtx {
+            now,
+            station,
+            epoch: slot.epoch,
+            island: self.island_of_station[station],
+            queue: &mut self.queue,
+            medium: &mut self.medium,
+            rng: &mut slot.rng,
+            timers: &mut self.timers,
+            tx: &mut slot.tx,
+            island_live: &mut self.island_live,
+            island_high: &mut self.island_high,
+            effects: &mut self.effects,
         };
-        self.stations[station].mac = Some(mac);
-        result.map_err(|violation| SimError::MacInvariant { at: now, violation })
+        f(self.macs[station].as_mut(), &mut ctx)
+            .map_err(|violation| SimError::MacInvariant { at: now, violation })
     }
 
     fn with_transport(
         &mut self,
-        stream: usize,
-        side: Side,
+        endpoint: usize,
         f: impl FnOnce(&mut dyn Transport, &mut CoreTransportCtx<Q::Fel<Event>>),
     ) {
-        let now = self.queue.now();
-        let st = &mut self.streams[stream];
-        let mut tp = match side {
-            Side::Sender => st.sender.take().expect("sender endpoint re-entered"),
-            Side::Receiver => match &mut st.dst {
-                StreamDst::Unicast { endpoint, .. } => {
-                    endpoint.take().expect("receiver endpoint re-entered")
-                }
-                StreamDst::Multicast { .. } => {
-                    panic!("multicast streams have no receiver endpoint")
-                }
-            },
+        let tp = self.endpoints[endpoint]
+            .as_deref_mut()
+            .expect("multicast streams have no receiver endpoint");
+        let mut ctx = CoreTransportCtx {
+            now: self.queue.now(),
+            queue: &mut self.queue,
+            timers: &mut self.timers,
+            effects: &mut self.effects,
+            slot: self.stations.len() + endpoint,
+            endpoint,
         };
-        {
-            let mut ctx = CoreTransportCtx {
-                now,
-                queue: &mut self.queue,
-                timer: &mut self.tp_timers[2 * stream + (side == Side::Receiver) as usize],
-                timer_index: &mut self.timer_index,
-                effects: &mut self.effects,
-                stream,
-                side,
-            };
-            f(tp.as_mut(), &mut ctx);
-        }
-        let st = &mut self.streams[stream];
-        match side {
-            Side::Sender => st.sender = Some(tp),
-            Side::Receiver => {
-                if let StreamDst::Unicast { endpoint, .. } = &mut st.dst {
-                    *endpoint = Some(tp);
-                }
-            }
-        }
+        f(tp, &mut ctx);
     }
 
     fn drain_effects(&mut self) -> Result<(), SimError> {
@@ -1071,25 +983,15 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                     }
                 }
                 Effect::DeliverUp { station, sdu } => self.route_up(station, sdu),
-                Effect::SendSegment { stream, side, seg } => {
+                Effect::SendSegment { endpoint, seg } => {
+                    let stream = endpoint / 2;
                     let st = &self.streams[stream];
-                    let (from_station, to_addr) = match side {
-                        Side::Sender => match &st.dst {
-                            StreamDst::Unicast { station, .. } => {
-                                (st.src, Addr::Unicast(*station))
-                            }
-                            StreamDst::Multicast { group, .. } => {
-                                (st.src, Addr::Multicast(*group))
-                            }
-                        },
-                        Side::Receiver => match &st.dst {
-                            StreamDst::Unicast { station, .. } => {
-                                (*station, Addr::Unicast(st.src))
-                            }
-                            StreamDst::Multicast { .. } => {
-                                unreachable!("multicast receivers do not send")
-                            }
-                        },
+                    // A multicast stream has no receiver endpoint, so only
+                    // its sender sends.
+                    let (from_station, to_addr) = match (&st.dst, endpoint % 2) {
+                        (Dest::Station(dst), 0) => (st.src, Addr::Unicast(*dst)),
+                        (Dest::Station(dst), _) => (*dst, Addr::Unicast(st.src)),
+                        (Dest::Group { group, .. }, _) => (st.src, Addr::Multicast(*group)),
                     };
                     let (transport_seq, bytes) = seg.encode();
                     self.effects.push_back(Effect::MacEnqueue {
@@ -1103,10 +1005,8 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                     });
                 }
                 Effect::AppDeliver { stream, bytes } => {
-                    let now = self.queue.now();
-                    let st = &mut self.streams[stream];
-                    st.delivered += 1;
-                    if now >= self.warmup_end {
+                    if self.queue.now() >= self.warmup_end {
+                        let st = &mut self.streams[stream];
                         st.delivered_measured += 1;
                         st.delivered_bytes_measured += bytes as u64;
                     }
@@ -1133,75 +1033,38 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     fn signal_drop(&mut self, station: usize, stream_id: StreamId, transport_seq: u64) {
         let stream = stream_id.0 as usize;
         let st = &self.streams[stream];
-        let side = if station == st.src {
-            Side::Sender
-        } else {
-            match &st.dst {
-                StreamDst::Unicast {
-                    station: dst_station,
-                    ..
-                } if *dst_station == station => Side::Receiver,
-                // Multicast members have no endpoint; an SDU dropped by a
-                // station that is neither endpoint would be a MAC bug.
-                _ => return,
-            }
+        let endpoint = match &st.dst {
+            _ if station == st.src => 2 * stream,
+            Dest::Station(dst) if *dst == station => 2 * stream + 1,
+            // Multicast members have no endpoint; an SDU dropped by a
+            // station that is neither endpoint would be a MAC bug.
+            _ => return,
         };
         let seg = Segment::decode(transport_seq, st.bytes);
-        self.with_transport(stream, side, |tp, ctx| tp.on_segment_dropped(ctx, seg));
+        self.with_transport(endpoint, |tp, ctx| tp.on_segment_dropped(ctx, seg));
     }
 
     /// Route a MAC-delivered SDU to the right transport endpoint. Its
     /// stream id is the stream index this network stamped into it.
     fn route_up(&mut self, station: usize, sdu: MacSdu) {
         let stream = sdu.stream.0 as usize;
-        let seg = Segment::decode(sdu.transport_seq, sdu.bytes);
-        enum Route {
-            ToReceiver,
-            ToSender,
-            McastDeliver,
-            Drop,
-        }
-        let route = {
-            let st = &self.streams[stream];
-            match &st.dst {
-                StreamDst::Unicast {
-                    station: dst_station,
-                    ..
-                } => {
-                    if station == *dst_station {
-                        Route::ToReceiver
-                    } else if station == st.src {
-                        Route::ToSender
-                    } else {
-                        // An SDU surfacing anywhere else would be a MAC bug;
-                        // the MAC only delivers frames addressed to it.
-                        Route::Drop
-                    }
-                }
-                StreamDst::Multicast { members, .. } => {
-                    if members.contains(&station) {
-                        Route::McastDeliver
-                    } else {
-                        Route::Drop
-                    }
-                }
-            }
-        };
-        match route {
-            Route::ToReceiver => {
-                self.with_transport(stream, Side::Receiver, |tp, ctx| tp.on_segment(ctx, seg));
-            }
-            Route::ToSender => {
-                self.with_transport(stream, Side::Sender, |tp, ctx| tp.on_segment(ctx, seg));
-            }
-            Route::McastDeliver => {
+        let st = &self.streams[stream];
+        let endpoint = match &st.dst {
+            Dest::Station(dst) if station == *dst => 2 * stream + 1,
+            Dest::Station(_) if station == st.src => 2 * stream,
+            Dest::Group { members, .. } if members.contains(&station) => {
                 self.effects.push_back(Effect::AppDeliver {
                     stream,
                     bytes: sdu.bytes,
                 });
+                return;
             }
-            Route::Drop => {}
-        }
+            // An SDU surfacing anywhere else would be a MAC bug; the MAC
+            // only delivers frames addressed to it.
+            _ => return,
+        };
+        let seg = Segment::decode(sdu.transport_seq, sdu.bytes);
+        self.with_transport(endpoint, |tp, ctx| tp.on_segment(ctx, seg));
     }
 
     /// Produce the run report for `[warmup_end, end]`.
@@ -1212,8 +1075,8 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             .iter()
             .map(|s| {
                 let dst_name = match &s.dst {
-                    StreamDst::Unicast { station, .. } => self.stations[*station].name.clone(),
-                    StreamDst::Multicast { group, .. } => format!("mcast:{group}"),
+                    Dest::Station(station) => self.stations[*station].name.clone(),
+                    Dest::Group { group, .. } => format!("mcast:{group}"),
                 };
                 StreamReport {
                     name: s.name.clone(),
@@ -1235,15 +1098,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                 }
             })
             .collect();
-        let mac_stats = self
-            .stations
-            .iter()
-            .map(|s| {
-                s.mac
-                    .as_ref()
-                    .and_then(|m| m.mac_stats().copied())
-            })
-            .collect();
+        let mac_stats = self.macs.iter().map(|m| m.mac_stats().copied()).collect();
         RunReport {
             measured_secs: measured,
             streams,
@@ -1300,8 +1155,8 @@ struct CoreMacCtx<'a, M: Medium, F: Fel<Event>> {
     queue: &'a mut EventQueue<Event, F>,
     medium: &'a mut M,
     rng: &'a mut SimRng,
-    mac_timer: &'a mut PendingTimer,
-    timer_index: &'a mut TimerIndex,
+    /// Every timer slot; the station's own is slot `station`.
+    timers: &'a mut TimerIndex,
     tx: &'a mut Option<(TxId, Frame)>,
     island_live: &'a mut [usize],
     island_high: &'a mut [usize],
@@ -1318,14 +1173,12 @@ impl<M: Medium, F: Fel<Event>> MacContext for CoreMacCtx<'_, M, F> {
     // insertion counter) keeps the fire order identical to a queued event's.
 
     fn set_timer(&mut self, delay: SimDuration) {
-        *self.mac_timer = (self.now + delay, self.queue.alloc_key(PRIO_TIMER));
-        self.timer_index
-            .note_write(self.station as u32, *self.mac_timer);
+        let tk = (self.now + delay, self.queue.alloc_key(PRIO_TIMER));
+        self.timers.set(self.station, tk);
     }
 
     fn clear_timer(&mut self) {
-        *self.mac_timer = NO_TIMER;
-        self.timer_index.note_write(self.station as u32, NO_TIMER);
+        self.timers.set(self.station, NO_TIMER);
     }
 
     fn transmit(&mut self, frame: Frame) {
@@ -1370,11 +1223,12 @@ impl<M: Medium, F: Fel<Event>> MacContext for CoreMacCtx<'_, M, F> {
 struct CoreTransportCtx<'a, F: Fel<Event>> {
     now: SimTime,
     queue: &'a mut EventQueue<Event, F>,
-    timer: &'a mut PendingTimer,
-    timer_index: &'a mut TimerIndex,
+    timers: &'a mut TimerIndex,
     effects: &'a mut VecDeque<Effect>,
-    stream: usize,
-    side: Side,
+    /// The endpoint's timer slot.
+    slot: usize,
+    /// The endpoint: `2·stream`, plus one for the receiver.
+    endpoint: usize,
 }
 
 impl<F: Fel<Event>> TransportContext for CoreTransportCtx<'_, F> {
@@ -1386,28 +1240,24 @@ impl<F: Fel<Event>> TransportContext for CoreTransportCtx<'_, F> {
     // slot, not the event queue.
 
     fn set_timer(&mut self, delay: SimDuration) {
-        *self.timer = (self.now + delay, self.queue.alloc_key(PRIO_TIMER));
-        let slot = TP_SLOT | (2 * self.stream + (self.side == Side::Receiver) as usize) as u32;
-        self.timer_index.note_write(slot, *self.timer);
+        let tk = (self.now + delay, self.queue.alloc_key(PRIO_TIMER));
+        self.timers.set(self.slot, tk);
     }
 
     fn clear_timer(&mut self) {
-        *self.timer = NO_TIMER;
-        let slot = TP_SLOT | (2 * self.stream + (self.side == Side::Receiver) as usize) as u32;
-        self.timer_index.note_write(slot, NO_TIMER);
+        self.timers.set(self.slot, NO_TIMER);
     }
 
     fn send_segment(&mut self, seg: Segment) {
         self.effects.push_back(Effect::SendSegment {
-            stream: self.stream,
-            side: self.side,
+            endpoint: self.endpoint,
             seg,
         });
     }
 
     fn deliver_app(&mut self, _seq: u64, bytes: u32) {
         self.effects.push_back(Effect::AppDeliver {
-            stream: self.stream,
+            stream: self.endpoint / 2,
             bytes,
         });
     }

@@ -63,9 +63,6 @@ pub trait Transport {
     fn on_segment_dropped(&mut self, ctx: &mut dyn TransportContext, seg: Segment) {
         let _ = (ctx, seg);
     }
-
-    /// Segments currently queued/in flight below this endpoint (diagnostic).
-    fn outstanding(&self) -> u64;
 }
 
 /// A scripted [`TransportContext`] for unit tests (mirrors

@@ -46,8 +46,6 @@ pub struct TcpSender {
     /// Smoothed RTT / RTT variance (Jacobson), if measured yet.
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
-    /// Current RTO (with exponential backoff applied).
-    rto: SimDuration,
     /// Consecutive timeouts since the last new ACK.
     backoff_shift: u32,
     /// Send time of the segment being timed (Karn's rule: only segments
@@ -71,7 +69,6 @@ impl TcpSender {
             snd_nxt: 0,
             srtt: None,
             rttvar: SimDuration::ZERO,
-            rto: MIN_RTO,
             backoff_shift: 0,
             timing: None,
             timer_armed: false,
@@ -89,9 +86,9 @@ impl TcpSender {
         self.snd_una
     }
 
-    /// The current retransmission timeout (diagnostics).
-    pub fn rto(&self) -> SimDuration {
-        self.rto
+    /// Packets sent and not yet acknowledged.
+    pub fn outstanding(&self) -> u64 {
+        self.snd_nxt - self.snd_una
     }
 
     fn base_rto(&self) -> SimDuration {
@@ -185,7 +182,6 @@ impl Transport for TcpSender {
             self.timer_armed = true;
         }
         self.fill_window(ctx);
-        self.rto = self.current_rto();
     }
 
     fn on_timer(&mut self, ctx: &mut dyn TransportContext) {
@@ -199,7 +195,6 @@ impl Transport for TcpSender {
         let resend_from = self.snd_una;
         self.retransmits += self.snd_nxt - resend_from;
         self.snd_nxt = resend_from;
-        self.rto = self.current_rto();
         self.fill_window(ctx);
     }
 
@@ -221,10 +216,6 @@ impl Transport for TcpSender {
         self.snd_nxt = self.snd_una;
         self.fill_window(ctx);
     }
-
-    fn outstanding(&self) -> u64 {
-        self.snd_nxt - self.snd_una
-    }
 }
 
 /// TCP receiving endpoint.
@@ -233,8 +224,6 @@ pub struct TcpReceiver {
     rcv_nxt: u64,
     /// Out-of-order segments held for reassembly (packet sizes).
     ooo: Vec<(u64, u32)>,
-    /// Total data segments that arrived (including duplicates).
-    segments_in: u64,
 }
 
 impl TcpReceiver {
@@ -247,11 +236,6 @@ impl TcpReceiver {
     pub fn rcv_nxt(&self) -> u64 {
         self.rcv_nxt
     }
-
-    /// Total data segments seen (diagnostics).
-    pub fn segments_in(&self) -> u64 {
-        self.segments_in
-    }
 }
 
 impl Transport for TcpReceiver {
@@ -263,7 +247,6 @@ impl Transport for TcpReceiver {
         let Segment::Data { seq, bytes } = seg else {
             return;
         };
-        self.segments_in += 1;
         if seq == self.rcv_nxt {
             ctx.deliver_app(seq, bytes);
             self.rcv_nxt += 1;
@@ -284,10 +267,6 @@ impl Transport for TcpReceiver {
     }
 
     fn on_timer(&mut self, _ctx: &mut dyn TransportContext) {}
-
-    fn outstanding(&self) -> u64 {
-        self.ooo.len() as u64
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@ use crate::{Segment, Transport, TransportContext};
 #[derive(Debug, Default)]
 pub struct UdpSender {
     next_seq: u64,
-    sent: u64,
 }
 
 impl UdpSender {
@@ -19,18 +18,12 @@ impl UdpSender {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Datagrams handed to the MAC so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
 }
 
 impl Transport for UdpSender {
     fn on_app_send(&mut self, ctx: &mut dyn TransportContext, bytes: u32) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.sent += 1;
         ctx.send_segment(Segment::Data { seq, bytes });
     }
 
@@ -39,27 +32,16 @@ impl Transport for UdpSender {
     }
 
     fn on_timer(&mut self, _ctx: &mut dyn TransportContext) {}
-
-    fn outstanding(&self) -> u64 {
-        0
-    }
 }
 
 /// UDP receiving endpoint.
 #[derive(Debug, Default)]
-pub struct UdpReceiver {
-    received: u64,
-}
+pub struct UdpReceiver;
 
 impl UdpReceiver {
     /// Create a receiver.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Datagrams delivered so far.
-    pub fn received(&self) -> u64 {
-        self.received
+        Self
     }
 }
 
@@ -70,16 +52,11 @@ impl Transport for UdpReceiver {
 
     fn on_segment(&mut self, ctx: &mut dyn TransportContext, seg: Segment) {
         if let Segment::Data { seq, bytes } = seg {
-            self.received += 1;
             ctx.deliver_app(seq, bytes);
         }
     }
 
     fn on_timer(&mut self, _ctx: &mut dyn TransportContext) {}
-
-    fn outstanding(&self) -> u64 {
-        0
-    }
 }
 
 #[cfg(test)]
@@ -98,7 +75,6 @@ mod tests {
         assert_eq!(sent.len(), 5);
         assert_eq!(sent[0], Segment::Data { seq: 0, bytes: 512 });
         assert_eq!(sent[4], Segment::Data { seq: 4, bytes: 512 });
-        assert_eq!(tx.sent(), 5);
     }
 
     #[test]
@@ -108,7 +84,6 @@ mod tests {
         rx.on_segment(&mut ctx, Segment::Data { seq: 0, bytes: 512 });
         rx.on_segment(&mut ctx, Segment::Data { seq: 3, bytes: 512 });
         assert_eq!(ctx.delivered(), vec![0, 3], "UDP does not reorder or wait");
-        assert_eq!(rx.received(), 2);
     }
 
     #[test]

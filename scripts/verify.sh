@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline release build, lint wall, rustdoc gate,
-# full test suite, the benchmark's output check, and a full run of every
-# science binary (faults, scale, mobility, replicate and check), each
-# written to a temp dir and compared with its committed BENCH_*.json.
+# Tier-1 verification: offline release build from the committed lock
+# files, lint wall, rustdoc gate, full test suite, the benchmark's output
+# check, and a full run of every science binary (faults, scale, mobility,
+# replicate and check), each written to a temp dir and compared with its
+# committed BENCH_*.json.
 # Exits non-zero if anything fails to build, clippy or rustdoc reports any
 # warning (a dangling or private doc link included), any test fails, a
 # run panics or breaks one of its asserts (non-finite throughput, MACAW
@@ -13,8 +14,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== build (release) =="
-cargo build --release --workspace
+echo "== build (release, lock files as committed) =="
+cargo build --release --workspace --locked
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -42,8 +43,8 @@ echo "== benchmark (transparency suite + one-second output check of every worklo
 # Each workload's outputs are checked against perfbench/expected.txt: the
 # 30 paper-table reports, the office-floor and campus reports, and the 12
 # proof rows. Four JSON lines, each correct with no failed run.
-cargo test -q --offline --manifest-path perfbench/Cargo.toml
-bench_json="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+bench_json="$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload all --seed 1 --seconds 1 --trace 0 | grep '^{' || true)"
 echo "$bench_json"
 bench_lines="$(printf '%s\n' "$bench_json" | grep -c '^{' || true)"
