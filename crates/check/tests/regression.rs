@@ -245,13 +245,23 @@ fn an_invariant_broken_inside_a_flight_end_is_the_last_step() {
 
 #[test]
 fn the_unmodified_protocol_passes_the_same_check() {
-    // Control arm: identical configuration, real MACAW — no violation.
+    // Control arm: the seeded arm's configuration (MACAW's own settings,
+    // the default depth, deepening one step at a time) with the real
+    // MACAW: no violation, and the state space exhausted.
     let mut cfg = CheckConfig::new(FaultClass::Loss { budget: 1 }, Expectation::DeliverAll);
     cfg.depth_step = 1;
+    let report = check("macaw", &Topology::shared_cell(2), &cfg, |i| {
+        WMac::new(Addr::Unicast(i), MacConfig::macaw())
+    });
+    assert!(
+        report.ok() && report.complete,
+        "seeded configuration: {report}"
+    );
+
+    // And under the proof matrix's budgets, at its depth of 96.
     cfg.max_depth = 96;
     let report = check("macaw", &Topology::shared_cell(2), &cfg, |i| {
         WMac::new(Addr::Unicast(i), proof_wmac(MacConfig::macaw()))
     });
-    assert!(report.ok(), "{report}");
-    assert!(report.complete);
+    assert!(report.ok() && report.complete, "proof budgets: {report}");
 }

@@ -30,6 +30,11 @@
 //! `stations + e`. A handler borrows its machine in place, beside a
 //! context built from the network's other fields.
 //!
+//! MACs are stored by value (an enum over the two machine types), not as
+//! heap blocks of their own. The transport endpoints stay boxed: an enum
+//! would size every slot to a `TcpSender` (96 B; a `UdpSender` is 8 B),
+//! which raised the UDP-only office floor's peak heap.
+//!
 //! # Re-entrancy
 //!
 //! A received DATA packet can make a TCP receiver emit an ACK segment,
@@ -49,14 +54,13 @@ use macaw_phy::{
 use macaw_sim::{
     EventQueue, Fel, FelChoice, LadderFel, NextFire, QueueStats, SimDuration, SimRng, SimTime,
 };
-use macaw_traffic::{Cbr, Poisson, TrafficSource};
 use macaw_transport::{
     Segment, TcpReceiver, TcpSender, Transport, TransportContext, UdpReceiver, UdpSender,
 };
 
 use crate::error::SimError;
 use crate::partition::Partition;
-use crate::scenario::{Dest, Scenario, SourceKind, TransportKind};
+use crate::scenario::{Dest, Scenario, SourceKind, StationMac, TransportKind};
 use crate::stats::{RunReport, StreamReport};
 
 /// A trace record emitted by [`Network::set_tracer`] hooks. Useful for
@@ -359,7 +363,7 @@ struct StreamState {
     src: usize,
     dst: Dest,
     bytes: u32,
-    source: Box<dyn TrafficSource>,
+    source: SourceKind,
     rng: SimRng,
     start: SimTime,
     stop: Option<SimTime>,
@@ -385,8 +389,8 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     windows: Vec<LinkWindow>,
     queue: EventQueue<Event, Q::Fel<Event>>,
     stations: Vec<StationSlot>,
-    /// The MAC of each station, indexed like `stations`.
-    macs: Vec<Box<dyn MacProtocol>>,
+    /// The MAC of each station, in place and indexed like `stations`.
+    macs: Vec<StationMac>,
     streams: Vec<StreamState>,
     /// Transport endpoints, two per stream: `2·stream` is the sender and
     /// `2·stream + 1` the receiver, `None` for a multicast stream.
@@ -522,24 +526,18 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         let streams = streams
             .into_iter()
             .enumerate()
-            .map(|(i, spec)| {
-                let source: Box<dyn TrafficSource> = match spec.source {
-                    SourceKind::Cbr { pps } => Box::new(Cbr::pps(pps)),
-                    SourceKind::Poisson { pps } => Box::new(Poisson::pps(pps)),
-                };
-                StreamState {
-                    name: spec.name,
-                    src: spec.src,
-                    dst: spec.dst,
-                    bytes: spec.bytes,
-                    source,
-                    rng: root.fork(0x5742_0000 + i as u64),
-                    start: spec.start,
-                    stop: spec.stop,
-                    offered_measured: 0,
-                    delivered_measured: 0,
-                    delivered_bytes_measured: 0,
-                }
+            .map(|(i, spec)| StreamState {
+                name: spec.name,
+                src: spec.src,
+                dst: spec.dst,
+                bytes: spec.bytes,
+                source: spec.source,
+                rng: root.fork(0x5742_0000 + i as u64),
+                start: spec.start,
+                stop: spec.stop,
+                offered_measured: 0,
+                delivered_measured: 0,
+                delivered_bytes_measured: 0,
             })
             .collect();
 
@@ -906,7 +904,10 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                     self.delivery_buf = deliveries;
                 }
                 self.timers.set(station, NO_TIMER);
-                self.macs[station].reset(preserve_queues);
+                self.with_mac(station, |mac, _| {
+                    mac.reset(preserve_queues);
+                    Ok(())
+                })?;
             }
             ActionKind::Restart { station } => {
                 if !self.stations[station].on {
@@ -951,8 +952,13 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             island_high: &mut self.island_high,
             effects: &mut self.effects,
         };
-        f(self.macs[station].as_mut(), &mut ctx)
-            .map_err(|violation| SimError::MacInvariant { at: now, violation })
+        // One arm per machine type: once `f` is inlined, each call is
+        // direct rather than through a vtable.
+        match &mut self.macs[station] {
+            StationMac::WMac(m) => f(m, &mut ctx),
+            StationMac::Csma(m) => f(m, &mut ctx),
+        }
+        .map_err(|violation| SimError::MacInvariant { at: now, violation })
     }
 
     fn with_transport(
@@ -1098,7 +1104,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                 }
             })
             .collect();
-        let mac_stats = self.macs.iter().map(|m| m.mac_stats().copied()).collect();
+        let mac_stats = self.macs.iter().map(StationMac::stats).collect();
         RunReport {
             measured_secs: measured,
             streams,

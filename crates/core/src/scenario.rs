@@ -9,9 +9,10 @@ use macaw_mac::config::MacConfig;
 use macaw_mac::context::MacProtocol;
 use macaw_mac::csma::{Csma, CsmaConfig};
 use macaw_mac::frames::Addr;
-use macaw_mac::wmac::WMac;
+use macaw_mac::wmac::{MacStats, WMac};
 use macaw_phy::{LinkWindow, Medium, Point, PropagationConfig, StationId, MAX_GAMMA};
 use macaw_sim::{SimDuration, SimTime};
+pub use macaw_traffic::SourceKind;
 
 use crate::error::SimError;
 use crate::network::{ActionKind, Network, ScheduledAction};
@@ -33,18 +34,36 @@ pub enum MacKind {
 }
 
 impl MacKind {
-    pub(crate) fn build(self, addr: Addr, groups: &[u32]) -> Box<dyn MacProtocol> {
+    pub(crate) fn build(self, addr: Addr, groups: &[u32]) -> StationMac {
         let cfg = match self {
             MacKind::Maca => MacConfig::maca(),
             MacKind::Macaw => MacConfig::macaw(),
             MacKind::Custom(cfg) => cfg,
-            MacKind::Csma(cfg) => return Box::new(Csma::new(addr, cfg)),
+            MacKind::Csma(cfg) => return StationMac::Csma(Csma::new(addr, cfg)),
         };
         let mut m = WMac::new(addr, cfg);
         for g in groups {
             m.join_group(*g);
         }
-        Box::new(m)
+        StationMac::WMac(m)
+    }
+}
+
+/// A built station MAC, stored in place in the network's MAC table: the
+/// closed set [`MacKind`] builds.
+#[expect(clippy::large_enum_variant, reason = "WMac is the common variant")]
+pub(crate) enum StationMac {
+    WMac(WMac),
+    Csma(Csma),
+}
+
+impl StationMac {
+    /// The machine's protocol counters, if it keeps them.
+    pub(crate) fn stats(&self) -> Option<MacStats> {
+        match self {
+            StationMac::WMac(m) => m.mac_stats().copied(),
+            StationMac::Csma(m) => m.mac_stats().copied(),
+        }
     }
 }
 
@@ -55,25 +74,6 @@ pub enum TransportKind {
     Udp,
     /// The simplified TCP of §3.3.1 (Tables 4 and 11).
     Tcp,
-}
-
-/// The traffic model for a stream.
-#[derive(Clone, Copy, Debug)]
-pub enum SourceKind {
-    /// Constant bit rate at `pps` packets per second (the paper's model).
-    Cbr { pps: u64 },
-    /// Poisson arrivals with mean `pps` packets per second.
-    Poisson { pps: f64 },
-}
-
-impl SourceKind {
-    /// The smallest Poisson rate a scenario accepts, in packets per
-    /// second. A gap is drawn as `-mean * ln(u)` with `u` on a 2^-53 grid,
-    /// so one gap is at most about 36.7 mean gaps: at this rate about
-    /// 3.7e16 ns (1.2 years), far inside `SimTime`'s ~584 years. Much
-    /// smaller rates make the mean gap infinite, or one gap overflow
-    /// `u64` nanoseconds, and the run would abort.
-    pub const MIN_POISSON_PPS: f64 = 1e-6;
 }
 
 /// Where a stream's packets go.

@@ -18,6 +18,8 @@
 //! [`Backoff`] packages one choice per axis behind a single interface the
 //! MAC state machine drives.
 
+use std::num::NonZeroU32;
+
 use crate::frames::{Addr, BackoffHeader};
 
 /// ALPHA of Appendix B.2's retry escalation: each retry raises the
@@ -69,12 +71,19 @@ pub enum BackoffSharing {
     PerDestination,
 }
 
-/// Per-peer state for the per-destination scheme (Appendix B.2).
+/// One peer's entry in the per-destination table (Appendix B.2). The
+/// field order is the sort and hash order: `idx` first, so the derived
+/// `Ord` and `Hash` treat an entry exactly as the `(index, state)` pair it
+/// stands for.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-struct Peer {
-    /// "Q's backoff": our estimate of the congestion at the peer's end.
-    /// `None` is the paper's `I_DONT_KNOW`.
-    remote: Option<u32>,
+struct PeerEntry {
+    /// The peer's station index (station indices fit in `u32`, as the
+    /// simulator's timer slots do).
+    idx: u32,
+    /// "Q's backoff": our estimate of the congestion at the peer's end,
+    /// always clamped to `[min, max]` and so never 0. `None` is the paper's
+    /// `I_DONT_KNOW`.
+    remote: Option<NonZeroU32>,
     /// "local_backoff used with Q": our own backoff as used in exchanges
     /// with this peer.
     local: u32,
@@ -86,6 +95,12 @@ struct Peer {
     retry_in: u32,
 }
 
+/// `v` clamped to `[min, max]`, as a peer entry's `remote` holds it. Never
+/// `None`: [`Backoff::new`] asserts `min >= 1`.
+fn clamped(v: u32, min: u32, max: u32) -> Option<NonZeroU32> {
+    NonZeroU32::new(v.clamp(min, max))
+}
+
 /// A station's complete backoff state.
 pub struct Backoff {
     algo: BackoffAlgo,
@@ -95,12 +110,13 @@ pub struct Backoff {
     /// `my_backoff`: the station-wide counter (the only counter in the
     /// `None`/`Copy` schemes).
     my: u32,
-    /// Per-peer learned state, keyed by the peer's station index and kept
-    /// ascending. A station only ever exchanges with its radio
-    /// neighborhood, so a sorted vec stays O(neighbors); a dense
-    /// station-indexed table would cost O(stations) memory *per station*
-    /// (quadratic fleet-wide) and realloc-churn on every new high index.
-    peers: Vec<(usize, Peer)>,
+    /// Per-peer learned state, 40 B per entry, kept ascending by station
+    /// index. A station only learns about its radio neighborhood (about six
+    /// peers on the 65 536-station floor, two-hop stations included), so a
+    /// sorted vec stays O(neighbors); a dense station-indexed table would
+    /// cost O(stations) memory *per station* (quadratic fleet-wide) and
+    /// realloc-churn on every new high index.
+    peers: Vec<PeerEntry>,
 }
 
 /// By hand so that `clone_from` refills the peer table in place: the
@@ -149,42 +165,35 @@ impl Backoff {
         }
     }
 
-    fn peer(&mut self, addr: Addr) -> &mut Peer {
+    fn peer(&mut self, addr: Addr) -> &mut PeerEntry {
         let Addr::Unicast(idx) = addr else {
             panic!("per-destination backoff is undefined for multicast")
         };
-        let (min, my) = (self.min, self.my);
-        let at = match self.peers.binary_search_by_key(&idx, |e| e.0) {
+        let idx = idx as u32;
+        let at = match self.peers.binary_search_by_key(&idx, |e| e.idx) {
             Ok(at) => at,
             Err(at) => {
-                self.peers.insert(
-                    at,
-                    (
-                        idx,
-                        Peer {
-                            remote: None,
-                            local: my.max(min),
-                            esn_out: 0,
-                            esn_in: None,
-                            retry_in: 1,
-                        },
-                    ),
-                );
+                let entry = PeerEntry {
+                    idx,
+                    remote: None,
+                    local: self.my.max(self.min),
+                    esn_out: 0,
+                    esn_in: None,
+                    retry_in: 1,
+                };
+                self.peers.insert(at, entry);
                 at
             }
         };
-        &mut self.peers[at].1
+        &mut self.peers[at]
     }
 
-    fn peer_ro(&self, addr: Addr) -> Option<&Peer> {
-        match addr {
-            Addr::Unicast(idx) => self
-                .peers
-                .binary_search_by_key(&idx, |e| e.0)
-                .ok()
-                .map(|at| &self.peers[at].1),
-            Addr::Multicast(_) => None,
-        }
+    fn peer_ro(&self, addr: Addr) -> Option<&PeerEntry> {
+        let Addr::Unicast(idx) = addr else {
+            return None;
+        };
+        let at = self.peers.binary_search_by_key(&(idx as u32), |e| e.idx);
+        at.ok().map(|at| &self.peers[at])
     }
 
     /// The station-wide `my_backoff` counter.
@@ -201,7 +210,10 @@ impl Backoff {
         match self.sharing {
             BackoffSharing::None | BackoffSharing::Copy => self.my,
             BackoffSharing::PerDestination => match self.peer_ro(dst) {
-                Some(p) => (p.local + p.remote.unwrap_or(self.min)).clamp(self.min, 2 * self.max),
+                Some(p) => {
+                    let remote = p.remote.map_or(self.min, NonZeroU32::get);
+                    (p.local + remote).clamp(self.min, 2 * self.max)
+                }
                 None => (self.my + self.min).clamp(self.min, 2 * self.max),
             },
         }
@@ -240,7 +252,7 @@ impl Backoff {
             BackoffSharing::PerDestination => match self.peer_ro(dst) {
                 Some(p) => BackoffHeader {
                     local: p.local,
-                    remote: p.remote,
+                    remote: p.remote.map(NonZeroU32::get),
                     esn: p.esn_out,
                 },
                 None => BackoffHeader {
@@ -263,8 +275,8 @@ impl Backoff {
             BackoffSharing::PerDestination => {
                 let (min, max) = (self.min, self.max);
                 let p = self.peer(dst);
-                let base = p.remote.unwrap_or(min);
-                p.remote = Some((base + retry_count.max(1) * ALPHA).clamp(min, max));
+                let base = p.remote.map_or(min, NonZeroU32::get);
+                p.remote = clamped(base + retry_count.max(1) * ALPHA, min, max);
             }
         }
     }
@@ -281,7 +293,7 @@ impl Backoff {
                 let p = self.peer(dst);
                 p.local = algo.decrease(p.local, min, max);
                 if let Some(r) = p.remote {
-                    p.remote = Some(algo.decrease(r, min, max));
+                    p.remote = NonZeroU32::new(algo.decrease(r.get(), min, max));
                 }
                 // B.2: local_backoff is synchronized with my_backoff once a
                 // successful handshake is done.
@@ -356,12 +368,12 @@ impl Backoff {
                 if kind_is_rts {
                     return;
                 }
-                let local = h.local.clamp(self.min, self.max);
+                let (min, max) = (self.min, self.max);
                 if let Addr::Unicast(_) = src {
-                    self.peer(src).remote = Some(local);
+                    self.peer(src).remote = clamped(h.local, min, max);
                 }
                 if let (Some(r), Addr::Unicast(_)) = (h.remote, dst) {
-                    self.peer(dst).remote = Some(r.clamp(self.min, self.max));
+                    self.peer(dst).remote = clamped(r, min, max);
                 }
                 // NOTE: Appendix B.2 additionally copies the transmitter's
                 // value as our own station-wide counter ("assuming that Q is
@@ -400,7 +412,7 @@ impl Backoff {
                 if is_new {
                     // New exchange or completed handshake: the header values
                     // are authoritative.
-                    p.remote = Some(h.local.clamp(min, max));
+                    p.remote = clamped(h.local, min, max);
                     if let Some(r) = h.remote {
                         p.local = r.clamp(min, max);
                         new_my = Some(r.clamp(min, max));
@@ -419,10 +431,10 @@ impl Backoff {
                     // escalate the sender's estimate. The sum of the two
                     // ends is invariant to where the collision happened, so
                     // recover our own as (sum − sender's).
-                    let escalated = (h.local + p.retry_in * ALPHA).clamp(min, max);
-                    p.remote = Some(escalated);
+                    let escalated = h.local.saturating_add(p.retry_in * ALPHA).clamp(min, max);
+                    p.remote = NonZeroU32::new(escalated);
                     if let Some(r) = h.remote {
-                        let sum = h.local + r;
+                        let sum = h.local.saturating_add(r);
                         p.local = sum.saturating_sub(escalated).clamp(min, max);
                     } else {
                         p.local = my;
@@ -440,7 +452,7 @@ impl Backoff {
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct BackoffSnapshot {
     my: u32,
-    peers: Vec<(usize, Peer)>,
+    peers: Vec<PeerEntry>,
 }
 
 impl BackoffSnapshot {
@@ -456,23 +468,11 @@ impl BackoffSnapshot {
         let BackoffSnapshot { my, peers } = self;
         out.my = *my;
         out.peers.clear();
-        out.peers.extend(
-            peers
-                .iter()
-                .map(|(i, p)| (map.station.get(*i).copied().unwrap_or(*i), *p)),
-        );
-        out.peers.sort_by_key(|(i, _)| *i);
-    }
-}
-
-impl std::fmt::Debug for Backoff {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Backoff")
-            .field("algo", &self.algo)
-            .field("sharing", &self.sharing)
-            .field("my", &self.my)
-            .field("peers", &self.peers.len())
-            .finish()
+        out.peers.extend(peers.iter().map(|p| PeerEntry {
+            idx: map.station.get(p.idx as usize).map_or(p.idx, |&i| i as u32),
+            ..*p
+        }));
+        out.peers.sort_by_key(|p| p.idx);
     }
 }
 
@@ -762,6 +762,45 @@ mod tests {
         let peers = b.peers.as_ptr();
         b.clone_from(&src);
         assert_eq!(b.peers.as_ptr(), peers);
+    }
+
+    #[test]
+    fn peer_entries_keep_remote_estimates_inside_the_bounds() {
+        // 40 B on 64-bit hosts: the index and the remote estimate share
+        // what the old `(usize, Peer)` pair spent on the index alone.
+        assert_eq!(std::mem::size_of::<PeerEntry>(), 40);
+        let in_bounds = |b: &Backoff, v: u32| {
+            for i in 1..=3 {
+                let remote = b.header(dst(i)).remote;
+                assert!(
+                    remote.is_none_or(|r| (MIN..=MAX).contains(&r)),
+                    "{v}: {remote:?}"
+                );
+                assert!((MIN..=2 * MAX).contains(&b.window(dst(i))), "{v}");
+            }
+        };
+        for v in [0, MIN - 1, MAX + 1, u32::MAX] {
+            let h = BackoffHeader {
+                local: v,
+                remote: Some(v),
+                esn: 1,
+            };
+            let mut b = Backoff::new(BackoffAlgo::Mild, BackoffSharing::PerDestination, MIN, MAX);
+            b.on_overhear(dst(1), dst(2), false, &h);
+            assert_eq!(b.header(dst(1)).remote, Some(v.clamp(MIN, MAX)));
+            assert_eq!(b.header(dst(2)).remote, Some(v.clamp(MIN, MAX)));
+            in_bounds(&b, v);
+            b.on_receive(dst(3), true, &h); // a new RTS
+            in_bounds(&b, v);
+            b.on_receive(dst(3), true, &h); // its retransmission
+            in_bounds(&b, v);
+            for i in 1..=3 {
+                b.on_timeout(dst(i), 1);
+                in_bounds(&b, v);
+                b.on_success(dst(i));
+                in_bounds(&b, v);
+            }
+        }
     }
 
     #[test]

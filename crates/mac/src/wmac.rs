@@ -50,6 +50,11 @@ use crate::context::{
 };
 use crate::frames::{slot, Addr, Frame, FrameKind, MacSdu, StreamId};
 
+/// ESNs a re-ACK window keeps per peer (Appendix B control rule 7): the
+/// retry budget bounds how far exchanges interleave. The oldest ESN leaves
+/// before a new one enters, so the buffer never outgrows this.
+const ACK_WINDOW: usize = 32;
+
 /// A queued upper-layer packet with its retransmission bookkeeping.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 struct Packet {
@@ -347,9 +352,14 @@ impl WMac {
                 {
                     i
                 } else {
+                    // Most stations serve one stream, a packet or two at a
+                    // time: start there; amortised growth takes over after.
+                    if self.slots.is_empty() {
+                        self.slots.reserve_exact(1);
+                    }
                     self.slots.push(QueueSlot {
                         key: Some((dst, stream)),
-                        q: VecDeque::new(),
+                        q: VecDeque::with_capacity(1),
                     });
                     self.slots.len() - 1
                 }
@@ -763,12 +773,10 @@ impl WMac {
                     }
                 };
                 let recent = &mut self.acked[at].1;
-                recent.push_back(frame.backoff.esn);
-                // Bound the memory: interleaving depth is limited by the
-                // retry budget, so a short window suffices.
-                while recent.len() > 32 {
+                if recent.len() == ACK_WINDOW {
                     recent.pop_front();
                 }
+                recent.push_back(frame.backoff.esn);
             }
             self.stats.ack_sent += 1;
             let f = self.make(FrameKind::Ack, frame.src, frame.data_bytes, frame.backoff.esn);
@@ -1645,6 +1653,23 @@ mod tests {
         let resp = *ctx.last_tx().unwrap();
         assert_eq!(resp.kind, FrameKind::Ack, "dup RTS -> re-ACK");
         assert_eq!(ctx.delivered().len(), 1, "no duplicate delivery");
+    }
+
+    #[test]
+    fn reack_window_keeps_the_last_esns_without_regrowing() {
+        let mut mac = WMac::new(B, MacConfig::macaw());
+        let mut ctx = ScriptedContext::new(6);
+        for esn in 1..=100 {
+            mac.on_receive(&mut ctx, &frame(FrameKind::Data, A, B, 512, esn))
+                .unwrap();
+            mac.on_tx_end(&mut ctx).unwrap(); // the ACK
+        }
+        let [(0, window)] = &mac.acked[..] else {
+            panic!("one window, for A: {:?}", mac.acked)
+        };
+        assert_eq!(ACK_WINDOW, 32);
+        assert!(window.iter().copied().eq(69..=100), "{window:?}");
+        assert!(window.capacity() < 64, "capacity {}", window.capacity());
     }
 
     #[test]

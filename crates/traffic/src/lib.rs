@@ -2,9 +2,9 @@
 //!
 //! The paper's experiments drive each stream with a constant-bit-rate source
 //! ("the devices generate data at a constant rate of either 32 or 64 packets
-//! per second. All data packets are 512 bytes"). [`Cbr`] reproduces that;
-//! [`Poisson`] is provided for sensitivity studies beyond the paper's
-//! workloads.
+//! per second. All data packets are 512 bytes"). [`SourceKind::Cbr`]
+//! reproduces that; [`SourceKind::Poisson`] is provided for sensitivity
+//! studies beyond the paper's workloads.
 //!
 //! A generator is an iterator of inter-arrival gaps: the simulation core
 //! schedules the next application packet `next_gap()` after the previous
@@ -14,58 +14,37 @@
 
 use macaw_sim::{SimDuration, SimRng};
 
-/// A source of application packets for one stream.
-pub trait TrafficSource {
-    /// Gap between the previous packet and the next one.
-    fn next_gap(&mut self, rng: &mut SimRng) -> SimDuration;
-}
-
-/// Constant bit rate: one packet every `interval` (the paper's workload).
+/// The traffic model for a stream, and the generator of its gaps.
 #[derive(Clone, Copy, Debug)]
-pub struct Cbr {
-    interval: SimDuration,
+pub enum SourceKind {
+    /// Constant bit rate at `pps` packets per second (the paper's model).
+    Cbr { pps: u64 },
+    /// Poisson arrivals with mean `pps` packets per second.
+    Poisson { pps: f64 },
 }
 
-impl Cbr {
-    /// A CBR source emitting `pps` packets per second.
-    ///
-    /// # Panics
-    /// Panics if `pps` is zero.
-    pub fn pps(pps: u64) -> Self {
-        assert!(pps > 0, "rate must be positive");
-        Cbr {
-            interval: SimDuration::from_secs(1) / pps,
+impl SourceKind {
+    /// The smallest Poisson rate a scenario accepts, in packets per
+    /// second. A gap is drawn as `-mean * ln(u)` with `u` on a 2^-53 grid,
+    /// so one gap is at most about 36.7 mean gaps: at this rate about
+    /// 3.7e16 ns (1.2 years), far inside `SimTime`'s ~584 years. Much
+    /// smaller rates make the mean gap infinite, or one gap overflow
+    /// `u64` nanoseconds, and the run would abort.
+    pub const MIN_POISSON_PPS: f64 = 1e-6;
+
+    /// Gap between the previous packet and the next one. The rate must be
+    /// positive (and a Poisson rate at least [`Self::MIN_POISSON_PPS`]),
+    /// as a scenario checks before it runs.
+    pub fn next_gap(&self, rng: &mut SimRng) -> SimDuration {
+        match *self {
+            SourceKind::Cbr { pps } => SimDuration::from_secs(1) / pps,
+            SourceKind::Poisson { pps } => {
+                // Round to whole nanoseconds; at least 1 ns to preserve
+                // ordering.
+                let ns = rng.exponential(1e9 / pps).round().max(1.0);
+                SimDuration::from_nanos(ns as u64)
+            }
         }
-    }
-}
-
-impl TrafficSource for Cbr {
-    fn next_gap(&mut self, _rng: &mut SimRng) -> SimDuration {
-        self.interval
-    }
-}
-
-/// Poisson arrivals with a given mean rate.
-#[derive(Clone, Copy, Debug)]
-pub struct Poisson {
-    mean_interval_ns: f64,
-}
-
-impl Poisson {
-    /// A Poisson source with mean rate `pps` packets per second.
-    pub fn pps(pps: f64) -> Self {
-        assert!(pps > 0.0 && pps.is_finite(), "rate must be positive");
-        Poisson {
-            mean_interval_ns: 1e9 / pps,
-        }
-    }
-}
-
-impl TrafficSource for Poisson {
-    fn next_gap(&mut self, rng: &mut SimRng) -> SimDuration {
-        // Round to whole nanoseconds; at least 1 ns to preserve ordering.
-        let ns = rng.exponential(self.mean_interval_ns).round().max(1.0);
-        SimDuration::from_nanos(ns as u64)
     }
 }
 
@@ -77,14 +56,14 @@ mod tests {
     fn cbr_interval_matches_rate() {
         let mut rng = SimRng::new(1);
         let gap = SimDuration::from_nanos(15_625_000);
-        assert_eq!(Cbr::pps(64).next_gap(&mut rng), gap);
+        assert_eq!(SourceKind::Cbr { pps: 64 }.next_gap(&mut rng), gap);
         let gap = SimDuration::from_nanos(31_250_000);
-        assert_eq!(Cbr::pps(32).next_gap(&mut rng), gap);
+        assert_eq!(SourceKind::Cbr { pps: 32 }.next_gap(&mut rng), gap);
     }
 
     #[test]
     fn cbr_gap_is_constant() {
-        let mut c = Cbr::pps(64);
+        let c = SourceKind::Cbr { pps: 64 };
         let mut rng = SimRng::new(1);
         let gaps: Vec<_> = (0..10).map(|_| c.next_gap(&mut rng)).collect();
         assert!(gaps.iter().all(|g| *g == gaps[0]));
@@ -92,7 +71,7 @@ mod tests {
 
     #[test]
     fn poisson_mean_rate_is_calibrated() {
-        let mut p = Poisson::pps(64.0);
+        let p = SourceKind::Poisson { pps: 64.0 };
         let mut rng = SimRng::new(2);
         let n = 100_000;
         let total: u64 = (0..n).map(|_| p.next_gap(&mut rng).as_nanos()).sum();
@@ -103,15 +82,15 @@ mod tests {
 
     #[test]
     fn poisson_gaps_are_positive() {
-        let mut p = Poisson::pps(1000.0);
+        let p = SourceKind::Poisson { pps: 1000.0 };
         let mut rng = SimRng::new(3);
         assert!((0..10_000).all(|_| !p.next_gap(&mut rng).is_zero()));
     }
 
     #[test]
     fn generators_are_deterministic_given_seed() {
-        let mut a = Poisson::pps(64.0);
-        let mut b = Poisson::pps(64.0);
+        let a = SourceKind::Poisson { pps: 64.0 };
+        let b = SourceKind::Poisson { pps: 64.0 };
         let mut ra = SimRng::new(9);
         let mut rb = SimRng::new(9);
         for _ in 0..100 {

@@ -5,7 +5,8 @@
 # replicate and check), each written to a temp dir and compared with its
 # committed BENCH_*.json.
 # Exits non-zero if anything fails to build, clippy or rustdoc reports any
-# warning (a dangling or private doc link included), any test fails, a
+# warning (a dangling or private doc link included), any test fails (the
+# simulator's and the checker's heap censuses included), a
 # run panics or breaks one of its asserts (non-finite throughput, MACAW
 # not ahead of MACA on a corrupting channel, sparse != reference, a proof
 # that fails, an oracle verdict that disagrees with the reduced one), or a fresh BENCH_faults.json, BENCH_scale.json,
@@ -29,6 +30,9 @@ cargo test -q --workspace
 echo "== queue backends agree (ladder vs heap: random traces + every table family) =="
 cargo test -q --release -p macaw-sim --test proptest_queue
 cargo test -q --release -p macaw-bench --test determinism ladder_and_heap
+
+echo "== simulator heap census (office floor at N = 1024: peak live heap bytes per station) =="
+cargo test -q --release -p macaw-core --test heap_census -- --nocapture
 
 echo "== model-checker proofs (exhaustive proofs + seeded-bug detection + allocation census) =="
 cargo test -q --release -p macaw-check --test proofs
